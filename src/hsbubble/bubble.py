@@ -28,18 +28,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .params import HSParams, derive_constants
-
-
-def _kappa(p: HSParams) -> float:
-    n, s = p.n, p.s
-    return ((n - s) * (n - 2)) ** ((n - 2) / (2.0 * (2.0 - s)))
+from .params import HSParams
 
 
 def u1(p: HSParams, r):
     n, s = p.n, p.s
     t = np.asarray(r, dtype=float) ** (2.0 - s)
-    return _kappa(p) * (1.0 + t) ** (-(n - 2.0) / (2.0 - s))
+    return p.kappa * (1.0 + t) ** (-(n - 2.0) / (2.0 - s))
 
 
 def du1(p: HSParams, r):
@@ -49,7 +44,7 @@ def du1(p: HSParams, r):
     with np.errstate(divide="ignore"):
         rpow = r ** (1.0 - s)
     t = r ** (2.0 - s)
-    return -_kappa(p) * (n - 2.0) * rpow * (1.0 + t) ** (-m)
+    return -p.kappa * (n - 2.0) * rpow * (1.0 + t) ** (-m)
 
 
 def d2u1(p: HSParams, r):
@@ -60,7 +55,7 @@ def d2u1(p: HSParams, r):
     with np.errstate(divide="ignore"):
         core = (1.0 - s) * r**-s * (1.0 + t) ** (-m) \
             - (n - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-m - 1.0)
-    return -_kappa(p) * (n - 2.0) * core
+    return -p.kappa * (n - 2.0) * core
 
 
 def rdru1(p: HSParams, r):
@@ -72,14 +67,14 @@ def rdru1(p: HSParams, r):
     r = np.asarray(r, dtype=float)
     m = (n - s) / (2.0 - s)
     t = r ** (2.0 - s)
-    return -_kappa(p) * (n - 2.0) * t * (1.0 + t) ** (-m)
+    return -p.kappa * (n - 2.0) * t * (1.0 + t) ** (-m)
 
 
 def z0(p: HSParams, r):
     n, s = p.n, p.s
     t = np.asarray(r, dtype=float) ** (2.0 - s)
     m = (n - s) / (2.0 - s)
-    return 0.5 * (n - 2.0) * _kappa(p) * (t - 1.0) * (1.0 + t) ** (-m)
+    return 0.5 * (n - 2.0) * p.kappa * (t - 1.0) * (1.0 + t) ** (-m)
 
 
 def dz0(p: HSParams, r):
@@ -90,7 +85,7 @@ def dz0(p: HSParams, r):
     with np.errstate(divide="ignore"):
         rpow = r ** (1.0 - s)
     amp = (1.0 + m) + (1.0 - m) * t
-    return 0.5 * (n - 2.0) * _kappa(p) * (2.0 - s) * rpow * (1.0 + t) ** (-m - 1.0) * amp
+    return 0.5 * (n - 2.0) * p.kappa * (2.0 - s) * rpow * (1.0 + t) ** (-m - 1.0) * amp
 
 
 def d2z0(p: HSParams, r):
@@ -103,7 +98,7 @@ def d2z0(p: HSParams, r):
         core = (1.0 - s) * r**-s * (1.0 + t) ** (-m - 1.0) * amp \
             - (m + 1.0) * (2.0 - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-m - 2.0) * amp \
             + (1.0 - m) * (2.0 - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-m - 1.0)
-    return 0.5 * (n - 2.0) * _kappa(p) * (2.0 - s) * core
+    return 0.5 * (n - 2.0) * p.kappa * (2.0 - s) * core
 
 
 def eval_profiles(p: HSParams, delta: float, r) -> dict:

@@ -18,7 +18,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -56,7 +55,6 @@ class RunConfig:
     subcommand: str
     args: argparse.Namespace
     format: str  # "json" | "csv" | "human"
-    output: Optional[str] = None  # side-channel file the subcommand writes
 
 
 # ------------------------------------------------------------- flag plumbing
@@ -564,10 +562,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fmt = "json" if getattr(args, "json", False) else (
         "csv" if args.subcommand == "integrals" else "human")
-    output = (getattr(args, "csv", None) or getattr(args, "emit_profile", None)
-              or getattr(args, "emit_modes", None))
-    return run(RunConfig(subcommand=args.subcommand, args=args, format=fmt,
-                         output=output))
+    return run(RunConfig(subcommand=args.subcommand, args=args, format=fmt))
 
 
 if __name__ == "__main__":

@@ -55,8 +55,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .bubble import RadialGrid, RadialProfile, rdru1, u1, z0
 from .errors import DomainError, NumericalError
@@ -149,7 +147,8 @@ class ModeMatrices:
     Arrays cover the active nodes only (ell = 2 drops the Dirichlet node at
     r = 0; ell = 0 keeps it).  d/e: diagonal and subdiagonal of the full
     operator K = S + centrifugal - potential (Robin corner included in S);
-    sd/se: diagonal and subdiagonal of the pure-stiffness S alone;
+    sd: diagonal of the pure-stiffness S alone, whose subdiagonal is e too
+    (the centrifugal and potential terms are diagonal);
     mass: lumped (exact) cell masses integral of r**(n-1) over the cell.
     """
 
@@ -159,7 +158,6 @@ class ModeMatrices:
     e: np.ndarray
     mass: np.ndarray
     sd: np.ndarray
-    se: np.ndarray
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +178,8 @@ def _first_cell_potential_mass(p: HSParams, m_edge: float) -> float:
 
     The integrand ~ r**(n-1-s) near 0 is integrable for every s < 2; the
     graded first cell is far too small for point sampling, so integrate
-    adaptively (cost: one tiny one-dimensional quadrature per assembly).
+    adaptively (cost: one tiny one-dimensional quadrature per ell = 0
+    assembly).
     """
     n, s = p.n, p.s
     qm1 = p.crit_exp - 1.0
@@ -204,46 +203,49 @@ def _cell_edges(r: np.ndarray, R: float) -> np.ndarray:
     return edges
 
 
-def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
-    """Assemble the tridiagonal finite-volume operator for one mode."""
+def _stiffness(p: HSParams, ell: int, grid: RadialGrid):
+    """The quadrature-free part of the assembly, over all grid nodes.
+
+    Returns (edges, mass, sd, e): the cell edges, the exact cell integrals
+    of r**(n-1), and the diagonal and subdiagonal of the pure-stiffness S
+    with the Robin corner of mode ell.
+    """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
-    n, s = p.n, p.s
-    if s <= 0.0:
+    if p.s <= 0.0:
         raise DomainError("the linearized solver requires s in (0, 2)")
+    n = p.n
     r = grid.nodes
     R = grid.R_max
     edges = _cell_edges(r, R)
-
-    # exact cell integrals of r**(n-1) (mass) and r**(n-3) (centrifugal)
     mass = np.diff(edges**n) / n
-    cent_cell = np.diff(edges ** (n - 2)) / (n - 2)
 
     # flux coefficients a_{i+1/2} = m_{i+1/2}**(n-1) / (r_{i+1} - r_i)
     flux = edges[1:-1] ** (n - 1) / np.diff(r)
-
-    npts = r.size
-    sd = np.zeros(npts)
-    se = -flux
+    sd = np.zeros(r.size)
     sd[:-1] += flux
     sd[1:] += flux
     sd[-1] += (n - 2.0 + ell) * R ** (n - 2)  # Robin closure, decaying branch
+    return edges, mass, sd, -flux
 
-    pot = np.zeros(npts)
-    pot[1:] = potential_values(p, r[1:]) * mass[1:]
-    pot[0] = _first_cell_potential_mass(p, edges[1])
 
-    cent = float(ell * (ell + n - 2)) * cent_cell
-
-    d = sd + cent - pot
-    e = se.copy()
+def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
+    """Assemble the tridiagonal finite-volume operator for one mode."""
+    edges, mass, sd, e = _stiffness(p, ell, grid)
+    n = p.n
+    r = grid.nodes
+    pot = potential_values(p, r[1:]) * mass[1:]
 
     if ell == 2:
         # Dirichlet at r = 0: drop node 0 (its flux coupling folds into the
-        # node-1 diagonal, which the assembly above already contains).
-        return ModeMatrices(ell=2, r=r[1:], d=d[1:], e=e[1:],
-                            mass=mass[1:], sd=sd[1:], se=se[1:])
-    return ModeMatrices(ell=0, r=r, d=d, e=e, mass=mass, sd=sd, se=se)
+        # node-1 diagonal, which the stiffness already contains).  The
+        # centrifugal term uses the exact cell integrals of r**(n-3).
+        cent_cell = np.diff(edges[1:] ** (n - 2)) / (n - 2)
+        cent = float(ell * (ell + n - 2)) * cent_cell
+        return ModeMatrices(ell=2, r=r[1:], d=sd[1:] + cent - pot, e=e[1:],
+                            mass=mass[1:], sd=sd[1:])
+    pot = np.concatenate([[_first_cell_potential_mass(p, edges[1])], pot])
+    return ModeMatrices(ell=0, r=r, d=sd - pot, e=e, mass=mass, sd=sd)
 
 
 def _apply_tridiag(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -262,8 +264,8 @@ def z0_laplacian_load(p: HSParams, grid: RadialGrid) -> np.ndarray:
     right-hand side built from it cancels identically in the projected
     equation (the exact-cancellation property of the construction).
     """
-    mats = assemble_mode(p, 0, grid)
-    return _apply_tridiag(mats.sd, mats.se, z0(p, mats.r))
+    _, _, sd, e = _stiffness(p, 0, grid)
+    return _apply_tridiag(sd, e, z0(p, grid.nodes))
 
 
 # --------------------------------------------------------------------------
@@ -309,60 +311,62 @@ def _fd_defect(p: HSParams, ell: int, r: np.ndarray, u: np.ndarray,
 # solvers
 
 
-def _solve_mode2(mats: ModeMatrices, load: np.ndarray) -> np.ndarray:
-    ab = np.zeros((2, mats.d.size))
-    ab[0, 1:] = mats.e
-    ab[1] = mats.d
-    try:
-        return scipy.linalg.solveh_banded(ab, load, lower=False)
-    except np.linalg.LinAlgError as exc:  # not positive definite: fall back
-        ab2 = np.zeros((3, mats.d.size))
-        ab2[0, 1:] = mats.e
-        ab2[1] = mats.d
-        ab2[2, :-1] = mats.e
+def _equilibrated_solver(mats: ModeMatrices):
+    """(ds, solve): D = diag(ds) = |diag K|**(-1/2) and solve(y) = (D K D)^-1 y.
+
+    Both modes are solved through D K D; _solve_mode0_bordered says why.
+    """
+    ds = 1.0 / np.sqrt(np.maximum(np.abs(mats.d), np.finfo(float).tiny))
+    es = mats.e * ds[:-1] * ds[1:]
+    ab = np.array([np.append(0.0, es), mats.d * ds * ds, np.append(es, 0.0)])
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
         try:
-            return scipy.linalg.solve_banded((1, 1), ab2, load)
-        except np.linalg.LinAlgError:
+            return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError(
-                "ell = 2 mode operator is numerically singular"
-            ) from exc
+                f"ell = {mats.ell} banded solve failed: {exc}") from exc
+
+    return ds, solve
 
 
 def _solve_mode0_bordered(mats: ModeMatrices, g: np.ndarray,
                           load: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve [[K, g], [g^T, 0]] [u, lam] = [load, 0] by equilibrated LU.
+    """Solve [[K, g], [g^T, 0]] [u, lam] = [load, 0] by block elimination.
 
     The border removes the near-null Z0 direction (g is never orthogonal to
     it), so the bordered matrix is well conditioned on the constraint
-    subspace even though K itself is nearly singular.  The graded mesh makes
-    the row scales span ~30 orders of magnitude (first-cell fluxes are
-    ~r1**(n-1)); a raw factorization then satisfies the origin rows only to
-    a norm-wise backward error, which permits enormous spurious solution
-    components there.  Symmetric diagonal equilibration restores
-    componentwise accuracy, and one step of iterative refinement in the
-    original variables polishes the result to machine level.
+    subspace even though K itself is nearly singular.
+
+    Equilibration: the graded mesh makes the row scales span ~30 orders of
+    magnitude (first-cell fluxes are ~r1**(n-1)); a pivoted factorization
+    then satisfies the origin rows only to a norm-wise backward error, which
+    permits enormous spurious solution components there.  Symmetric
+    diagonal scaling K_s = D K D with D = |diag K|**(-1/2) restores
+    componentwise accuracy.  The border column becomes D g / gscale, so
+    every border right-hand side must be divided by the same gscale.
+
+    Elimination (Keller's bordering method): one banded solve
+    K_s [a, b] = [D load, D g / gscale], then the border row fixes the
+    multiplier.  K_s is nearly singular, so a and b carry large near-kernel
+    components that cancel only to roundoff relative to their size; one
+    refinement pass on the residual of the full bordered system brings the
+    result to machine level (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993).
     """
-    m = mats.d.size
-    ds = 1.0 / np.sqrt(np.maximum(np.abs(mats.d), np.finfo(float).tiny))
+    ds, solve = _equilibrated_solver(mats)
     gs = g * ds
     gscale = float(np.linalg.norm(gs))
     if gscale == 0.0 or not np.isfinite(gscale):
         raise NumericalError("degenerate projection direction in ell = 0 solve")
-    K = scipy.sparse.diags(
-        [mats.e * ds[:-1] * ds[1:], mats.d * ds * ds,
-         mats.e * ds[:-1] * ds[1:]],
-        [-1, 0, 1], shape=(m, m), format="csc",
-    )
-    col = (gs / gscale).reshape(-1, 1)
-    B = scipy.sparse.bmat([[K, col], [col.T, None]], format="csc")
-    try:
-        lu = scipy.sparse.linalg.splu(B)
-    except RuntimeError as exc:
-        raise NumericalError(f"bordered ell = 0 solve failed: {exc}") from exc
+    col = gs / gscale
 
     def solve_scaled(rhs_u: np.ndarray, rhs_c: float):
-        sol = lu.solve(np.append(rhs_u * ds, rhs_c / gscale))
-        return sol[:-1] * ds, float(sol[-1]) / gscale
+        a, b = solve(np.column_stack([rhs_u * ds, col])).T
+        schur = float(col @ b)
+        if schur == 0.0:
+            raise NumericalError("bordered ell = 0 system is singular")
+        mu = (float(col @ a) - rhs_c / gscale) / schur
+        return (a - mu * b) * ds, mu / gscale
 
     u, lam = solve_scaled(load, 0.0)
     # one refinement pass in the original (unscaled) variables
@@ -424,7 +428,7 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
 
     if ell == 0:
         z = z0(p, r)
-        g = _apply_tridiag(mats.sd, mats.se, z)
+        g = _apply_tridiag(mats.sd, mats.e, z)
         ip = float(z @ load)
         scale = _norm_m(mats.mass, z) * float(
             np.sqrt(np.sum(load**2 / mats.mass))
@@ -438,12 +442,13 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
             )
         u, lagrange = _solve_mode0_bordered(mats, g, load)
         gn = float(np.sqrt(z @ g))  # sqrt(z0^T S z0) > 0
-        un = float(np.sqrt(abs(u @ _apply_tridiag(mats.sd, mats.se, u))))
+        un = float(np.sqrt(abs(u @ _apply_tridiag(mats.sd, mats.e, u))))
         den = gn * un
         grad_ortho = abs(float(g @ u)) / den if den > 0.0 else 0.0
         resid = _apply_tridiag(mats.d, mats.e, u) + lagrange * g - load
     else:
-        u = _solve_mode2(mats, load)
+        ds, solve = _equilibrated_solver(mats)
+        u = ds * solve(load * ds)
         resid = _apply_tridiag(mats.d, mats.e, u) - load
 
     rnorm = float(np.linalg.norm(resid))
@@ -480,14 +485,14 @@ def hat_c(p: HSParams, w: WDecomposition, grid: RadialGrid) -> dict:
     mode2 solves  L_2 u = -(1/3) r U1'  per unit trace-free amplitude (the
     tensor contraction is applied later, in nonlocal_term).
     """
-    mats0 = assemble_mode(p, 0, grid)
-    r = mats0.r
+    r = grid.nodes
+    _, mass, sd, e = _stiffness(p, 0, grid)
     z = z0(p, r)
-    g = _apply_tridiag(mats0.sd, mats0.se, z)
+    g = _apply_tridiag(sd, e, z)
     nu = float(z @ g)
 
     w0 = _mode0_source_values(p, w, r)
-    load_w = mats0.mass * w0
+    load_w = mass * w0
     mu = float(z @ load_w) / nu
     load = -load_w + mu * g
 
@@ -528,17 +533,16 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
 
     sols = hat_c(p, w, grid)
     omega = sphere_area(p.n)
-    mats0 = assemble_mode(p, 0, grid)
-    r0 = mats0.r
-    w0 = _mode0_source_values(p, w, r0)
+    r = grid.nodes
+    _, mass, _, _ = _stiffness(p, 0, grid)
+    w0 = _mode0_source_values(p, w, r)
     c0 = sols["mode0"].profile.values
-    part0 = omega * float(np.sum(mats0.mass * w0 * c0))
+    part0 = omega * float(np.sum(mass * w0 * c0))
 
-    mats2 = assemble_mode(p, 2, grid)
-    r2 = mats2.r
-    phi = rdru1(p, r2) / 3.0
+    # ell = 2 lives on the nodes r > 0
+    phi = rdru1(p, r[1:]) / 3.0
     c2 = sols["mode2"].profile.values[1:]
-    pair2 = float(np.sum(mats2.mass * phi * c2))
+    pair2 = float(np.sum(mass[1:] * phi * c2))
     part2 = (2.0 * omega / (p.n * (p.n + 2.0))) * w.t_free_norm2 * pair2
 
     total = part0 + part2

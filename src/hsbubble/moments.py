@@ -52,15 +52,11 @@ MOMENT_KINDS = (
 )
 
 
-def ipq(p: float, q: float, via_quadrature: bool = False) -> float:
-    """I_p^q in closed Beta form (or by direct quadrature in test mode)."""
+def ipq(p: float, q: float) -> float:
+    """I_p^q in closed Beta form."""
     if p - q <= 1.0 or q <= -1.0:
         raise DomainError(
             f"I_p^q diverges for p={p}, q={q} (need p - q > 1 and q > -1)")
-    if via_quadrature:
-        res = integrate_radial(
-            RadialIntegrand(f=lambda t: (1.0 + t) ** (-p), a=q), tol=1e-12)
-        return res["value"]
     return float(np.exp(gammaln(q + 1.0) + gammaln(p - q - 1.0) - gammaln(p)))
 
 
@@ -132,14 +128,12 @@ def moment_quadrature(p: HSParams, kind: str, tol: float = 1e-10) -> float:
     def du_smooth(r):
         # U1'(r) * r^{s-1}: smooth at 0
         t = r ** (2.0 - s)
-        return -((n - s) * (n - 2)) ** ((n - 2) / (2 * (2 - s))) * (n - 2) \
-            * (1.0 + t) ** (-(n - s) / (2.0 - s))
+        return -p.kappa * (n - 2) * (1.0 + t) ** (-(n - s) / (2.0 - s))
 
     def dz_smooth(r):
         m = (n - s) / (2.0 - s)
         t = r ** (2.0 - s)
-        kappa = ((n - s) * (n - 2)) ** ((n - 2) / (2 * (2 - s)))
-        return 0.5 * (n - 2) * kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0) \
+        return 0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0) \
             * ((1.0 + m) + (1.0 - m) * t)
 
     table = {

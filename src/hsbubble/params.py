@@ -49,6 +49,12 @@ class HSParams:
         """2*(s) = 2(n - s)/(n - 2)."""
         return 2.0 * (self.n - self.s) / (self.n - 2.0)
 
+    @property
+    def kappa(self) -> float:
+        """kappa = ((n - s)(n - 2)) ** ((n - 2)/(2(2 - s)))."""
+        n, s = self.n, self.s
+        return ((n - s) * (n - 2)) ** ((n - 2) / (2.0 * (2.0 - s)))
+
 
 @dataclass(frozen=True)
 class ConstantSet:
@@ -67,10 +73,9 @@ def derive_constants(p: HSParams) -> ConstantSet:
     exponentiating kappa, so it is exact even where kappa itself rounds.
     """
     n, s = p.n, p.s
-    kappa = ((n - s) * (n - 2)) ** ((n - 2) / (2.0 * (2.0 - s)))
     return ConstantSet(
         crit_exp=p.crit_exp,
-        kappa=kappa,
+        kappa=p.kappa,
         c_ns=(n - 2) * (6.0 - s) / (12.0 * (2.0 * n - 2.0 - s)),
         lambda_ns=(n - 2) * (10.0 - s) / (20.0 * (2.0 * n - 2.0 - s)),
         kappa_pow=float((n - s) * (n - 2)),

@@ -1,8 +1,14 @@
 """Tests for the mode-decomposed linearized solver."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hsbubble
+from hsbubble import linearized
 from hsbubble.bubble import RadialGrid, RadialProfile, default_grid, rdru1, u1, z0
 from hsbubble.errors import DomainError
 from hsbubble.linearized import (
@@ -181,6 +187,56 @@ def test_projected_solve_invariants():
     s2 = sols["mode2"]
     assert s2.profile.values[0] == 0.0  # Dirichlet value reattached
     assert s2.defect < 2e-4
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.0), (16, 1.5), (30, 1.0)])
+def test_bordered_solve_matches_dense_reference(n, s):
+    # the bordered system [[K, g], [g^T, 0]] built densely and solved by
+    # LAPACK after the same symmetric scaling (unscaled, the origin rows are
+    # solved only norm-wise and come out wrong by up to 1e135 relative)
+    p = HSParams(n, s)
+    grid = default_grid(p, N=500, R_max=50.0)
+    mats = assemble_mode(p, 0, grid)
+    g = z0_laplacian_load(p, grid)
+    zs = z0(p, mats.r)
+    load_w = mats.mass * (u1(p, mats.r) + 0.4 * rdru1(p, mats.r))
+    load = -load_w + (float(zs @ load_w) / float(zs @ g)) * g
+    m = mats.d.size
+    B = np.diag(np.append(mats.d, 0.0)) + np.diag(np.append(mats.e, 0.0), 1) \
+        + np.diag(np.append(mats.e, 0.0), -1)
+    B[:m, m] = B[m, :m] = g
+    ds = 1.0 / np.sqrt(np.abs(mats.d))
+    dfull = np.append(ds, 1.0 / np.linalg.norm(ds * g))
+    ref = dfull * np.linalg.solve(B * np.outer(dfull, dfull),
+                                  dfull * np.append(load, 0.0))
+    sol = solve_mode(p, 0, None, grid, rhs_load=load)
+    u = sol.profile.values
+    assert np.max(np.abs(u - ref[:m])) <= 1e-10 * np.max(np.abs(ref[:m]))
+    assert sol.gradient_orthogonality <= 1e-15
+
+
+def test_nonlocal_term_assembles_each_mode_once(monkeypatch):
+    asm, quad = [], []
+    real_asm = linearized.assemble_mode
+    real_quad = linearized._first_cell_potential_mass
+    monkeypatch.setattr(linearized, "assemble_mode",
+                        lambda p, ell, grid: asm.append(ell) or real_asm(p, ell, grid))
+    monkeypatch.setattr(linearized, "_first_cell_potential_mass",
+                        lambda p, edge: quad.append(edge) or real_quad(p, edge))
+    nonlocal_term(P71, WDecomposition(0.7, 0.31, 2.0), grid71(500))
+    assert sorted(asm) == [0, 2]
+    assert len(quad) == 1
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    src = os.path.dirname(os.path.dirname(hsbubble.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = ("import sys, hsbubble.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_hat_c_zero_input_gives_zero():
