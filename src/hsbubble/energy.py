@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .bubble import du1, u1
 from .errors import DomainError, NumericalError
@@ -367,6 +366,8 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
             RadialIntegrand(f=radial_f, a=n - 1.0, R=None),
             tol=tol)["value"] * sphere_area(n)
         return float(total ** (1.0 / q))
+
+    from scipy.special import roots_jacobi
 
     a_jac = (n - 3.0) / 2.0
     u_nodes, u_weights = roots_jacobi(jacobi_points, a_jac, a_jac)

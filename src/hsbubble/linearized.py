@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .bubble import RadialGrid, RadialProfile, rdru1, u1, z0
 from .errors import DomainError, NumericalError
@@ -208,7 +207,9 @@ def _stiffness(p: HSParams, ell: int, grid: RadialGrid):
 
     Returns (edges, mass, sd, e): the cell edges, the exact cell integrals
     of r**(n-1), and the diagonal and subdiagonal of the pure-stiffness S
-    with the Robin corner of mode ell.
+    with the Robin corner of mode ell.  A strong grading can put the first
+    edges so close to 0 that edge**n underflows; every solve and spectral
+    diagnostic divides by the cell masses, so a zero mass is refused here.
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
@@ -219,6 +220,11 @@ def _stiffness(p: HSParams, ell: int, grid: RadialGrid):
     R = grid.R_max
     edges = _cell_edges(r, R)
     mass = np.diff(edges**n) / n
+    if np.any(mass == 0.0):
+        raise NumericalError(
+            f"cell masses underflow to 0 on this grid (gamma = {grid.gamma}, "
+            f"N = {grid.N}, first edge radius {edges[1]:.3e}); "
+            "reduce the grading or N")
 
     # flux coefficients a_{i+1/2} = m_{i+1/2}**(n-1) / (r_{i+1} - r_i)
     flux = edges[1:-1] ** (n - 1) / np.diff(r)
@@ -316,6 +322,8 @@ def _equilibrated_solver(mats: ModeMatrices):
 
     Both modes are solved through D K D; _solve_mode0_bordered says why.
     """
+    import scipy.linalg
+
     ds = 1.0 / np.sqrt(np.maximum(np.abs(mats.d), np.finfo(float).tiny))
     es = mats.e * ds[:-1] * ds[1:]
     ab = np.array([np.append(0.0, es), mats.d * ds * ds, np.append(es, 0.0)])
@@ -563,19 +571,24 @@ def _count_eigs_below(d: np.ndarray, e: np.ndarray, mass: np.ndarray,
 
     Sturm count via the LDL^T pivot recurrence of K - sigma M; exact
     integer inertia, immune to the huge dynamic range of the graded cells.
+    The recurrence is sequential, so it runs on Python floats (numpy
+    scalars cost several times more per step).
     """
-    tiny = np.finfo(float).tiny
-    q = d[0] - sigma * mass[0]
+    tiny = float(np.finfo(float).tiny)
+    shifted = (d - sigma * mass).tolist()
+    e2 = (e * e).tolist()
+    q = shifted[0]
     count = int(q < 0.0)
-    for i in range(1, d.size):
+    for di, ei2 in zip(shifted[1:], e2):
         if q == 0.0:
             q = tiny
-        q = (d[i] - sigma * mass[i]) - e[i - 1] ** 2 / q
+        q = di - ei2 / q
         count += q < 0.0
     return count
 
 
-def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float):
+def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
+                       vectors: bool):
     """All pencil eigenpairs K v = lam M v with lam in (lo, hi).
 
     Works on the symmetrically scaled standard form M**(-1/2) K M**(-1/2)
@@ -585,23 +598,27 @@ def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float):
     where shift-invert iterations on the raw pencil produce spurious
     near-zero eigenvalues.  An explicit absolute tolerance is passed:
     the driver default is relative to the Gershgorin bound, which the
-    origin cells push to ~1e26, uselessly coarse near zero.
+    origin cells push to ~1e26, uselessly coarse near zero.  With
+    vectors=False only the eigenvalues are computed (the same bisection,
+    so the same values) and None stands in for the eigenvectors.
     """
+    import scipy.linalg
+
     inv_sqrt_m = 1.0 / np.sqrt(mats.mass)
-    if not np.all(np.isfinite(inv_sqrt_m)):
-        raise NumericalError(
-            "cell masses underflow for this grid; reduce the grading"
-        )
     dt = mats.d * inv_sqrt_m**2
     et = mats.e * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
     if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(et))):
         raise NumericalError("scaled operator overflows for this grid")
     try:
-        vals, y = scipy.linalg.eigh_tridiagonal(
-            dt, et, select="v", select_range=(lo, hi), tol=1e-14
+        out = scipy.linalg.eigh_tridiagonal(
+            dt, et, eigvals_only=not vectors, select="v",
+            select_range=(lo, hi), tol=1e-14
         )
     except Exception as exc:
         raise NumericalError(f"eigen-diagnostic failed: {exc}") from exc
+    if not vectors:
+        return out, None
+    vals, y = out
     # back-transform: u = M**(-1/2) y, already M-orthonormal
     return vals, y * inv_sqrt_m[:, None]
 
@@ -648,7 +665,7 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid, *,
 
     for ell in (0, 2):
         mats = assemble_mode(p, ell, grid)
-        vals, vecs = _window_eigenpairs(mats, -win, win)
+        vals, vecs = _window_eigenpairs(mats, -win, win, vectors=ell == 0)
         if vals.size == 0:
             raise NumericalError(
                 f"no ell = {ell} eigenvalues inside the diagnostic window; "

@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import bubble
 from .errors import DomainError
@@ -54,6 +53,8 @@ MOMENT_KINDS = (
 
 def ipq(p: float, q: float) -> float:
     """I_p^q in closed Beta form."""
+    from scipy.special import gammaln
+
     if p - q <= 1.0 or q <= -1.0:
         raise DomainError(
             f"I_p^q diverges for p={p}, q={q} (need p - q > 1 and q > -1)")

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,12 @@ class HSParams:
     def kappa(self) -> float:
         """kappa = ((n - s)(n - 2)) ** ((n - 2)/(2(2 - s)))."""
         n, s = self.n, self.s
-        return ((n - s) * (n - 2)) ** ((n - 2) / (2.0 * (2.0 - s)))
+        try:
+            return ((n - s) * (n - 2)) ** ((n - 2) / (2.0 * (2.0 - s)))
+        except OverflowError:
+            raise NumericalError(
+                f"kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows "
+                f"a float at n = {n}, s = {s}") from None
 
 
 @dataclass(frozen=True)

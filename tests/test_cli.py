@@ -3,10 +3,14 @@ byte-identical re-runs, and the emitted CSV side files."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsbubble
 from hsbubble.cli import main
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
@@ -442,6 +446,50 @@ def test_exit_2_ill_conditioned_fit(capsys):
                          "--deltas", "0.000001:0.05:12"])
     assert rc == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv,cause", [
+    # first cell mass underflows (was exit 0 with the solvability check
+    # skipped, and "singular matrix" from the banded solve)
+    (["lg", "--n", "30", "--s", "1.5", "--grid", "2000,200"],
+     "cell masses underflow to 0 on this grid (gamma = 4.0, N = 2000"),
+    (["lg", "--n", "7", "--s", "1.9"], "cell masses underflow to 0"),
+    # kappa beyond the float range (was an OverflowError traceback)
+    (["integrals", "--n", "7", "--s", "1.99"],
+     "kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float "
+     "at n = 7, s = 1.99"),
+])
+def test_exit_2_names_the_cause(capsys, argv, cause):
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ")
+    assert cause in err
+
+
+def test_scipy_free_subcommands_load_no_scipy():
+    src = os.path.dirname(os.path.dirname(hsbubble.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    runs = [
+        ["constants", "--n", "7", "--s", "1"],
+        ["integrals", "--n", "7", "--s", "1"],
+        ["bubble", "--n", "7", "--s", "1", "--delta", "0.1"],
+        ["reduce", "--quad", "2", "--quartic", "1"],
+        ["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
+         "--h0", "2"],
+        ["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+         "--h0", "7.954545454545454", "--base-lg", "5"],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from hsbubble.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_exit_0_plain_runs(capsys):

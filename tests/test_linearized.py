@@ -10,7 +10,7 @@ import pytest
 import hsbubble
 from hsbubble import linearized
 from hsbubble.bubble import RadialGrid, RadialProfile, default_grid, rdru1, u1, z0
-from hsbubble.errors import DomainError
+from hsbubble.errors import DomainError, NumericalError
 from hsbubble.linearized import (
     ModeSolution,
     WDecomposition,
@@ -229,11 +229,13 @@ def test_nonlocal_term_assembles_each_mode_once(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_sparse_out():
+    # scipy is imported inside the functions that call it, so importing the
+    # CLI loads no scipy module at all (scipy.sparse is not used anywhere)
     src = os.path.dirname(os.path.dirname(hsbubble.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     code = ("import sys, hsbubble.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -383,6 +385,47 @@ def test_sturm_count_against_dense_eigenvalues():
     for sigma in (-1.0, -1e-3, 0.0, 1e-3, 0.3, 10.0):
         want = int(np.sum(vals < sigma))
         assert _count_eigs_below(mats.d, mats.e, mats.mass, sigma) == want
+
+
+def _count_eigs_below_numpy_scalars(d, e, mass, sigma):
+    # reference: the same LDL^T recurrence, stepped on numpy scalars
+    tiny = np.finfo(float).tiny
+    q = d[0] - sigma * mass[0]
+    count = int(q < 0.0)
+    for i in range(1, d.size):
+        if q == 0.0:
+            q = tiny
+        q = (d[i] - sigma * mass[i]) - e[i - 1] ** 2 / q
+        count += q < 0.0
+    return count
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5), (30, 1.0)])
+@pytest.mark.parametrize("N", [2000, 8000])
+def test_sturm_count_matches_numpy_scalar_recurrence(n, s, N):
+    p = HSParams(n, s)
+    grid = default_grid(p, N=N)
+    unit = (np.pi / grid.R_max) ** 2
+    ztol, win = 0.75 * unit, 100.0 * unit  # kernel_diagnostics defaults
+    for ell in (0, 2):
+        mats = assemble_mode(p, ell, grid)
+        for sigma in (-win, -ztol, 0.0, ztol, win):
+            want = _count_eigs_below_numpy_scalars(mats.d, mats.e, mats.mass,
+                                                   sigma)
+            got = _count_eigs_below(mats.d, mats.e, mats.mass, sigma)
+            assert got == want, (ell, sigma)
+
+
+def test_zero_cell_mass_is_a_numerical_error():
+    # (30, 1.5) with gamma = 4 at N = 2000: the first edge 6.25e-12 gives
+    # edge**30 below the smallest subnormal, so the first cell mass is 0
+    p = HSParams(30, 1.5)
+    grid = default_grid(p, N=2000)
+    for call in (lambda: assemble_mode(p, 0, grid),
+                 lambda: z0_laplacian_load(p, grid),
+                 lambda: kernel_diagnostics(p, grid)):
+        with pytest.raises(NumericalError, match="cell masses underflow"):
+            call()
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hsbubble.errors import DomainError
+from hsbubble.errors import DomainError, NumericalError
 from hsbubble.params import HSParams, derive_constants, yamabe_consistency
 
 
@@ -82,3 +82,11 @@ def test_domain_rejections():
         HSParams(7.5, 1.0)
     with pytest.raises(DomainError):
         yamabe_consistency(2)
+
+
+def test_kappa_overflow_is_a_numerical_error():
+    # (7, 1.99): kappa = 25.05**250 is beyond the float range
+    with pytest.raises(NumericalError, match=r"kappa .* n = 7, s = 1.99"):
+        HSParams(7, 1.99).kappa
+    with pytest.raises(NumericalError, match="kappa"):
+        derive_constants(HSParams(30, 1.9))
