@@ -36,6 +36,7 @@ cannot alias into the reported c0/c2/c4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -251,6 +252,9 @@ def fit_expansion(model: RadialModel, p: HSParams,
         raise DomainError(
             f"delta sweep spans a factor {span:.3g}; need a full decade")
 
+    # closed forms first: a moment prefactor that overflows fails here, before
+    # the quadrature sweep
+    pred = predicted_coeffs(model, p)
     if values is None:
         y = np.array([j_at_bubble(model, p, float(d), tol=tol)
                       for d in deltas])
@@ -283,7 +287,6 @@ def fit_expansion(model: RadialModel, p: HSParams,
     cov_s_diag = np.einsum("ij,j,ij->i", Vt.T, sv**-2.0, Vt.T) * sigma2
     se = np.sqrt(np.maximum(cov_s_diag, 0.0)) / scales
 
-    pred = predicted_coeffs(model, p)
     consts = derive_constants(p)
     generic2 = 0.5 * max(abs(model.jet.h0_val),
                          abs(consts.c_ns * model.c.scal),
@@ -329,6 +332,34 @@ def _tfree_axial_mu(c: CurvatureData) -> float:
     return math.sqrt(c.tfree_ric_norm2 * c.n / (c.n - 1.0))
 
 
+# radial points per angular block: bounds the (block x nodes) temporary while
+# the quadrature engine hands over all initial panels' nodes in one call; 15
+# is one K15 panel, so every block holds exactly one panel's nodes
+_RADIAL_BLOCK = 15
+
+
+@functools.lru_cache(maxsize=None)
+def _angular_rule(jacobi_points: int, n: int):
+    """Angular weights (u^2 - 1/n)/3 and Gauss-Jacobi weights for
+    (1-u^2)^{(n-3)/2} on [-1, 1], folded onto the nodes u >= 0.
+
+    The rule is symmetric, so each nonnegative node carries the summed
+    weight of its pair (u, -u); a centre node (odd point count) keeps its
+    own.  Cached: the arrays are read-only because every caller shares them.
+    """
+    from scipy.special import roots_jacobi
+
+    a_jac = (n - 3.0) / 2.0
+    u, w = roots_jacobi(jacobi_points, a_jac, a_jac)
+    half = jacobi_points // 2
+    ang_w = (u[half:] ** 2 - 1.0 / n) / 3.0
+    wt = w[half:].copy()
+    wt[jacobi_points % 2:] += w[:half][::-1]
+    ang_w.flags.writeable = False
+    wt.flags.writeable = False
+    return ang_w, wt
+
+
 def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
                           delta: float = 1.0, *, jacobi_points: int = 2000,
                           tol: float = 1e-12) -> float:
@@ -343,6 +374,10 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     and the radial integral is adaptive.  Integration runs in the original
     radial variable (no delta substitution), so the delta^2 scaling law is
     an outcome, not an input.
+
+    The Gauss-Jacobi rule is built once per (jacobi_points, n) and reused by
+    every later call; it is folded onto its nonnegative nodes (the weight
+    depends on u only through u^2), which halves the angular work.
     """
     if p.n < 7:
         raise DomainError("the remainder norm needs n >= 7")
@@ -367,19 +402,19 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
             tol=tol)["value"] * sphere_area(n)
         return float(total ** (1.0 / q))
 
-    from scipy.special import roots_jacobi
-
-    a_jac = (n - 3.0) / 2.0
-    u_nodes, u_weights = roots_jacobi(jacobi_points, a_jac, a_jac)
-    ang_w = (u_nodes**2 - 1.0 / n) / 3.0
+    ang_w, ang_wt = _angular_rule(jacobi_points, n)
 
     def radial_f(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         rho = r / delta
         A = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
         B = pref * mu * rho * du1(p, rho)
-        vals = np.abs(A[:, None] + B[:, None] * ang_w[None, :]) ** q
-        return omega_inner * (vals @ u_weights)
+        out = np.empty_like(A)
+        for k in range(0, A.size, _RADIAL_BLOCK):
+            blk = slice(k, k + _RADIAL_BLOCK)
+            vals = np.abs(A[blk, None] + B[blk, None] * ang_w[None, :]) ** q
+            out[blk] = vals @ ang_wt
+        return omega_inner * out
 
     total = integrate_radial(
         RadialIntegrand(f=radial_f, a=n - 1.0, R=None), tol=tol)["value"]

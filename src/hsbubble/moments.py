@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bubble
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .params import HSParams, derive_constants, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
@@ -73,31 +73,39 @@ def _reduction(p: HSParams, kind: str):
     def q_of(a):
         return (a + 1.0) / g - 1.0
 
+    def kappa_pow(e, name):
+        try:
+            return c.kappa**e
+        except OverflowError:
+            raise NumericalError(
+                f"the moment prefactor kappa**{name} overflows a float at "
+                f"n = {n}, s = {s} (kappa = {c.kappa:.6g})") from None
+
     if kind == "mass2":
-        return omega * c.kappa**2 / g, [(1.0, two_beta, q_of(n - 1))]
+        return omega * kappa_pow(2, "2") / g, [(1.0, two_beta, q_of(n - 1))]
     if kind == "r2mass":
-        return omega * c.kappa**2 / g, [(1.0, two_beta, q_of(n + 1))]
+        return omega * kappa_pow(2, "2") / g, [(1.0, two_beta, q_of(n + 1))]
     if kind == "gradsq":
-        pref = omega * (n - 2) ** 2 * c.kappa**2 / g
+        pref = omega * (n - 2) ** 2 * kappa_pow(2, "2") / g
         return pref, [(1.0, 2.0 * m, q_of(n + 1 - 2 * s))]
     if kind == "r2grad":
-        pref = omega * (n - 2) ** 2 * c.kappa**2 / g
+        pref = omega * (n - 2) ** 2 * kappa_pow(2, "2") / g
         return pref, [(1.0, 2.0 * m, q_of(n + 3 - 2 * s))]
     if kind == "r4grad":
-        pref = omega * (n - 2) ** 2 * c.kappa**2 / g
+        pref = omega * (n - 2) ** 2 * kappa_pow(2, "2") / g
         return pref, [(1.0, 2.0 * m, q_of(n + 5 - 2 * s))]
     if kind == "crit":
-        pref = omega * c.kappa**p.crit_exp / g
+        pref = omega * kappa_pow(p.crit_exp, "(2*(s))") / g
         return pref, [(1.0, 2.0 * m, q_of(n - 1 - s))]
     if kind == "r2crit":
-        pref = omega * c.kappa**p.crit_exp / g
+        pref = omega * kappa_pow(p.crit_exp, "(2*(s))") / g
         return pref, [(1.0, 2.0 * m, q_of(n + 1 - s))]
     if kind == "r4crit":
-        pref = omega * c.kappa**p.crit_exp / g
+        pref = omega * kappa_pow(p.crit_exp, "(2*(s))") / g
         return pref, [(1.0, 2.0 * m, q_of(n + 3 - s))]
     if kind == "z0grad":
         # Z0' = (n-2)/2 kappa g r^{1-s} (1+t)^{-m-1} [(1+m) + (1-m) t]
-        pref = omega * (0.5 * (n - 2)) ** 2 * c.kappa**2 * g
+        pref = omega * (0.5 * (n - 2)) ** 2 * kappa_pow(2, "2") * g
         q0 = q_of(n + 1 - 2 * s)
         return pref, [
             ((1.0 + m) ** 2, 2.0 * m + 2.0, q0),

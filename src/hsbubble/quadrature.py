@@ -23,8 +23,12 @@ Plain adaptive Gauss-Kronrod (G7, K15) on panels:
     accumulated discrepancy drops below tol * |I|, a roundoff floor is hit,
     or the evaluation budget runs out.
 
-The K15 rule is open (no endpoint nodes), so f is never called at r = 0 or
-u = 1.  Callables must accept numpy arrays.
+The integrand is called on many panels' nodes at once: one call on the nodes
+of every initial panel (61 panels on a finite domain, 108 on an infinite
+one), then one call per bisection on the 30 nodes of both halves.  f must
+therefore be elementwise over a 1-D numpy array: each output may depend only
+on the r at the same position.  The K15 rule is open (no endpoint nodes), so
+f is never called at r = 0 or u = 1.
 """
 
 from dataclasses import dataclass
@@ -85,7 +89,7 @@ class RadialIntegrand:
 
     `a` is the geometric weight power and `sing` the extra endpoint exponent;
     they are kept separate purely as bookkeeping for callers.  `f` must be
-    vectorized over numpy arrays of r > 0.
+    elementwise over 1-D numpy arrays of r > 0.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -94,18 +98,24 @@ class RadialIntegrand:
     R: Optional[float] = None
 
 
-def _panel(g, lo, hi):
-    """15-point Kronrod and embedded 7-point Gauss sums on [lo, hi]."""
+def _panels(g, lo, hi):
+    """15-point Kronrod and embedded 7-point Gauss sums on panels [lo[i], hi[i]].
+
+    g is called once, on the nodes of every panel.  The sums stay one dot
+    product per panel: a single matrix product over all panels may sum in a
+    different order and move the last bit of each panel value.  Yields
+    (k15, |k15 - g7|, |k15| sum) per panel, in order.
+    """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    x = c + h * _NODES
+    x = c[:, None] + h[:, None] * _NODES
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        y = np.asarray(g(x), dtype=float)
+        y = np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
     y = np.where(np.isfinite(y), y, 0.0)  # underflow/rounding guard at u -> 1
-    k15 = h * float(_W15 @ y)
-    g7 = h * float(_W7 @ y)
-    kabs = h * float(_W15 @ np.abs(y))
-    return k15, abs(k15 - g7), kabs
+    for hk, yk, ak in zip(h.tolist(), y, np.abs(y)):
+        k15 = hk * float(_W15 @ yk)
+        g7 = hk * float(_W7 @ yk)
+        yield k15, abs(k15 - g7), hk * float(_W15 @ ak)
 
 
 def _tail_slope(g):
@@ -130,6 +140,11 @@ def integrate_radial(integrand: RadialIntegrand, tol: float = 1e-10,
     DomainError when the integrand is divergent (endpoint exponent <= -1, or
     a non-decaying tail on an infinite domain) and NumericalError when the
     panel budget is exhausted before the tolerance is met.
+
+    integrand.f is called on the nodes of many panels at once (all initial
+    panels in one call, then both halves of each bisection), so it must be
+    elementwise: a value may not depend on the array's length or on the
+    other points in it.
     """
     power = integrand.a + integrand.sing
     if power <= -1.0:
@@ -165,23 +180,27 @@ def integrate_radial(integrand: RadialIntegrand, tol: float = 1e-10,
     heap = []
     serial = 0
     total, err_total, abs_total, evals = 0.0, 0.0, 0.0, 0
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
 
     def push(lo, hi):
+        # lo, hi: lists of edge floats; a bisection hands its panel's own edge
+        # objects on, so a long heap holds one float per edge, not per entry
         nonlocal serial, total, err_total, abs_total, evals
-        val, err, kabs = _panel(target, lo, hi)
-        total += val
-        err_total += err
-        abs_total += kabs
-        evals += 15
-        # stop refining panels at the roundoff floor or of negligible width
-        dead = (err <= 30.0 * eps * kabs) or (hi - lo <= 1e-15 * max(abs(hi), 1e-250))
-        if not dead:
-            heappush(heap, (-err, serial, lo, hi, val, err))
-            serial += 1
+        sums = _panels(target, np.array(lo), np.array(hi))
+        for plo, phi, (val, err, kabs) in zip(lo, hi, sums):
+            total += val
+            err_total += err
+            abs_total += kabs
+            evals += 15
+            # stop refining panels at the roundoff floor or of negligible width
+            dead = (err <= 30.0 * eps * kabs) or \
+                (phi - plo <= 1e-15 * max(abs(phi), 1e-250))
+            if not dead:
+                heappush(heap, (-err, serial, plo, phi, val, err))
+                serial += 1
 
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        push(lo, hi)
+    edges = edges.tolist()
+    push(edges[:-1], edges[1:])
 
     def converged():
         scale = max(abs(total), 1e-300)
@@ -197,7 +216,6 @@ def integrate_radial(integrand: RadialIntegrand, tol: float = 1e-10,
         total -= val
         err_total -= err
         mid = 0.5 * (lo + hi)
-        push(lo, mid)
-        push(mid, hi)
+        push([lo, mid], [mid, hi])
 
     return {"value": total, "error_estimate": err_total, "evaluations": evals}

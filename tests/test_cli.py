@@ -458,6 +458,12 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["integrals", "--n", "7", "--s", "1.99"],
      "kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float "
      "at n = 7, s = 1.99"),
+    # kappa finite but a moment prefactor power of it is not (was an
+    # OverflowError traceback)
+    (["lg", "--n", "16", "--s", "1.9"],
+     "kappa**2 overflows a float at n = 16, s = 1.9"),
+    (["energy", "--n", "16", "--s", "1.9", "--curvature", "sphere:1"],
+     "kappa**(2*(s)) overflows a float at n = 16, s = 1.9"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)

@@ -6,14 +6,17 @@ quadrature with no expansion, the remainder norm from Kronrod x Gauss-Jacobi
 against a scipy dblquad oracle and a Monte-Carlo angular check.
 """
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import integrate
 from scipy.special import roots_jacobi
 
+from hsbubble import cli, energy
 from hsbubble.bubble import du1, u1
 from hsbubble.energy import (
     FitReport,
@@ -352,3 +355,47 @@ def test_remainder_delta_squared_scaling():
     for d in (0.1, 0.01):
         scaled = remainder_norm_scaled(GENERIC_C, P71, 2.0, d)
         assert scaled / d**2 == pytest.approx(base, rel=1e-10)
+
+
+def test_angular_rule_built_once_per_remainder_run(monkeypatch, tmp_path,
+                                                   capsys):
+    # remainder_alpha plus the three scaling-check deltas share one rule
+    calls = []
+    real = scipy.special.roots_jacobi
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scipy.special, "roots_jacobi", counting)
+    energy._angular_rule.cache_clear()
+    curv = tmp_path / "curvature.json"
+    curv.write_text(json.dumps({"scal": 3.0, "ric_norm2": 9.0 / 7.0 + 4.0,
+                                "rm_norm2": 2.0, "lap_scal": 0.0}))
+    try:
+        rc = cli.main(["remainder", "--n", "7", "--s", "1",
+                       "--curvature", str(curv), "--h0", "2", "--json"])
+    finally:
+        energy._angular_rule.cache_clear()
+    assert rc == 0, capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["outputs"]["scaling_check"]["norm_over_delta_sq"]) == 3
+    assert calls == [(2000, 2.0, 2.0)]
+
+
+@pytest.mark.parametrize("n,points", [(7, 2000), (8, 2000), (9, 2001)])
+def test_folded_angular_rule_matches_full_rule(n, points):
+    # the folded rule on u >= 0 against the full symmetric Gauss-Jacobi sum
+    q = 2.0 * n / (n + 2.0)
+    p = HSParams(n, 1.0)
+    ang_w, weights = energy._angular_rule(points, n)
+    assert ang_w.size == weights.size == (points + 1) // 2
+    nodes, full_w = roots_jacobi(points, (n - 3) / 2, (n - 3) / 2)
+    full_ang = (nodes**2 - 1.0 / n) / 3.0
+    for r in (0.05, 1.7, 40.0):
+        for mu in (0.5, 4.0, 60.0):
+            A = 2.0 * u1(p, r) + 0.1 * r * du1(p, r)
+            B = mu * r * du1(p, r)
+            full = float(np.abs(A + B * full_ang) ** q @ full_w)
+            folded = float(np.abs(A + B * ang_w) ** q @ weights)
+            assert folded == pytest.approx(full, rel=1e-13, abs=0.0)

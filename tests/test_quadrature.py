@@ -1,9 +1,14 @@
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
 
+from hsbubble import energy, linearized, moments, quadrature
+from hsbubble.bubble import default_grid
 from hsbubble.errors import DomainError, NumericalError
+from hsbubble.geometry import PotentialJet, curvature_preset
+from hsbubble.params import HSParams, derive_constants
 from hsbubble.quadrature import RadialIntegrand, integrate_radial
 
 
@@ -88,3 +93,142 @@ def test_error_estimate_is_honest():
         RadialIntegrand(f=lambda r: np.ones_like(r), sing=-0.5, R=1.0), tol=1e-8
     )
     assert abs(res["value"] - exact) <= max(res["error_estimate"], 1e-13)
+
+
+# ------------------------------------------- batched panels vs one at a time
+
+
+def _reference_integrate(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
+    """The engine with one integrand call per panel (no divergence screens).
+
+    Same graded edges, heap order, accumulation order and stopping rules as
+    integrate_radial; only the dispatch of integrand calls differs.
+    """
+    power = integrand.a + integrand.sing
+
+    def g(r):
+        return integrand.f(r) * r ** power
+
+    if integrand.R is None:
+        def target(u):
+            r = u / (1.0 - u)
+            return g(r) / (1.0 - u) ** 2
+
+        lo_edges = [0.0] + [2.0 ** -j
+                            for j in range(quadrature._GRADE_LEVELS, 0, -1)]
+        hi_edges = [1.0 - 2.0 ** -j
+                    for j in range(1, quadrature._TAIL_LEVELS + 1)] + [1.0]
+        edges = np.array(lo_edges + hi_edges[1:])
+    else:
+        target = g
+        edges = float(integrand.R) * np.array(
+            [0.0] + [2.0 ** -j
+                     for j in range(quadrature._GRADE_LEVELS, -1, -1)])
+
+    def panel(lo, hi):
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        with np.errstate(all="ignore"):
+            y = np.asarray(target(c + h * quadrature._NODES), dtype=float)
+        y = np.where(np.isfinite(y), y, 0.0)
+        k15 = h * float(quadrature._W15 @ y)
+        g7 = h * float(quadrature._W7 @ y)
+        return k15, abs(k15 - g7), h * float(quadrature._W15 @ np.abs(y))
+
+    heap = []
+    serial = 0
+    total, err_total, abs_total, evals = 0.0, 0.0, 0.0, 0
+    eps = np.finfo(float).eps
+
+    def push(lo, hi):
+        nonlocal serial, total, err_total, abs_total, evals
+        val, err, kabs = panel(lo, hi)
+        total += val
+        err_total += err
+        abs_total += kabs
+        evals += 15
+        dead = (err <= 30.0 * eps * kabs) or \
+            (hi - lo <= 1e-15 * max(abs(hi), 1e-250))
+        if not dead:
+            heappush(heap, (-err, serial, lo, hi, val, err))
+            serial += 1
+
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        push(lo, hi)
+    while heap and not (err_total <= tol * max(abs(total), 1e-300)
+                        or err_total <= 50.0 * eps * abs_total):
+        if evals + 30 > budget:
+            raise NumericalError(
+                f"quadrature budget of {budget} evaluations exhausted; "
+                f"error estimate {err_total:.3e} vs target "
+                f"{tol * abs(total):.3e}")
+        _, _, lo, hi, val, err = heappop(heap)
+        total -= val
+        err_total -= err
+        mid = 0.5 * (lo + hi)
+        push(lo, mid)
+        push(mid, hi)
+    return {"value": total, "error_estimate": err_total, "evaluations": evals}
+
+
+def _recorded_calls(monkeypatch, module, run):
+    """(integrand, tol, result) of every integrate_radial call `run` makes."""
+    calls = []
+
+    def spy(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
+        res = integrate_radial(integrand, tol=tol, budget=budget)
+        calls.append((integrand, tol, res))
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "integrate_radial", spy)
+        run()
+    assert calls
+    return calls
+
+
+def _model(p):
+    sphere = curvature_preset("sphere:1", p.n)
+    h0 = derive_constants(p).c_ns * sphere.scal
+    return energy.RadialModel(sphere, PotentialJet(h0, 0.0), r0=1.0)
+
+
+_NON_EINSTEIN = {"scal": 42.0, "ric_norm2": 257.0, "rm_norm2": 84.0,
+                 "lap_scal": 0.0}
+
+
+@pytest.mark.parametrize("module,run", [
+    pytest.param(moments, lambda: [
+        moments.moment_quadrature(p, kind)
+        for p in (HSParams(7, 1.0), HSParams(9, 0.5), HSParams(7, 1.5))
+        for kind in moments.MOMENT_KINDS], id="moment_quadrature"),
+    pytest.param(energy, lambda: energy.j_at_bubble(
+        _model(HSParams(7, 1.0)), HSParams(7, 1.0), 0.01),
+        id="j_at_bubble-finite-R"),
+    pytest.param(linearized, lambda: linearized.assemble_mode(
+        HSParams(7, 1.0), 0, default_grid(HSParams(7, 1.0), 2000, 200.0)),
+        id="first-cell-potential-mass"),
+    pytest.param(energy, lambda: energy.remainder_alpha(
+        curvature_preset("sphere:1", 7), HSParams(7, 1.0), 1.0),
+        id="remainder-radial-infinite"),
+    pytest.param(energy, lambda: energy.remainder_alpha(
+        curvature_preset(_NON_EINSTEIN, 7), HSParams(7, 1.0), 1.0),
+        id="remainder-gauss-jacobi-infinite"),
+])
+def test_batched_panels_bit_identical_to_panel_loop(monkeypatch, module, run):
+    # every float sum keeps its order, so the results match exactly
+    for integrand, tol, got in _recorded_calls(monkeypatch, module, run):
+        want = _reference_integrate(integrand, tol=tol)
+        assert got["value"] == want["value"]
+        assert got["error_estimate"] == want["error_estimate"]
+        assert got["evaluations"] == want["evaluations"]
+
+
+def test_batched_budget_exhaustion_matches_panel_loop():
+    integrand = RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r,
+                                a=0.0, R=1.0)
+    with pytest.raises(NumericalError) as want:
+        _reference_integrate(integrand, tol=1e-13, budget=1200)
+    with pytest.raises(NumericalError) as got:
+        integrate_radial(integrand, tol=1e-13, budget=1200)
+    assert str(got.value) == str(want.value)
