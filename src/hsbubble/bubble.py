@@ -22,6 +22,7 @@ enters every downstream formula stays finite and -> 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -107,8 +108,9 @@ def eval_profiles(p: HSParams, delta: float, r) -> dict:
     U_delta(r) = delta**(-(n-2)/2) U1(r/delta); the r-derivative follows by
     the chain rule, and Z_delta = delta * d/d(delta) U_delta.
     """
-    if delta <= 0:
-        raise DomainError(f"bubble scale must be positive, got delta={delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(
+            f"bubble scale must be positive and finite, got delta={delta}")
     n = p.n
     rho = np.asarray(r, dtype=float) / delta
     return {
@@ -128,7 +130,8 @@ class RadialGrid:
     gamma: float
 
     def __post_init__(self):
-        if self.R_max <= 0 or self.N < 8 or self.gamma < 1.0:
+        if not (math.isfinite(self.R_max) and math.isfinite(self.gamma)) \
+                or self.R_max <= 0 or self.N < 8 or self.gamma < 1.0:
             raise DomainError(
                 f"bad grid (R_max={self.R_max}, N={self.N}, gamma={self.gamma})")
 
@@ -149,24 +152,14 @@ def default_grid(p: HSParams, N: int = 8000, R_max: float = 200.0,
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial function, either in closed form (tagged) or sampled on a grid."""
+    """A radial function: a callable, or its samples on a grid's nodes."""
 
-    kind: str  # "U1" | "Z0" | "rdrU1" | "custom" | "sampled"
     fn: Optional[Callable] = None
-    grid: Optional[RadialGrid] = None
     values: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
-    def closed(cls, kind: str, p: HSParams) -> "RadialProfile":
-        table = {"U1": u1, "Z0": z0, "rdrU1": rdru1}
-        if kind not in table:
-            raise DomainError(f"unknown closed-form profile tag {kind!r}")
-        f = table[kind]
-        return cls(kind=kind, fn=lambda r, _f=f, _p=p: _f(_p, r))
-
-    @classmethod
     def from_callable(cls, fn: Callable) -> "RadialProfile":
-        return cls(kind="custom", fn=fn)
+        return cls(fn=fn)
 
     @classmethod
     def from_samples(cls, grid: RadialGrid, values: np.ndarray) -> "RadialProfile":
@@ -175,19 +168,11 @@ class RadialProfile:
             raise DomainError("sample array does not match the grid")
         if not np.all(np.isfinite(values)):
             raise DomainError("sampled profile contains non-finite values")
-        return cls(kind="sampled", grid=grid, values=values)
-
-    def eval(self, r):
-        if self.fn is not None:
-            return self.fn(r)
-        return np.interp(np.asarray(r, dtype=float), self.grid.nodes, self.values)
+        return cls(values=values)
 
     def on(self, grid: RadialGrid) -> np.ndarray:
-        if self.fn is not None:
-            return np.asarray(self.fn(grid.nodes), dtype=float)
-        if self.grid is not None and self.grid == grid:
-            return self.values
-        return self.eval(grid.nodes)
+        """The callable sampled on the grid's nodes."""
+        return np.asarray(self.fn(grid.nodes), dtype=float)
 
 
 def _radial_lhs_analytic(p: HSParams, which: str, r):

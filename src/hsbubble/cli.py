@@ -8,6 +8,11 @@ can be reproduced from itself.  JSON documents have the fixed shape
 with sorted keys, so two runs with the same inputs are byte-identical.
 Exit codes: 0 success, 1 domain/validation error (including bad flags),
 2 numerical failure (non-convergence, ill-conditioned fit).
+
+The subcommands are rows of one table (_SUBCOMMANDS): name, help, the shared
+flag groups, the subcommand's own flags, the handler and an optional text
+renderer.  Handlers take an _Inputs, which parses (n, s), the curvature, the
+potential and the grid from the flags on first use.
 """
 
 from __future__ import annotations
@@ -16,27 +21,28 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bubble import default_grid, eval_profiles
-from .energy import (RadialModel, fit_expansion, j_at_bubble,
-                     remainder_alpha, remainder_norm_scaled)
+from .energy import (RadialModel, fit_expansion, remainder_alpha,
+                     remainder_norm_scaled)
 from .errors import DomainError, NumericalError
-from .geometry import (CurvatureData, LgBreakdown, PotentialJet,
+from .geometry import (CURVATURE_SCHEMA_KEYS, LgBreakdown, PotentialJet,
                        assemble_w, curvature_preset, density_coeffs, kns,
-                       lg_total)
+                       lg_total, potential_file)
 from .linearized import kernel_diagnostics, nonlocal_term
 from .moments import identity_report
 from .params import HSParams, derive_constants
 from .reduction import (ReducedFunctional, critical_t, family_theorem2,
-                        verdict)
+                        predicted_delta, verdict)
 
-__all__ = ["RunConfig", "run", "main", "build_parser"]
-
-_POTENTIAL_KEYS = ("h0", "lap_h", "f0")
+__all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,27 +54,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully parsed invocation: a single subcommand plus its flags."""
-
-    subcommand: str
-    args: argparse.Namespace
-    format: str  # "json" | "csv" | "human"
-
-
-# ------------------------------------------------------------- flag plumbing
+# ------------------------------------------------------------- flag groups
 
 
 def _add_params(sp):
     sp.add_argument("--n", type=int, required=True, help="dimension (>= 3)")
     sp.add_argument("--s", type=float, required=True,
                     help="singularity exponent in [0, 2)")
-
-
-def _add_json(sp):
-    sp.add_argument("--json", action="store_true",
-                    help="emit a JSON report instead of text")
 
 
 def _add_curvature(sp):
@@ -90,10 +82,17 @@ def _add_potential(sp):
                     help="perturbation-direction value at the point")
 
 
-def _add_grid(sp, default="8000,200"):
-    sp.add_argument("--grid", default=default,
+def _add_grid(sp):
+    sp.add_argument("--grid", default="8000,200",
                     help="solver mesh as N,Rmax[,gamma] "
-                         f"(default {default}, gamma defaults to 2/(2-s))")
+                         "(default 8000,200, gamma defaults to 2/(2-s))")
+
+
+_GROUPS = {"params": _add_params, "curvature": _add_curvature,
+           "potential": _add_potential, "grid": _add_grid}
+
+
+# ------------------------------------------------------------- input layer
 
 
 def _parse_grid(p: HSParams, text: str):
@@ -117,127 +116,134 @@ def _parse_deltas(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"bad --deltas value {text!r}: {exc}") from exc
-    if not (0.0 < lo < hi and count >= 2):
-        raise DomainError(f"--deltas needs 0 < lo < hi and count >= 2, "
+    if not (0.0 < lo < hi < math.inf and count >= 2):
+        raise DomainError(f"--deltas needs 0 < lo < hi < inf and count >= 2, "
                           f"got {text!r}")
     return np.geomspace(lo, hi, count)
 
 
-def _potential_jet(args) -> PotentialJet:
-    inline = [v is not None for v in (args.h0, args.lap_h, args.f0)]
-    if args.potential is not None:
-        if any(inline):
-            raise DomainError(
-                "--potential is exclusive with --h0/--lap-h/--f0")
-        try:
-            with open(args.potential, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise DomainError(
-                f"cannot read potential file {args.potential!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise DomainError(
-                f"potential file {args.potential!r} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise DomainError("potential file must hold a JSON object")
-        extra = [k for k in data if k not in _POTENTIAL_KEYS]
-        missing = [k for k in ("h0", "lap_h") if k not in data]
-        if extra or missing:
-            raise DomainError(
-                f"potential schema requires h0 and lap_h (f0 optional); "
-                f"missing {missing}, unexpected {extra}")
-        vals = {}
-        for k in _POTENTIAL_KEYS:
-            v = data.get(k, 0.0)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DomainError(f"potential field {k!r} must be a number")
-            vals[k] = float(v)
-        return PotentialJet(vals["h0"], vals["lap_h"], vals["f0"])
-    return PotentialJet(args.h0 or 0.0, args.lap_h or 0.0, args.f0 or 0.0)
+class _Inputs:
+    """The shared inputs of one invocation.
+
+    (n, s) is parsed at once; the curvature, the potential and the grid are
+    parsed from their flags on first use, so validation follows the order in
+    which a handler reads them and an input a run does not use is never
+    parsed.  echo(*names) reports n, s and the named inputs as resolved;
+    a name that is not a shared input echoes the flag of that name.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.p = HSParams(args.n, args.s) if "n" in args else None
+
+    @cached_property
+    def c(self):
+        return curvature_preset(self.args.curvature, self.p.n)
+
+    @cached_property
+    def jet(self) -> PotentialJet:
+        a = self.args
+        if a.potential is None:
+            return PotentialJet(a.h0 or 0.0, a.lap_h or 0.0, a.f0 or 0.0)
+        if any(v is not None for v in (a.h0, a.lap_h, a.f0)):
+            raise DomainError("--potential is exclusive with --h0/--lap-h/--f0")
+        return potential_file(a.potential)
+
+    @cached_property
+    def grid(self):
+        return _parse_grid(self.p, self.args.grid)
+
+    def echo(self, *names) -> dict:
+        out = {} if self.p is None else {"n": self.args.n, "s": self.args.s}
+        for name in names:
+            if name == "curvature":
+                out[name] = {k: getattr(self.c, k)
+                             for k in CURVATURE_SCHEMA_KEYS}
+            elif name == "potential":
+                out[name] = {"h0": self.jet.h0_val, "lap_h": self.jet.lap_h,
+                             "f0": self.jet.f_val}
+            elif name == "grid":
+                out[name] = asdict(self.grid)
+            else:
+                out[name] = getattr(self.args, name)
+        return out
 
 
-def _curvature_inputs(c: CurvatureData) -> dict:
-    return {"scal": c.scal, "ric_norm2": c.ric_norm2,
-            "rm_norm2": c.rm_norm2, "lap_scal": c.lap_scal}
+def _obstruction(inp: _Inputs):
+    """The obstruction (from --base-lg, else solved on the grid) and the
+    inputs it used."""
+    base = inp.args.base_lg
+    if base is not None:
+        return LgBreakdown(base, 0.0, base), {"base_lg": base}
+    return (lg_total(inp.c, inp.jet, inp.p, inp.grid),
+            inp.echo("curvature", "grid"))
 
 
-def _jet_inputs(jet: PotentialJet) -> dict:
-    return {"h0": jet.h0_val, "lap_h": jet.lap_h, "f0": jet.f_val}
-
-
-def _grid_inputs(grid) -> dict:
-    return {"N": grid.N, "R_max": grid.R_max, "gamma": grid.gamma}
+def _csv(header, rows, path: Optional[str] = None) -> str:
+    """CSV text with every number written as repr(float(x)), so it reads
+    back bit for bit; also written to path when one is given."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
+                     for row in rows)
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(buf.getvalue())
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- handlers
-# each returns (inputs, outputs, human_text_or_None); human None means the
-# generic key = value rendering
+# each returns (inputs, outputs)
 
 
-def _cmd_constants(args):
-    p = HSParams(args.n, args.s)
-    c = derive_constants(p)
+def _cmd_constants(inp):
+    c = derive_constants(inp.p)
     outputs = {"crit_exp": c.crit_exp, "kappa": c.kappa, "c_ns": c.c_ns,
                "lambda_ns": c.lambda_ns, "kappa_pow": c.kappa_pow}
-    return {"n": args.n, "s": args.s}, outputs, None
+    return inp.echo(), outputs
 
 
-def _cmd_integrals(args):
-    p = HSParams(args.n, args.s)
-    rep = identity_report(p, tol=args.tol)
+def _ratio_table(ratios: dict, path: Optional[str] = None) -> str:
+    return _csv(["ratio", "quadrature", "closed_form", "rel_residual"],
+                [(name, row["quadrature"], row["closed_form"],
+                  row["rel_residual"]) for name, row in ratios.items()], path)
+
+
+def _cmd_integrals(inp):
+    rep = identity_report(inp.p, tol=inp.args.tol)
     # elapsed_seconds is deliberately not echoed: reports must be
     # byte-identical across re-runs with the same inputs
-    outputs = {"ratios": rep.ratios}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ratio", "quadrature", "closed_form", "rel_residual"])
-    for name, row in rep.ratios.items():
-        writer.writerow([name, repr(float(row["quadrature"])),
-                         repr(float(row["closed_form"])),
-                         repr(float(row["rel_residual"]))])
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    inputs = {"n": args.n, "s": args.s, "tol": args.tol}
-    return inputs, outputs, buf.getvalue().rstrip("\n")
+    if inp.args.csv is not None:
+        _ratio_table(rep.ratios, inp.args.csv)
+    return inp.echo("tol"), {"ratios": rep.ratios}
 
 
-def _cmd_bubble(args):
-    p = HSParams(args.n, args.s)
-    c = derive_constants(p)
-    prof = eval_profiles(p, args.delta, 0.0)
+def _cmd_bubble(inp):
+    a = inp.args
+    c = derive_constants(inp.p)
     outputs = {
         "kappa": c.kappa,
-        "center_value": float(prof["U_delta"]),
-        "center_identity": c.kappa * args.delta ** (-(args.n - 2.0) / 2.0),
+        "center_value": float(eval_profiles(inp.p, a.delta, 0.0)["U_delta"]),
+        "center_identity": c.kappa * a.delta ** (-(a.n - 2.0) / 2.0),
     }
-    inputs = {"n": args.n, "s": args.s, "delta": args.delta,
-              "points": args.points}
-    if args.emit_profile is not None:
-        r = np.linspace(0.0, 20.0 * args.delta, args.points)
-        vals = eval_profiles(p, args.delta, r)
-        with open(args.emit_profile, "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["r", "U_delta", "dr_U_delta", "Z_delta"])
-            for i in range(r.size):
-                writer.writerow([repr(float(r[i])),
-                                 repr(float(vals["U_delta"][i])),
-                                 repr(float(vals["dr_U_delta"][i])),
-                                 repr(float(vals["Z_delta"][i]))])
-        outputs["profile_csv"] = args.emit_profile
-        outputs["profile_rows"] = args.points
-    return inputs, outputs, None
+    if a.points < 1:
+        raise DomainError(f"--points must be >= 1, got {a.points}")
+    if a.emit_profile is not None:
+        r = np.linspace(0.0, 20.0 * a.delta, a.points)
+        vals = eval_profiles(inp.p, a.delta, r)
+        _csv(["r", "U_delta", "dr_U_delta", "Z_delta"],
+             zip(r, vals["U_delta"], vals["dr_U_delta"], vals["Z_delta"]),
+             a.emit_profile)
+        outputs["profile_csv"] = a.emit_profile
+        outputs["profile_rows"] = a.points
+    return inp.echo("delta", "points"), outputs
 
 
-def _cmd_chat(args):
-    p = HSParams(args.n, args.s)
-    c = curvature_preset(args.curvature, args.n)
-    grid = _parse_grid(p, args.grid)
-    w = assemble_w(c, p, args.h0)
-    det = nonlocal_term(p, w, grid, detail=True)
+def _cmd_chat(inp):
+    c, grid = inp.c, inp.grid
+    w = assemble_w(c, inp.p, inp.args.h0)
+    det = nonlocal_term(inp.p, w, grid, detail=True)
     mode0, mode2 = det["mode0"], det["mode2"]
     outputs = {
         "w": {"a": w.a, "mode0_extra": w.mode0_extra,
@@ -252,84 +258,52 @@ def _cmd_chat(args):
         "mode2_defect": mode2.defect,
         "mode2_algebraic_residual": mode2.algebraic_residual,
     }
-    if args.emit_modes is not None:
-        r = grid.nodes
-        c0 = mode0.profile.values
-        c2 = mode2.profile.values
-        with open(args.emit_modes, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["r", "c0", "c2"])
-            for i in range(r.size):
-                writer.writerow([repr(float(r[i])), repr(float(c0[i])),
-                                 repr(float(c2[i]))])
-        outputs["modes_csv"] = args.emit_modes
-        outputs["modes_rows"] = int(r.size)
-    inputs = {"n": args.n, "s": args.s, "h0": args.h0,
-              "curvature": _curvature_inputs(c), "grid": _grid_inputs(grid)}
-    return inputs, outputs, None
+    if inp.args.emit_modes is not None:
+        _csv(["r", "c0", "c2"],
+             zip(grid.nodes, mode0.profile.values, mode2.profile.values),
+             inp.args.emit_modes)
+        outputs["modes_csv"] = inp.args.emit_modes
+        outputs["modes_rows"] = grid.N + 1
+    return inp.echo("h0", "curvature", "grid"), outputs
 
 
-def _cmd_lg(args):
-    p = HSParams(args.n, args.s)
-    c = curvature_preset(args.curvature, args.n)
-    jet = _potential_jet(args)
-    grid = _parse_grid(p, args.grid)
-    out = lg_total(c, jet, p, grid)
+def _cmd_lg(inp):
+    out = lg_total(inp.c, inp.jet, inp.p, inp.grid)
     outputs = {"local_term": out.local_term,
                "nonlocal_term": out.nonlocal_term,
                "total": out.total,
-               "kns": kns(c, p),
-               "density_coeffs": density_coeffs(c)}
-    inputs = {"n": args.n, "s": args.s,
-              "curvature": _curvature_inputs(c), "potential": _jet_inputs(jet),
-              "grid": _grid_inputs(grid)}
-    return inputs, outputs, None
+               "kns": kns(inp.c, inp.p),
+               "density_coeffs": density_coeffs(inp.c)}
+    return inp.echo("curvature", "potential", "grid"), outputs
 
 
-def _cmd_energy(args):
-    p = HSParams(args.n, args.s)
-    c = curvature_preset(args.curvature, args.n)
-    jet = _potential_jet(args)
-    model = RadialModel(c, jet, r0=args.r0)
-    deltas = _parse_deltas(args.deltas)
-    rep = fit_expansion(model, p, deltas, nuisance=not args.no_nuisance)
-    outputs = {
-        "c0_fit": rep.c0_fit, "c2_fit": rep.c2_fit, "c4_fit": rep.c4_fit,
-        "c0_se": rep.c0_se, "c2_se": rep.c2_se, "c4_se": rep.c4_se,
-        "c0_pred": rep.c0_pred, "c2_pred": rep.c2_pred,
-        "c4_pred": rep.c4_pred,
-        "c0_dev": rep.c0_dev, "c2_dev": rep.c2_dev, "c4_dev": rep.c4_dev,
-        "condition": rep.condition, "rms_residual": rep.rms_residual,
-        "nuisance": rep.nuisance,
-    }
-    inputs = {"n": args.n, "s": args.s, "curvature": _curvature_inputs(c),
-              "potential": _jet_inputs(jet), "deltas": args.deltas,
-              "r0": args.r0, "nuisance": not args.no_nuisance}
-    return inputs, outputs, None
+def _cmd_energy(inp):
+    a = inp.args
+    model = RadialModel(inp.c, inp.jet, r0=a.r0)
+    rep = fit_expansion(model, inp.p, _parse_deltas(a.deltas),
+                        nuisance=not a.no_nuisance)
+    inputs = inp.echo("curvature", "potential", "deltas", "r0")
+    inputs["nuisance"] = not a.no_nuisance
+    return inputs, asdict(rep)
 
 
-def _cmd_remainder(args):
-    p = HSParams(args.n, args.s)
-    c = curvature_preset(args.curvature, args.n)
-    jet = _potential_jet(args)
-    out = remainder_alpha(c, p, jet.h0_val)
+def _cmd_remainder(inp):
+    c, h0 = inp.c, inp.jet.h0_val
+    out = remainder_alpha(c, inp.p, h0)
     outputs = dict(out)
     if not out["degenerate"]:
-        ratios = {}
-        for d in (0.1, 0.01, 0.001):
-            nrm = remainder_norm_scaled(c, p, jet.h0_val, d)
-            ratios[repr(d)] = nrm / d**2
+        ratios = {repr(d): remainder_norm_scaled(c, inp.p, h0, d) / d**2
+                  for d in (0.1, 0.01, 0.001)}
         vals = list(ratios.values())
         spread = (max(vals) - min(vals)) / out["alpha_inv"]
         outputs["scaling_check"] = {"norm_over_delta_sq": ratios,
                                     "max_rel_spread": spread}
-    inputs = {"n": args.n, "s": args.s, "curvature": _curvature_inputs(c),
-              "h0": jet.h0_val}
-    return inputs, outputs, None
+    return {**inp.echo("curvature"), "h0": h0}, outputs
 
 
-def _cmd_reduce(args):
-    out = critical_t(ReducedFunctional(args.quad, args.quartic))
+def _cmd_reduce(inp):
+    a = inp.args
+    out = critical_t(ReducedFunctional(a.quad, a.quartic))
     if out.t0 is not None:
         message = "critical point found"
     elif out.degenerate_quartic:
@@ -340,72 +314,132 @@ def _cmd_reduce(args):
                "nondegenerate": out.nondegenerate,
                "degenerate_quartic": out.degenerate_quartic,
                "message": message}
-    if out.t0 is not None and args.eps is not None:
-        outputs["delta_at_eps"] = out.t0 * float(np.sqrt(args.eps))
-    inputs = {"quad": args.quad, "quartic": args.quartic}
-    if args.eps is not None:
-        inputs["eps"] = args.eps
-    return inputs, outputs, None
+    inputs = inp.echo("quad", "quartic")
+    if a.eps is not None:
+        # checked even without a critical point: the report echoes it
+        if not 0.0 < a.eps < math.inf:
+            raise DomainError(f"eps must be positive and finite, got {a.eps}")
+        inputs["eps"] = a.eps
+        if out.t0 is not None:
+            outputs["delta_at_eps"] = predicted_delta(out.t0, a.eps)
+    return inputs, outputs
 
 
-def _cmd_family(args):
-    p = HSParams(args.n, args.s)
-    jet = _potential_jet(args)
-    inputs = {"n": args.n, "s": args.s, "potential": _jet_inputs(jet),
-              "k_max": args.k_max}
-    if args.base_lg is not None:
-        base = LgBreakdown(args.base_lg, 0.0, args.base_lg)
-        inputs["base_lg"] = args.base_lg
-    else:
-        c = curvature_preset(args.curvature, args.n)
-        grid = _parse_grid(p, args.grid)
-        base = lg_total(c, jet, p, grid)
-        inputs.update({"curvature": _curvature_inputs(c),
-                       "grid": _grid_inputs(grid)})
-    ladder = family_theorem2(base, p, jet.f_val, args.k_max)
+def _cmd_family(inp):
+    jet = inp.jet
+    base, used = _obstruction(inp)
+    ladder = family_theorem2(base, inp.p, jet.f_val, inp.args.k_max)
     entries = [{"k": e.k, "lap_h_shift": e.lap_h_shift, "lg_k": e.lg_k,
                 "predicted_t0": e.predicted_t0} for e in ladder.entries]
     outputs = {"base_lg": ladder.base_lg, "quad_coef": ladder.quad_coef,
                "r4grad": ladder.r4grad, "entries": entries}
-    lines = [f"base_lg = {ladder.base_lg!r}",
-             f"quad_coef = {ladder.quad_coef!r}",
-             f"r4grad = {ladder.r4grad!r}",
+    return {**inp.echo("potential", "k_max"), **used}, outputs
+
+
+def _family_table(outputs: dict) -> str:
+    lines = [f"base_lg = {outputs['base_lg']!r}",
+             f"quad_coef = {outputs['quad_coef']!r}",
+             f"r4grad = {outputs['r4grad']!r}",
              "k,lap_h_shift,lg_k,predicted_t0"]
-    for e in entries:
+    for e in outputs["entries"]:
+        t0 = e["predicted_t0"]
         lines.append(f"{e['k']},{e['lap_h_shift']!r},{e['lg_k']!r},"
-                     f"{'' if e['predicted_t0'] is None else repr(e['predicted_t0'])}")
-    return inputs, outputs, "\n".join(lines)
+                     f"{'' if t0 is None else repr(t0)}")
+    return "\n".join(lines)
 
 
-def _cmd_verdict(args):
-    p = HSParams(args.n, args.s)
-    c = curvature_preset(args.curvature, args.n)
-    jet = _potential_jet(args)
-    if args.base_lg is not None:
-        lg = LgBreakdown(args.base_lg, 0.0, args.base_lg)
-        lg_inputs = {"base_lg": args.base_lg}
-    else:
-        grid = _parse_grid(p, args.grid)
-        lg = lg_total(c, jet, p, grid)
-        lg_inputs = {"grid": _grid_inputs(grid)}
-    v = verdict(jet, c, p, lg, lg_tol=args.lg_tol)
+def _cmd_verdict(inp):
+    c, jet = inp.c, inp.jet
+    lg, used = _obstruction(inp)
+    v = verdict(jet, c, inp.p, lg, lg_tol=inp.args.lg_tol)
     outputs = {"classification": v.classification, "h0": v.h0_val,
                "critical_value": v.critical_value, "excess": v.excess,
                "lg_total": v.lg_total,
                "required_f_sign": v.required_f_sign,
                "f_sign_ok": v.f_sign_ok}
-    inputs = {"n": args.n, "s": args.s, "curvature": _curvature_inputs(c),
-              "potential": _jet_inputs(jet), "lg_tol": args.lg_tol,
-              **lg_inputs}
-    return inputs, outputs, None
+    return {**inp.echo("curvature", "potential", "lg_tol"), **used}, outputs
 
 
-def _cmd_kernel(args):
-    p = HSParams(args.n, args.s)
-    grid = _parse_grid(p, args.grid)
-    out = kernel_diagnostics(p, grid)
-    inputs = {"n": args.n, "s": args.s, "grid": _grid_inputs(grid)}
-    return inputs, dict(out), None
+def _cmd_kernel(inp):
+    return inp.echo("grid"), kernel_diagnostics(inp.p, inp.grid)
+
+
+# ------------------------------------------------------------------ table
+
+
+class _Subcommand(NamedTuple):
+    name: str
+    help: str
+    groups: tuple          # keys of _GROUPS
+    flags: tuple           # (flag, add_argument keywords) pairs
+    handler: Callable
+    render: Optional[Callable] = None  # outputs -> text; None: key = value
+
+
+_SUBCOMMANDS = (
+    _Subcommand("constants", "derived constants at (n, s)", ("params",), (),
+                _cmd_constants),
+    _Subcommand(
+        "integrals", "moment-ratio identities, quadrature vs closed form",
+        ("params",),
+        (("--tol", dict(type=float, default=1e-10,
+                        help="quadrature tolerance")),
+         ("--csv", dict(help="also write the table here"))),
+        _cmd_integrals,
+        lambda out: _ratio_table(out["ratios"]).rstrip("\n")),
+    _Subcommand(
+        "bubble", "bubble profile at scale delta", ("params",),
+        (("--delta", dict(type=float, required=True)),
+         ("--emit-profile", dict(help="write r,U_delta,dr_U_delta,Z_delta "
+                                      "CSV here")),
+         ("--points", dict(type=int, default=401, help="rows in the emitted "
+                           "profile (on [0, 20 delta])"))),
+        _cmd_bubble),
+    _Subcommand(
+        "chat", "projected linear solve C(W) and the nonlocal pairing",
+        ("params", "curvature", "grid"),
+        (("--h0", dict(type=float, required=True,
+                       help="amplitude of the U1 component of W")),
+         ("--emit-modes", dict(help="write r,c0,c2 mode-profile CSV here"))),
+        _cmd_chat),
+    _Subcommand("lg", "geometric obstruction at (h0, x0)",
+                ("params", "curvature", "potential", "grid"), (), _cmd_lg),
+    _Subcommand(
+        "energy", "delta-sweep energy fit vs predicted coefficients",
+        ("params", "curvature", "potential"),
+        (("--deltas", dict(default="0.005:0.05:12",
+                           help="geometric sweep lo:hi:count")),
+         ("--r0", dict(type=float, default=1.0, help="truncation radius")),
+         ("--no-nuisance", dict(action="store_true", help="drop the "
+                                "truncation-order fit columns"))),
+        _cmd_energy),
+    _Subcommand("remainder",
+                "remainder-density norm and its delta^2 scaling",
+                ("params", "curvature", "potential"), (), _cmd_remainder),
+    _Subcommand(
+        "reduce", "critical point of the reduced quartic", (),
+        (("--quad", dict(type=float, required=True)),
+         ("--quartic", dict(type=float, required=True)),
+         ("--eps", dict(type=float, help="also report delta = t0 sqrt(eps)"))),
+        _cmd_reduce),
+    _Subcommand(
+        "family", "k-ladder of perturbed potentials and predicted scales",
+        ("params", "curvature", "potential", "grid"),
+        (("--k-max", dict(type=int, required=True)),
+         ("--base-lg", dict(type=float, help="base obstruction value "
+                                             "(skips the solve)"))),
+        _cmd_family, _family_table),
+    _Subcommand(
+        "verdict", "classification against the curvature threshold",
+        ("params", "curvature", "potential", "grid"),
+        (("--base-lg", dict(type=float,
+                            help="obstruction value (skips the solve)")),
+         ("--lg-tol", dict(type=float, default=0.0,
+                           help="obstruction zero tolerance"))),
+        _cmd_verdict),
+    _Subcommand("kernel", "spectral diagnostics of both modes",
+                ("params", "grid"), (), _cmd_kernel),
+)
 
 
 # ------------------------------------------------------------------ driver
@@ -418,98 +452,15 @@ def build_parser() -> _Parser:
                                  "expansions, and blow-up family "
                                  "predictions")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("constants", help="derived constants at (n, s)")
-    _add_params(sp); _add_json(sp)
-    sp.set_defaults(func=_cmd_constants)
-
-    sp = sub.add_parser("integrals",
-                        help="moment-ratio identities, quadrature vs closed "
-                             "form")
-    _add_params(sp); _add_json(sp)
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="quadrature tolerance")
-    sp.add_argument("--csv", default=None, help="also write the table here")
-    sp.set_defaults(func=_cmd_integrals)
-
-    sp = sub.add_parser("bubble", help="bubble profile at scale delta")
-    _add_params(sp); _add_json(sp)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--emit-profile", default=None,
-                    help="write r,U_delta,dr_U_delta,Z_delta CSV here")
-    sp.add_argument("--points", type=int, default=401,
-                    help="rows in the emitted profile (on [0, 20 delta])")
-    sp.set_defaults(func=_cmd_bubble)
-
-    sp = sub.add_parser("chat",
-                        help="projected linear solve C(W) and the nonlocal "
-                             "pairing")
-    _add_params(sp); _add_json(sp); _add_curvature(sp)
-    sp.add_argument("--h0", type=float, required=True,
-                    help="amplitude of the U1 component of W")
-    _add_grid(sp)
-    sp.add_argument("--emit-modes", default=None,
-                    help="write r,c0,c2 mode-profile CSV here")
-    sp.set_defaults(func=_cmd_chat)
-
-    sp = sub.add_parser("lg", help="geometric obstruction at (h0, x0)")
-    _add_params(sp); _add_json(sp); _add_curvature(sp); _add_potential(sp)
-    _add_grid(sp)
-    sp.set_defaults(func=_cmd_lg)
-
-    sp = sub.add_parser("energy",
-                        help="delta-sweep energy fit vs predicted "
-                             "coefficients")
-    _add_params(sp); _add_json(sp); _add_curvature(sp); _add_potential(sp)
-    sp.add_argument("--deltas", default="0.005:0.05:12",
-                    help="geometric sweep lo:hi:count")
-    sp.add_argument("--r0", type=float, default=1.0,
-                    help="truncation radius")
-    sp.add_argument("--no-nuisance", action="store_true",
-                    help="drop the truncation-order fit columns")
-    sp.set_defaults(func=_cmd_energy)
-
-    sp = sub.add_parser("remainder",
-                        help="remainder-density norm and its delta^2 "
-                             "scaling")
-    _add_params(sp); _add_json(sp); _add_curvature(sp); _add_potential(sp)
-    sp.set_defaults(func=_cmd_remainder)
-
-    sp = sub.add_parser("reduce",
-                        help="critical point of the reduced quartic")
-    _add_json(sp)
-    sp.add_argument("--quad", type=float, required=True)
-    sp.add_argument("--quartic", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=None,
-                    help="also report delta = t0 sqrt(eps)")
-    sp.set_defaults(func=_cmd_reduce)
-
-    sp = sub.add_parser("family",
-                        help="k-ladder of perturbed potentials and "
-                             "predicted scales")
-    _add_params(sp); _add_json(sp); _add_curvature(sp); _add_potential(sp)
-    _add_grid(sp)
-    sp.add_argument("--k-max", type=int, required=True)
-    sp.add_argument("--base-lg", type=float, default=None,
-                    help="base obstruction value (skips the solve)")
-    sp.set_defaults(func=_cmd_family)
-
-    sp = sub.add_parser("verdict",
-                        help="classification against the curvature "
-                             "threshold")
-    _add_params(sp); _add_json(sp); _add_curvature(sp); _add_potential(sp)
-    _add_grid(sp)
-    sp.add_argument("--base-lg", type=float, default=None,
-                    help="obstruction value (skips the solve)")
-    sp.add_argument("--lg-tol", type=float, default=0.0,
-                    help="obstruction zero tolerance")
-    sp.set_defaults(func=_cmd_verdict)
-
-    sp = sub.add_parser("kernel", help="spectral diagnostics of both modes")
-    _add_params(sp); _add_json(sp)
-    _add_grid(sp)
-    sp.set_defaults(func=_cmd_kernel)
-
+    for cmd in _SUBCOMMANDS:
+        sp = sub.add_parser(cmd.name, help=cmd.help)
+        for group in cmd.groups:
+            _GROUPS[group](sp)
+        for flag, kwargs in cmd.flags:
+            sp.add_argument(flag, **kwargs)
+        sp.add_argument("--json", action="store_true",
+                        help="emit a JSON report instead of text")
+        sp.set_defaults(command=cmd)
     return parser
 
 
@@ -536,33 +487,28 @@ def _human_lines(outputs, prefix=""):
     return lines
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one parsed invocation; returns the process exit code."""
+def main(argv=None) -> int:
+    """Parse argv, run one subcommand, print its report; the exit code."""
+    args = build_parser().parse_args(argv)
+    cmd = args.command
     try:
-        inputs, outputs, human = config.args.func(config.args)
+        inputs, outputs = cmd.handler(_Inputs(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    if config.format == "json":
-        doc = {"tool": "hsbubble", "subcommand": config.subcommand,
-               "inputs": _jsonable(inputs), "outputs": _jsonable(outputs)}
+    outputs = _jsonable(outputs)
+    if args.json:
+        doc = {"tool": "hsbubble", "subcommand": cmd.name,
+               "inputs": _jsonable(inputs), "outputs": outputs}
         print(json.dumps(doc, sort_keys=True, indent=2))
-    elif human is not None:
-        print(human)
+    elif cmd.render is not None:
+        print(cmd.render(outputs))
     else:
-        print("\n".join(_human_lines(_jsonable(outputs))))
+        print("\n".join(_human_lines(outputs)))
     return 0
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = "json" if getattr(args, "json", False) else (
-        "csv" if args.subcommand == "integrals" else "human")
-    return run(RunConfig(subcommand=args.subcommand, args=args, format=fmt))
 
 
 if __name__ == "__main__":

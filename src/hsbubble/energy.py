@@ -332,6 +332,9 @@ def _tfree_axial_mu(c: CurvatureData) -> float:
     return math.sqrt(c.tfree_ric_norm2 * c.n / (c.n - 1.0))
 
 
+# Gauss-Jacobi points of the angular rule in the trace-free remainder norm
+JACOBI_POINTS = 2000
+
 # radial points per angular block: bounds the (block x nodes) temporary while
 # the quadrature engine hands over all initial panels' nodes in one call; 15
 # is one K15 panel, so every block holds exactly one panel's nodes
@@ -361,8 +364,7 @@ def _angular_rule(jacobi_points: int, n: int):
 
 
 def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
-                          delta: float = 1.0, *, jacobi_points: int = 2000,
-                          tol: float = 1e-12) -> float:
+                          delta: float = 1.0, *, tol: float = 1e-12) -> float:
     """L^{2n/(n+2)} norm of the concentration-rescaled remainder density
 
       h0 U_delta + (1/3) Ric_ij sigma^i sigma^j delta^{-(n-2)/2} (r U1')(r/delta).
@@ -375,7 +377,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     radial variable (no delta substitution), so the delta^2 scaling law is
     an outcome, not an input.
 
-    The Gauss-Jacobi rule is built once per (jacobi_points, n) and reused by
+    The JACOBI_POINTS-point rule is built once per n and reused by
     every later call; it is folded onto its nonnegative nodes (the weight
     depends on u only through u^2), which halves the angular work.
     """
@@ -402,7 +404,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
             tol=tol)["value"] * sphere_area(n)
         return float(total ** (1.0 / q))
 
-    ang_w, ang_wt = _angular_rule(jacobi_points, n)
+    ang_w, ang_wt = _angular_rule(JACOBI_POINTS, n)
 
     def radial_f(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -422,7 +424,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
 
 
 def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float, *,
-                    jacobi_points: int = 2000, tol: float = 1e-12) -> dict:
+                    tol: float = 1e-12) -> dict:
     """The normalization constant of the blow-up family.
 
     alpha_inv = L^{2n/(n+2)} norm of h0 U1 + (1/3) Ric_ij sigma^i sigma^j
@@ -430,8 +432,7 @@ def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float, *,
     (h0 = 0 and Ricci zero at the point) the constant is undefined and the
     degenerate marker is returned instead.
     """
-    nrm = remainder_norm_scaled(c, p, h0_val, 1.0,
-                                jacobi_points=jacobi_points, tol=tol)
+    nrm = remainder_norm_scaled(c, p, h0_val, 1.0, tol=tol)
     if nrm == 0.0:
         return {"alpha_inv": 0.0, "alpha": None, "degenerate": True}
     return {"alpha_inv": nrm, "alpha": 1.0 / nrm, "degenerate": False}

@@ -52,6 +52,7 @@ __all__ = [
     "PotentialJet",
     "LgBreakdown",
     "curvature_preset",
+    "potential_file",
     "density_coeffs",
     "kns",
     "assemble_w",
@@ -125,6 +126,12 @@ class LgBreakdown:
     nonlocal_term: float
     total: float
 
+    def __post_init__(self):
+        for name in ("total", "local_term", "nonlocal_term"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise DomainError(f"obstruction {name} must be finite, got {v}")
+
 
 def curvature_preset(kind: Union[str, dict], n: int) -> CurvatureData:
     """Build CurvatureData from a preset name, file path, or parsed dict.
@@ -140,7 +147,8 @@ def curvature_preset(kind: Union[str, dict], n: int) -> CurvatureData:
                         (a pre-parsed dict of the same shape is accepted).
     """
     if isinstance(kind, dict):
-        return _curvature_from_mapping(kind, n, where="curvature dict")
+        return CurvatureData(n=n, **_schema_numbers(
+            kind, "curvature dict", CURVATURE_SCHEMA_KEYS))
     if not isinstance(kind, str) or not kind:
         raise DomainError("curvature preset must be a non-empty string or dict")
     if kind == "flat":
@@ -162,33 +170,51 @@ def curvature_preset(kind: Union[str, dict], n: int) -> CurvatureData:
             rm_norm2=2.0 * n * (n - 1) / radius**4,
             lap_scal=0.0,
         )
+    return CurvatureData(n=n, **_read_schema_file(
+        kind, "curvature", CURVATURE_SCHEMA_KEYS))
+
+
+def potential_file(path: str) -> PotentialJet:
+    """PotentialJet from a JSON file with keys {"h0", "lap_h"[, "f0"]}."""
+    vals = _read_schema_file(path, "potential", ("h0", "lap_h"), ("f0",))
+    return PotentialJet(vals["h0"], vals["lap_h"], vals.get("f0", 0.0))
+
+
+def _read_schema_file(path: str, what: str, required: tuple,
+                      optional: tuple = ()) -> dict:
+    """The numbers of a JSON object file holding the schema's keys."""
     try:
-        with open(kind, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise DomainError(f"cannot read curvature file {kind!r}: {exc}") from exc
+        raise DomainError(f"cannot read {what} file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DomainError(f"curvature file {kind!r} is not valid JSON: {exc}") from exc
-    return _curvature_from_mapping(data, n, where=f"curvature file {kind!r}")
+        raise DomainError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+    return _schema_numbers(data, f"{what} file {path!r}", required, optional)
 
 
-def _curvature_from_mapping(data, n: int, where: str) -> CurvatureData:
+def _schema_numbers(data, where: str, required: tuple,
+                    optional: tuple = ()) -> dict:
+    """Check a parsed JSON object against a flat schema of numbers: every
+    required key, no key outside required + optional, no bools."""
     if not isinstance(data, dict):
         raise DomainError(f"{where}: expected a JSON object")
-    missing = [k for k in CURVATURE_SCHEMA_KEYS if k not in data]
-    extra = [k for k in data if k not in CURVATURE_SCHEMA_KEYS]
+    keys = required + optional
+    missing = [k for k in required if k not in data]
+    extra = [k for k in data if k not in keys]
     if missing or extra:
+        also = f" plus optional {optional}" if optional else ""
         raise DomainError(
-            f"{where}: schema requires exactly keys {CURVATURE_SCHEMA_KEYS}; "
+            f"{where}: schema requires exactly keys {required}{also}; "
             f"missing {missing}, unexpected {extra}"
         )
     vals = {}
-    for k in CURVATURE_SCHEMA_KEYS:
+    for k in (k for k in keys if k in data):
         v = data[k]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise DomainError(f"{where}: field {k!r} must be a number, got {v!r}")
         vals[k] = float(v)
-    return CurvatureData(n=n, **vals)
+    return vals
 
 
 def density_coeffs(c: CurvatureData, n: Optional[int] = None) -> dict:

@@ -71,8 +71,15 @@ __all__ = [
     "hat_c",
     "nonlocal_term",
     "kernel_diagnostics",
-    "beta_coefficient",
 ]
+
+# ell = 0 right-hand sides with a larger relative compatibility with Z0
+# are refused (see solve_mode)
+SOLVABILITY_TOL = 1e-8
+# kernel_diagnostics: the near-zero band and the eigenvalue window, in units
+# of the box frequency (pi/R_max)**2
+ZERO_TOL_REL = 0.75
+WINDOW_REL = 100.0
 
 
 # --------------------------------------------------------------------------
@@ -394,20 +401,18 @@ def _norm_m(mass: np.ndarray, x: np.ndarray) -> float:
 def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
                rhs_load: Optional[np.ndarray] = None,
                rhs_values: Optional[np.ndarray] = None,
-               multiplier: Optional[float] = None,
-               solvability_tol: float = 1e-8) -> ModeSolution:
+               multiplier: Optional[float] = None) -> ModeSolution:
     """Solve one radial mode problem L_ell u = rhs on the grid.
 
-    rhs may be a RadialProfile (or anything with .on(grid) / a callable via
-    RadialProfile.from_callable), in which case its samples are turned into
-    a consistent load M rhs; alternatively a precomputed load vector over
+    rhs may be a callable of r or a RadialProfile built from one, in which
+    case its samples are turned into a consistent load M rhs; alternatively a precomputed load vector over
     the active nodes can be passed as rhs_load (pass rhs=None then), which
     is how the exactly projected right-hand sides are represented.
     rhs_values optionally supplies pointwise right-hand side samples on the
     active nodes for the defect measurement when a load was given.
 
     ell = 0 right-hand sides must satisfy the discrete solvability condition
-    |<load, z0>| <= solvability_tol * ||z0||_M ||load||_(M^-1); the solve is
+    |<load, z0>| <= SOLVABILITY_TOL * ||z0||_M ||load||_(M^-1); the solve is
     then performed in bordered form, enforcing gradient-orthogonality to Z0.
     """
     mats = assemble_mode(p, ell, grid)
@@ -442,11 +447,11 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
             np.sqrt(np.sum(load**2 / mats.mass))
         )
         solvability = abs(ip) / scale if scale > 0.0 else 0.0
-        if solvability > solvability_tol:
+        if solvability > SOLVABILITY_TOL:
             raise DomainError(
                 "ell = 0 right-hand side is not orthogonal to the kernel "
                 f"direction Z0: relative compatibility {solvability:.3e} "
-                f"exceeds {solvability_tol:.1e}"
+                f"exceeds {SOLVABILITY_TOL:.1e}"
             )
         u, lagrange = _solve_mode0_bordered(mats, g, load)
         gn = float(np.sqrt(z @ g))  # sqrt(z0^T S z0) > 0
@@ -623,13 +628,11 @@ def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
     return vals, y * inv_sqrt_m[:, None]
 
 
-def kernel_diagnostics(p: HSParams, grid: RadialGrid, *,
-                       zero_tol_rel: float = 0.75,
-                       window_rel: float = 100.0) -> dict:
+def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     """Spectral diagnostics of both mode operators.
 
     All generalized eigenpairs K v = lam M v inside the window
-    |lam| <= window_rel * (pi/R_max)**2 are computed for each mode.  The
+    |lam| <= WINDOW_REL * (pi/R_max)**2 are computed for each mode.  The
     natural frequency unit is (pi/R)**2: the truncated-domain continuum
     spectrum (the "box modes") starts at about 2-3.5 times it in practice.
 
@@ -645,7 +648,7 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid, *,
       mode0_kernel_eig   eigenvalue of the alignment-identified kernel pair
       mode0_eigvec_alignment_with_Z0   |<v, Z0>_M| / (||v||_M ||Z0||_M)
       mode0_near_zero_count   exact inertia count in [-zero_tol, zero_tol],
-                         zero_tol = zero_tol_rel * (pi/R)**2 (default 0.75x:
+                         zero_tol = ZERO_TOL_REL * (pi/R)**2 (0.75x:
                          under the observed box floor >= 2x at every (n, s)
                          probed, above any adequately resolved kernel eig)
       mode0_negative_count    exact count of eigenvalues < -zero_tol
@@ -657,8 +660,8 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid, *,
     integers, no iterative solver involved.
     """
     unit = (np.pi / grid.R_max) ** 2
-    ztol = zero_tol_rel * unit
-    win = window_rel * unit
+    ztol = ZERO_TOL_REL * unit
+    win = WINDOW_REL * unit
     out: dict = {"zero_tol": ztol,
                  "grid": {"N": grid.N, "R_max": grid.R_max,
                           "gamma": grid.gamma}}
@@ -689,29 +692,3 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid, *,
             out["mode2_min_eig"] = float(np.min(vals))
             out["mode2_near_zero_count"] = below_hi - below_lo
     return out
-
-
-# --------------------------------------------------------------------------
-# the multiplier beta
-
-
-def beta_coefficient(p: HSParams, w: WDecomposition, alpha: float) -> float:
-    """beta = alpha <W, Z0> / |grad Z0|^2.
-
-    Only the radial (mode 0) part of W pairs with the radial Z0; the
-    trace-free part integrates to zero over every sphere.  Both integrals
-    are evaluated by adaptive quadrature in closed form -- no grid enters.
-    """
-    from .moments import bubble_moment
-    from .params import sphere_area
-
-    if not np.isfinite(alpha):
-        raise DomainError("alpha must be finite")
-    pairing = integrate_radial(
-        RadialIntegrand(
-            f=lambda r: _mode0_source_values(p, w, r) * z0(p, r),
-            a=float(p.n - 1),
-        ),
-        tol=1e-12,
-    )["value"] * sphere_area(p.n)
-    return alpha * pairing / bubble_moment(p, "z0grad")

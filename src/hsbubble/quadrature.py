@@ -146,6 +146,9 @@ def integrate_radial(integrand: RadialIntegrand, tol: float = 1e-10,
     elementwise: a value may not depend on the array's length or on the
     other points in it.
     """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"quadrature tolerance must be finite and >= 0, "
+                          f"got tol={tol}")
     power = integrand.a + integrand.sing
     if power <= -1.0:
         raise DomainError(

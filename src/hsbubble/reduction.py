@@ -42,6 +42,9 @@ __all__ = [
     "verdict",
 ]
 
+# relative tolerance of the criticality test h(x0) = c_ns Scal(x0) in verdict
+CRIT_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ReducedFunctional:
@@ -173,20 +176,21 @@ class Verdict:
 
 
 def verdict(jet: PotentialJet, c: CurvatureData, p: HSParams,
-            lg: LgBreakdown, *, crit_rtol: float = 1e-12,
-            lg_tol: float = 0.0) -> Verdict:
+            lg: LgBreakdown, *, lg_tol: float = 0.0) -> Verdict:
     """Classify (h0, x0) against the curvature threshold.
 
     Criticality h(x0) = c_ns Scal(x0) is decided to relative tolerance
-    crit_rtol (the threshold value is a computed quantity); the obstruction
+    CRIT_RTOL (the threshold value is a computed quantity); the obstruction
     is compared against lg_tol (default exact zero: pass a tolerance when
     the obstruction came from quadrature rather than construction).
     """
     if p.n != c.n:
         raise DomainError(f"dimension mismatch: data n={c.n}, params n={p.n}")
+    if not math.isfinite(lg_tol):
+        raise DomainError(f"lg_tol must be finite, got {lg_tol}")
     cv = derive_constants(p).c_ns * c.scal
     excess = jet.h0_val - cv
-    tol = crit_rtol * max(1.0, abs(cv))
+    tol = CRIT_RTOL * max(1.0, abs(cv))
     if abs(excess) <= tol:
         if abs(lg.total) <= lg_tol:
             cls = "critical-degenerate"

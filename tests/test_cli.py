@@ -4,8 +4,10 @@ byte-identical re-runs, and the emitted CSV side files."""
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,6 +475,48 @@ def test_exit_2_names_the_cause(capsys, argv, cause):
     assert cause in err
 
 
+@pytest.mark.parametrize("argv,cause", [
+    # was exit 0 with "delta_at_eps": NaN, which is not JSON
+    (["reduce", "--quad", "2", "--quartic", "-1", "--eps", "-1", "--json"],
+     "eps must be positive and finite, got -1.0"),
+    # was exit 0 with "eps": NaN echoed
+    (["reduce", "--quad", "2", "--quartic", "1", "--eps", "nan", "--json"],
+     "eps must be positive and finite, got nan"),
+    # was exit 0, the tolerance ignored
+    (["integrals", "--n", "7", "--s", "1", "--tol", "nan"], "tol=nan"),
+    # were exit 0 with NaN or 0 centre values
+    (["bubble", "--n", "7", "--s", "1", "--delta", "nan"], "delta=nan"),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "inf"], "delta=inf"),
+    # was a numpy ValueError traceback
+    (["bubble", "--n", "7", "--s", "1", "--delta", "0.1", "--points", "-1",
+      "--emit-profile", "f.csv"], "--points must be >= 1, got -1"),
+    # were exit 2 with "quadrature budget ... exhausted; error estimate nan"
+    (["kernel", "--n", "7", "--s", "1", "--grid", "500,nan"], "R_max=nan"),
+    (["kernel", "--n", "7", "--s", "1", "--grid", "500,100,nan"],
+     "gamma=nan"),
+    (["lg", "--n", "7", "--s", "1", "--grid", "500,inf"], "R_max=inf"),
+    # were exit 0 with NaN rungs, and a blow-up candidate
+    (["family", "--n", "7", "--s", "1", "--base-lg", "nan", "--f0", "-1",
+      "--k-max", "2"], "obstruction total must be finite, got nan"),
+    (["verdict", "--n", "7", "--s", "1", "--base-lg", "nan", "--f0", "1"],
+     "obstruction total must be finite, got nan"),
+    (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--h0", "7.954545454545454", "--base-lg", "1", "--lg-tol", "nan"],
+     "lg_tol must be finite, got nan"),
+    # was a RuntimeWarning from numpy before the error
+    (["energy", "--n", "7", "--s", "1", "--deltas", "0.01:inf:12"],
+     "--deltas needs 0 < lo < hi < inf"),
+])
+def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert cause in err
+    assert not os.listdir(tmp_path)
+
+
 def test_scipy_free_subcommands_load_no_scipy():
     src = os.path.dirname(os.path.dirname(hsbubble.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -505,3 +549,92 @@ def test_exit_0_plain_runs(capsys):
                   "--f0", "-1", "--k-max", "1"]):
         rc, _, _ = invoke(capsys, argv)
         assert rc == 0
+
+
+# ------------------------------------------------------------ golden reports
+
+GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
+
+# files the golden runs may read; written into the working directory first
+INPUT_FILES = {
+    "curv.json": {"scal": 42.0, "ric_norm2": 300.0, "rm_norm2": 100.0,
+                  "lap_scal": 1.5},
+    "pot.json": {"h0": 7.5, "lap_h": 0.25, "f0": -1.0},
+}
+
+# reports beyond the README examples: side files, the human tables, both
+# --base-lg forms, and the file inputs
+EXTRA_CASES = {
+    "chat-modes": ["chat", "--n", "7", "--s", "1", "--curvature", "curv.json",
+                   "--h0", "7.5", "--grid", "1000,100",
+                   "--emit-modes", "modes.csv", "--json"],
+    "integrals-csv": ["integrals", "--n", "7", "--s", "1",
+                      "--csv", "table.csv"],
+    "lg-files": ["lg", "--n", "7", "--s", "1", "--curvature", "curv.json",
+                 "--potential", "pot.json", "--grid", "1000,100", "--json"],
+    "energy-potential": ["energy", "--n", "7", "--s", "1",
+                         "--curvature", "sphere:1", "--potential", "pot.json",
+                         "--json"],
+    "remainder-tracefree": ["remainder", "--n", "7", "--s", "1",
+                            "--curvature", "curv.json", "--h0", "7.5",
+                            "--json"],
+    "family-human": ["family", "--n", "7", "--s", "1", "--base-lg", "0",
+                     "--f0", "-1", "--k-max", "3"],
+    "family-grid": ["family", "--n", "7", "--s", "1", "--curvature",
+                    "sphere:1", "--potential", "pot.json", "--k-max", "3",
+                    "--grid", "1000,100", "--json"],
+    "verdict-human": ["verdict", "--n", "7", "--s", "1", "--curvature",
+                      "sphere:1", "--h0", "7.954545454545454", "--f0", "-1",
+                      "--base-lg", "5"],
+    "verdict-grid": ["verdict", "--n", "7", "--s", "1", "--curvature",
+                     "curv.json", "--potential", "pot.json",
+                     "--grid", "1000,100", "--json"],
+}
+
+
+def readme_examples() -> list:
+    """Each command of the README "Examples:" block as an argv list."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "hsbubble", line
+            commands.append(argv[1:])
+    return commands
+
+
+def golden_cases() -> dict:
+    cases = {argv[0]: argv for argv in readme_examples()}
+    assert len(cases) == len(readme_examples()), "one example per subcommand"
+    assert not set(cases) & set(EXTRA_CASES)
+    return {**cases, **EXTRA_CASES}
+
+
+GOLDEN_CASES = golden_cases()
+
+
+def test_readme_examples_parse():
+    assert [argv[0] for argv in readme_examples()] == [
+        "constants", "integrals", "bubble", "lg", "energy", "remainder",
+        "reduce", "family", "verdict", "kernel"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for fname, data in INPUT_FILES.items():
+        (tmp_path / fname).write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = invoke(capsys, GOLDEN_CASES[name])
+    assert rc == 0, err
+    assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    written = sorted(set(os.listdir(tmp_path)) - set(INPUT_FILES))
+    expected = sorted(f.name[len(name) + 1:]
+                      for f in GOLDEN.glob(f"{name}.*")
+                      if f.name != f"{name}.stdout")
+    assert written == expected
+    for fname in written:
+        assert (tmp_path / fname).read_bytes() == \
+            (GOLDEN / f"{name}.{fname}").read_bytes(), fname

@@ -17,7 +17,6 @@ from hsbubble.linearized import (
     _count_eigs_below,
     _fd_defect,
     assemble_mode,
-    beta_coefficient,
     hat_c,
     kernel_diagnostics,
     nonlocal_term,
@@ -27,7 +26,6 @@ from hsbubble.linearized import (
 )
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, sphere_area
-from hsbubble.quadrature import RadialIntegrand, integrate_radial
 
 P71 = HSParams(7, 1.0)
 
@@ -162,7 +160,8 @@ def test_solver_linearity():
 def test_solvability_error_for_unprojected_mode0_rhs():
     grid = grid71(1000)
     with pytest.raises(DomainError, match="orthogonal"):
-        solve_mode(P71, 0, RadialProfile.closed("U1", P71), grid)
+        solve_mode(P71, 0, RadialProfile.from_callable(lambda r: u1(P71, r)),
+                   grid)
 
 
 def test_solve_mode_input_validation():
@@ -426,38 +425,3 @@ def test_zero_cell_mass_is_a_numerical_error():
                  lambda: kernel_diagnostics(p, grid)):
         with pytest.raises(NumericalError, match="cell masses underflow"):
             call()
-
-
-# --------------------------------------------------------------------------
-# beta
-
-
-def test_beta_trivial_and_calibrated():
-    z0grad = bubble_moment(P71, "z0grad")
-    mass2 = bubble_moment(P71, "mass2")
-    # no mode-0 content: beta = 0 regardless of the trace-free part
-    assert beta_coefficient(P71, WDecomposition(0.0, 0.0, 5.0), 1.0) == 0.0
-    # calibrated: <a U1, Z0> = a mass2 = |grad Z0|^2 when a = z0grad/mass2
-    w = WDecomposition(z0grad / mass2, 0.0, 0.0)
-    assert beta_coefficient(P71, w, 1.0) == pytest.approx(1.0, rel=1e-10)
-    assert beta_coefficient(P71, w, 2.0) == pytest.approx(2.0, rel=1e-10)
-
-
-def test_beta_rdru1_pairing_against_identity():
-    # <r U1', Z0> = -((n-2)/2) <U1, Z0> - <Z0, Z0>, from
-    # Z0 = -((n-2)/2) U1 - r U1'; the right side uses independent quadrature.
-    n = 7
-    mass2 = bubble_moment(P71, "mass2")
-    z0sq = sphere_area(n) * integrate_radial(
-        RadialIntegrand(f=lambda r: z0(P71, r) ** 2, a=float(n - 1)),
-        tol=1e-12,
-    )["value"]
-    want = -((n - 2) / 2.0) * mass2 - z0sq
-    got = beta_coefficient(P71, WDecomposition(0.0, 1.0, 0.0), 1.0)
-    z0grad = bubble_moment(P71, "z0grad")
-    assert got == pytest.approx(want / z0grad, rel=1e-9)
-
-
-def test_beta_rejects_nonfinite_alpha():
-    with pytest.raises(DomainError):
-        beta_coefficient(P71, WDecomposition(1.0, 0.0, 0.0), np.inf)
