@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .params import HSParams
 
 
@@ -106,18 +106,26 @@ def eval_profiles(p: HSParams, delta: float, r) -> dict:
     """U_delta, its r-derivative, and Z_delta at radius r (scalar or array).
 
     U_delta(r) = delta**(-(n-2)/2) U1(r/delta); the r-derivative follows by
-    the chain rule, and Z_delta = delta * d/d(delta) U_delta.
+    the chain rule, and Z_delta = delta * d/d(delta) U_delta.  A scale so
+    small that these amplitudes leave the float range is a NumericalError.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise DomainError(
             f"bubble scale must be positive and finite, got delta={delta}")
     n = p.n
     rho = np.asarray(r, dtype=float) / delta
-    return {
-        "U_delta": delta ** (-(n - 2.0) / 2.0) * u1(p, rho),
-        "dr_U_delta": delta ** (-n / 2.0) * du1(p, rho),
-        "Z_delta": delta ** (-(n - 2.0) / 2.0) * z0(p, rho),
-    }
+    u, du, z = u1(p, rho), du1(p, rho), z0(p, rho)
+    try:
+        with np.errstate(over="raise"):
+            return {
+                "U_delta": delta ** (-(n - 2.0) / 2.0) * u,
+                "dr_U_delta": delta ** (-n / 2.0) * du,
+                "Z_delta": delta ** (-(n - 2.0) / 2.0) * z,
+            }
+    except (OverflowError, FloatingPointError):
+        raise NumericalError(
+            f"the profiles at scale delta = {delta} overflow a float at "
+            f"n = {n} (their amplitudes carry delta**(-n/2))") from None
 
 
 @dataclass(frozen=True)
@@ -164,7 +172,7 @@ class RadialProfile:
     @classmethod
     def from_samples(cls, grid: RadialGrid, values: np.ndarray) -> "RadialProfile":
         values = np.asarray(values, dtype=float)
-        if values.shape != grid.nodes.shape:
+        if values.shape != (grid.N + 1,):
             raise DomainError("sample array does not match the grid")
         if not np.all(np.isfinite(values)):
             raise DomainError("sampled profile contains non-finite values")

@@ -28,10 +28,13 @@ measured in L^{2n/(n+2)}; its concentration rescaling scales the norm by
 exactly delta^2, which fixes the normalization alpha of the blow-up family.
 
 Truncation policy: the smooth cutoff is replaced by a sharp cutoff at r0.
-The discarded tail is O(delta^{n-2}) (for n >= 7, below every tracked order
-at delta <= r0/10); the delta-sweep fit carries delta^{n-2}, delta^{n-1},
-delta^{n-1} log(1/delta), delta^n nuisance columns so the truncation orders
-cannot alias into the reported c0/c2/c4.
+The discarded tail is O(delta^{n-2}); the delta-sweep fit carries
+delta^{n-2}, delta^{n-1}, delta^{n-1} log(1/delta), delta^n nuisance columns
+meant to absorb it.  Its constant is not small for s near 2: the profile's
+power-law tail starts only at r^(2-s) >> (n-2)/(2-s), so at (n, s) = (7, 1.9)
+and delta = 0.05 the crit moment beyond r0/delta still holds 6.6e-2 of c0.
+There the nuisance columns do not absorb the cutoff, and it aliases into the
+reported c0/c2/c4.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -231,16 +234,13 @@ def _fit_columns(deltas: np.ndarray, n: int, nuisance: bool):
 
 def fit_expansion(model: RadialModel, p: HSParams,
                   deltas: Sequence[float], *, nuisance: bool = True,
-                  tol: float = 1e-12,
-                  values: Optional[Sequence[float]] = None) -> FitReport:
+                  tol: float = 1e-12) -> FitReport:
     """Least-squares fit of J(delta) against {1, delta^2, delta^4}.
 
     The sweep must hold at least 6 distinct deltas spanning a decade inside
     the asymptotic regime.  Truncation-order nuisance columns (delta^{n-2},
     delta^{n-1} log(1/delta), delta^{n-1}, delta^n) guard the reported
     coefficients against aliasing; pass nuisance=False to drop them.
-    `values` injects precomputed J samples (matching deltas) to skip the
-    quadrature, for callers that already evaluated the sweep.
     """
     deltas = np.asarray(sorted(float(d) for d in deltas), dtype=float)
     if deltas.size < 6:
@@ -252,17 +252,9 @@ def fit_expansion(model: RadialModel, p: HSParams,
         raise DomainError(
             f"delta sweep spans a factor {span:.3g}; need a full decade")
 
-    # closed forms first: a moment prefactor that overflows fails here, before
-    # the quadrature sweep
+    # closed forms and the design first: an overflowing moment prefactor or
+    # a degenerate sweep fails here, before the quadrature sweep
     pred = predicted_coeffs(model, p)
-    if values is None:
-        y = np.array([j_at_bubble(model, p, float(d), tol=tol)
-                      for d in deltas])
-    else:
-        y = np.asarray(values, dtype=float)
-        if y.shape != deltas.shape:
-            raise DomainError("values must match deltas in length")
-
     X, names = _fit_columns(deltas, p.n, nuisance)
     scales = np.max(np.abs(X), axis=0)
     Xs = X / scales
@@ -278,6 +270,8 @@ def fit_expansion(model: RadialModel, p: HSParams,
         raise NumericalError(
             f"fit design matrix condition {cond:.3g} too large; the sweep "
             "is too narrow or contains near-duplicate deltas")
+
+    y = np.array([j_at_bubble(model, p, float(d), tol=tol) for d in deltas])
     coef_s = Vt.T @ ((U.T @ y) / sv)
     coef = coef_s / scales
     resid = y - X @ coef

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -80,9 +80,12 @@ class CurvatureData:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
             raise DomainError(f"dimension must be an integer >= 3, got {self.n}")
-        vals = (self.scal, self.ric_norm2, self.rm_norm2, self.lap_scal)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
-            raise DomainError("curvature invariants must be finite numbers")
+        for name in CURVATURE_SCHEMA_KEYS:
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise DomainError(
+                    f"curvature invariant {name!r} must be a finite number, "
+                    f"got {v!r}")
         if self.rm_norm2 < 0.0:
             raise DomainError(f"rm_norm2 must be >= 0, got {self.rm_norm2}")
         bound = self.scal**2 / self.n
@@ -114,8 +117,11 @@ class PotentialJet:
     f_val: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.h0_val, self.lap_h, self.f_val)):
-            raise DomainError("potential jet fields must be finite")
+        for name in ("h0_val", "lap_h", "f_val"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise DomainError(
+                    f"potential jet field {name!r} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -217,17 +223,14 @@ def _schema_numbers(data, where: str, required: tuple,
     return vals
 
 
-def density_coeffs(c: CurvatureData, n: Optional[int] = None) -> dict:
+def density_coeffs(c: CurvatureData) -> dict:
     """Taylor coefficients of the spherically averaged volume density.
 
     G(r) ~ 1 + c2 r^2 + c4 r^4 with c2 = -Scal/(6n) and c4 = F as in the
     module docstring (Delta Scal in the minus-divergence convention enters
     with coefficient +18).
     """
-    if n is None:
-        n = c.n
-    elif n != c.n:
-        raise DomainError(f"dimension mismatch: data has n={c.n}, asked n={n}")
+    n = c.n
     c2 = -c.scal / (6.0 * n)
     c4 = (18.0 * c.lap_scal + 8.0 * c.ric_norm2 - 3.0 * c.rm_norm2
           + 5.0 * c.scal**2) / (360.0 * n * (n + 2.0))

@@ -50,6 +50,7 @@ Z0 up to O(R**(2-n)) relative error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,7 +156,9 @@ class ModeMatrices:
     operator K = S + centrifugal - potential (Robin corner included in S);
     sd: diagonal of the pure-stiffness S alone, whose subdiagonal is e too
     (the centrifugal and potential terms are diagonal);
-    mass: lumped (exact) cell masses integral of r**(n-1) over the cell.
+    mass: lumped (exact) cell masses integral of r**(n-1) over the cell;
+    z0, g: ell = 0 only (None for ell = 2), Z0 sampled on the nodes and the
+    projection direction g = S z0 (see z0_laplacian_load).
     """
 
     ell: int
@@ -164,6 +167,8 @@ class ModeMatrices:
     e: np.ndarray
     mass: np.ndarray
     sd: np.ndarray
+    z0: Optional[np.ndarray] = None
+    g: Optional[np.ndarray] = None
 
 
 # --------------------------------------------------------------------------
@@ -201,22 +206,16 @@ def _first_cell_potential_mass(p: HSParams, m_edge: float) -> float:
     return pref * out["value"]
 
 
-def _cell_edges(r: np.ndarray, R: float) -> np.ndarray:
-    edges = np.empty(r.size + 1)
-    edges[0] = 0.0
-    edges[-1] = R
-    edges[1:-1] = 0.5 * (r[1:] + r[:-1])
-    return edges
+@functools.lru_cache(maxsize=2)
+def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
+    """Assemble the tridiagonal finite-volume operator for one mode.
 
-
-def _stiffness(p: HSParams, ell: int, grid: RadialGrid):
-    """The quadrature-free part of the assembly, over all grid nodes.
-
-    Returns (edges, mass, sd, e): the cell edges, the exact cell integrals
-    of r**(n-1), and the diagonal and subdiagonal of the pure-stiffness S
-    with the Robin corner of mode ell.  A strong grading can put the first
-    edges so close to 0 that edge**n underflows; every solve and spectral
-    diagnostic divides by the cell masses, so a zero mass is refused here.
+    The one place a mode operator is built.  Memoized on (p, ell, grid):
+    the two entries hold both modes of the latest grid, so every solve and
+    diagnostic on that grid shares one assembly, and the arrays are
+    read-only.  A strong grading can put the first edges so close to 0 that
+    edge**n underflows; every solve and spectral diagnostic divides by the
+    cell masses, so a zero mass is refused here.
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
@@ -225,7 +224,7 @@ def _stiffness(p: HSParams, ell: int, grid: RadialGrid):
     n = p.n
     r = grid.nodes
     R = grid.R_max
-    edges = _cell_edges(r, R)
+    edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [R]])
     mass = np.diff(edges**n) / n
     if np.any(mass == 0.0):
         raise NumericalError(
@@ -239,14 +238,7 @@ def _stiffness(p: HSParams, ell: int, grid: RadialGrid):
     sd[:-1] += flux
     sd[1:] += flux
     sd[-1] += (n - 2.0 + ell) * R ** (n - 2)  # Robin closure, decaying branch
-    return edges, mass, sd, -flux
-
-
-def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
-    """Assemble the tridiagonal finite-volume operator for one mode."""
-    edges, mass, sd, e = _stiffness(p, ell, grid)
-    n = p.n
-    r = grid.nodes
+    e = -flux
     pot = potential_values(p, r[1:]) * mass[1:]
 
     if ell == 2:
@@ -255,10 +247,17 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
         # centrifugal term uses the exact cell integrals of r**(n-3).
         cent_cell = np.diff(edges[1:] ** (n - 2)) / (n - 2)
         cent = float(ell * (ell + n - 2)) * cent_cell
-        return ModeMatrices(ell=2, r=r[1:], d=sd[1:] + cent - pot, e=e[1:],
+        mats = ModeMatrices(ell=2, r=r[1:], d=sd[1:] + cent - pot, e=e[1:],
                             mass=mass[1:], sd=sd[1:])
-    pot = np.concatenate([[_first_cell_potential_mass(p, edges[1])], pot])
-    return ModeMatrices(ell=0, r=r, d=sd - pot, e=e, mass=mass, sd=sd)
+    else:
+        pot = np.concatenate([[_first_cell_potential_mass(p, edges[1])], pot])
+        zs = z0(p, r)
+        mats = ModeMatrices(ell=0, r=r, d=sd - pot, e=e, mass=mass, sd=sd,
+                            z0=zs, g=_apply_tridiag(sd, e, zs))
+    for arr in vars(mats).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return mats
 
 
 def _apply_tridiag(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -277,8 +276,7 @@ def z0_laplacian_load(p: HSParams, grid: RadialGrid) -> np.ndarray:
     right-hand side built from it cancels identically in the projected
     equation (the exact-cancellation property of the construction).
     """
-    _, _, sd, e = _stiffness(p, 0, grid)
-    return _apply_tridiag(sd, e, z0(p, grid.nodes))
+    return assemble_mode(p, 0, grid).g
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +293,6 @@ def _fd_defect(p: HSParams, ell: int, r: np.ndarray, u: np.ndarray,
     deliberately NOT the scheme used to solve, so it measures consistency of
     the returned profile, not how well the linear algebra was done.
     """
-    if r.size < 5:
-        return float("nan")
     # active arrays may or may not include r = 0; FD only on strict interior
     i0 = 1 if r[0] == 0.0 else 0
     ri = r[i0 + 1:-1]
@@ -440,8 +436,7 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
     mu = multiplier
 
     if ell == 0:
-        z = z0(p, r)
-        g = _apply_tridiag(mats.sd, mats.e, z)
+        z, g = mats.z0, mats.g
         ip = float(z @ load)
         scale = _norm_m(mats.mass, z) * float(
             np.sqrt(np.sum(load**2 / mats.mass))
@@ -498,14 +493,12 @@ def hat_c(p: HSParams, w: WDecomposition, grid: RadialGrid) -> dict:
     mode2 solves  L_2 u = -(1/3) r U1'  per unit trace-free amplitude (the
     tensor contraction is applied later, in nonlocal_term).
     """
-    r = grid.nodes
-    _, mass, sd, e = _stiffness(p, 0, grid)
-    z = z0(p, r)
-    g = _apply_tridiag(sd, e, z)
+    m0 = assemble_mode(p, 0, grid)
+    r, z, g = m0.r, m0.z0, m0.g
     nu = float(z @ g)
 
     w0 = _mode0_source_values(p, w, r)
-    load_w = mass * w0
+    load_w = m0.mass * w0
     mu = float(z @ load_w) / nu
     load = -load_w + mu * g
 
@@ -546,8 +539,8 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
 
     sols = hat_c(p, w, grid)
     omega = sphere_area(p.n)
-    r = grid.nodes
-    _, mass, _, _ = _stiffness(p, 0, grid)
+    m0 = assemble_mode(p, 0, grid)
+    r, mass = m0.r, m0.mass
     w0 = _mode0_source_values(p, w, r)
     c0 = sols["mode0"].profile.values
     part0 = omega * float(np.sum(mass * w0 * c0))
@@ -678,9 +671,8 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
         below_hi = _count_eigs_below(mats.d, mats.e, mats.mass, ztol)
         if ell == 0:
             out["mode0_min_eig"] = float(vals[np.argmin(np.abs(vals))])
-            zs = z0(p, mats.r)
-            zn = _norm_m(mats.mass, zs)
-            aligns = np.abs(vecs.T @ (mats.mass * zs)) / (
+            zn = _norm_m(mats.mass, mats.z0)
+            aligns = np.abs(vecs.T @ (mats.mass * mats.z0)) / (
                 zn * np.sqrt(np.sum(mats.mass[:, None] * vecs**2, axis=0))
             )
             kbest = int(np.argmax(aligns))

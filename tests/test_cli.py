@@ -466,6 +466,10 @@ def test_exit_2_ill_conditioned_fit(capsys):
      "kappa**2 overflows a float at n = 16, s = 1.9"),
     (["energy", "--n", "16", "--s", "1.9", "--curvature", "sphere:1"],
      "kappa**(2*(s)) overflows a float at n = 16, s = 1.9"),
+    # a finite scale whose profile amplitude does not fit a float (was an
+    # OverflowError traceback)
+    (["bubble", "--n", "7", "--s", "1", "--delta", "1e-300"],
+     "the profiles at scale delta = 1e-300 overflow a float at n = 7"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -506,15 +510,24 @@ def test_exit_2_names_the_cause(capsys, argv, cause):
     # was a RuntimeWarning from numpy before the error
     (["energy", "--n", "7", "--s", "1", "--deltas", "0.01:inf:12"],
      "--deltas needs 0 < lo < hi < inf"),
+    # non-finite curvature and potential fields are named
+    (["lg", "--n", "7", "--s", "1", "--lap-h", "inf"],
+     "potential jet field 'lap_h' must be finite, got inf"),
+    (["lg", "--n", "7", "--s", "1", "--curvature", "nan-curv.json"],
+     "curvature invariant 'scal' must be a finite number, got nan"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
+    # JSON allows no NaN literal, but Python's reader accepts one
+    (tmp_path / "nan-curv.json").write_text(
+        '{"scal": NaN, "ric_norm2": 300.0, "rm_norm2": 100.0, '
+        '"lap_scal": 1.5}', encoding="utf-8")
     rc, out, err = invoke(capsys, argv)
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
     assert cause in err
-    assert not os.listdir(tmp_path)
+    assert os.listdir(tmp_path) == ["nan-curv.json"]
 
 
 def test_scipy_free_subcommands_load_no_scipy():
@@ -590,6 +603,17 @@ EXTRA_CASES = {
     "verdict-grid": ["verdict", "--n", "7", "--s", "1", "--curvature",
                      "curv.json", "--potential", "pot.json",
                      "--grid", "1000,100", "--json"],
+    # the mode solve and the spectral window away from (7, 1)
+    "lg-9-05": ["lg", "--n", "9", "--s", "0.5", "--curvature", "sphere:1",
+                "--grid", "2000,200", "--json"],
+    "lg-7-15": ["lg", "--n", "7", "--s", "1.5", "--curvature", "sphere:1",
+                "--grid", "2000,200", "--json"],
+    "kernel-9-05": ["kernel", "--n", "9", "--s", "0.5", "--grid", "2000,200",
+                    "--json"],
+    "kernel-7-15": ["kernel", "--n", "7", "--s", "1.5", "--grid", "2000,200",
+                    "--json"],
+    "chat-7-15": ["chat", "--n", "7", "--s", "1.5", "--curvature", "sphere:1",
+                  "--h0", "1", "--grid", "2000,200", "--json"],
 }
 
 

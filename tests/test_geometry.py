@@ -165,13 +165,9 @@ def test_density_coeffs_against_sphere_taylor_oracle(n):
     assert got["c4"] == pytest.approx(float(c4_o), rel=1e-12)
 
 
-def test_density_coeffs_flat_and_dim_mismatch():
+def test_density_coeffs_flat():
     got = density_coeffs(curvature_preset("flat", 9))
     assert got == {"c2": 0.0, "c4": 0.0}
-    with pytest.raises(DomainError):
-        density_coeffs(curvature_preset("flat", 9), n=7)
-    # explicit matching n is fine
-    density_coeffs(curvature_preset("flat", 9), n=9)
 
 
 def test_density_coeffs_lap_scal_sign_convention():

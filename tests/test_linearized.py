@@ -11,6 +11,7 @@ import hsbubble
 from hsbubble import linearized
 from hsbubble.bubble import RadialGrid, RadialProfile, default_grid, rdru1, u1, z0
 from hsbubble.errors import DomainError, NumericalError
+from hsbubble.geometry import PotentialJet, curvature_preset, lg_total
 from hsbubble.linearized import (
     ModeSolution,
     WDecomposition,
@@ -215,16 +216,38 @@ def test_bordered_solve_matches_dense_reference(n, s):
 
 
 def test_nonlocal_term_assembles_each_mode_once(monkeypatch):
-    asm, quad = [], []
-    real_asm = linearized.assemble_mode
+    # real assemblies are cache misses; the first-cell quadrature is the
+    # costly part of the ell = 0 one
+    quad = []
     real_quad = linearized._first_cell_potential_mass
-    monkeypatch.setattr(linearized, "assemble_mode",
-                        lambda p, ell, grid: asm.append(ell) or real_asm(p, ell, grid))
     monkeypatch.setattr(linearized, "_first_cell_potential_mass",
                         lambda p, edge: quad.append(edge) or real_quad(p, edge))
-    nonlocal_term(P71, WDecomposition(0.7, 0.31, 2.0), grid71(500))
-    assert sorted(asm) == [0, 2]
-    assert len(quad) == 1
+
+    def assemblies():
+        return assemble_mode.cache_info().misses, len(quad)
+
+    w = WDecomposition(0.7, 0.31, 2.0)
+    grid = grid71(500)
+    assemble_mode.cache_clear()
+    nonlocal_term(P71, w, grid)
+    assert assemblies() == (2, 1)
+    nonlocal_term(P71, w, grid)  # same (p, grid): nothing is rebuilt
+    assert assemblies() == (2, 1)
+
+    # lg_total, then kernel_diagnostics on the same grid
+    assemble_mode.cache_clear()
+    quad.clear()
+    grid = grid71(600)
+    lg_total(curvature_preset("sphere:1", 7), PotentialJet(h0_val=7.5, lap_h=0.0),
+             P71, grid)
+    kernel_diagnostics(P71, grid)
+    assert assemblies() == (2, 1)
+
+    for ell in (0, 2):
+        with pytest.raises(ValueError):
+            assemble_mode(P71, ell, grid).d[0] = 0.0
+    with pytest.raises(ValueError):
+        z0_laplacian_load(P71, grid)[0] = 0.0
 
 
 def test_cli_import_leaves_scipy_sparse_out():
