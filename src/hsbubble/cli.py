@@ -231,12 +231,14 @@ def _cmd_bubble(inp):
         raise DomainError(f"--points must be >= 1, got {a.points}")
     if a.emit_profile is not None:
         r = np.linspace(0.0, 20.0 * a.delta, a.points)
+        if inp.p.s > 1.0:  # U' ~ r**(1-s) is unbounded at r = 0: no such row
+            r = r[1:]
         vals = eval_profiles(inp.p, a.delta, r)
         _csv(["r", "U_delta", "dr_U_delta", "Z_delta"],
              zip(r, vals["U_delta"], vals["dr_U_delta"], vals["Z_delta"]),
              a.emit_profile)
         outputs["profile_csv"] = a.emit_profile
-        outputs["profile_rows"] = a.points
+        outputs["profile_rows"] = r.size
     return inp.echo("delta", "points"), outputs
 
 

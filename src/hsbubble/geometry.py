@@ -169,13 +169,17 @@ def curvature_preset(kind: Union[str, dict], n: int) -> CurvatureData:
                 raise DomainError(f"bad sphere radius in {kind!r}") from exc
         if not (radius > 0.0 and math.isfinite(radius)):
             raise DomainError(f"sphere radius must be positive, got {radius}")
-        return CurvatureData(
-            n=n,
-            scal=n * (n - 1) / radius**2,
-            ric_norm2=n * (n - 1) ** 2 / radius**4,
-            rm_norm2=2.0 * n * (n - 1) / radius**4,
-            lap_scal=0.0,
-        )
+        try:
+            inv = (n * (n - 1) / radius**2, n * (n - 1) ** 2 / radius**4,
+                   2.0 * n * (n - 1) / radius**4)
+        except (OverflowError, ZeroDivisionError):
+            inv = (math.inf,)
+        if not all(map(math.isfinite, inv)):
+            raise DomainError(
+                f"sphere radius {radius!r} puts the curvature invariants "
+                "outside the float range")
+        return CurvatureData(n=n, scal=inv[0], ric_norm2=inv[1],
+                             rm_norm2=inv[2], lap_scal=0.0)
     return CurvatureData(n=n, **_read_schema_file(
         kind, "curvature", CURVATURE_SCHEMA_KEYS))
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -108,9 +109,11 @@ class WDecomposition:
     t_free_norm2: float
 
     def __post_init__(self):
-        vals = (self.a, self.mode0_extra, self.t_free_norm2)
-        if not all(np.isfinite(v) for v in vals):
-            raise DomainError("WDecomposition fields must be finite")
+        for name in ("a", "mode0_extra", "t_free_norm2"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise DomainError(
+                    f"WDecomposition field {name!r} must be finite, got {v!r}")
         if self.t_free_norm2 < 0.0:
             raise DomainError(
                 f"t_free_norm2 must be >= 0, got {self.t_free_norm2}"
@@ -158,7 +161,9 @@ class ModeMatrices:
     (the centrifugal and potential terms are diagonal);
     mass: lumped (exact) cell masses integral of r**(n-1) over the cell;
     z0, g: ell = 0 only (None for ell = 2), Z0 sampled on the nodes and the
-    projection direction g = S z0 (see z0_laplacian_load).
+    projection direction g = S z0 (see z0_laplacian_load).  One per mode
+    and grid (assemble_mode); the first solve caches the factors, border and
+    node samples that every later solve on the grid reuses (_factored).
     """
 
     ell: int
@@ -320,28 +325,69 @@ def _fd_defect(p: HSParams, ell: int, r: np.ndarray, u: np.ndarray,
 # solvers
 
 
-def _equilibrated_solver(mats: ModeMatrices):
-    """(ds, solve): D = diag(ds) = |diag K|**(-1/2) and solve(y) = (D K D)^-1 y.
+@functools.lru_cache(maxsize=2)
+def _factored(p: HSParams, ell: int, grid: RadialGrid) -> SimpleNamespace:
+    """What every solve of one mode on one grid shares: no load changes it.
 
-    Both modes are solved through D K D; _solve_mode0_bordered says why.
+    Memoized like assemble_mode (both modes of the latest grid) but built by
+    the first solve, so assemble_mode and kernel_diagnostics never factor.
+    ds: D = diag(ds) = |diag K|**(-1/2); lu: the LAPACK gttrf factors of
+    D K D (_solve_mode0_bordered says why both modes are solved through it),
+    so each solve is one gttrs.  ell = 0 adds the Keller border (col,
+    gscale, b = (D K D)^-1 col, schur = col^T b) and the node samples u1,
+    rdru1 and dz (Delta Z0) that hat_c needs; hat_c adds the ell = 2 unit
+    solution mode2 and its pairing pair2.  Arrays are read-only.
     """
-    import scipy.linalg
+    from scipy.linalg import lapack
 
+    mats = assemble_mode(p, ell, grid)
     ds = 1.0 / np.sqrt(np.maximum(np.abs(mats.d), np.finfo(float).tiny))
-    es = mats.e * ds[:-1] * ds[1:]
-    ab = np.array([np.append(0.0, es), mats.d * ds * ds, np.append(es, 0.0)])
+    f = SimpleNamespace(ds=ds)
+    if ell == 0:
+        gs = mats.g * ds
+        f.gscale = float(np.linalg.norm(gs))
+        if f.gscale == 0.0 or not np.isfinite(f.gscale):
+            raise NumericalError("degenerate projection direction in ell = 0 solve")
+    es, dd = mats.e * ds[:-1] * ds[1:], mats.d * ds * ds
+    _finite_or_fail(ell, np.concatenate((es, dd)))
+    *f.lu, info = lapack.dgttrf(es, dd, es)
+    if info > 0:
+        raise NumericalError(f"ell = {ell} banded solve failed: singular matrix")
+    if ell == 0:
+        f.col = gs / f.gscale
+        f.b = _gttrs(f, 0, f.col)
+        f.schur = float(f.col @ f.b)
+        if f.schur == 0.0:
+            raise NumericalError("bordered ell = 0 system is singular")
+        r = mats.r
+        f.u1, f.rdru1 = u1(p, r), rdru1(p, r)
+        # pointwise Delta Z0 = (2*-1) U1**(2*-2) r**(-s) Z0 for the defect;
+        # integrably singular at r = 0, a node the defect skips
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f.dz = (p.crit_exp - 1.0) * f.u1 ** (p.crit_exp - 2.0) \
+                * r ** (-p.s) * mats.z0
+        f.dz[0] = 0.0
+    for arr in [*vars(f).values(), *f.lu]:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return f
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        try:
-            return scipy.linalg.solve_banded((1, 1), ab, rhs)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError(
-                f"ell = {mats.ell} banded solve failed: {exc}") from exc
 
-    return ds, solve
+def _finite_or_fail(ell: int, x: np.ndarray) -> np.ndarray:
+    try:
+        return np.asarray_chkfinite(x)
+    except ValueError as exc:
+        raise NumericalError(f"ell = {ell} banded solve failed: {exc}") from exc
 
 
-def _solve_mode0_bordered(mats: ModeMatrices, g: np.ndarray,
+def _gttrs(f: SimpleNamespace, ell: int, rhs: np.ndarray) -> np.ndarray:
+    """(D K D)^-1 rhs from the cached factors: one LAPACK gttrs."""
+    from scipy.linalg import lapack
+
+    return lapack.dgttrs(*f.lu, _finite_or_fail(ell, rhs))[0]
+
+
+def _solve_mode0_bordered(mats: ModeMatrices, f: SimpleNamespace,
                           load: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve [[K, g], [g^T, 0]] [u, lam] = [load, 0] by block elimination.
 
@@ -357,32 +403,24 @@ def _solve_mode0_bordered(mats: ModeMatrices, g: np.ndarray,
     componentwise accuracy.  The border column becomes D g / gscale, so
     every border right-hand side must be divided by the same gscale.
 
-    Elimination (Keller's bordering method): one banded solve
-    K_s [a, b] = [D load, D g / gscale], then the border row fixes the
-    multiplier.  K_s is nearly singular, so a and b carry large near-kernel
-    components that cancel only to roundoff relative to their size; one
-    refinement pass on the residual of the full bordered system brings the
-    result to machine level (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993).
+    Elimination (Keller's bordering method): K_s [a, b] = [D load,
+    D g / gscale], then the border row fixes the multiplier.  Only a depends
+    on the load; the factors of K_s, b and the Schur scalar are cached per
+    grid (_factored), so a solve is one gttrs.  K_s is nearly singular, so
+    a and b carry large near-kernel components that cancel only to roundoff
+    relative to their size; one refinement pass (one more gttrs) on the
+    residual of the full bordered system brings the result to machine level
+    (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993).
     """
-    ds, solve = _equilibrated_solver(mats)
-    gs = g * ds
-    gscale = float(np.linalg.norm(gs))
-    if gscale == 0.0 or not np.isfinite(gscale):
-        raise NumericalError("degenerate projection direction in ell = 0 solve")
-    col = gs / gscale
-
     def solve_scaled(rhs_u: np.ndarray, rhs_c: float):
-        a, b = solve(np.column_stack([rhs_u * ds, col])).T
-        schur = float(col @ b)
-        if schur == 0.0:
-            raise NumericalError("bordered ell = 0 system is singular")
-        mu = (float(col @ a) - rhs_c / gscale) / schur
-        return (a - mu * b) * ds, mu / gscale
+        a = _gttrs(f, 0, rhs_u * f.ds)
+        mu = (float(f.col @ a) - rhs_c / f.gscale) / f.schur
+        return (a - mu * f.b) * f.ds, mu / f.gscale
 
     u, lam = solve_scaled(load, 0.0)
     # one refinement pass in the original (unscaled) variables
-    res_u = load - (_apply_tridiag(mats.d, mats.e, u) + lam * g)
-    res_c = -float(g @ u)
+    res_u = load - (_apply_tridiag(mats.d, mats.e, u) + lam * mats.g)
+    res_c = -float(mats.g @ u)
     du, dlam = solve_scaled(res_u, res_c)
     u, lam = u + du, lam + dlam
     if not (np.all(np.isfinite(u)) and np.isfinite(lam)):
@@ -448,15 +486,15 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
                 f"direction Z0: relative compatibility {solvability:.3e} "
                 f"exceeds {SOLVABILITY_TOL:.1e}"
             )
-        u, lagrange = _solve_mode0_bordered(mats, g, load)
+        u, lagrange = _solve_mode0_bordered(mats, _factored(p, 0, grid), load)
         gn = float(np.sqrt(z @ g))  # sqrt(z0^T S z0) > 0
         un = float(np.sqrt(abs(u @ _apply_tridiag(mats.sd, mats.e, u))))
         den = gn * un
         grad_ortho = abs(float(g @ u)) / den if den > 0.0 else 0.0
         resid = _apply_tridiag(mats.d, mats.e, u) + lagrange * g - load
     else:
-        ds, solve = _equilibrated_solver(mats)
-        u = ds * solve(load * ds)
+        f = _factored(p, 2, grid)
+        u = f.ds * _gttrs(f, 2, load * f.ds)
         resid = _apply_tridiag(mats.d, mats.e, u) - load
 
     rnorm = float(np.linalg.norm(resid))
@@ -480,10 +518,6 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
 # the projected correction and its pairing
 
 
-def _mode0_source_values(p: HSParams, w: WDecomposition, r: np.ndarray):
-    return w.a * u1(p, r) + w.mode0_extra * rdru1(p, r)
-
-
 def hat_c(p: HSParams, w: WDecomposition, grid: RadialGrid) -> dict:
     """Radial mode profiles of the projected correction C.
 
@@ -491,33 +525,30 @@ def hat_c(p: HSParams, w: WDecomposition, grid: RadialGrid) -> dict:
     mu = <W, Z0> / |grad Z0|^2 computed from the same discrete objects that
     build the load (so the solvability condition holds identically);
     mode2 solves  L_2 u = -(1/3) r U1'  per unit trace-free amplitude (the
-    tensor contraction is applied later, in nonlocal_term).
+    tensor contraction is applied later, in nonlocal_term), once per grid.
+    w0 is the ell = 0 source a U1 + mode0_extra r U1' on the nodes and
+    pair2 the ell = 2 pairing integral of nonlocal_term.
     """
-    m0 = assemble_mode(p, 0, grid)
-    r, z, g = m0.r, m0.z0, m0.g
-    nu = float(z @ g)
-
-    w0 = _mode0_source_values(p, w, r)
-    load_w = m0.mass * w0
-    mu = float(z @ load_w) / nu
-    load = -load_w + mu * g
-
-    # pointwise right-hand side for the defect: Delta Z0 = (2*-1) U1**(2*-2)
-    # r**(-s) Z0 is singular (integrably) at r = 0; the load representation
-    # handles the first cell exactly and the defect skips the origin node.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dz = (p.crit_exp - 1.0) * u1(p, r) ** (p.crit_exp - 2.0) \
-            * r ** (-p.s) * z
-    dz[0] = 0.0
-    fvals = -w0 + mu * dz
-
+    m0, f0 = assemble_mode(p, 0, grid), _factored(p, 0, grid)
+    with np.errstate(all="ignore"):
+        w0 = w.a * f0.u1 + w.mode0_extra * f0.rdru1
+        load_w = m0.mass * w0
+        mu = float(m0.z0 @ load_w) / float(m0.z0 @ m0.g)
+        load, fvals = -load_w + mu * m0.g, -w0 + mu * f0.dz
+    if not (np.all(np.isfinite(load)) and np.all(np.isfinite(fvals))):
+        raise NumericalError(
+            f"the ell = 0 source with a = {w.a!r}, mode0_extra = "
+            f"{w.mode0_extra!r} and its projection leave the float range")
     mode0 = solve_mode(p, 0, None, grid, rhs_load=load, rhs_values=fvals,
                        multiplier=mu)
-    mode2 = solve_mode(
-        p, 2, RadialProfile.from_callable(lambda rr: -rdru1(p, rr) / 3.0),
-        grid,
-    )
-    return {"mode0": mode0, "mode2": mode2}
+    f2 = _factored(p, 2, grid)
+    if not hasattr(f2, "mode2"):
+        f2.mode2 = solve_mode(p, 2, RadialProfile.from_callable(
+            lambda rr: -rdru1(p, rr) / 3.0), grid)
+        c2, m2 = f2.mode2.profile.values, assemble_mode(p, 2, grid)
+        c2.flags.writeable = False
+        f2.pair2 = float(np.sum(m2.mass * (rdru1(p, m2.r) / 3.0) * c2[1:]))
+    return {"mode0": mode0, "mode2": f2.mode2, "w0": w0, "pair2": f2.pair2}
 
 
 def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
@@ -534,22 +565,20 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
     using the trace-free angular identity
     integral over S^(n-1) of (T_ij sigma^i sigma^j)**2 =
     2 omega_{n-1} |T|**2 / (n (n+2)).
+
+    Only the ell = 0 solve depends on W: both modes' factors, the Keller
+    border, the node samples and the ell = 2 pairing are cached per grid
+    (_factored), so a repeat pairing on one grid costs two triangular
+    solves (gttrs), the bordered solve and its refinement pass.
     """
     from .params import sphere_area
 
     sols = hat_c(p, w, grid)
     omega = sphere_area(p.n)
-    m0 = assemble_mode(p, 0, grid)
-    r, mass = m0.r, m0.mass
-    w0 = _mode0_source_values(p, w, r)
+    mass = assemble_mode(p, 0, grid).mass
     c0 = sols["mode0"].profile.values
-    part0 = omega * float(np.sum(mass * w0 * c0))
-
-    # ell = 2 lives on the nodes r > 0
-    phi = rdru1(p, r[1:]) / 3.0
-    c2 = sols["mode2"].profile.values[1:]
-    pair2 = float(np.sum(mass[1:] * phi * c2))
-    part2 = (2.0 * omega / (p.n * (p.n + 2.0))) * w.t_free_norm2 * pair2
+    part0 = omega * float(np.sum(mass * sols["w0"] * c0))
+    part2 = 2.0 * omega / (p.n * (p.n + 2.0)) * w.t_free_norm2 * sols["pair2"]
 
     total = part0 + part2
     if detail:

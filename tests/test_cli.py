@@ -138,6 +138,23 @@ def test_bubble_profile_csv(capsys, tmp_path):
     assert np.all(np.diff(u) < 0)
 
 
+@pytest.mark.parametrize("s", ["0.5", "1", "1.5", "1.9"])
+def test_emitted_csvs_hold_only_finite_numbers(capsys, tmp_path, s):
+    # U' ~ r**(1-s) is unbounded at r = 0 for s > 1 (was a -inf row), so
+    # the profile starts at the first r > 0 there and reports its true size
+    prof, modes = tmp_path / "profile.csv", tmp_path / "modes.csv"
+    out = invoke_json(capsys, ["bubble", "--n", "7", "--s", s, "--delta",
+                               "0.1", "--emit-profile", str(prof)])["outputs"]
+    out.update(invoke_json(capsys, [
+        "chat", "--n", "7", "--s", s, "--curvature", "sphere:1", "--h0", "2",
+        "--grid", "500,200,4", "--emit-modes", str(modes)])["outputs"])
+    for path, rows_key in ((prof, "profile_rows"), (modes, "modes_rows")):
+        rows = list(csv.reader(path.read_text().splitlines()))[1:]
+        assert len(rows) == out[rows_key]
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+    assert out["profile_rows"] == (400 if float(s) > 1.0 else 401)
+
+
 # ---------------------------------------------------------------------- chat
 
 
@@ -470,6 +487,12 @@ def test_exit_2_ill_conditioned_fit(capsys):
     # OverflowError traceback)
     (["bubble", "--n", "7", "--s", "1", "--delta", "1e-300"],
      "the profiles at scale delta = 1e-300 overflow a float at n = 7"),
+    # an ell = 0 source beyond the float range (was a numpy RuntimeWarning,
+    # then "ell = 0 banded solve failed: array must not contain infs or NaNs")
+    (["chat", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--h0", "1e305", "--grid", "2000,200"],
+     "the ell = 0 source with a = 1e+305, mode0_extra = 2.0 and its "
+     "projection leave the float range"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -515,6 +538,17 @@ def test_exit_2_names_the_cause(capsys, argv, cause):
      "potential jet field 'lap_h' must be finite, got inf"),
     (["lg", "--n", "7", "--s", "1", "--curvature", "nan-curv.json"],
      "curvature invariant 'scal' must be a finite number, got nan"),
+    # sphere radii whose invariants leave the float range (were an
+    # OverflowError and a ZeroDivisionError traceback, and a message that
+    # named ric_norm2 but not the radius)
+    (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e200",
+      "--grid", "2000,200"],
+     "sphere radius 1e+200 puts the curvature invariants outside the float "
+     "range"),
+    (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e-200",
+      "--grid", "2000,200"], "sphere radius 1e-200 puts"),
+    (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e-80",
+      "--grid", "2000,200"], "sphere radius 1e-80 puts"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)

@@ -43,8 +43,11 @@ def test_wdecomposition_validation():
     WDecomposition(a=1.0, mode0_extra=0.0, t_free_norm2=0.0)
     with pytest.raises(DomainError):
         WDecomposition(a=1.0, mode0_extra=0.0, t_free_norm2=-1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match="WDecomposition field 'a' must be finite, got nan"):
         WDecomposition(a=np.nan, mode0_extra=0.0, t_free_norm2=1.0)
+    with pytest.raises(DomainError, match="'mode0_extra' must be finite, got inf"):
+        WDecomposition(a=1.0, mode0_extra=np.inf, t_free_norm2=1.0)
 
 
 def test_potential_closed_form_spot_values():
@@ -248,6 +251,120 @@ def test_nonlocal_term_assembles_each_mode_once(monkeypatch):
             assemble_mode(P71, ell, grid).d[0] = 0.0
     with pytest.raises(ValueError):
         z0_laplacian_load(P71, grid)[0] = 0.0
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.0), (16, 1.5), (30, 1.0), (30, 0.01)])
+@pytest.mark.parametrize("N", [500, 2000, 8000])
+def test_factored_solve_matches_solve_banded(n, s, N):
+    # the cached gttrf factors solve bit for bit like scipy's solve_banded
+    # (LAPACK gtsv) on the same equilibrated matrix, per column and for a
+    # two-column right-hand side
+    import scipy.linalg
+
+    p = HSParams(n, s)
+    grid = default_grid(p, N=N)
+    rng = np.random.default_rng(N)
+    for ell in (0, 2):
+        mats = assemble_mode(p, ell, grid)
+        f = linearized._factored(p, ell, grid)
+        ds = 1.0 / np.sqrt(np.maximum(np.abs(mats.d), np.finfo(float).tiny))
+        assert np.array_equal(f.ds, ds)
+        es = mats.e * ds[:-1] * ds[1:]
+        ab = np.array([np.append(0.0, es), mats.d * ds * ds, np.append(es, 0.0)])
+        rhs = rng.standard_normal((mats.d.size, 2))
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        assert np.array_equal(linearized._gttrs(f, ell, rhs), want)
+        for k in (0, 1):
+            got = linearized._gttrs(f, ell, rhs[:, k])
+            assert np.array_equal(got, want[:, k])
+            assert np.array_equal(
+                got, scipy.linalg.solve_banded((1, 1), ab, rhs[:, k]))
+        if ell == 0:
+            # the cached border column: the second column of the old
+            # two-column solve [D load, col]
+            both = scipy.linalg.solve_banded(
+                (1, 1), ab, np.column_stack([rhs[:, 0], f.col]))
+            assert np.array_equal(f.b, both[:, 1])
+
+
+def _count_lapack(monkeypatch):
+    import scipy.linalg.lapack
+
+    calls = {"dgttrf": 0, "dgttrs": 0}
+    for name in calls:
+        real = getattr(scipy.linalg.lapack, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    return calls
+
+
+def test_repeat_pairings_factor_once_and_solve_ell2_once(monkeypatch):
+    calls = _count_lapack(monkeypatch)
+    ell2 = []
+    real_solve = linearized.solve_mode
+    monkeypatch.setattr(linearized, "solve_mode", lambda p, ell, *a, **k: (
+        ell2.append(ell) if ell == 2 else None) or real_solve(p, ell, *a, **k))
+    grid = grid71(500)
+    linearized._factored.cache_clear()
+    rng = np.random.default_rng(3)
+    for i in range(4):
+        det = nonlocal_term(P71, WDecomposition(*rng.uniform(0.2, 2.0, 3)),
+                            grid, detail=True)
+        assert calls["dgttrf"] == 2  # one per mode, on the first call
+        assert len(ell2) == 1
+        # per call: the bordered solve and its refinement pass; the first
+        # call also solves the border column and the ell = 2 unit problem
+        assert calls["dgttrs"] == 2 * (i + 1) + 2
+        assert det["mode2"] is linearized._factored(P71, 2, grid).mode2
+
+
+def test_kernel_diagnostics_factors_nothing(monkeypatch):
+    calls = _count_lapack(monkeypatch)
+    linearized._factored.cache_clear()
+    grid = grid71(600)
+    kernel_diagnostics(P71, grid)
+    assemble_mode(P71, 0, grid)
+    assert calls == {"dgttrf": 0, "dgttrs": 0}
+    assert linearized._factored.cache_info().currsize == 0
+
+
+def test_alternating_grids_and_params_match_cleared_cache_runs():
+    # the memo never serves one (p, grid) the factors of another
+    cases = [(P71, grid71(500)), (HSParams(9, 0.5), grid71(500)),
+             (P71, grid71(700)), (HSParams(9, 0.5), grid71(700))]
+    w = WDecomposition(0.7, 0.31, 2.0)
+
+    def run(p, grid):
+        det = nonlocal_term(p, w, grid, detail=True)
+        return (det["total"], det["mode0_part"], det["mode2_part"],
+                det["multiplier"], det["mode0"].profile.values.tolist(),
+                det["mode2"].profile.values.tolist())
+
+    want = []
+    for case in cases:
+        assemble_mode.cache_clear()
+        linearized._factored.cache_clear()
+        want.append(run(*case))
+    for k in (0, 1, 2, 3, 1, 0, 3, 2, 2, 0):
+        assert run(*cases[k]) == want[k], k
+
+
+def test_factored_arrays_refuse_writes():
+    grid = grid71(500)
+    sols = hat_c(P71, WDecomposition(0.7, 0.31, 2.0), grid)
+    f0 = linearized._factored(P71, 0, grid)
+    f2 = linearized._factored(P71, 2, grid)
+    arrays = [f0.ds, *f0.lu, f0.col, f0.b, f0.u1, f0.rdru1, f0.dz,
+              f2.ds, *f2.lu, sols["mode2"].profile.values]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the per-source arrays stay the caller's
+    sols["mode0"].profile.values[0] = 0.0
 
 
 def test_cli_import_leaves_scipy_sparse_out():
