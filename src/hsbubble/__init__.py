@@ -12,7 +12,7 @@ from .linearized import (ModeSolution, WDecomposition, hat_c,
                          kernel_diagnostics, nonlocal_term)
 from .moments import (IdentityReport, bubble_moment, identity_report,
                       moment_quadrature)
-from .params import (ConstantSet, HSParams, derive_constants, sphere_area,
+from .params import (HSParams, derive_constants, sphere_area,
                      yamabe_consistency)
 from .quadrature import RadialIntegrand, integrate_radial
 from .reduction import (CriticalPoint, FamilyLadder, ReducedFunctional,
@@ -20,7 +20,7 @@ from .reduction import (CriticalPoint, FamilyLadder, ReducedFunctional,
                         predicted_delta, verdict)
 
 __all__ = [
-    "HSParams", "ConstantSet", "derive_constants", "yamabe_consistency",
+    "HSParams", "derive_constants", "yamabe_consistency",
     "sphere_area",
     "DomainError", "NumericalError",
     "RadialIntegrand", "integrate_radial",

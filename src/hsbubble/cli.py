@@ -38,7 +38,7 @@ from .geometry import (CURVATURE_SCHEMA_KEYS, LgBreakdown, PotentialJet,
                        lg_total, potential_file)
 from .linearized import kernel_diagnostics, nonlocal_term
 from .moments import identity_report
-from .params import HSParams, derive_constants
+from .params import HSParams
 from .reduction import (ReducedFunctional, critical_t, family_theorem2,
                         predicted_delta, verdict)
 
@@ -198,9 +198,9 @@ def _csv(header, rows, path: Optional[str] = None) -> str:
 
 
 def _cmd_constants(inp):
-    c = derive_constants(inp.p)
-    outputs = {"crit_exp": c.crit_exp, "kappa": c.kappa, "c_ns": c.c_ns,
-               "lambda_ns": c.lambda_ns, "kappa_pow": c.kappa_pow}
+    p = inp.p
+    outputs = {"crit_exp": p.crit_exp, "kappa": p.kappa, "c_ns": p.c_ns,
+               "lambda_ns": p.lambda_ns, "kappa_pow": p.kappa_pow}
     return inp.echo(), outputs
 
 
@@ -221,11 +221,10 @@ def _cmd_integrals(inp):
 
 def _cmd_bubble(inp):
     a = inp.args
-    c = derive_constants(inp.p)
     outputs = {
-        "kappa": c.kappa,
+        "kappa": inp.p.kappa,
         "center_value": float(eval_profiles(inp.p, a.delta, 0.0)["U_delta"]),
-        "center_identity": c.kappa * a.delta ** (-(a.n - 2.0) / 2.0),
+        "center_identity": inp.p.kappa * a.delta ** (-(a.n - 2.0) / 2.0),
     }
     if a.points < 1:
         raise DomainError(f"--points must be >= 1, got {a.points}")

@@ -50,7 +50,7 @@ from .bubble import du1, u1
 from .errors import DomainError, NumericalError
 from .geometry import CurvatureData, PotentialJet, density_coeffs
 from .moments import bubble_moment, ipq
-from .params import HSParams, derive_constants, sphere_area
+from .params import HSParams, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
 __all__ = [
@@ -87,7 +87,11 @@ class RadialModel:
         c2, c4 = dc["c2"], dc["c4"]
         # positivity of g(x) = 1 + c2 x + c4 x^2 on x in [0, X], X = (2 r0)^2:
         # endpoints plus the interior critical point x* = -c2/(2 c4)
-        X = (2.0 * self.r0) ** 2
+        try:
+            X = (2.0 * self.r0) ** 2
+        except OverflowError:
+            raise DomainError(f"r0 = {self.r0!r} is too large: (2 r0)**2 "
+                              "overflows a float") from None
         lo = min(1.0, 1.0 + c2 * X + c4 * X * X)
         if c4 != 0.0:
             xstar = -c2 / (2.0 * c4)
@@ -163,8 +167,7 @@ def j_at_bubble(model: RadialModel, p: HSParams, delta: float,
     predicted_coeffs.
     """
     _check_regime(model, p, delta)
-    consts = derive_constants(p)
-    n, s, two_star = p.n, p.s, consts.crit_exp
+    n, s, two_star = p.n, p.s, p.crit_exp
     h0, lap_h = model.jet.h0_val, model.jet.lap_h
     omega = sphere_area(n)
     rho_max = model.r0 / delta
@@ -200,15 +203,14 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     """
     if p.n < 7:
         raise DomainError("the expansion machinery needs n >= 7")
-    consts = derive_constants(p)
-    n, two_star = p.n, consts.crit_exp
+    n, two_star = p.n, p.crit_exp
     dc = density_coeffs(model.c)
     F = dc["c4"]
     h0, lap_h = model.jet.h0_val, model.jet.lap_h
     scal = model.c.scal
 
     c0 = (2.0 - p.s) / (2.0 * (n - p.s)) * bubble_moment(p, "crit")
-    c2 = 0.5 * (h0 - consts.c_ns * scal) * bubble_moment(p, "mass2")
+    c2 = 0.5 * (h0 - p.c_ns * scal) * bubble_moment(p, "mass2")
     c4 = (F * (0.5 * bubble_moment(p, "r4grad")
                - bubble_moment(p, "r4crit") / two_star)
           - (lap_h + scal * h0 / 3.0) * bubble_moment(p, "r2mass")
@@ -281,13 +283,12 @@ def fit_expansion(model: RadialModel, p: HSParams,
     cov_s_diag = np.einsum("ij,j,ij->i", Vt.T, sv**-2.0, Vt.T) * sigma2
     se = np.sqrt(np.maximum(cov_s_diag, 0.0)) / scales
 
-    consts = derive_constants(p)
     generic2 = 0.5 * max(abs(model.jet.h0_val),
-                         abs(consts.c_ns * model.c.scal),
+                         abs(p.c_ns * model.c.scal),
                          1.0) * bubble_moment(p, "mass2")
     generic4 = (abs(density_coeffs(model.c)["c4"])
                 * (0.5 * bubble_moment(p, "r4grad")
-                   + bubble_moment(p, "r4crit") / consts.crit_exp)
+                   + bubble_moment(p, "r4crit") / p.crit_exp)
                 + (abs(model.jet.lap_h)
                    + abs(model.c.scal * model.jet.h0_val) / 3.0)
                 * bubble_moment(p, "r2mass") / (4.0 * p.n))
@@ -386,35 +387,58 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     if h0_val == 0.0 and scal_amp == 0.0 and mu == 0.0:
         return 0.0
     omega_inner = sphere_area(n - 1)
-    pref = delta ** (-(n - 2.0) / 2.0)
+    overflow = (f"the remainder density with h0 = {h0_val!r} at delta = "
+                f"{delta!r} leaves the float range")
+    try:
+        pref = delta ** (-(n - 2.0) / 2.0)
+    except OverflowError:
+        raise NumericalError(overflow) from None
+
+    def checked(x, r=1.0):
+        # the quadrature weighs the density by r**(n-1) and drops a
+        # non-finite value as 0, so an overflow of the density, or of its
+        # product with a finite weight, would shrink the norm silently
+        # (callers silence numpy's warnings).  Both are nonnegative, so one
+        # product of maxima clears the common case; where the weight itself
+        # overflows (r near the end of the semi-infinite map) the density
+        # has underflowed and nothing in the integral overflows
+        if np.isfinite(np.asarray(x).max() * np.asarray(r).max() ** (n - 1.0)):
+            return x
+        w = np.power(r, n - 1.0)
+        if not np.all((np.isfinite(x) & (np.isfinite(x * w) | np.isinf(w)))
+                      | np.isinf(r)):
+            raise NumericalError(overflow)
+        return x
 
     if mu == 0.0:
         def radial_f(r):
             rho = r / delta
-            val = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
-            return np.abs(val) ** q
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
+                return checked(np.abs(val) ** q, r)
         total = integrate_radial(
             RadialIntegrand(f=radial_f, a=n - 1.0, R=None),
             tol=tol)["value"] * sphere_area(n)
-        return float(total ** (1.0 / q))
+        return float(checked(total) ** (1.0 / q))
 
     ang_w, ang_wt = _angular_rule(JACOBI_POINTS, n)
 
     def radial_f(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         rho = r / delta
-        A = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
-        B = pref * mu * rho * du1(p, rho)
-        out = np.empty_like(A)
-        for k in range(0, A.size, _RADIAL_BLOCK):
-            blk = slice(k, k + _RADIAL_BLOCK)
-            vals = np.abs(A[blk, None] + B[blk, None] * ang_w[None, :]) ** q
-            out[blk] = vals @ ang_wt
-        return omega_inner * out
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
+            B = pref * mu * rho * du1(p, rho)
+            out = np.empty_like(A)
+            for k in range(0, A.size, _RADIAL_BLOCK):
+                blk = slice(k, k + _RADIAL_BLOCK)
+                vals = np.abs(A[blk, None] + B[blk, None] * ang_w[None, :]) ** q
+                out[blk] = vals @ ang_wt
+            return checked(omega_inner * out, r)
 
     total = integrate_radial(
         RadialIntegrand(f=radial_f, a=n - 1.0, R=None), tol=tol)["value"]
-    return float(total ** (1.0 / q))
+    return float(checked(total) ** (1.0 / q))
 
 
 def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float, *,
@@ -439,9 +463,8 @@ def flat_alpha_inv_closed_form(p: HSParams, h0_val: float) -> float:
     with beta = (n-2)/(2-s), evaluated through the moment kernel.
     """
     n, s = p.n, p.s
-    consts = derive_constants(p)
     q = 2.0 * n / (n + 2.0)
     beta_q = (n - 2.0) / (2.0 - s) * q
     m = n / (2.0 - s)
-    val = sphere_area(n) * consts.kappa**q * ipq(beta_q, m - 1.0) / (2.0 - s)
+    val = sphere_area(n) * p.kappa**q * ipq(beta_q, m - 1.0) / (2.0 - s)
     return abs(h0_val) * float(val ** (1.0 / q))

@@ -45,7 +45,7 @@ from .errors import DomainError
 from .linearized import WDecomposition
 from .linearized import nonlocal_term as _nonlocal_term
 from .moments import bubble_moment
-from .params import HSParams, derive_constants
+from .params import HSParams
 
 __all__ = [
     "CurvatureData",
@@ -245,9 +245,8 @@ def kns(c: CurvatureData, p: HSParams) -> float:
     """The curvature combination entering the obstruction functional."""
     if p.n != c.n:
         raise DomainError(f"dimension mismatch: data n={c.n}, params n={p.n}")
-    lam = derive_constants(p).lambda_ns
     s = p.s
-    return (lam / 18.0) * (
+    return (p.lambda_ns / 18.0) * (
         8.0 * c.ric_norm2 - 3.0 * c.rm_norm2
         - (5.0 * (2.0 - s) / (10.0 - s)) * c.scal**2
     )
@@ -284,11 +283,10 @@ def lg_total(c: CurvatureData, jet: PotentialJet, p: HSParams,
         raise DomainError("the obstruction functional needs n >= 7")
     if not (0.0 < p.s < 2.0):
         raise DomainError("the obstruction functional needs s in (0, 2)")
-    consts = derive_constants(p)
     r4grad = bubble_moment(p, "r4grad")
-    local = -(jet.lap_h - consts.lambda_ns * c.lap_scal - kns(c, p)) \
+    local = -(jet.lap_h - p.lambda_ns * c.lap_scal - kns(c, p)) \
         * r4grad / (4.0 * p.n)
-    w = assemble_w(c, p, consts.c_ns * c.scal)
+    w = assemble_w(c, p, p.c_ns * c.scal)
     nonlocal_part = -0.5 * _nonlocal_term(p, w, grid)
     return LgBreakdown(local_term=local, nonlocal_term=nonlocal_part,
                        total=local + nonlocal_part)

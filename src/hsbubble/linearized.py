@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .bubble import RadialGrid, RadialProfile, rdru1, u1, z0
 from .errors import DomainError, NumericalError
-from .params import HSParams
+from .params import HSParams, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
 __all__ = [
@@ -136,8 +135,7 @@ class ModeSolution:
     relative size of the compatibility inner product of the load with Z0
     (checked against the solver tolerance before solving), and
     gradient_orthogonality the achieved relative value of the constraint
-    row z0^T S u.  multiplier is the projection coefficient mu used to
-    build the right-hand side when the solve came from hat_c, else None.
+    row z0^T S u.
     """
 
     ell: int
@@ -147,7 +145,6 @@ class ModeSolution:
     lagrange: Optional[float] = None
     solvability: float = 0.0
     gradient_orthogonality: Optional[float] = None
-    multiplier: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -162,10 +159,18 @@ class ModeMatrices:
     mass: lumped (exact) cell masses integral of r**(n-1) over the cell;
     z0, g: ell = 0 only (None for ell = 2), Z0 sampled on the nodes and the
     projection direction g = S z0 (see z0_laplacian_load).  One per mode
-    and grid (assemble_mode); the first solve caches the factors, border and
-    node samples that every later solve on the grid reuses (_factored).
+    and grid (assemble_mode) and the one home of what no load changes,
+    built on first use, so assemble_mode and kernel_diagnostics never
+    factor: ds, D = diag(ds) = |diag K|**(-1/2); lu, the gttrf factors of
+    D K D (_solve_mode0_bordered says why); for ell = 0 the Keller border
+    (col = D g / gscale, gscale = |D g|, b = (D K D)^-1 col, schur = col^T b)
+    and the node samples U1, r U1', Delta Z0; for ell = 2 unit2, the
+    solution of L_2 c2 = -phi, phi = r U1' / 3, and its pairing with phi;
+    the defect's stencil.  Every array is read-only.
     """
 
+    p: HSParams
+    grid: RadialGrid
     ell: int
     r: np.ndarray
     d: np.ndarray
@@ -174,6 +179,77 @@ class ModeMatrices:
     sd: np.ndarray
     z0: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
+
+    @functools.cached_property
+    def ds(self) -> np.ndarray:
+        return _frozen(
+            1.0 / np.sqrt(np.maximum(np.abs(self.d), np.finfo(float).tiny)))[0]
+
+    @functools.cached_property
+    def lu(self) -> tuple:
+        from scipy.linalg import lapack
+
+        ds = self.ds
+        es, dd = self.e * ds[:-1] * ds[1:], self.d * ds * ds
+        _finite_or_fail(self.ell, np.concatenate((es, dd)))
+        *lu, info = lapack.dgttrf(es, dd, es)
+        if info > 0:
+            raise NumericalError(
+                f"ell = {self.ell} banded solve failed: singular matrix")
+        return _frozen(*lu)
+
+    @functools.cached_property
+    def border(self) -> tuple:
+        gs = self.g * self.ds
+        gscale = float(np.linalg.norm(gs))
+        if gscale == 0.0 or not np.isfinite(gscale):
+            raise NumericalError("degenerate projection direction in ell = 0 solve")
+        col = gs / gscale
+        b = _gttrs(self, col)
+        schur = float(col @ b)
+        if schur == 0.0:
+            raise NumericalError("bordered ell = 0 system is singular")
+        return _frozen(col, gscale, b, schur)
+
+    @functools.cached_property
+    def samples(self) -> tuple:
+        p, r = self.p, self.r
+        u = u1(p, r)
+        # pointwise Delta Z0 = (2*-1) U1**(2*-2) r**(-s) Z0 for the defect;
+        # integrably singular at r = 0, a node the defect skips
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dz = (p.crit_exp - 1.0) * u ** (p.crit_exp - 2.0) \
+                * r ** (-p.s) * self.z0
+        dz[0] = 0.0
+        return _frozen(u, rdru1(p, r), dz)
+
+    @functools.cached_property
+    def unit2(self) -> tuple:
+        p = self.p
+        sol = solve_mode(p, 2, RadialProfile.from_callable(
+            lambda rr: -rdru1(p, rr) / 3.0), self.grid)
+        c2 = _frozen(sol.profile.values)[0]
+        return sol, float(np.sum(self.mass * (rdru1(p, self.r) / 3.0) * c2[1:]))
+
+    @functools.cached_property
+    def stencil(self) -> tuple:
+        r, n, ell = self.r, self.p.n, self.ell
+        # active arrays may or may not include r = 0; FD only on strict interior
+        i0 = 1 if r[0] == 0.0 else 0
+        ri = r[i0 + 1:-1]
+        hm, hp = r[i0 + 1:-1] - r[i0:-2], r[i0 + 2:] - r[i0 + 1:-1]
+        cent = float(ell * (ell + n - 2)) / ri**2 if ell else None
+        return _frozen(i0, hm, hp, hm / (hp * (hp + hm)), (hp - hm) / (hp * hm),
+                       hp / (hm * (hp + hm)), (n - 1.0) / ri,
+                       potential_values(self.p, ri), cent)
+
+
+def _frozen(*values) -> tuple:
+    """values, with every array among them made read-only."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -217,10 +293,10 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
 
     The one place a mode operator is built.  Memoized on (p, ell, grid):
     the two entries hold both modes of the latest grid, so every solve and
-    diagnostic on that grid shares one assembly, and the arrays are
-    read-only.  A strong grading can put the first edges so close to 0 that
-    edge**n underflows; every solve and spectral diagnostic divides by the
-    cell masses, so a zero mass is refused here.
+    diagnostic on that grid shares one assembly and what it builds on first
+    use (ModeMatrices).  A strong grading can put the first edges so close
+    to 0 that edge**n underflows; every solve and spectral diagnostic
+    divides by the cell masses, so a zero mass is refused here.
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
@@ -252,16 +328,15 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
         # centrifugal term uses the exact cell integrals of r**(n-3).
         cent_cell = np.diff(edges[1:] ** (n - 2)) / (n - 2)
         cent = float(ell * (ell + n - 2)) * cent_cell
-        mats = ModeMatrices(ell=2, r=r[1:], d=sd[1:] + cent - pot, e=e[1:],
-                            mass=mass[1:], sd=sd[1:])
+        mats = ModeMatrices(p=p, grid=grid, ell=2, r=r[1:],
+                            d=sd[1:] + cent - pot, e=e[1:], mass=mass[1:],
+                            sd=sd[1:])
     else:
         pot = np.concatenate([[_first_cell_potential_mass(p, edges[1])], pot])
         zs = z0(p, r)
-        mats = ModeMatrices(ell=0, r=r, d=sd - pot, e=e, mass=mass, sd=sd,
-                            z0=zs, g=_apply_tridiag(sd, e, zs))
-    for arr in vars(mats).values():
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
+        mats = ModeMatrices(p=p, grid=grid, ell=0, r=r, d=sd - pot, e=e,
+                            mass=mass, sd=sd, z0=zs, g=_apply_tridiag(sd, e, zs))
+    _frozen(*vars(mats).values())
     return mats
 
 
@@ -288,8 +363,7 @@ def z0_laplacian_load(p: HSParams, grid: RadialGrid) -> np.ndarray:
 # defect measurement
 
 
-def _fd_defect(p: HSParams, ell: int, r: np.ndarray, u: np.ndarray,
-               f: np.ndarray, mass: np.ndarray) -> float:
+def _fd_defect(mats: ModeMatrices, u: np.ndarray, f: np.ndarray) -> float:
     """Mass-weighted RMS residual of an independent 3-point FD operator.
 
     The stencil is the standard nonuniform second-order one (second order on
@@ -298,22 +372,15 @@ def _fd_defect(p: HSParams, ell: int, r: np.ndarray, u: np.ndarray,
     deliberately NOT the scheme used to solve, so it measures consistency of
     the returned profile, not how well the linear algebra was done.
     """
-    # active arrays may or may not include r = 0; FD only on strict interior
-    i0 = 1 if r[0] == 0.0 else 0
-    ri = r[i0 + 1:-1]
-    hm = r[i0 + 1:-1] - r[i0:-2]
-    hp = r[i0 + 2:] - r[i0 + 1:-1]
+    i0, hm, hp, wp, wc, wm, a1, pot, cent = mats.stencil
     um, uc, up = u[i0:-2], u[i0 + 1:-1], u[i0 + 2:]
     d2 = 2.0 * ((up - uc) / hp - (uc - um) / hm) / (hp + hm)
-    d1 = (hm / (hp * (hp + hm))) * up \
-        + ((hp - hm) / (hp * hm)) * uc \
-        - (hp / (hm * (hp + hm))) * um
-    n = p.n
-    lhs = -d2 - (n - 1.0) / ri * d1 - potential_values(p, ri) * uc
-    if ell:
-        lhs = lhs + float(ell * (ell + n - 2)) / ri**2 * uc
+    d1 = wp * up + wc * uc - wm * um
+    lhs = -d2 - a1 * d1 - pot * uc
+    if cent is not None:
+        lhs = lhs + cent * uc
     res = lhs - f[i0 + 1:-1]
-    w = mass[i0 + 1:-1]
+    w = mats.mass[i0 + 1:-1]
     num = float(np.sqrt(np.sum(w * res**2)))
     den = float(np.sqrt(np.sum(w * f[i0 + 1:-1] ** 2)))
     if den == 0.0:
@@ -325,54 +392,6 @@ def _fd_defect(p: HSParams, ell: int, r: np.ndarray, u: np.ndarray,
 # solvers
 
 
-@functools.lru_cache(maxsize=2)
-def _factored(p: HSParams, ell: int, grid: RadialGrid) -> SimpleNamespace:
-    """What every solve of one mode on one grid shares: no load changes it.
-
-    Memoized like assemble_mode (both modes of the latest grid) but built by
-    the first solve, so assemble_mode and kernel_diagnostics never factor.
-    ds: D = diag(ds) = |diag K|**(-1/2); lu: the LAPACK gttrf factors of
-    D K D (_solve_mode0_bordered says why both modes are solved through it),
-    so each solve is one gttrs.  ell = 0 adds the Keller border (col,
-    gscale, b = (D K D)^-1 col, schur = col^T b) and the node samples u1,
-    rdru1 and dz (Delta Z0) that hat_c needs; hat_c adds the ell = 2 unit
-    solution mode2 and its pairing pair2.  Arrays are read-only.
-    """
-    from scipy.linalg import lapack
-
-    mats = assemble_mode(p, ell, grid)
-    ds = 1.0 / np.sqrt(np.maximum(np.abs(mats.d), np.finfo(float).tiny))
-    f = SimpleNamespace(ds=ds)
-    if ell == 0:
-        gs = mats.g * ds
-        f.gscale = float(np.linalg.norm(gs))
-        if f.gscale == 0.0 or not np.isfinite(f.gscale):
-            raise NumericalError("degenerate projection direction in ell = 0 solve")
-    es, dd = mats.e * ds[:-1] * ds[1:], mats.d * ds * ds
-    _finite_or_fail(ell, np.concatenate((es, dd)))
-    *f.lu, info = lapack.dgttrf(es, dd, es)
-    if info > 0:
-        raise NumericalError(f"ell = {ell} banded solve failed: singular matrix")
-    if ell == 0:
-        f.col = gs / f.gscale
-        f.b = _gttrs(f, 0, f.col)
-        f.schur = float(f.col @ f.b)
-        if f.schur == 0.0:
-            raise NumericalError("bordered ell = 0 system is singular")
-        r = mats.r
-        f.u1, f.rdru1 = u1(p, r), rdru1(p, r)
-        # pointwise Delta Z0 = (2*-1) U1**(2*-2) r**(-s) Z0 for the defect;
-        # integrably singular at r = 0, a node the defect skips
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f.dz = (p.crit_exp - 1.0) * f.u1 ** (p.crit_exp - 2.0) \
-                * r ** (-p.s) * mats.z0
-        f.dz[0] = 0.0
-    for arr in [*vars(f).values(), *f.lu]:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return f
-
-
 def _finite_or_fail(ell: int, x: np.ndarray) -> np.ndarray:
     try:
         return np.asarray_chkfinite(x)
@@ -380,14 +399,14 @@ def _finite_or_fail(ell: int, x: np.ndarray) -> np.ndarray:
         raise NumericalError(f"ell = {ell} banded solve failed: {exc}") from exc
 
 
-def _gttrs(f: SimpleNamespace, ell: int, rhs: np.ndarray) -> np.ndarray:
-    """(D K D)^-1 rhs from the cached factors: one LAPACK gttrs."""
+def _gttrs(mats: ModeMatrices, rhs: np.ndarray) -> np.ndarray:
+    """(D K D)^-1 rhs from the kept factors: one LAPACK gttrs."""
     from scipy.linalg import lapack
 
-    return lapack.dgttrs(*f.lu, _finite_or_fail(ell, rhs))[0]
+    return lapack.dgttrs(*mats.lu, _finite_or_fail(mats.ell, rhs))[0]
 
 
-def _solve_mode0_bordered(mats: ModeMatrices, f: SimpleNamespace,
+def _solve_mode0_bordered(mats: ModeMatrices,
                           load: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve [[K, g], [g^T, 0]] [u, lam] = [load, 0] by block elimination.
 
@@ -405,17 +424,19 @@ def _solve_mode0_bordered(mats: ModeMatrices, f: SimpleNamespace,
 
     Elimination (Keller's bordering method): K_s [a, b] = [D load,
     D g / gscale], then the border row fixes the multiplier.  Only a depends
-    on the load; the factors of K_s, b and the Schur scalar are cached per
-    grid (_factored), so a solve is one gttrs.  K_s is nearly singular, so
+    on the load; the factors of K_s, b and the Schur scalar are kept on the
+    grid's ModeMatrices, so a solve is one gttrs.  K_s is nearly singular, so
     a and b carry large near-kernel components that cancel only to roundoff
     relative to their size; one refinement pass (one more gttrs) on the
     residual of the full bordered system brings the result to machine level
     (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993).
     """
+    (col, gscale, b, schur), ds = mats.border, mats.ds
+
     def solve_scaled(rhs_u: np.ndarray, rhs_c: float):
-        a = _gttrs(f, 0, rhs_u * f.ds)
-        mu = (float(f.col @ a) - rhs_c / f.gscale) / f.schur
-        return (a - mu * f.b) * f.ds, mu / f.gscale
+        a = _gttrs(mats, rhs_u * ds)
+        mu = (float(col @ a) - rhs_c / gscale) / schur
+        return (a - mu * b) * ds, mu / gscale
 
     u, lam = solve_scaled(load, 0.0)
     # one refinement pass in the original (unscaled) variables
@@ -434,14 +455,13 @@ def _norm_m(mass: np.ndarray, x: np.ndarray) -> float:
 
 def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
                rhs_load: Optional[np.ndarray] = None,
-               rhs_values: Optional[np.ndarray] = None,
-               multiplier: Optional[float] = None) -> ModeSolution:
+               rhs_values: Optional[np.ndarray] = None) -> ModeSolution:
     """Solve one radial mode problem L_ell u = rhs on the grid.
 
-    rhs may be a callable of r or a RadialProfile built from one, in which
-    case its samples are turned into a consistent load M rhs; alternatively a precomputed load vector over
-    the active nodes can be passed as rhs_load (pass rhs=None then), which
-    is how the exactly projected right-hand sides are represented.
+    rhs is a RadialProfile; its samples become a consistent load M rhs.
+    Alternatively a precomputed load vector over the active nodes can be
+    passed as rhs_load (pass rhs=None then), which is how the exactly
+    projected right-hand sides are represented.
     rhs_values optionally supplies pointwise right-hand side samples on the
     active nodes for the defect measurement when a load was given.
 
@@ -450,35 +470,27 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
     then performed in bordered form, enforcing gradient-orthogonality to Z0.
     """
     mats = assemble_mode(p, ell, grid)
-    r = mats.r
-
     if rhs_load is not None:
         load = np.asarray(rhs_load, dtype=float)
-        if load.shape != r.shape:
+        if load.shape != mats.r.shape:
             raise DomainError("rhs_load does not match the active grid nodes")
         fvals = rhs_values if rhs_values is not None else load / mats.mass
     else:
         if rhs is None:
             raise DomainError("either rhs or rhs_load must be given")
-        prof = rhs if isinstance(rhs, RadialProfile) \
-            else RadialProfile.from_callable(rhs)
-        full = np.asarray(prof.on(grid), dtype=float)
+        full = np.asarray(rhs.on(grid), dtype=float)
         fvals = full[1:] if ell == 2 else full
         if not np.all(np.isfinite(fvals)):
             raise DomainError("rhs evaluates to non-finite values on the grid")
         load = mats.mass * fvals
 
-    lagrange = None
-    solvability = 0.0
-    grad_ortho = None
-    mu = multiplier
+    lagrange, solvability, grad_ortho = None, 0.0, None
 
     if ell == 0:
         z, g = mats.z0, mats.g
         ip = float(z @ load)
         scale = _norm_m(mats.mass, z) * float(
-            np.sqrt(np.sum(load**2 / mats.mass))
-        )
+            np.sqrt(np.sum(load**2 / mats.mass)))
         solvability = abs(ip) / scale if scale > 0.0 else 0.0
         if solvability > SOLVABILITY_TOL:
             raise DomainError(
@@ -486,32 +498,27 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
                 f"direction Z0: relative compatibility {solvability:.3e} "
                 f"exceeds {SOLVABILITY_TOL:.1e}"
             )
-        u, lagrange = _solve_mode0_bordered(mats, _factored(p, 0, grid), load)
+        u, lagrange = _solve_mode0_bordered(mats, load)
         gn = float(np.sqrt(z @ g))  # sqrt(z0^T S z0) > 0
         un = float(np.sqrt(abs(u @ _apply_tridiag(mats.sd, mats.e, u))))
         den = gn * un
         grad_ortho = abs(float(g @ u)) / den if den > 0.0 else 0.0
         resid = _apply_tridiag(mats.d, mats.e, u) + lagrange * g - load
     else:
-        f = _factored(p, 2, grid)
-        u = f.ds * _gttrs(f, 2, load * f.ds)
+        u = mats.ds * _gttrs(mats, load * mats.ds)
         resid = _apply_tridiag(mats.d, mats.e, u) - load
 
     rnorm = float(np.linalg.norm(resid))
     lnorm = float(np.linalg.norm(load))
     algebraic = rnorm / lnorm if lnorm > 0.0 else rnorm
 
-    defect = _fd_defect(p, ell, r, u, np.asarray(fvals, dtype=float), mats.mass)
+    defect = _fd_defect(mats, u, np.asarray(fvals, dtype=float))
 
-    if ell == 2:
-        vals = np.concatenate([[0.0], u])  # Dirichlet value at r = 0
-    else:
-        vals = u
-    profile = RadialProfile.from_samples(grid, vals)
-    return ModeSolution(ell=ell, profile=profile, defect=defect,
-                        algebraic_residual=algebraic, lagrange=lagrange,
-                        solvability=solvability,
-                        gradient_orthogonality=grad_ortho, multiplier=mu)
+    vals = np.concatenate([[0.0], u]) if ell == 2 else u  # Dirichlet at r = 0
+    return ModeSolution(ell=ell, profile=RadialProfile.from_samples(grid, vals),
+                        defect=defect, algebraic_residual=algebraic,
+                        lagrange=lagrange, solvability=solvability,
+                        gradient_orthogonality=grad_ortho)
 
 
 # --------------------------------------------------------------------------
@@ -526,29 +533,25 @@ def hat_c(p: HSParams, w: WDecomposition, grid: RadialGrid) -> dict:
     build the load (so the solvability condition holds identically);
     mode2 solves  L_2 u = -(1/3) r U1'  per unit trace-free amplitude (the
     tensor contraction is applied later, in nonlocal_term), once per grid.
-    w0 is the ell = 0 source a U1 + mode0_extra r U1' on the nodes and
-    pair2 the ell = 2 pairing integral of nonlocal_term.
+    multiplier is mu, w0 the ell = 0 source a U1 + mode0_extra r U1' on the
+    nodes and pair2 the ell = 2 pairing integral of nonlocal_term.
     """
-    m0, f0 = assemble_mode(p, 0, grid), _factored(p, 0, grid)
+    m0 = assemble_mode(p, 0, grid)
+    m0.border  # a bad grid is reported before a bad source
+    u1s, rdru1s, dz = m0.samples
     with np.errstate(all="ignore"):
-        w0 = w.a * f0.u1 + w.mode0_extra * f0.rdru1
+        w0 = w.a * u1s + w.mode0_extra * rdru1s
         load_w = m0.mass * w0
         mu = float(m0.z0 @ load_w) / float(m0.z0 @ m0.g)
-        load, fvals = -load_w + mu * m0.g, -w0 + mu * f0.dz
+        load, fvals = -load_w + mu * m0.g, -w0 + mu * dz
     if not (np.all(np.isfinite(load)) and np.all(np.isfinite(fvals))):
         raise NumericalError(
             f"the ell = 0 source with a = {w.a!r}, mode0_extra = "
             f"{w.mode0_extra!r} and its projection leave the float range")
-    mode0 = solve_mode(p, 0, None, grid, rhs_load=load, rhs_values=fvals,
-                       multiplier=mu)
-    f2 = _factored(p, 2, grid)
-    if not hasattr(f2, "mode2"):
-        f2.mode2 = solve_mode(p, 2, RadialProfile.from_callable(
-            lambda rr: -rdru1(p, rr) / 3.0), grid)
-        c2, m2 = f2.mode2.profile.values, assemble_mode(p, 2, grid)
-        c2.flags.writeable = False
-        f2.pair2 = float(np.sum(m2.mass * (rdru1(p, m2.r) / 3.0) * c2[1:]))
-    return {"mode0": mode0, "mode2": f2.mode2, "w0": w0, "pair2": f2.pair2}
+    mode0 = solve_mode(p, 0, None, grid, rhs_load=load, rhs_values=fvals)
+    mode2, pair2 = assemble_mode(p, 2, grid).unit2
+    return {"mode0": mode0, "mode2": mode2, "multiplier": mu, "w0": w0,
+            "pair2": pair2}
 
 
 def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
@@ -567,12 +570,10 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
     2 omega_{n-1} |T|**2 / (n (n+2)).
 
     Only the ell = 0 solve depends on W: both modes' factors, the Keller
-    border, the node samples and the ell = 2 pairing are cached per grid
-    (_factored), so a repeat pairing on one grid costs two triangular
+    border, the node samples and the ell = 2 pairing are kept on the grid's
+    ModeMatrices, so a repeat pairing on one grid costs two triangular
     solves (gttrs), the bordered solve and its refinement pass.
     """
-    from .params import sphere_area
-
     sols = hat_c(p, w, grid)
     omega = sphere_area(p.n)
     mass = assemble_mode(p, 0, grid).mass
@@ -583,7 +584,7 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
     total = part0 + part2
     if detail:
         return {"total": total, "mode0_part": part0, "mode2_part": part2,
-                "multiplier": sols["mode0"].multiplier,
+                "multiplier": sols["multiplier"],
                 "mode0": sols["mode0"], "mode2": sols["mode2"]}
     return total
 

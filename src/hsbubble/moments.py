@@ -35,7 +35,7 @@ import numpy as np
 
 from . import bubble
 from .errors import DomainError, NumericalError
-from .params import HSParams, derive_constants, sphere_area
+from .params import HSParams, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
 MOMENT_KINDS = (
@@ -64,7 +64,6 @@ def ipq(p: float, q: float) -> float:
 def _reduction(p: HSParams, kind: str):
     """(prefactor, [(coef, P, q), ...]) for one moment tag."""
     n, s = p.n, float(p.s)
-    c = derive_constants(p)
     omega = sphere_area(n)
     g = 2.0 - s
     m = (n - s) / g           # tail exponent of (1+t) in U1'
@@ -75,11 +74,11 @@ def _reduction(p: HSParams, kind: str):
 
     def kappa_pow(e, name):
         try:
-            return c.kappa**e
+            return p.kappa**e
         except OverflowError:
             raise NumericalError(
                 f"the moment prefactor kappa**{name} overflows a float at "
-                f"n = {n}, s = {s} (kappa = {c.kappa:.6g})") from None
+                f"n = {n}, s = {s} (kappa = {p.kappa:.6g})") from None
 
     if kind == "mass2":
         return omega * kappa_pow(2, "2") / g, [(1.0, two_beta, q_of(n - 1))]
@@ -174,14 +173,13 @@ class IdentityReport:
 # closed-form predictions for the six ratio identities
 def _ratio_predictions(p: HSParams) -> dict:
     n, s = p.n, float(p.s)
-    c = derive_constants(p)
     d = 2.0 * (2.0 * n - 2.0 - s)
     return {
         "r2grad_over_mass2": n * (n - 2) * (n + 2 - s) / d,
-        "r2crit_over_mass2": c.kappa_pow * n * (n - 4) / ((n - 2) * d),
+        "r2crit_over_mass2": p.kappa_pow * n * (n - 4) / ((n - 2) * d),
         "r4grad_over_r2mass": (n - 2) * (n + 2) * (n + 4 - s) / d,
         "r4crit_over_r2mass": (n - s) * (n - 6) * (n + 2) / d,
-        "fraction0": 6.0 * n * c.c_ns,
+        "fraction0": 6.0 * n * p.c_ns,
         "r4combined": (n + 2) * (n - 2) * (10.0 - s) / d,
     }
 

@@ -60,31 +60,28 @@ class HSParams:
                 f"kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows "
                 f"a float at n = {n}, s = {s}") from None
 
+    @property
+    def kappa_pow(self) -> float:
+        """kappa**(2*(s) - 2) as (n - s)(n - 2): exact where kappa rounds."""
+        return float((self.n - self.s) * (self.n - 2))
 
-@dataclass(frozen=True)
-class ConstantSet:
-    crit_exp: float
-    kappa: float
-    c_ns: float
-    lambda_ns: float
-    kappa_pow: float  # kappa ** (crit_exp - 2), via the simplified identity
+    @property
+    def c_ns(self) -> float:
+        """c_ns = (n - 2)(6 - s) / (12(2n - 2 - s))."""
+        n, s = self.n, self.s
+        return (n - 2) * (6.0 - s) / (12.0 * (2.0 * n - 2.0 - s))
+
+    @property
+    def lambda_ns(self) -> float:
+        """lambda_ns = (n - 2)(10 - s) / (20(2n - 2 - s))."""
+        n, s = self.n, self.s
+        return (n - 2) * (10.0 - s) / (20.0 * (2.0 * n - 2.0 - s))
 
 
-def derive_constants(p: HSParams) -> ConstantSet:
-    """All scalar constants attached to (n, s).
-
-    kappa_pow is (n - s)(n - 2) by the exponent identity
-    ((n-s)(n-2))^{(n-2)/(2(2-s)) * (2*(s)-2)} = (n-s)(n-2), never by
-    exponentiating kappa, so it is exact even where kappa itself rounds.
-    """
-    n, s = p.n, p.s
-    return ConstantSet(
-        crit_exp=p.crit_exp,
-        kappa=p.kappa,
-        c_ns=(n - 2) * (6.0 - s) / (12.0 * (2.0 * n - 2.0 - s)),
-        lambda_ns=(n - 2) * (10.0 - s) / (20.0 * (2.0 * n - 2.0 - s)),
-        kappa_pow=float((n - s) * (n - 2)),
-    )
+def derive_constants(p: HSParams) -> HSParams:
+    """p, whose properties are the (n, s) constants, once kappa fits a float."""
+    p.kappa
+    return p
 
 
 def yamabe_consistency(n: int) -> dict:

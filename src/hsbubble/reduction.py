@@ -28,7 +28,7 @@ from typing import List, Optional
 from .errors import DomainError
 from .geometry import CurvatureData, LgBreakdown, PotentialJet
 from .moments import bubble_moment
-from .params import HSParams, derive_constants
+from .params import HSParams
 
 __all__ = [
     "ReducedFunctional",
@@ -188,7 +188,7 @@ def verdict(jet: PotentialJet, c: CurvatureData, p: HSParams,
         raise DomainError(f"dimension mismatch: data n={c.n}, params n={p.n}")
     if not math.isfinite(lg_tol):
         raise DomainError(f"lg_tol must be finite, got {lg_tol}")
-    cv = derive_constants(p).c_ns * c.scal
+    cv = p.c_ns * c.scal
     excess = jet.h0_val - cv
     tol = CRIT_RTOL * max(1.0, abs(cv))
     if abs(excess) <= tol:

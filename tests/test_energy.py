@@ -8,6 +8,7 @@ against a scipy dblquad oracle and a Monte-Carlo angular check.
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -280,6 +281,34 @@ def test_remainder_validation():
         remainder_norm_scaled(GENERIC_C, P71, 1.0, 0.0)
     with pytest.raises(DomainError):
         remainder_norm_scaled(GENERIC_C, P71, math.nan, 1.0)
+
+
+def test_remainder_overflow_is_a_numerical_error():
+    # an overflowing density would reach the quadrature as inf, which it
+    # drops as 0: flat and sphere:1 reported "degenerate" at h0 = 1e200
+    flat = curvature_preset("flat", 7)
+    cases = [(flat, 1e200, 1.0), (curvature_preset("sphere:1", 7), 1e200, 1.0),
+             (GENERIC_C, 1e200, 1.0), (flat, 1e190, 0.01), (flat, 2.0, 1e-300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, h0, delta in cases:
+            with pytest.raises(NumericalError, match=re.escape(
+                    f"h0 = {h0!r} at delta = {delta!r} leaves the float")):
+                remainder_norm_scaled(c, P71, h0, delta)
+
+
+@pytest.mark.parametrize("n", [21, 30])
+def test_remainder_answers_where_only_the_radial_weight_overflows(n):
+    # the semi-infinite map puts nodes near r = 9e15, where r**(n-1)
+    # overflows for n >= 21 while the density there has underflowed
+    p = HSParams(n, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = remainder_alpha(curvature_preset("flat", n), p, 1.0)
+        sphere = remainder_alpha(curvature_preset("sphere:1", n), p, 1.0)
+    assert flat["alpha_inv"] == pytest.approx(
+        flat_alpha_inv_closed_form(p, 1.0), rel=1e-12)
+    assert not sphere["degenerate"] and math.isfinite(sphere["alpha_inv"])
 
 
 def test_remainder_generic_against_dblquad_oracle():

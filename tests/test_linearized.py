@@ -104,7 +104,7 @@ def test_fd_defect_stencils_on_manufactured_solution():
         d1 = (2 * r - r**2) * np.exp(-r)
         d2 = (2 - 4 * r + r**2) * np.exp(-r)
         f = -d2 - (n - 1) / r * d1 + 2 * n / r**2 * u - potential_values(P71, r) * u
-        out.append(_fd_defect(P71, 2, r, u, f, m2.mass))
+        out.append(_fd_defect(m2, u, f))
     assert out[0] / out[1] == pytest.approx(4.0, abs=0.5)
     assert out[1] / out[2] == pytest.approx(4.0, abs=0.5)
 
@@ -184,7 +184,7 @@ def test_projected_solve_invariants():
     assert s0.solvability <= 1e-12
     assert s0.gradient_orthogonality <= 1e-10
     assert s0.algebraic_residual <= 1e-8
-    assert abs(s0.multiplier) > 0.0
+    assert abs(sols["multiplier"]) > 0.0
     # values stay at profile scale near the origin (no dynamic-range junk)
     assert np.max(np.abs(s0.profile.values[:10])) < 100.0 * u1(P71, 0.0)
     s2 = sols["mode2"]
@@ -256,9 +256,9 @@ def test_nonlocal_term_assembles_each_mode_once(monkeypatch):
 @pytest.mark.parametrize("n,s", [(7, 1.0), (16, 1.5), (30, 1.0), (30, 0.01)])
 @pytest.mark.parametrize("N", [500, 2000, 8000])
 def test_factored_solve_matches_solve_banded(n, s, N):
-    # the cached gttrf factors solve bit for bit like scipy's solve_banded
-    # (LAPACK gtsv) on the same equilibrated matrix, per column and for a
-    # two-column right-hand side
+    # the gttrf factors kept on the memoized ModeMatrices solve bit for bit
+    # like scipy's solve_banded (LAPACK gtsv) on the same equilibrated
+    # matrix, per column and for a two-column right-hand side
     import scipy.linalg
 
     p = HSParams(n, s)
@@ -266,25 +266,25 @@ def test_factored_solve_matches_solve_banded(n, s, N):
     rng = np.random.default_rng(N)
     for ell in (0, 2):
         mats = assemble_mode(p, ell, grid)
-        f = linearized._factored(p, ell, grid)
         ds = 1.0 / np.sqrt(np.maximum(np.abs(mats.d), np.finfo(float).tiny))
-        assert np.array_equal(f.ds, ds)
+        assert np.array_equal(mats.ds, ds)
         es = mats.e * ds[:-1] * ds[1:]
         ab = np.array([np.append(0.0, es), mats.d * ds * ds, np.append(es, 0.0)])
         rhs = rng.standard_normal((mats.d.size, 2))
         want = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        assert np.array_equal(linearized._gttrs(f, ell, rhs), want)
+        assert np.array_equal(linearized._gttrs(mats, rhs), want)
         for k in (0, 1):
-            got = linearized._gttrs(f, ell, rhs[:, k])
+            got = linearized._gttrs(mats, rhs[:, k])
             assert np.array_equal(got, want[:, k])
             assert np.array_equal(
                 got, scipy.linalg.solve_banded((1, 1), ab, rhs[:, k]))
         if ell == 0:
-            # the cached border column: the second column of the old
+            # the kept border column: the second column of the old
             # two-column solve [D load, col]
+            col, _, b, _ = mats.border
             both = scipy.linalg.solve_banded(
-                (1, 1), ab, np.column_stack([rhs[:, 0], f.col]))
-            assert np.array_equal(f.b, both[:, 1])
+                (1, 1), ab, np.column_stack([rhs[:, 0], col]))
+            assert np.array_equal(b, both[:, 1])
 
 
 def _count_lapack(monkeypatch):
@@ -309,7 +309,7 @@ def test_repeat_pairings_factor_once_and_solve_ell2_once(monkeypatch):
     monkeypatch.setattr(linearized, "solve_mode", lambda p, ell, *a, **k: (
         ell2.append(ell) if ell == 2 else None) or real_solve(p, ell, *a, **k))
     grid = grid71(500)
-    linearized._factored.cache_clear()
+    assemble_mode.cache_clear()
     rng = np.random.default_rng(3)
     for i in range(4):
         det = nonlocal_term(P71, WDecomposition(*rng.uniform(0.2, 2.0, 3)),
@@ -319,17 +319,20 @@ def test_repeat_pairings_factor_once_and_solve_ell2_once(monkeypatch):
         # per call: the bordered solve and its refinement pass; the first
         # call also solves the border column and the ell = 2 unit problem
         assert calls["dgttrs"] == 2 * (i + 1) + 2
-        assert det["mode2"] is linearized._factored(P71, 2, grid).mode2
+        assert det["mode2"] is assemble_mode(P71, 2, grid).unit2[0]
 
 
 def test_kernel_diagnostics_factors_nothing(monkeypatch):
     calls = _count_lapack(monkeypatch)
-    linearized._factored.cache_clear()
+    assemble_mode.cache_clear()
     grid = grid71(600)
     kernel_diagnostics(P71, grid)
     assemble_mode(P71, 0, grid)
     assert calls == {"dgttrf": 0, "dgttrs": 0}
-    assert linearized._factored.cache_info().currsize == 0
+    # no per-grid solver state was built on either mode
+    for ell in (0, 2):
+        built = vars(assemble_mode(P71, ell, grid)).keys()
+        assert not built & {"ds", "lu", "border", "samples", "unit2", "stencil"}
 
 
 def test_alternating_grids_and_params_match_cleared_cache_runs():
@@ -347,7 +350,6 @@ def test_alternating_grids_and_params_match_cleared_cache_runs():
     want = []
     for case in cases:
         assemble_mode.cache_clear()
-        linearized._factored.cache_clear()
         want.append(run(*case))
     for k in (0, 1, 2, 3, 1, 0, 3, 2, 2, 0):
         assert run(*cases[k]) == want[k], k
@@ -356,15 +358,39 @@ def test_alternating_grids_and_params_match_cleared_cache_runs():
 def test_factored_arrays_refuse_writes():
     grid = grid71(500)
     sols = hat_c(P71, WDecomposition(0.7, 0.31, 2.0), grid)
-    f0 = linearized._factored(P71, 0, grid)
-    f2 = linearized._factored(P71, 2, grid)
-    arrays = [f0.ds, *f0.lu, f0.col, f0.b, f0.u1, f0.rdru1, f0.dz,
-              f2.ds, *f2.lu, sols["mode2"].profile.values]
+    m0, m2 = assemble_mode(P71, 0, grid), assemble_mode(P71, 2, grid)
+    # ell = 0 has no centrifugal stencil array
+    assert m0.stencil[-1] is None
+    arrays = [m0.ds, *m0.lu, m0.border[0], m0.border[2], *m0.samples,
+              *m0.stencil[1:-1], m2.ds, *m2.lu, *m2.stencil[1:],
+              sols["mode2"].profile.values]
+    assert len(arrays) == 33
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
     # the per-source arrays stay the caller's
     sols["mode0"].profile.values[0] = 0.0
+
+
+def test_one_cache_clear_resets_all_per_grid_state(monkeypatch):
+    # every per-grid value lives on the memoized ModeMatrices: assemble_mode
+    # is the module's one memo, and clearing it rebuilds everything
+    memos = [name for name, obj in vars(linearized).items()
+             if hasattr(obj, "cache_clear")]
+    assert memos == ["assemble_mode"]
+    grid = grid71(500)
+    w = WDecomposition(0.7, 0.31, 2.0)
+    first = nonlocal_term(P71, w, grid, detail=True)
+    old = [assemble_mode(P71, ell, grid) for ell in (0, 2)]
+    calls = _count_lapack(monkeypatch)
+    assemble_mode.cache_clear()
+    again = nonlocal_term(P71, w, grid, detail=True)
+    new = [assemble_mode(P71, ell, grid) for ell in (0, 2)]
+    assert calls["dgttrf"] == 2
+    assert new[0] is not old[0] and new[1] is not old[1]
+    assert again["mode2"] is new[1].unit2[0]
+    assert again["mode2"] is not first["mode2"]
+    assert again["total"] == first["total"]
 
 
 def test_cli_import_leaves_scipy_sparse_out():
