@@ -295,8 +295,9 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     the two entries hold both modes of the latest grid, so every solve and
     diagnostic on that grid shares one assembly and what it builds on first
     use (ModeMatrices).  A strong grading can put the first edges so close
-    to 0 that edge**n underflows; every solve and spectral diagnostic
-    divides by the cell masses, so a zero mass is refused here.
+    to 0 that edge**n underflows, and a huge R_max makes it overflow; every
+    solve and spectral diagnostic divides by the cell masses, so a zero or
+    non-finite mass or flux is refused here.
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
@@ -306,15 +307,20 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     r = grid.nodes
     R = grid.R_max
     edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [R]])
-    mass = np.diff(edges**n) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = np.diff(edges**n) / n
+        # flux coefficients a_{i+1/2} = m_{i+1/2}**(n-1) / (r_{i+1} - r_i)
+        flux = edges[1:-1] ** (n - 1) / np.diff(r)
+    if not (np.all(np.isfinite(mass)) and np.all(np.isfinite(flux))):
+        raise NumericalError(
+            f"cell masses or fluxes overflow a float on this grid "
+            f"(R_max = {R!r}, N = {grid.N}, n = {n}); reduce R_max")
     if np.any(mass == 0.0):
         raise NumericalError(
             f"cell masses underflow to 0 on this grid (gamma = {grid.gamma}, "
             f"N = {grid.N}, first edge radius {edges[1]:.3e}); "
             "reduce the grading or N")
 
-    # flux coefficients a_{i+1/2} = m_{i+1/2}**(n-1) / (r_{i+1} - r_i)
-    flux = edges[1:-1] ** (n - 1) / np.diff(r)
     sd = np.zeros(r.size)
     sd[:-1] += flux
     sd[1:] += flux
@@ -617,18 +623,22 @@ def _count_eigs_below(d: np.ndarray, e: np.ndarray, mass: np.ndarray,
 
 def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
                        vectors: bool):
-    """All pencil eigenpairs K v = lam M v with lam in (lo, hi).
+    """All pencil eigenpairs K v = lam M v with lam in (lo, hi].
 
     Works on the symmetrically scaled standard form M**(-1/2) K M**(-1/2)
-    and computes the window by LAPACK bisection plus inverse iteration.
-    Bisection's Sturm counts are immune to the enormous dynamic range of
-    the graded cells (no factorization of the full matrix is involved),
-    where shift-invert iterations on the raw pencil produce spurious
-    near-zero eigenvalues.  An explicit absolute tolerance is passed:
-    the driver default is relative to the Gershgorin bound, which the
-    origin cells push to ~1e26, uselessly coarse near zero.  With
-    vectors=False only the eigenvalues are computed (the same bisection,
-    so the same values) and None stands in for the eigenvectors.
+    and computes the window by LAPACK bisection (dstebz) plus inverse
+    iteration (dstein); the eigenvalues come back ascending and the
+    eigenvectors, back-transformed, M-orthonormal.  Bisection's Sturm
+    counts are immune to the enormous dynamic range of the graded cells
+    (no factorization of the full matrix is involved), where shift-invert
+    iterations on the raw pencil produce spurious near-zero eigenvalues.
+    An explicit absolute tolerance is passed: the driver default is
+    relative to the Gershgorin bound, which the origin cells push to
+    ~1e26, uselessly coarse near zero.  The cost is one bisection per pair
+    in the window, so callers ask for the narrowest window that answers
+    them (kernel_diagnostics).  With vectors=False only the eigenvalues are
+    computed (the same bisection, so the same values) and None stands in
+    for the eigenvectors.
     """
     import scipy.linalg
 
@@ -654,8 +664,8 @@ def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
 def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     """Spectral diagnostics of both mode operators.
 
-    All generalized eigenpairs K v = lam M v inside the window
-    |lam| <= WINDOW_REL * (pi/R_max)**2 are computed for each mode.  The
+    Reports what the generalized eigenpairs K v = lam M v inside the window
+    |lam| <= win = WINDOW_REL * (pi/R_max)**2 say about each mode.  The
     natural frequency unit is (pi/R)**2: the truncated-domain continuum
     spectrum (the "box modes") starts at about 2-3.5 times it in practice.
 
@@ -680,7 +690,28 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
       mode2_near_zero_count   expected 0
 
     Counts are Sturm-sequence inertias of the pencil itself -- exact
-    integers, no iterative solver involved.
+    integers, no iterative solver involved -- and are taken first.  The
+    eigenpairs are then computed on the sub-window (-win/2**k, win/2**k],
+    widened (k -= 1) until it certifies that its answer is the full
+    window's, so only the pairs the report needs are bisected:
+
+      ell = 0  the sub-window is non-empty, so it holds the full window's
+               smallest-|lam| pair, and its best Z0 alignment a has
+               a**2 > 1/2; the eigenvectors are M-orthonormal, so the
+               squared alignments of all pairs sum to 1 and no pair outside
+               can align better;
+      ell = 2  the sub-window is non-empty, win/2**k > zero_tol and no
+               eigenvalue lies below -zero_tol, so the smallest eigenvalue
+               of the full window lies inside.
+
+    The widening starts at k = 4 when the counts allow a certificate (one
+    ell = 0 eigenvalue near zero; no ell = 2 eigenvalue below -zero_tol),
+    else at k = 0, the full window.  After dstebz's first split at 0 the
+    dyadic sub-windows are nodes of the full window's bisection tree, so
+    the values are those the full window gives (to roundoff on coarse
+    grids, whose Gershgorin interval the window leaves).  "No eigenvalues
+    inside the diagnostic window" is raised only when the full window is
+    empty.
     """
     unit = (np.pi / grid.R_max) ** 2
     ztol = ZERO_TOL_REL * unit
@@ -691,21 +722,31 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
 
     for ell in (0, 2):
         mats = assemble_mode(p, ell, grid)
-        vals, vecs = _window_eigenpairs(mats, -win, win, vectors=ell == 0)
+        below_lo = _count_eigs_below(mats.d, mats.e, mats.mass, -ztol)
+        below_hi = _count_eigs_below(mats.d, mats.e, mats.mass, ztol)
+        certifiable = below_hi - below_lo == 1 if ell == 0 else below_lo == 0
+        k = 4 if certifiable else 0
+        while True:
+            half = win / 2**k
+            vals, vecs = _window_eigenpairs(mats, -half, half, vectors=ell == 0)
+            if ell == 0 and vals.size:
+                zn = _norm_m(mats.mass, mats.z0)
+                aligns = np.abs(vecs.T @ (mats.mass * mats.z0)) / (
+                    zn * np.sqrt(np.sum(mats.mass[:, None] * vecs**2, axis=0))
+                )
+                kbest = int(np.argmax(aligns))
+            # the certificates above; k = 0 is the full window
+            if k == 0 or vals.size and (
+                    aligns[kbest] ** 2 > 0.5 if ell == 0 else half > ztol):
+                break
+            k -= 1
         if vals.size == 0:
             raise NumericalError(
                 f"no ell = {ell} eigenvalues inside the diagnostic window; "
                 "the grid badly under-resolves the operator"
             )
-        below_lo = _count_eigs_below(mats.d, mats.e, mats.mass, -ztol)
-        below_hi = _count_eigs_below(mats.d, mats.e, mats.mass, ztol)
         if ell == 0:
             out["mode0_min_eig"] = float(vals[np.argmin(np.abs(vals))])
-            zn = _norm_m(mats.mass, mats.z0)
-            aligns = np.abs(vecs.T @ (mats.mass * mats.z0)) / (
-                zn * np.sqrt(np.sum(mats.mass[:, None] * vecs**2, axis=0))
-            )
-            kbest = int(np.argmax(aligns))
             out["mode0_kernel_eig"] = float(vals[kbest])
             out["mode0_eigvec_alignment_with_Z0"] = float(aligns[kbest])
             out["mode0_near_zero_count"] = below_hi - below_lo

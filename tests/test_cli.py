@@ -503,6 +503,11 @@ def test_exit_2_ill_conditioned_fit(capsys):
       "--h0", "1e200"], "with h0 = 1e+200 at delta = 1.0 leaves"),
     (["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e190"], "with h0 = 1e+190 at delta = 0.01 leaves"),
+    # cell masses beyond the float range (were numpy RuntimeWarnings, then
+    # "scaled operator overflows for this grid")
+    (["kernel", "--n", "7", "--s", "1", "--grid", "2000,1e45"],
+     "cell masses or fluxes overflow a float on this grid (R_max = 1e+45, "
+     "N = 2000"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -513,17 +518,15 @@ def test_exit_2_names_the_cause(capsys, argv, cause):
 
 
 def test_bad_grid_is_reported_before_its_source(capsys):
-    # the cell masses of this grid overflow, so the ell = 0 border refuses
-    # it before the source sampled on it is checked; assemble_mode does not
-    # refuse overflowing masses itself yet, and numpy warns about them
-    with pytest.warns(RuntimeWarning, match="overflow encountered in power|"
-                      "invalid value encountered in subtract"):
-        rc, out, err = invoke(capsys, [
-            "lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
-            "--grid", "2000,1e45"])
+    # the cell masses of this grid overflow, so assemble_mode refuses it,
+    # naming R_max, before the source sampled on it is checked
+    rc, out, err = invoke(capsys, [
+        "lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+        "--grid", "2000,1e45"])
     assert (rc, out) == (2, "")
-    assert err == ("numerical failure: degenerate projection direction in "
-                   "ell = 0 solve\n")
+    assert err == ("numerical failure: cell masses or fluxes overflow a float "
+                   "on this grid (R_max = 1e+45, N = 2000, n = 7); "
+                   "reduce R_max\n")
 
 
 @pytest.mark.parametrize("argv,cause", [

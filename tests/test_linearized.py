@@ -538,6 +538,95 @@ def test_kernel_diagnostics_flags_unresolved_grid():
     assert d32["mode0_negative_count"] == 1
 
 
+def _full_window_diagnostics(p, grid):
+    # every pair of the full window |lam| <= win, bisected in one call
+    unit = (np.pi / grid.R_max) ** 2
+    ztol, win = linearized.ZERO_TOL_REL * unit, linearized.WINDOW_REL * unit
+    m0, m2 = assemble_mode(p, 0, grid), assemble_mode(p, 2, grid)
+    vals, vecs = linearized._window_eigenpairs(m0, -win, win, vectors=True)
+    aligns = np.abs(vecs.T @ (m0.mass * m0.z0)) / (
+        np.sqrt(np.sum(m0.mass * m0.z0**2))
+        * np.sqrt(np.sum(m0.mass[:, None] * vecs**2, axis=0)))
+    kbest = int(np.argmax(aligns))
+    vals2, _ = linearized._window_eigenpairs(m2, -win, win, vectors=False)
+    return {"mode0_min_eig": vals[np.argmin(np.abs(vals))],
+            "mode0_kernel_eig": vals[kbest],
+            "mode0_eigvec_alignment_with_Z0": aligns[kbest],
+            "mode2_min_eig": np.min(vals2),
+            "mode0_near_zero_count": int(np.sum(np.abs(vals) <= ztol)),
+            "mode2_near_zero_count": int(np.sum(np.abs(vals2) <= ztol))}
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5), (16, 1.5),
+                                 (30, 1.0), (10, 1.0), (7, 0.5)])
+@pytest.mark.parametrize("N,R_max", [(2000, 200.0), (8000, 200.0), (64, 5.0)])
+def test_kernel_diagnostics_matches_full_window(n, s, N, R_max):
+    p = HSParams(n, s)
+    grid = default_grid(p, N=N, R_max=R_max)
+    got = kernel_diagnostics(p, grid)
+    want = _full_window_diagnostics(p, grid)
+    for key in ("mode0_near_zero_count", "mode2_near_zero_count"):
+        assert got[key] == want[key], key
+    assert got["mode0_eigvec_alignment_with_Z0"] == pytest.approx(
+        want["mode0_eigvec_alignment_with_Z0"], rel=1e-14, abs=0.0)
+    for key in ("mode0_min_eig", "mode0_kernel_eig", "mode2_min_eig"):
+        if N == 64:
+            # the window leaves the Gershgorin interval of the coarse
+            # operator, so the bisection trees differ at roundoff
+            assert got[key] == pytest.approx(want[key], rel=0.0, abs=1e-14)
+        else:
+            assert got[key] == want[key], key
+
+
+def test_kernel_diagnostics_bisects_at_most_four_pairs_per_mode(monkeypatch):
+    import scipy.linalg
+
+    real = scipy.linalg.eigh_tridiagonal
+    pairs = []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        pairs.append(len(out if kwargs["eigvals_only"] else out[0]))
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    kernel_diagnostics(P71, grid71(8000))
+    # one sub-window per mode; the full window holds 10 and 8 pairs
+    assert len(pairs) == 2
+    assert max(pairs) <= 4
+
+
+def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
+    # (9, 0.5) at N = 2000 (the kernel-9-05 golden) has no eigenvalue near
+    # zero, so the eigenpairs come from the full window.  Counts that allow
+    # the small start (one near zero, one below) make the sub-windows
+    # answer first; the smallest holds one box pair whose Z0 alignment is
+    # 2.6e-4, and only the full window holds the best-aligned pair.
+    p = HSParams(9, 0.5)
+    grid = default_grid(p, N=2000)
+    want = kernel_diagnostics(p, grid)
+    mats = assemble_mode(p, 0, grid)
+    win = linearized.WINDOW_REL * (np.pi / grid.R_max) ** 2
+    vals, vecs = linearized._window_eigenpairs(mats, -win / 16, win / 16,
+                                               vectors=True)
+    v = vecs[:, 0]
+    align = abs(v @ (mats.mass * mats.z0)) / np.sqrt(
+        np.sum(mats.mass * mats.z0**2) * np.sum(mats.mass * v**2))
+    assert vals.size == 1
+    assert align == pytest.approx(2.6e-4, rel=0.02)
+
+    monkeypatch.setattr(linearized, "_count_eigs_below",
+                        lambda d, e, mass, sigma: 1 + int(sigma > 0.0))
+    got = kernel_diagnostics(p, grid)
+    assert got["mode0_near_zero_count"] == 1
+    assert got["mode0_kernel_eig"] == want["mode0_kernel_eig"]
+    assert got["mode0_kernel_eig"] == pytest.approx(0.02435, rel=1e-3)
+    assert got["mode0_eigvec_alignment_with_Z0"] == \
+        want["mode0_eigvec_alignment_with_Z0"]
+    assert got["mode0_eigvec_alignment_with_Z0"] == pytest.approx(4.03e-3,
+                                                                  rel=1e-3)
+
+
 def test_sturm_count_against_dense_eigenvalues():
     # exact inertia counts vs numpy's dense solve on a small grid
     import scipy.linalg
