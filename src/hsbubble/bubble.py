@@ -183,74 +183,29 @@ class RadialProfile:
         return np.asarray(self.fn(grid.nodes), dtype=float)
 
 
-def _radial_lhs_analytic(p: HSParams, which: str, r):
-    if which == "U":
-        return -d2u1(p, r) - (p.n - 1.0) / r * du1(p, r)
-    return -d2z0(p, r) - (p.n - 1.0) / r * dz0(p, r)
-
-
-def _radial_lhs_logfd(p: HSParams, which: str, r, h):
-    """-u'' - (n-1)/r u' by 4th-order central differencing in x = log r.
-
-    In the log variable the operator is -(u_xx + (n-2) u_x) / r**2, and the
-    five-point stencil stays on r > 0 for any step size.
-    """
-    f = (lambda rr: u1(p, rr)) if which == "U" else (lambda rr: z0(p, rr))
-    shifts = np.exp(np.outer([-2.0, -1.0, 0.0, 1.0, 2.0], h))  # (5, len(r))
-    vals = f(r[None, :] * shifts)
-    w_xx = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    w_x = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    u_xx = (w_xx @ vals) / h**2
-    u_x = (w_x @ vals) / h
-    return -(u_xx + (p.n - 2.0) * u_x) / r**2
-
-
-def pde_residual(p: HSParams, grid: RadialGrid, method: str = "analytic",
-                 r_fd_min: float = 1e-2) -> dict:
+def pde_residual(p: HSParams, grid: RadialGrid,
+                 method: str = "analytic") -> dict:
     """Maximal relative defect of the two profile identities on the grid.
 
-    method="analytic" uses the closed-form derivatives at every interior node
-    (r = 0 excluded); the defect there is pure floating-point noise.
-    method="fd" replaces the derivatives with 4th-order log-radius central
-    differences, stepping by the local node spacing, restricted to
-    r >= r_fd_min: near the origin cusp the graded mesh is self-similar, so
-    its log-resolution does not refine with N and no difference scheme can
-    converge there.  For U the defect is pointwise-relative (the right side
+    The closed-form derivatives are used at every interior node (r = 0
+    excluded); the defect there is pure floating-point noise.  "analytic" is
+    the one method.  For U the defect is pointwise-relative (the right side
     is positive); for Z it is normalized by the sup of the right side, which
     crosses zero at r = 1.
     """
-    from .params import require_singular
-
-    require_singular(p, "pde_residual")
+    p.require("pde_residual", s_positive=True)
+    if method != "analytic":
+        raise DomainError(f"unknown residual method {method!r}")
     r = grid.nodes
+    r = r[r > 0.0]
     two_star = p.crit_exp
 
-    if method == "analytic":
-        sel = r > 0.0
-        rr, h = r[sel], None
-    elif method == "fd":
-        sel = np.zeros(r.size, dtype=bool)
-        sel[1:-1] = r[1:-1] >= r_fd_min
-        idx = np.nonzero(sel)[0]
-        rr = r[idx]
-        h = 0.5 * (np.log(r[idx + 1]) - np.log(r[idx - 1]))
-    else:
-        raise DomainError(f"unknown residual method {method!r}")
-
-    out = {}
-    for which, key in (("U", "max_rel_residual_U"), ("Z", "max_rel_residual_Z")):
-        if which == "U":
-            rhs = u1(p, rr) ** (two_star - 1.0) * rr ** (-p.s)
-        else:
-            rhs = (two_star - 1.0) * u1(p, rr) ** (two_star - 2.0) \
-                * rr ** (-p.s) * z0(p, rr)
-        if method == "analytic":
-            lhs = _radial_lhs_analytic(p, which, rr)
-        else:
-            lhs = _radial_lhs_logfd(p, which, rr, h)
-        err = np.abs(lhs - rhs)
-        if which == "U":
-            out[key] = float(np.max(err / rhs))
-        else:
-            out[key] = float(np.max(err) / np.max(np.abs(rhs)))
+    rhs = u1(p, r) ** (two_star - 1.0) * r ** (-p.s)
+    lhs = -d2u1(p, r) - (p.n - 1.0) / r * du1(p, r)
+    out = {"max_rel_residual_U": float(np.max(np.abs(lhs - rhs) / rhs))}
+    rhs = (two_star - 1.0) * u1(p, r) ** (two_star - 2.0) \
+        * r ** (-p.s) * z0(p, r)
+    lhs = -d2z0(p, r) - (p.n - 1.0) / r * dz0(p, r)
+    out["max_rel_residual_Z"] = float(np.max(np.abs(lhs - rhs))
+                                      / np.max(np.abs(rhs)))
     return out

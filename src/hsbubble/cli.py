@@ -39,6 +39,7 @@ from .geometry import (CURVATURE_SCHEMA_KEYS, LgBreakdown, PotentialJet,
 from .linearized import kernel_diagnostics, nonlocal_term
 from .moments import identity_report
 from .params import HSParams
+from .quadrature import DEFAULT_TOL
 from .reduction import (ReducedFunctional, critical_t, family_theorem2,
                         predicted_delta, verdict)
 
@@ -212,8 +213,6 @@ def _ratio_table(ratios: dict, path: Optional[str] = None) -> str:
 
 def _cmd_integrals(inp):
     rep = identity_report(inp.p, tol=inp.args.tol)
-    # elapsed_seconds is deliberately not echoed: reports must be
-    # byte-identical across re-runs with the same inputs
     if inp.args.csv is not None:
         _ratio_table(rep.ratios, inp.args.csv)
     return inp.echo("tol"), {"ratios": rep.ratios}
@@ -383,7 +382,7 @@ _SUBCOMMANDS = (
     _Subcommand(
         "integrals", "moment-ratio identities, quadrature vs closed form",
         ("params",),
-        (("--tol", dict(type=float, default=1e-10,
+        (("--tol", dict(type=float, default=DEFAULT_TOL,
                         help="quadrature tolerance")),
          ("--csv", dict(help="also write the table here"))),
         _cmd_integrals,

@@ -53,6 +53,9 @@ from .moments import bubble_moment, ipq
 from .params import HSParams, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
+# relative quadrature tolerance of every energy integral
+TOL = 1e-12
+
 __all__ = [
     "RadialModel",
     "FitReport",
@@ -146,8 +149,7 @@ class FitReport:
 
 
 def _check_regime(model: RadialModel, p: HSParams, delta: float) -> None:
-    if p.n < 7:
-        raise DomainError("the expansion machinery needs n >= 7")
+    p.require("the energy expansion", n_min=7)
     if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
         raise DomainError(f"delta must be a finite number, got {delta}")
     if not (0.0 < delta <= model.r0 / 10.0):
@@ -157,8 +159,7 @@ def _check_regime(model: RadialModel, p: HSParams, delta: float) -> None:
         )
 
 
-def j_at_bubble(model: RadialModel, p: HSParams, delta: float,
-                tol: float = 1e-12) -> float:
+def j_at_bubble(model: RadialModel, p: HSParams, delta: float) -> float:
     """J at the truncated bubble of concentration delta, by quadrature.
 
     Integrates in the concentration variable rho = r/delta (an exact change
@@ -182,15 +183,12 @@ def j_at_bubble(model: RadialModel, p: HSParams, delta: float,
     def crit_f(rho):
         return u1(p, rho) ** two_star * model.density(delta * rho)
 
-    i_grad = integrate_radial(
-        RadialIntegrand(f=grad_f, a=n - 1.0, R=rho_max), tol=tol)["value"]
-    i_pot = integrate_radial(
-        RadialIntegrand(f=pot_f, a=n - 1.0, R=rho_max), tol=tol)["value"]
-    i_crit = integrate_radial(
-        RadialIntegrand(f=crit_f, a=n - 1.0, sing=-s, R=rho_max),
-        tol=tol)["value"]
-    return omega * (0.5 * (i_grad + delta**2 * i_pot)
-                    - i_crit / two_star)
+    def integral(f, sing=0.0):
+        return integrate_radial(RadialIntegrand(
+            f=f, a=n - 1.0, sing=sing, R=rho_max), tol=TOL)["value"]
+
+    return omega * (0.5 * (integral(grad_f) + delta**2 * integral(pot_f))
+                    - integral(crit_f, -s) / two_star)
 
 
 def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
@@ -201,8 +199,7 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     collapse identity reorganizes into the obstruction functional at the
     critical potential).
     """
-    if p.n < 7:
-        raise DomainError("the expansion machinery needs n >= 7")
+    p.require("the energy expansion", n_min=7)
     n, two_star = p.n, p.crit_exp
     dc = density_coeffs(model.c)
     F = dc["c4"]
@@ -235,8 +232,8 @@ def _fit_columns(deltas: np.ndarray, n: int, nuisance: bool):
 
 
 def fit_expansion(model: RadialModel, p: HSParams,
-                  deltas: Sequence[float], *, nuisance: bool = True,
-                  tol: float = 1e-12) -> FitReport:
+                  deltas: Sequence[float], *,
+                  nuisance: bool = True) -> FitReport:
     """Least-squares fit of J(delta) against {1, delta^2, delta^4}.
 
     The sweep must hold at least 6 distinct deltas spanning a decade inside
@@ -273,15 +270,22 @@ def fit_expansion(model: RadialModel, p: HSParams,
             f"fit design matrix condition {cond:.3g} too large; the sweep "
             "is too narrow or contains near-duplicate deltas")
 
-    y = np.array([j_at_bubble(model, p, float(d), tol=tol) for d in deltas])
-    coef_s = Vt.T @ ((U.T @ y) / sv)
-    coef = coef_s / scales
-    resid = y - X @ coef
-    rss = float(resid @ resid)
-    sigma2 = rss / dof
-    # cov of scaled coefficients = sigma^2 V S^-2 V^T; unscale per column
-    cov_s_diag = np.einsum("ij,j,ij->i", Vt.T, sv**-2.0, Vt.T) * sigma2
-    se = np.sqrt(np.maximum(cov_s_diag, 0.0)) / scales
+    try:
+        y = np.array([j_at_bubble(model, p, float(d)) for d in deltas])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef_s = Vt.T @ ((U.T @ y) / sv)
+            coef = coef_s / scales
+            resid = y - X @ coef
+            rss = float(resid @ resid)
+            sigma2 = rss / dof
+            # cov of scaled coefs = sigma^2 V S^-2 V^T; unscale per column
+            cov_s_diag = np.einsum("ij,j,ij->i", Vt.T, sv**-2.0, Vt.T) * sigma2
+            se = np.sqrt(np.maximum(cov_s_diag, 0.0)) / scales
+        if not np.all(np.isfinite([*y, *coef, *se, rss])):
+            raise NumericalError("its fitted values leave the float range")
+    except NumericalError as exc:
+        raise NumericalError(
+            f"the energy fit with h0 = {model.jet.h0_val!r}: {exc}") from None
 
     generic2 = 0.5 * max(abs(model.jet.h0_val),
                          abs(p.c_ns * model.c.scal),
@@ -359,7 +363,7 @@ def _angular_rule(jacobi_points: int, n: int):
 
 
 def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
-                          delta: float = 1.0, *, tol: float = 1e-12) -> float:
+                          delta: float = 1.0) -> float:
     """L^{2n/(n+2)} norm of the concentration-rescaled remainder density
 
       h0 U_delta + (1/3) Ric_ij sigma^i sigma^j delta^{-(n-2)/2} (r U1')(r/delta).
@@ -376,8 +380,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     every later call; it is folded onto its nonnegative nodes (the weight
     depends on u only through u^2), which halves the angular work.
     """
-    if p.n < 7:
-        raise DomainError("the remainder norm needs n >= 7")
+    p.require("the remainder norm", n_min=7)
     if not (math.isfinite(h0_val) and math.isfinite(delta) and delta > 0.0):
         raise DomainError("h0_val must be finite and delta positive")
     n = p.n
@@ -410,24 +413,15 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
             raise NumericalError(overflow)
         return x
 
-    if mu == 0.0:
-        def radial_f(r):
-            rho = r / delta
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
-                return checked(np.abs(val) ** q, r)
-        total = integrate_radial(
-            RadialIntegrand(f=radial_f, a=n - 1.0, R=None),
-            tol=tol)["value"] * sphere_area(n)
-        return float(checked(total) ** (1.0 / q))
-
-    ang_w, ang_wt = _angular_rule(JACOBI_POINTS, n)
+    if mu != 0.0:
+        ang_w, ang_wt = _angular_rule(JACOBI_POINTS, n)
 
     def radial_f(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
         rho = r / delta
         with np.errstate(over="ignore", invalid="ignore"):
             A = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
+            if mu == 0.0:
+                return checked(np.abs(A) ** q, r)
             B = pref * mu * rho * du1(p, rho)
             out = np.empty_like(A)
             for k in range(0, A.size, _RADIAL_BLOCK):
@@ -437,12 +431,13 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
             return checked(omega_inner * out, r)
 
     total = integrate_radial(
-        RadialIntegrand(f=radial_f, a=n - 1.0, R=None), tol=tol)["value"]
+        RadialIntegrand(f=radial_f, a=n - 1.0, R=None), tol=TOL)["value"]
+    if mu == 0.0:
+        total *= sphere_area(n)
     return float(checked(total) ** (1.0 / q))
 
 
-def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float, *,
-                    tol: float = 1e-12) -> dict:
+def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float) -> dict:
     """The normalization constant of the blow-up family.
 
     alpha_inv = L^{2n/(n+2)} norm of h0 U1 + (1/3) Ric_ij sigma^i sigma^j
@@ -450,7 +445,7 @@ def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float, *,
     (h0 = 0 and Ricci zero at the point) the constant is undefined and the
     degenerate marker is returned instead.
     """
-    nrm = remainder_norm_scaled(c, p, h0_val, 1.0, tol=tol)
+    nrm = remainder_norm_scaled(c, p, h0_val, 1.0)
     if nrm == 0.0:
         return {"alpha_inv": 0.0, "alpha": None, "degenerate": True}
     return {"alpha_inv": nrm, "alpha": 1.0 / nrm, "degenerate": False}

@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .bubble import RadialGrid
 from .errors import DomainError
 from .linearized import WDecomposition
@@ -96,6 +94,12 @@ class CurvatureData:
                 f"ric_norm2 = {self.ric_norm2} violates the Cauchy-Schwarz "
                 f"bound Scal^2/n = {bound}"
             )
+
+    def check_dimension(self, p: HSParams) -> None:
+        """Refuse params of another dimension than this data's."""
+        if p.n != self.n:
+            raise DomainError(
+                f"dimension mismatch: data n={self.n}, params n={p.n}")
 
     @property
     def tfree_ric_norm2(self) -> float:
@@ -172,7 +176,11 @@ def curvature_preset(kind: Union[str, dict], n: int) -> CurvatureData:
         try:
             inv = (n * (n - 1) / radius**2, n * (n - 1) ** 2 / radius**4,
                    2.0 * n * (n - 1) / radius**4)
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:  # radius**4 overflows; the invariants may not
+            inv = (n * (n - 1) / radius / radius,
+                   n * (n - 1) ** 2 / radius / radius / radius / radius,
+                   2.0 * n * (n - 1) / radius / radius / radius / radius)
+        except ZeroDivisionError:
             inv = (math.inf,)
         if not all(map(math.isfinite, inv)):
             raise DomainError(
@@ -243,8 +251,7 @@ def density_coeffs(c: CurvatureData) -> dict:
 
 def kns(c: CurvatureData, p: HSParams) -> float:
     """The curvature combination entering the obstruction functional."""
-    if p.n != c.n:
-        raise DomainError(f"dimension mismatch: data n={c.n}, params n={p.n}")
+    c.check_dimension(p)
     s = p.s
     return (p.lambda_ns / 18.0) * (
         8.0 * c.ric_norm2 - 3.0 * c.rm_norm2
@@ -259,10 +266,7 @@ def assemble_w(c: CurvatureData, p: HSParams, a: float) -> WDecomposition:
     radial mode with amplitude Scal/(3n)) and its trace-free remainder,
     which only enters through |T|^2.
     """
-    if p.n != c.n:
-        raise DomainError(f"dimension mismatch: data n={c.n}, params n={p.n}")
-    if not math.isfinite(a):
-        raise DomainError("W amplitude must be finite")
+    c.check_dimension(p)
     return WDecomposition(
         a=float(a),
         mode0_extra=c.scal / (3.0 * c.n),
@@ -279,10 +283,7 @@ def lg_total(c: CurvatureData, jet: PotentialJet, p: HSParams,
     nonlocal_term = -(1/2) integral W C(W) dX with the W amplitude
                     a = c_ns Scal(x0) (the source the reduction produces).
     """
-    if p.n < 7:
-        raise DomainError("the obstruction functional needs n >= 7")
-    if not (0.0 < p.s < 2.0):
-        raise DomainError("the obstruction functional needs s in (0, 2)")
+    p.require("the obstruction functional", n_min=7, s_positive=True)
     r4grad = bubble_moment(p, "r4grad")
     local = -(jet.lap_h - p.lambda_ns * c.lap_scal - kns(c, p)) \
         * r4grad / (4.0 * p.n)

@@ -301,8 +301,7 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
-    if p.s <= 0.0:
-        raise DomainError("the linearized solver requires s in (0, 2)")
+    p.require("the linearized solver", s_positive=True)
     n = p.n
     r = grid.nodes
     R = grid.R_max

@@ -28,7 +28,6 @@ closed-form ratio identities.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from . import bubble
 from .errors import DomainError, NumericalError
 from .params import HSParams, sphere_area
-from .quadrature import RadialIntegrand, integrate_radial
+from .quadrature import DEFAULT_TOL, RadialIntegrand, integrate_radial
 
 MOMENT_KINDS = (
     "mass2",    # int U1^2 dX
@@ -80,28 +79,20 @@ def _reduction(p: HSParams, kind: str):
                 f"the moment prefactor kappa**{name} overflows a float at "
                 f"n = {n}, s = {s} (kappa = {p.kappa:.6g})") from None
 
-    if kind == "mass2":
-        return omega * kappa_pow(2, "2") / g, [(1.0, two_beta, q_of(n - 1))]
-    if kind == "r2mass":
-        return omega * kappa_pow(2, "2") / g, [(1.0, two_beta, q_of(n + 1))]
-    if kind == "gradsq":
-        pref = omega * (n - 2) ** 2 * kappa_pow(2, "2") / g
-        return pref, [(1.0, 2.0 * m, q_of(n + 1 - 2 * s))]
-    if kind == "r2grad":
-        pref = omega * (n - 2) ** 2 * kappa_pow(2, "2") / g
-        return pref, [(1.0, 2.0 * m, q_of(n + 3 - 2 * s))]
-    if kind == "r4grad":
-        pref = omega * (n - 2) ** 2 * kappa_pow(2, "2") / g
-        return pref, [(1.0, 2.0 * m, q_of(n + 5 - 2 * s))]
-    if kind == "crit":
-        pref = omega * kappa_pow(p.crit_exp, "(2*(s))") / g
-        return pref, [(1.0, 2.0 * m, q_of(n - 1 - s))]
-    if kind == "r2crit":
-        pref = omega * kappa_pow(p.crit_exp, "(2*(s))") / g
-        return pref, [(1.0, 2.0 * m, q_of(n + 1 - s))]
-    if kind == "r4crit":
-        pref = omega * kappa_pow(p.crit_exp, "(2*(s))") / g
-        return pref, [(1.0, 2.0 * m, q_of(n + 3 - s))]
+    # single-term kinds: (kappa power and its name, coefficient, P, r power)
+    single = {
+        "mass2": (2, "2", 1, two_beta, n - 1),
+        "r2mass": (2, "2", 1, two_beta, n + 1),
+        "gradsq": (2, "2", (n - 2) ** 2, 2.0 * m, n + 1 - 2 * s),
+        "r2grad": (2, "2", (n - 2) ** 2, 2.0 * m, n + 3 - 2 * s),
+        "r4grad": (2, "2", (n - 2) ** 2, 2.0 * m, n + 5 - 2 * s),
+        "crit": (p.crit_exp, "(2*(s))", 1, 2.0 * m, n - 1 - s),
+        "r2crit": (p.crit_exp, "(2*(s))", 1, 2.0 * m, n + 1 - s),
+        "r4crit": (p.crit_exp, "(2*(s))", 1, 2.0 * m, n + 3 - s),
+    }
+    if kind in single:
+        e, name, coef, P, a = single[kind]
+        return omega * coef * kappa_pow(e, name) / g, [(1.0, P, q_of(a))]
     if kind == "z0grad":
         # Z0' = (n-2)/2 kappa g r^{1-s} (1+t)^{-m-1} [(1+m) + (1-m) t]
         pref = omega * (0.5 * (n - 2)) ** 2 * kappa_pow(2, "2") * g
@@ -123,7 +114,8 @@ def bubble_moment(p: HSParams, kind: str) -> float:
         raise DomainError(f"moment {kind!r} diverges at (n={p.n}, s={p.s}): {exc}")
 
 
-def moment_quadrature(p: HSParams, kind: str, tol: float = 1e-10) -> float:
+def moment_quadrature(p: HSParams, kind: str,
+                      tol: float = DEFAULT_TOL) -> float:
     """The same moment by direct adaptive quadrature in the r variable.
 
     Deliberately independent of the t-substitution route: the integrands are
@@ -167,7 +159,6 @@ class IdentityReport:
     n: int
     s: float
     ratios: dict
-    elapsed_seconds: float
 
 
 # closed-form predictions for the six ratio identities
@@ -184,7 +175,7 @@ def _ratio_predictions(p: HSParams) -> dict:
     }
 
 
-def identity_report(p: HSParams, tol: float = 1e-10) -> IdentityReport:
+def identity_report(p: HSParams, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Quadrature-vs-closed-form check of the six moment-ratio identities.
 
     fraction0 is r2grad/mass2 - (2/2*(s)) r2crit/mass2 = 6 n c_ns, and
@@ -192,12 +183,7 @@ def identity_report(p: HSParams, tol: float = 1e-10) -> IdentityReport:
     side uses only moment_quadrature; the closed-form side only rational
     arithmetic on (n, s).  Requires n >= 7 so all six ratios are finite.
     """
-    if p.n < 7:
-        raise DomainError(f"identity report needs n >= 7 (r4 moments), got n={p.n}")
-    if not (0.0 < p.s < 2.0):
-        raise DomainError(f"identity report needs s in (0, 2), got s={p.s}")
-
-    t0 = time.perf_counter()
+    p.require("the identity report", n_min=7, s_positive=True)
     q = {kind: moment_quadrature(p, kind, tol=tol)
          for kind in ("mass2", "r2mass", "r2grad", "r4grad", "r2crit", "r4crit")}
     two_over_crit = 2.0 / p.crit_exp
@@ -211,7 +197,6 @@ def identity_report(p: HSParams, tol: float = 1e-10) -> IdentityReport:
         measured["r2grad_over_mass2"] - two_over_crit * measured["r2crit_over_mass2"])
     measured["r4combined"] = (
         measured["r4grad_over_r2mass"] - two_over_crit * measured["r4crit_over_r2mass"])
-    elapsed = time.perf_counter() - t0
 
     predicted = _ratio_predictions(p)
     ratios = {}
@@ -223,5 +208,4 @@ def identity_report(p: HSParams, tol: float = 1e-10) -> IdentityReport:
             "abs_residual": abs(got - pred),
             "rel_residual": abs(got - pred) / abs(pred),
         }
-    return IdentityReport(n=p.n, s=float(p.s), ratios=ratios,
-                          elapsed_seconds=elapsed)
+    return IdentityReport(n=p.n, s=float(p.s), ratios=ratios)

@@ -18,8 +18,8 @@ curvature-coupling rationals are
 At s = 0 both rationals collapse to the classical conformal value
 (n - 2)/(4(n - 1)); ``yamabe_consistency`` checks that in exact rational
 arithmetic.  s = 0 is accepted here and by the moment integrals (the constants
-stay finite) but rejected by the profile/solver/energy modules, whose
-expansions assume 0 < s < 2.
+stay finite); each operation that needs more states it through
+HSParams.require, the one place an (n, s) domain rule is checked.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ class HSParams:
             raise DomainError(f"dimension must be an integer >= 3, got n={self.n}")
         if not (0.0 <= self.s < 2.0):
             raise DomainError(f"singularity exponent must lie in [0, 2), got s={self.s}")
+
+    def require(self, what: str, n_min: int = 3,
+                s_positive: bool = False) -> None:
+        """Refuse (n, s) outside the domain of the operation `what`."""
+        if self.n < n_min:
+            raise DomainError(f"{what} needs n >= {n_min}, got n={self.n}")
+        if s_positive and self.s <= 0.0:
+            raise DomainError(f"{what} needs s in (0, 2), got s={self.s}")
 
     @property
     def crit_exp(self) -> float:
@@ -91,20 +99,12 @@ def yamabe_consistency(n: int) -> dict:
     three are identical: (n-2)*6/(12*(2n-2)) = (n-2)*10/(20*(2n-2))
     = (n-2)/(4(n-1)).
     """
-    if int(n) != n or n < 3:
-        raise DomainError(f"dimension must be an integer >= 3, got n={n}")
-    n = int(n)
+    n = int(HSParams(n, 0.0).n)
     c0 = Fraction((n - 2) * 6, 12 * (2 * n - 2))
     lam0 = Fraction((n - 2) * 10, 20 * (2 * n - 2))
     yam = Fraction(n - 2, 4 * (n - 1))
     assert c0 == lam0 == yam
     return {"c_at_0": c0, "lambda_at_0": lam0, "yamabe": yam}
-
-
-def require_singular(p: HSParams, where: str) -> None:
-    """Reject s = 0 for operations whose expansions assume 0 < s < 2."""
-    if p.s <= 0.0:
-        raise DomainError(f"{where} requires s in (0, 2), got s={p.s}")
 
 
 def sphere_area(n: int) -> float:

@@ -20,8 +20,8 @@ Plain adaptive Gauss-Kronrod (G7, K15) on panels:
     (panel edges at 2**-j), which resolves r**(a+sing) singularities at 0 and
     slow algebraic tails at infinity without weight-specific rules;
   * the panel with the largest |K15 - G7| discrepancy is bisected until the
-    accumulated discrepancy drops below tol * |I|, a roundoff floor is hit,
-    or the evaluation budget runs out.
+    accumulated discrepancy drops below tol * |I| or a roundoff floor is
+    hit; an exhausted budget or a non-finite panel sum is an error.
 
 The integrand is called on many panels' nodes at once: one call on the nodes
 of every initial panel (61 panels on a finite domain, 108 on an infinite
@@ -33,6 +33,7 @@ f is never called at r = 0 or u = 1.
 
 from dataclasses import dataclass
 from heapq import heappush, heappop
+from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,6 +79,7 @@ for _i, _x in enumerate(_NODES):
     if _j % 2 == 1:  # odd Kronrod indices are the original Gauss nodes
         _W7[_i] = _WG[(_j - 1) // 2]
 
+DEFAULT_TOL = 1e-10       # relative tolerance of a call that names none
 PANEL_BUDGET = 1_000_000  # function evaluations
 _GRADE_LEVELS = 60        # initial geometric grading depth toward r = 0
 _TAIL_LEVELS = 48         # grading depth toward u = 1 (float spacing limit)
@@ -103,19 +105,18 @@ def _panels(g, lo, hi):
 
     g is called once, on the nodes of every panel.  The sums stay one dot
     product per panel: a single matrix product over all panels may sum in a
-    different order and move the last bit of each panel value.  Yields
-    (k15, |k15 - g7|, |k15| sum) per panel, in order.
+    different order and move the last bit of each panel value.  Returns
+    (k15, |k15 - g7|, |k15| sum) per panel, in order; a sum may overflow.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _NODES
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         y = np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
-    y = np.where(np.isfinite(y), y, 0.0)  # underflow/rounding guard at u -> 1
-    for hk, yk, ak in zip(h.tolist(), y, np.abs(y)):
-        k15 = hk * float(_W15 @ yk)
-        g7 = hk * float(_W7 @ yk)
-        yield k15, abs(k15 - g7), hk * float(_W15 @ ak)
+        y = np.where(np.isfinite(y), y, 0.0)  # underflow/rounding guard at u -> 1
+        return [(k15 := hk * float(_W15 @ yk), abs(k15 - hk * float(_W7 @ yk)),
+                 hk * float(_W15 @ ak))
+                for hk, yk, ak in zip(h.tolist(), y, np.abs(y))]
 
 
 def _tail_slope(g):
@@ -131,15 +132,15 @@ def _tail_slope(g):
     return (lv[-1] - lv[0]) / (lr[-1] - lr[0])
 
 
-def integrate_radial(integrand: RadialIntegrand, tol: float = 1e-10,
-                     budget: int = PANEL_BUDGET) -> dict:
+def integrate_radial(integrand: RadialIntegrand,
+                     tol: float = DEFAULT_TOL) -> dict:
     """Adaptive evaluation of the radial integral.
 
     Returns {"value", "error_estimate", "evaluations"}; on success
     error_estimate <= tol * |value| (or sits at the roundoff floor).  Raises
     DomainError when the integrand is divergent (endpoint exponent <= -1, or
-    a non-decaying tail on an infinite domain) and NumericalError when the
-    panel budget is exhausted before the tolerance is met.
+    a non-decaying tail on an infinite domain) and NumericalError when a
+    panel sum is not finite or PANEL_BUDGET runs out before convergence.
 
     integrand.f is called on the nodes of many panels at once (all initial
     panels in one call, then both halves of each bisection), so it must be
@@ -191,6 +192,9 @@ def integrate_radial(integrand: RadialIntegrand, tol: float = 1e-10,
         nonlocal serial, total, err_total, abs_total, evals
         sums = _panels(target, np.array(lo), np.array(hi))
         for plo, phi, (val, err, kabs) in zip(lo, hi, sums):
+            if not (isfinite(err) and isfinite(kabs)):  # err is, if val is
+                raise NumericalError(f"a quadrature panel sum on [{plo:.6g}, "
+                                     f"{phi:.6g}] leaves the float range")
             total += val
             err_total += err
             abs_total += kabs
@@ -210,9 +214,9 @@ def integrate_radial(integrand: RadialIntegrand, tol: float = 1e-10,
         return err_total <= tol * scale or err_total <= 50.0 * eps * abs_total
 
     while heap and not converged():
-        if evals + 30 > budget:
+        if evals + 30 > PANEL_BUDGET:
             raise NumericalError(
-                f"quadrature budget of {budget} evaluations exhausted; "
+                f"quadrature budget of {PANEL_BUDGET} evaluations exhausted; "
                 f"error estimate {err_total:.3e} vs target "
                 f"{tol * abs(total):.3e}")
         neg_err, _, lo, hi, val, err = heappop(heap)

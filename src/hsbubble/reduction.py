@@ -184,8 +184,7 @@ def verdict(jet: PotentialJet, c: CurvatureData, p: HSParams,
     is compared against lg_tol (default exact zero: pass a tolerance when
     the obstruction came from quadrature rather than construction).
     """
-    if p.n != c.n:
-        raise DomainError(f"dimension mismatch: data n={c.n}, params n={p.n}")
+    c.check_dimension(p)
     if not math.isfinite(lg_tol):
         raise DomainError(f"lg_tol must be finite, got {lg_tol}")
     cv = p.c_ns * c.scal

@@ -508,6 +508,15 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["kernel", "--n", "7", "--s", "1", "--grid", "2000,1e45"],
      "cell masses or fluxes overflow a float on this grid (R_max = 1e+45, "
      "N = 2000"),
+    # a potential term whose panel sums overflow (was a numpy RuntimeWarning
+    # and about 3 s spent on the whole budget, then "error estimate nan")
+    (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
+      "--h0", "1e305"], "the energy fit with h0 = 1e+305: a quadrature "
+     "panel sum"),
+    # a fit whose residual overflows (was exit 0 with Infinity, not JSON)
+    (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
+      "--h0", "1e200"], "the energy fit with h0 = 1e+200: its fitted "
+     "values leave the float range"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -565,13 +574,12 @@ def test_bad_grid_is_reported_before_its_source(capsys):
      "potential jet field 'lap_h' must be finite, got inf"),
     (["lg", "--n", "7", "--s", "1", "--curvature", "nan-curv.json"],
      "curvature invariant 'scal' must be a finite number, got nan"),
+    # an (n, s) outside the operation's domain names both
+    (["energy", "--n", "6", "--s", "1"],
+     "the energy expansion needs n >= 7, got n=6"),
     # sphere radii whose invariants leave the float range (were an
     # OverflowError and a ZeroDivisionError traceback, and a message that
     # named ric_norm2 but not the radius)
-    (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e200",
-      "--grid", "2000,200"],
-     "sphere radius 1e+200 puts the curvature invariants outside the float "
-     "range"),
     (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e-200",
       "--grid", "2000,200"], "sphere radius 1e-200 puts"),
     (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e-80",
@@ -593,6 +601,23 @@ def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     assert err.startswith("error: ")
     assert cause in err
     assert os.listdir(tmp_path) == ["nan-curv.json"]
+
+
+@pytest.mark.parametrize("radius", ["1e100", "1e200"])
+def test_huge_sphere_radius_answers(capsys, radius):
+    # radius**4 overflows above about 1e77, but the invariants themselves
+    # are representable (those below the float range underflow to 0), so
+    # the run answers (sphere:1e200 was exit 1, "sphere radius 1e+200 puts
+    # the curvature invariants outside the float range")
+    doc = invoke_json(capsys, ["lg", "--n", "7", "--s", "1", "--curvature",
+                               f"sphere:{radius}", "--grid", "2000,200"])
+    r = float(radius)
+    curv = doc["inputs"]["curvature"]
+    assert curv["scal"] == pytest.approx(42.0 / r / r, rel=1e-15)
+    assert curv["ric_norm2"] == curv["rm_norm2"] == curv["lap_scal"] == 0.0
+    flat = invoke_json(capsys, ["lg", "--n", "7", "--s", "1",
+                                "--grid", "2000,200"])
+    assert doc["outputs"]["total"] == flat["outputs"]["total"]
 
 
 def test_scipy_free_subcommands_load_no_scipy():

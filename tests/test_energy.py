@@ -170,14 +170,15 @@ def test_j_critical_sweep_difference_is_fourth_order():
     assert abs(dJ) <= 0.01 * generic
 
 
-def test_j_expansion_residual_is_beyond_fourth_order():
+def test_j_expansion_residual_is_beyond_fourth_order(monkeypatch):
     # r(delta) = J - (c0 + c2 d^2 + c4 d^4) against the *predicted*
     # coefficients must vanish faster than delta^4 toward small delta
+    monkeypatch.setattr(energy, "TOL", 1e-13)
     m = critical_model()
     pred = predicted_coeffs(m, P71)
     r = {}
     for d in (0.001, 0.002):
-        J = j_at_bubble(m, P71, d, tol=1e-13)
+        J = j_at_bubble(m, P71, d)
         r[d] = J - (pred["c0"] + pred["c2"] * d**2 + pred["c4"] * d**4)
         assert abs(r[d]) <= 1e-10 * abs(J)
     assert abs(r[0.001]) / 0.001**4 < abs(r[0.002]) / 0.002**4
@@ -189,7 +190,7 @@ def test_j_expansion_residual_is_beyond_fourth_order():
     pred2 = predicted_coeffs(m2, p2)
     r2 = {}
     for d in (0.005, 0.01):
-        J = j_at_bubble(m2, p2, d, tol=1e-13)
+        J = j_at_bubble(m2, p2, d)
         r2[d] = J - (pred2["c0"] + pred2["c2"] * d**2 + pred2["c4"] * d**4)
     assert abs(r2[0.005]) / 0.005**4 < abs(r2[0.01]) / 0.01**4
 

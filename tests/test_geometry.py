@@ -8,7 +8,9 @@ exact rational arithmetic, independently of the production formula.
 
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from hsbubble.bubble import default_grid
 from hsbubble.errors import DomainError
 from hsbubble.geometry import (
+    CURVATURE_SCHEMA_KEYS,
     CurvatureData,
     LgBreakdown,
     PotentialJet,
@@ -24,6 +27,7 @@ from hsbubble.geometry import (
     density_coeffs,
     kns,
     lg_total,
+    potential_file,
 )
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
@@ -123,6 +127,44 @@ def test_curvature_file_schema_errors(tmp_path):
         curvature_preset(str(notjson), 7)
     with pytest.raises(DomainError):
         curvature_preset(str(tmp_path / "nope.json"), 7)
+
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+
+
+def _schema(name):
+    return json.loads((SCHEMAS / f"{name}.schema.json").read_text("utf-8"))
+
+
+def test_curvature_schema_matches_the_code():
+    schema = _schema("curvature")
+    assert schema["required"] == list(CURVATURE_SCHEMA_KEYS)
+    assert list(schema["properties"]) == list(CURVATURE_SCHEMA_KEYS)
+    assert schema["additionalProperties"] is False
+
+
+def test_potential_schema_matches_the_code(tmp_path):
+    # potential_file reads exactly the schema's properties: every required
+    # key, the optional one (f0, default 0), and nothing else
+    schema = _schema("potential")
+    assert schema["additionalProperties"] is False
+    required = schema["required"]
+    optional = [k for k in schema["properties"] if k not in required]
+    assert optional == ["f0"]
+    path = tmp_path / "pot.json"
+
+    def read(payload):
+        path.write_text(json.dumps(payload))
+        return potential_file(str(path))
+
+    full = {k: float(i + 1) for i, k in enumerate(schema["properties"])}
+    assert read(full) == PotentialJet(full["h0"], full["lap_h"], full["f0"])
+    assert read({k: full[k] for k in required}).f_val == 0.0
+    for key in required:
+        with pytest.raises(DomainError, match=re.escape(f"missing ['{key}']")):
+            read({k: v for k, v in full.items() if k != key})
+    with pytest.raises(DomainError, match=re.escape("unexpected ['extra']")):
+        read(dict(full, extra=1.0))
 
 
 def test_curvature_invariant_violations():

@@ -142,7 +142,6 @@ def test_identity_report_n7_s1_frozen_ratios():
         entry = rep.ratios[name]
         np.testing.assert_allclose(entry["closed_form"], value, rtol=1e-13)
         assert entry["rel_residual"] <= 1e-8, name
-    assert rep.elapsed_seconds < 30.0
 
 
 def test_identity_report_domain():

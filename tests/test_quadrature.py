@@ -52,13 +52,28 @@ def test_divergent_tail_rejected():
         integrate_radial(RadialIntegrand(f=lambda r: (1.0 + r) ** -6.0, a=5.0))
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1200)
     with pytest.raises(NumericalError):
         integrate_radial(
             RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r, a=0.0, R=1.0),
             tol=1e-13,
-            budget=1200,
         )
+
+
+def test_non_finite_panel_sum_ends_the_integration_at_once():
+    # each value fits a float but a panel's weighted sum does not; such a
+    # sum in the total never converges (inf - inf is nan), so the engine
+    # stops at the first one instead of spending its budget
+    points = []
+
+    def f(r):
+        points.append(r.size)
+        return np.full_like(r, 1e308)
+
+    with pytest.raises(NumericalError, match="leaves the float range"):
+        integrate_radial(RadialIntegrand(f=f, a=0.0, R=1.0))
+    assert sum(points) < quadrature.PANEL_BUDGET // 1000
 
 
 def test_tolerance_monotonicity():
@@ -175,8 +190,8 @@ def _recorded_calls(monkeypatch, module, run):
     """(integrand, tol, result) of every integrate_radial call `run` makes."""
     calls = []
 
-    def spy(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
-        res = integrate_radial(integrand, tol=tol, budget=budget)
+    def spy(integrand, tol=quadrature.DEFAULT_TOL):
+        res = integrate_radial(integrand, tol=tol)
         calls.append((integrand, tol, res))
         return res
 
@@ -224,11 +239,12 @@ def test_batched_panels_bit_identical_to_panel_loop(monkeypatch, module, run):
         assert got["evaluations"] == want["evaluations"]
 
 
-def test_batched_budget_exhaustion_matches_panel_loop():
+def test_batched_budget_exhaustion_matches_panel_loop(monkeypatch):
     integrand = RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r,
                                 a=0.0, R=1.0)
     with pytest.raises(NumericalError) as want:
         _reference_integrate(integrand, tol=1e-13, budget=1200)
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1200)
     with pytest.raises(NumericalError) as got:
-        integrate_radial(integrand, tol=1e-13, budget=1200)
+        integrate_radial(integrand, tol=1e-13)
     assert str(got.value) == str(want.value)
