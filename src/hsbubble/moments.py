@@ -20,6 +20,12 @@ the prefactor carries the sphere area omega_{n-1}, the kappa powers, and the
 1/(2-s) Jacobian.  Gamma values are handled in log space so large P (s near
 2) cannot overflow.
 
+The log-gamma is ``_lgamma``, a port for x > 0 of Cephes ``lgam`` (S. L.
+Moshier, *Methods and Programs for Mathematical Functions*, 1989), the code
+behind ``scipy.special.gammaln``: same coefficients, same branches, same
+operation order, so it returns gammaln's double bit for bit and no moment
+moves a digit, while the closed forms load no scipy module.
+
 An independent quadrature route (``moment_quadrature``) evaluates the same
 moments directly in the r variable from the profile closed forms, without the
 t-substitution; ``identity_report`` compares the two routes against the six
@@ -28,6 +34,7 @@ closed-form ratio identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +57,68 @@ MOMENT_KINDS = (
 )
 
 
+# Cephes lgam coefficients: Stirling series (A), rational (B/C) on [2, 3)
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4,
+           -3.31612992738871184744E5, -1.16237097492762307383E6,
+           -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (-3.51815701436523470549E2, -1.70642106651881159223E4,  # leading 1
+           -2.20528590553854454839E5, -1.13933444367982507207E6,
+           -2.53252307177582951285E6, -2.01889141433532773231E6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305  # lgam overflows beyond this
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x) for x > 0, bit-identical to Cephes lgam (scipy's gammaln).
+
+    Every step keeps Cephes' order of operations; ``math.lgamma`` differs
+    in the last bits, which the cancellation in the energy fit amplifies.
+    """
+    if x < 13.0:
+        # shift u = x + p into [2, 3), collecting the Gamma ratio in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num, den = _LGAM_B[0], x + _LGAM_C[0]
+        for b in _LGAM_B[1:]:
+            num = num * x + b
+        for c in _LGAM_C[1:]:
+            den = den * x + c
+        return math.log(z) + x * num / den
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        a = a * p + c
+    return q + a / x
+
+
 def ipq(p: float, q: float) -> float:
     """I_p^q in closed Beta form."""
-    from scipy.special import gammaln
-
     if p - q <= 1.0 or q <= -1.0:
         raise DomainError(
             f"I_p^q diverges for p={p}, q={q} (need p - q > 1 and q > -1)")
-    return float(np.exp(gammaln(q + 1.0) + gammaln(p - q - 1.0) - gammaln(p)))
+    return float(np.exp(_lgamma(q + 1.0) + _lgamma(p - q - 1.0) - _lgamma(p)))
 
 
 def _reduction(p: HSParams, kind: str):
@@ -150,8 +211,15 @@ def moment_quadrature(p: HSParams, kind: str,
     if kind not in table:
         raise DomainError(f"unknown moment kind {kind!r}")
     f, aa, sing = table[kind]
-    res = integrate_radial(RadialIntegrand(f=f, a=aa, sing=sing), tol=tol)
-    return sphere_area(n) * res["value"]
+    value = integrate_radial(RadialIntegrand(f=f, a=aa, sing=sing),
+                             tol=tol)["value"]
+    if value == 0.0 or not math.isfinite(value):
+        # the panels drop integrand values beyond the float range, so a
+        # moment whose whole mass lies there sums to 0
+        raise NumericalError(
+            f"the {kind} moment by quadrature at n = {n}, s = {s} is {value}: "
+            "its integrand leaves the float range")
+    return sphere_area(n) * value
 
 
 @dataclass

@@ -122,14 +122,16 @@ def _panels(g, lo, hi):
 def _tail_slope(g):
     """Crude log-log decay slope of g at large r (divergence screen)."""
     rs = np.array([1e3, 1e4, 1e5, 1e6])
-    vals = np.abs(np.asarray(g(rs), dtype=float))
-    if np.all(vals < 1e-290):
-        return -np.inf  # effectively compactly supported
-    good = vals > 0
-    if good.sum() < 2:
-        return -np.inf
-    lr, lv = np.log(rs[good]), np.log(vals[good])
-    return (lv[-1] - lv[0]) / (lr[-1] - lr[0])
+    # samples may overflow: the slope is then +-inf or nan (nan screens none)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vals = np.abs(np.asarray(g(rs), dtype=float))
+        if np.all(vals < 1e-290):
+            return -np.inf  # effectively compactly supported
+        good = vals > 0
+        if good.sum() < 2:
+            return -np.inf
+        lr, lv = np.log(rs[good]), np.log(vals[good])
+        return (lv[-1] - lv[0]) / (lr[-1] - lr[0])
 
 
 def integrate_radial(integrand: RadialIntegrand,

@@ -517,6 +517,13 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e200"], "the energy fit with h0 = 1e+200: its fitted "
      "values leave the float range"),
+    # a moment integrand beyond the float range everywhere it has mass (was
+    # an overflow RuntimeWarning from the tail screen, and without it a
+    # ZeroDivisionError traceback on the quadrature value 0)
+    (["integrals", "--n", "13", "--s", "1.95"],
+     "the r2mass moment by quadrature at n = 13, s = 1.95 is 0.0"),
+    (["integrals", "--n", "40", "--s", "1.8"],
+     "the mass2 moment by quadrature at n = 40, s = 1.8 is 0.0"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -633,6 +640,10 @@ def test_scipy_free_subcommands_load_no_scipy():
          "--h0", "2"],
         ["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
          "--h0", "7.954545454545454", "--base-lg", "5"],
+        ["energy", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+         "--h0", "7.954545454545454", "--deltas", "0.005:0.05:12"],
+        ["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1",
+         "--k-max", "10"],
     ]
     code = ("import contextlib, io, sys\n"
             "from hsbubble.cli import main\n"
@@ -671,7 +682,10 @@ def test_exit_0_plain_runs(capsys):
     for argv in (["constants", "--n", "7", "--s", "1"],
                  ["reduce", "--quad", "-1", "--quartic", "2"],
                  ["family", "--n", "7", "--s", "1", "--base-lg", "-1",
-                  "--f0", "-1", "--k-max", "1"]):
+                  "--f0", "-1", "--k-max", "1"],
+                 # its moment integrands overflow only in a core that holds
+                 # a negligible share of each moment
+                 ["integrals", "--n", "16", "--s", "1.9"]):
         rc, _, _ = invoke(capsys, argv)
         assert rc == 0
 

@@ -7,6 +7,8 @@ import pytest
 from hsbubble.errors import DomainError
 from hsbubble.moments import (
     MOMENT_KINDS,
+    _lgamma,
+    _reduction,
     bubble_moment,
     identity_report,
     ipq,
@@ -44,6 +46,54 @@ def test_ipq_recursions():
                                    rtol=1e-12)
         np.testing.assert_allclose(ipq(p + 1, q + 1), (q + 1) / p * ipq(p, q),
                                    rtol=1e-12)
+
+
+def _lgamma_sweep():
+    # every branch of Cephes lgam: the shifts down to and up to [2, 3), the
+    # rational there, the A series, the short series from 1000 on, Stirling
+    # alone beyond 1e8; plus integers, half-integers and the branch edges
+    rng = np.random.default_rng(11)
+    pieces = [rng.uniform(lo, hi, 6000) for lo, hi in
+              [(0.0, 2.0), (2.0, 3.0), (3.0, 13.0), (13.0, 1000.0)]]
+    pieces += [np.exp(rng.uniform(math.log(lo), math.log(hi), 6000))
+               for lo, hi in [(1e-300, 1.0), (1e3, 1e8), (1e8, 1e300)]]
+    pieces += [np.arange(1.0, 200.0), np.arange(0.5, 200.0),
+               np.array([2.0, 3.0, 13.0, 1000.0, 1e8, 5e-324, 2.556348e305,
+                         1e307, np.inf])]
+    edges = np.array([2.0, 3.0, 13.0, 1000.0, 1e8])
+    pieces += [np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+    return np.concatenate(pieces)
+
+
+def test_lgamma_is_bit_identical_to_scipy_gammaln():
+    # a mismatch means this scipy was built with another operation order
+    # (for example FMA contraction) than the Cephes code _lgamma follows
+    from scipy.special import gammaln
+
+    xs = _lgamma_sweep()
+    for x, want in zip(xs.tolist(), gammaln(xs).tolist()):
+        got = _lgamma(x)
+        assert got == want, f"_lgamma({x!r}) = {got!r}, gammaln gives {want!r}"
+
+
+def test_ipq_is_bit_identical_to_the_gammaln_form(monkeypatch):
+    # every (P, q) the moment registry yields over n = 3..60 and s in [0, 2);
+    # the terms do not depend on kappa, so pin it where it would overflow
+    from scipy.special import gammaln
+
+    monkeypatch.setattr(HSParams, "kappa", 1.0)
+    pairs = set()
+    for n in range(3, 61):
+        for s in np.linspace(0.0, 1.98, 34).tolist() + [1.999]:
+            for kind in MOMENT_KINDS:
+                terms = _reduction(HSParams(n, s), kind)[1]
+                pairs.update((P, q) for _, P, q in terms
+                             if P - q > 1.0 and q > -1.0)
+    assert len(pairs) > 10000
+    for P, q in sorted(pairs):
+        want = float(np.exp(gammaln(q + 1.0) + gammaln(P - q - 1.0)
+                            - gammaln(P)))
+        assert ipq(P, q) == want, f"ipq({P!r}, {q!r})"
 
 
 def test_ipq_quadrature_mode_agrees():
