@@ -1,39 +1,48 @@
 """Bubble profiles, moment integrals, and blow-up diagnostics for a
-singular-potential critical elliptic model on radial geometry."""
+singular-potential critical elliptic model on radial geometry.
 
-from .bubble import (RadialGrid, RadialProfile, default_grid, eval_profiles,
-                     pde_residual)
-from .energy import (FitReport, RadialModel, fit_expansion, j_at_bubble,
-                     predicted_coeffs, remainder_alpha, remainder_norm_scaled)
-from .errors import DomainError, NumericalError
-from .geometry import (CurvatureData, LgBreakdown, PotentialJet, assemble_w,
-                       curvature_preset, density_coeffs, kns, lg_total)
-from .linearized import (ModeSolution, WDecomposition, hat_c,
-                         kernel_diagnostics, nonlocal_term)
-from .moments import (IdentityReport, bubble_moment, identity_report,
-                      moment_quadrature)
-from .params import (HSParams, derive_constants, sphere_area,
-                     yamabe_consistency)
-from .quadrature import RadialIntegrand, integrate_radial
-from .reduction import (CriticalPoint, FamilyLadder, ReducedFunctional,
-                        Verdict, critical_t, family_theorem2,
-                        predicted_delta, verdict)
+The package imports lazily (PEP 562): `import hsbubble` loads none of its
+modules, and an exported name or a module name below loads its home module
+on first access, so a caller pays only for the modules it uses.
+"""
 
-__all__ = [
-    "HSParams", "derive_constants", "yamabe_consistency",
-    "sphere_area",
-    "DomainError", "NumericalError",
-    "RadialIntegrand", "integrate_radial",
-    "RadialGrid", "RadialProfile", "default_grid", "eval_profiles",
-    "pde_residual",
-    "IdentityReport", "bubble_moment", "moment_quadrature",
-    "identity_report",
-    "WDecomposition", "ModeSolution", "hat_c", "nonlocal_term",
-    "kernel_diagnostics",
-    "CurvatureData", "PotentialJet", "LgBreakdown", "curvature_preset",
-    "density_coeffs", "kns", "assemble_w", "lg_total",
-    "RadialModel", "FitReport", "j_at_bubble", "predicted_coeffs",
-    "fit_expansion", "remainder_norm_scaled", "remainder_alpha",
-    "ReducedFunctional", "CriticalPoint", "critical_t", "predicted_delta",
-    "FamilyLadder", "family_theorem2", "Verdict", "verdict",
-]
+import importlib
+
+# home module -> the names it exports
+_EXPORTS = {
+    "params": ("HSParams", "derive_constants", "yamabe_consistency",
+               "sphere_area"),
+    "errors": ("DomainError", "NumericalError"),
+    "quadrature": ("RadialIntegrand", "integrate_radial"),
+    "bubble": ("RadialGrid", "RadialProfile", "default_grid", "eval_profiles",
+               "pde_residual"),
+    "moments": ("IdentityReport", "bubble_moment", "moment_quadrature",
+                "identity_report"),
+    "linearized": ("WDecomposition", "ModeSolution", "hat_c", "nonlocal_term",
+                   "kernel_diagnostics"),
+    "geometry": ("CurvatureData", "PotentialJet", "LgBreakdown",
+                 "curvature_preset", "density_coeffs", "kns", "assemble_w",
+                 "lg_total"),
+    "energy": ("RadialModel", "FitReport", "j_at_bubble", "predicted_coeffs",
+               "fit_expansion", "remainder_norm_scaled", "remainder_alpha"),
+    "reduction": ("ReducedFunctional", "CriticalPoint", "critical_t",
+                  "predicted_delta", "FamilyLadder", "family_theorem2",
+                  "Verdict", "verdict"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -7,12 +7,15 @@ can be reproduced from itself.  JSON documents have the fixed shape
 
 with sorted keys, so two runs with the same inputs are byte-identical.
 Exit codes: 0 success, 1 domain/validation error (including bad flags),
-2 numerical failure (non-convergence, ill-conditioned fit).
+2 numerical failure (non-convergence, ill-conditioned fit).  A reader that
+closes stdout early (`| head`) ends the run quietly, with its exit code.
 
 The subcommands are rows of one table (_SUBCOMMANDS): name, help, the shared
 flag groups, the subcommand's own flags, the handler and an optional text
 renderer.  Handlers take an _Inputs, which parses (n, s), the curvature, the
-potential and the grid from the flags on first use.
+potential and the grid from the flags on first use.  Only errors and params
+are imported here; each handler imports the library functions it calls, so
+a run loads only the modules (and numpy or scipy) its subcommand uses.
 """
 
 from __future__ import annotations
@@ -22,26 +25,14 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
-from .bubble import default_grid, eval_profiles
-from .energy import (RadialModel, fit_expansion, remainder_alpha,
-                     remainder_norm_scaled)
 from .errors import DomainError, NumericalError
-from .geometry import (CURVATURE_SCHEMA_KEYS, LgBreakdown, PotentialJet,
-                       assemble_w, curvature_preset, density_coeffs, kns,
-                       lg_total, potential_file)
-from .linearized import kernel_diagnostics, nonlocal_term
-from .moments import identity_report
-from .params import HSParams
-from .quadrature import DEFAULT_TOL
-from .reduction import (ReducedFunctional, critical_t, family_theorem2,
-                        predicted_delta, verdict)
+from .params import DEFAULT_TOL, HSParams
 
 __all__ = ["main", "build_parser"]
 
@@ -97,6 +88,7 @@ _GROUPS = {"params": _add_params, "curvature": _add_curvature,
 
 
 def _parse_grid(p: HSParams, text: str):
+    from .bubble import default_grid
     parts = text.split(",")
     if len(parts) not in (2, 3):
         raise DomainError(f"--grid expects N,Rmax[,gamma], got {text!r}")
@@ -109,7 +101,8 @@ def _parse_grid(p: HSParams, text: str):
     return default_grid(p, N=N, R_max=r_max, gamma=gamma)
 
 
-def _parse_deltas(text: str) -> np.ndarray:
+def _parse_deltas(text: str):
+    import numpy as np
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"--deltas expects lo:hi:count, got {text!r}")
@@ -139,10 +132,12 @@ class _Inputs:
 
     @cached_property
     def c(self):
+        from .geometry import curvature_preset
         return curvature_preset(self.args.curvature, self.p.n)
 
     @cached_property
-    def jet(self) -> PotentialJet:
+    def jet(self):
+        from .geometry import PotentialJet, potential_file
         a = self.args
         if a.potential is None:
             return PotentialJet(a.h0 or 0.0, a.lap_h or 0.0, a.f0 or 0.0)
@@ -158,6 +153,7 @@ class _Inputs:
         out = {} if self.p is None else {"n": self.args.n, "s": self.args.s}
         for name in names:
             if name == "curvature":
+                from .geometry import CURVATURE_SCHEMA_KEYS
                 out[name] = {k: getattr(self.c, k)
                              for k in CURVATURE_SCHEMA_KEYS}
             elif name == "potential":
@@ -173,6 +169,7 @@ class _Inputs:
 def _obstruction(inp: _Inputs):
     """The obstruction (from --base-lg, else solved on the grid) and the
     inputs it used."""
+    from .geometry import LgBreakdown, lg_total
     base = inp.args.base_lg
     if base is not None:
         return LgBreakdown(base, 0.0, base), {"base_lg": base}
@@ -212,6 +209,7 @@ def _ratio_table(ratios: dict, path: Optional[str] = None) -> str:
 
 
 def _cmd_integrals(inp):
+    from .moments import identity_report
     rep = identity_report(inp.p, tol=inp.args.tol)
     if inp.args.csv is not None:
         _ratio_table(rep.ratios, inp.args.csv)
@@ -219,6 +217,9 @@ def _cmd_integrals(inp):
 
 
 def _cmd_bubble(inp):
+    import numpy as np
+
+    from .bubble import eval_profiles
     a = inp.args
     outputs = {
         "kappa": inp.p.kappa,
@@ -241,6 +242,8 @@ def _cmd_bubble(inp):
 
 
 def _cmd_chat(inp):
+    from .geometry import assemble_w
+    from .linearized import nonlocal_term
     c, grid = inp.c, inp.grid
     w = assemble_w(c, inp.p, inp.args.h0)
     det = nonlocal_term(inp.p, w, grid, detail=True)
@@ -268,6 +271,7 @@ def _cmd_chat(inp):
 
 
 def _cmd_lg(inp):
+    from .geometry import density_coeffs, kns, lg_total
     out = lg_total(inp.c, inp.jet, inp.p, inp.grid)
     outputs = {"local_term": out.local_term,
                "nonlocal_term": out.nonlocal_term,
@@ -278,6 +282,7 @@ def _cmd_lg(inp):
 
 
 def _cmd_energy(inp):
+    from .energy import RadialModel, fit_expansion
     a = inp.args
     model = RadialModel(inp.c, inp.jet, r0=a.r0)
     rep = fit_expansion(model, inp.p, _parse_deltas(a.deltas),
@@ -288,6 +293,7 @@ def _cmd_energy(inp):
 
 
 def _cmd_remainder(inp):
+    from .energy import remainder_alpha, remainder_norm_scaled
     c, h0 = inp.c, inp.jet.h0_val
     out = remainder_alpha(c, inp.p, h0)
     outputs = dict(out)
@@ -302,6 +308,7 @@ def _cmd_remainder(inp):
 
 
 def _cmd_reduce(inp):
+    from .reduction import ReducedFunctional, critical_t, predicted_delta
     a = inp.args
     out = critical_t(ReducedFunctional(a.quad, a.quartic))
     if out.t0 is not None:
@@ -326,6 +333,7 @@ def _cmd_reduce(inp):
 
 
 def _cmd_family(inp):
+    from .reduction import family_theorem2
     jet = inp.jet
     base, used = _obstruction(inp)
     ladder = family_theorem2(base, inp.p, jet.f_val, inp.args.k_max)
@@ -349,6 +357,7 @@ def _family_table(outputs: dict) -> str:
 
 
 def _cmd_verdict(inp):
+    from .reduction import verdict
     c, jet = inp.c, inp.jet
     lg, used = _obstruction(inp)
     v = verdict(jet, c, inp.p, lg, lg_tol=inp.args.lg_tol)
@@ -361,6 +370,7 @@ def _cmd_verdict(inp):
 
 
 def _cmd_kernel(inp):
+    from .linearized import kernel_diagnostics
     return inp.echo("grid"), kernel_diagnostics(inp.p, inp.grid)
 
 
@@ -469,7 +479,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # no numpy scalar exists before its import
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
 
@@ -503,11 +514,18 @@ def main(argv=None) -> int:
     if args.json:
         doc = {"tool": "hsbubble", "subcommand": cmd.name,
                "inputs": _jsonable(inputs), "outputs": outputs}
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        report = json.dumps(doc, sort_keys=True, indent=2)
     elif cmd.render is not None:
-        print(cmd.render(outputs))
+        report = cmd.render(outputs)
     else:
-        print("\n".join(_human_lines(outputs)))
+        report = "\n".join(_human_lines(outputs))
+    try:
+        print(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): the run still succeeded;
+        # point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

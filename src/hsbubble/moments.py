@@ -41,8 +41,8 @@ import numpy as np
 
 from . import bubble
 from .errors import DomainError, NumericalError
-from .params import HSParams, sphere_area
-from .quadrature import DEFAULT_TOL, RadialIntegrand, integrate_radial
+from .params import DEFAULT_TOL, HSParams, sphere_area
+from .quadrature import RadialIntegrand, integrate_radial
 
 MOMENT_KINDS = (
     "mass2",    # int U1^2 dX

@@ -30,6 +30,10 @@ from fractions import Fraction
 
 from .errors import DomainError, NumericalError
 
+# relative tolerance of a quadrature call that names none; defined here, not
+# in quadrature, so the CLI's --tol default loads no numpy
+DEFAULT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class HSParams:

@@ -39,6 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .params import DEFAULT_TOL
 
 # 15-point Kronrod extension of 7-point Gauss (positive half; the rule is
 # symmetric).  Classic tabulated values.
@@ -79,7 +80,6 @@ for _i, _x in enumerate(_NODES):
     if _j % 2 == 1:  # odd Kronrod indices are the original Gauss nodes
         _W7[_i] = _WG[(_j - 1) // 2]
 
-DEFAULT_TOL = 1e-10       # relative tolerance of a call that names none
 PANEL_BUDGET = 1_000_000  # function evaluations
 _GRADE_LEVELS = 60        # initial geometric grading depth toward r = 0
 _TAIL_LEVELS = 48         # grading depth toward u = 1 (float spacing limit)

@@ -627,33 +627,112 @@ def test_huge_sphere_radius_answers(capsys, radius):
     assert doc["outputs"]["total"] == flat["outputs"]["total"]
 
 
-def test_scipy_free_subcommands_load_no_scipy():
+# ------------------------------------------------------- lazy imports
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(hsbubble.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    runs = [
-        ["constants", "--n", "7", "--s", "1"],
-        ["integrals", "--n", "7", "--s", "1"],
-        ["bubble", "--n", "7", "--s", "1", "--delta", "0.1"],
-        ["reduce", "--quad", "2", "--quartic", "1"],
-        ["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
-         "--h0", "2"],
-        ["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
-         "--h0", "7.954545454545454", "--base-lg", "5"],
-        ["energy", "--n", "7", "--s", "1", "--curvature", "sphere:1",
-         "--h0", "7.954545454545454", "--deltas", "0.005:0.05:12"],
-        ["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1",
-         "--k-max", "10"],
-    ]
-    code = ("import contextlib, io, sys\n"
+
+
+_CLI = "cli errors params"
+_GEOMETRY = "geometry linearized moments bubble quadrature"
+
+# run -> (its hsbubble submodules, numpy loaded, scipy loaded); a run is an
+# import statement or a README example, run as the console script runs it
+RUN_LOADS = {
+    "import hsbubble": ("", False, False),
+    "import hsbubble.cli": (_CLI, False, False),
+    "constants": (_CLI, False, False),
+    "integrals": (f"{_CLI} moments bubble quadrature", True, False),
+    "bubble": (f"{_CLI} bubble", True, False),
+    "lg": (f"{_CLI} {_GEOMETRY}", True, True),
+    "energy": (f"{_CLI} energy {_GEOMETRY}", True, False),
+    "remainder": (f"{_CLI} energy {_GEOMETRY}", True, False),
+    "reduce": (f"{_CLI} reduction {_GEOMETRY}", True, False),
+    "family": (f"{_CLI} reduction {_GEOMETRY}", True, False),
+    "verdict": (f"{_CLI} reduction {_GEOMETRY}", True, False),
+    "kernel": (f"{_CLI} linearized bubble quadrature", True, True),
+}
+
+_REPORT_LOADED = (
+    "import json, sys\n"
+    "print(json.dumps({\n"
+    "    'hsbubble': sorted(m for m in sys.modules\n"
+    "                       if m.split('.')[0] == 'hsbubble'),\n"
+    "    'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
+    "    'scipy.sparse': 'scipy.sparse' in sys.modules}))\n")
+
+
+def test_each_run_loads_only_what_it_uses(tmp_path):
+    # the package and the CLI import lazily: `constants` loads no numpy,
+    # `kernel` none of the energy, geometry, moments or reduction modules,
+    # scipy loads only where its routines run, and nothing loads scipy.sparse
+    runs = {"import hsbubble": "import hsbubble\n",
+            "import hsbubble.cli": "import hsbubble.cli\n"}
+    for argv in readme_examples():
+        runs[argv[0]] = (
+            "import contextlib, io\n"
             "from hsbubble.cli import main\n"
-            f"for argv in {runs!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n")
+    assert sorted(runs) == sorted(RUN_LOADS)
+    for run, code in runs.items():
+        out = subprocess.run([sys.executable, "-c", code + _REPORT_LOADED],
+                             cwd=tmp_path, env=child_env(), check=True,
+                             capture_output=True, text=True).stdout
+        got = json.loads(out)
+        modules, numpy, scipy = RUN_LOADS[run]
+        assert got["hsbubble"] == sorted(
+            ["hsbubble"] + [f"hsbubble.{m}" for m in modules.split()]), run
+        assert (got["numpy"], got["scipy"]) == (numpy, scipy), run
+        assert not got["scipy.sparse"], run
+
+
+def test_lazy_exports_resolve_to_their_home_objects():
+    import importlib
+    import pkgutil
+
+    assert len(set(hsbubble.__all__)) == len(hsbubble.__all__) == 45
+    for name in hsbubble.__all__:
+        obj = getattr(hsbubble, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("hsbubble."), name
+        assert getattr(home, name) is obj, name
+    for info in pkgutil.iter_modules(hsbubble.__path__):
+        if info.name != "cli":
+            assert getattr(hsbubble, info.name) is \
+                importlib.import_module(f"hsbubble.{info.name}")
+    listed = dir(hsbubble)
+    assert set(hsbubble.__all__) <= set(listed)
+    assert {"bubble", "geometry", "linearized"} <= set(listed)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hsbubble.no_such_name
+    star = {}
+    exec("from hsbubble import *", star)
+    assert set(hsbubble.__all__) <= set(star)
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--n", "7", "--s", "1", "--json"],
+    ["integrals", "--n", "7", "--s", "1"],
+    ["constants", "--n", "7", "--s", "1"],
+], ids=["json", "render", "key-value"])
+def test_closed_stdout_ends_quietly(argv):
+    # the read end is closed before the child starts, so its report meets a
+    # pipe with no reader whatever the timing (as under `| head -1`)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hsbubble.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=child_env(), text=True)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""  # no BrokenPipeError traceback or warning
+    assert proc.returncode == 0
 
 
 def test_benchmark_span_sites_resolve():
