@@ -691,6 +691,32 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
         assert not got["scipy.sparse"], run
 
 
+def test_scipy_free_subcommands_load_no_scipy():
+    runs = [
+        ["constants", "--n", "7", "--s", "1"],
+        ["integrals", "--n", "7", "--s", "1"],
+        ["bubble", "--n", "7", "--s", "1", "--delta", "0.1"],
+        ["reduce", "--quad", "2", "--quartic", "1"],
+        ["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
+         "--h0", "2"],
+        ["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+         "--h0", "7.954545454545454", "--base-lg", "5"],
+        ["energy", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+         "--h0", "7.954545454545454", "--deltas", "0.005:0.05:12"],
+        ["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1",
+         "--k-max", "10"],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from hsbubble.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_lazy_exports_resolve_to_their_home_objects():
     import importlib
     import pkgutil

@@ -1,8 +1,13 @@
 """Tests for the mode-decomposed linearized solver."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hsbubble
 from hsbubble import linearized
 from hsbubble.bubble import RadialGrid, RadialProfile, default_grid, rdru1, u1, z0
 from hsbubble.errors import DomainError, NumericalError
@@ -386,6 +391,19 @@ def test_one_cache_clear_resets_all_per_grid_state(monkeypatch):
     assert again["mode2"] is new[1].unit2[0]
     assert again["mode2"] is not first["mode2"]
     assert again["total"] == first["total"]
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # scipy is imported inside the functions that call it, so importing the
+    # CLI loads no scipy module at all (scipy.sparse is not used anywhere)
+    src = os.path.dirname(os.path.dirname(hsbubble.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = ("import sys, hsbubble.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_hat_c_zero_input_gives_zero():
