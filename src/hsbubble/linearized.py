@@ -166,7 +166,9 @@ class ModeMatrices:
     (col = D g / gscale, gscale = |D g|, b = (D K D)^-1 col, schur = col^T b)
     and the node samples U1, r U1', Delta Z0; for ell = 2 unit2, the
     solution of L_2 c2 = -phi, phi = r U1' / 3, and its pairing with phi;
-    the defect's stencil.  Every array is read-only.
+    the defect's stencil; spectral, the scaled form M**(-1/2) K M**(-1/2)
+    of kernel_diagnostics as its diagonal and subdiagonal with M**(-1/2).
+    Every array is read-only.
     """
 
     p: HSParams
@@ -230,6 +232,15 @@ class ModeMatrices:
             lambda rr: -rdru1(p, rr) / 3.0), self.grid)
         c2 = _frozen(sol.profile.values)[0]
         return sol, float(np.sum(self.mass * (rdru1(p, self.r) / 3.0) * c2[1:]))
+
+    @functools.cached_property
+    def spectral(self) -> tuple:
+        inv_sqrt_m = 1.0 / np.sqrt(self.mass)
+        dt = self.d * inv_sqrt_m**2
+        et = self.e * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
+        if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(et))):
+            raise NumericalError("scaled operator overflows for this grid")
+        return _frozen(dt, et, inv_sqrt_m)
 
     @functools.cached_property
     def stencil(self) -> tuple:
@@ -598,33 +609,25 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
 # spectral diagnostics
 
 
-def _count_eigs_below(d: np.ndarray, e: np.ndarray, mass: np.ndarray,
-                      sigma: float) -> int:
-    """Number of pencil eigenvalues K v = lam M v with lam < sigma.
+def _count_eigs(mats: ModeMatrices, lo: float, hi: float) -> int:
+    """Number of pencil eigenvalues K v = lam M v with lam in (lo, hi].
 
-    Sturm count via the LDL^T pivot recurrence of K - sigma M; exact
+    The Sturm count of LAPACK dstebz on the scaled form (spectral): exact
     integer inertia, immune to the huge dynamic range of the graded cells.
-    The recurrence is sequential, so it runs on Python floats (numpy
-    scalars cost several times more per step).
+    With an infinite tolerance it counts at lo and hi and bisects nothing,
+    so it cannot fail to converge.
     """
-    tiny = float(np.finfo(float).tiny)
-    shifted = (d - sigma * mass).tolist()
-    e2 = (e * e).tolist()
-    q = shifted[0]
-    count = int(q < 0.0)
-    for di, ei2 in zip(shifted[1:], e2):
-        if q == 0.0:
-            q = tiny
-        q = di - ei2 / q
-        count += q < 0.0
-    return count
+    from scipy.linalg import lapack
+
+    dt, et, _ = mats.spectral
+    return int(lapack.dstebz(dt, et, 1, lo, hi, 0, 0, np.inf, "E")[0])
 
 
 def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
                        vectors: bool):
     """All pencil eigenpairs K v = lam M v with lam in (lo, hi].
 
-    Works on the symmetrically scaled standard form M**(-1/2) K M**(-1/2)
+    Works on the scaled standard form M**(-1/2) K M**(-1/2) (spectral)
     and computes the window by LAPACK bisection (dstebz) plus inverse
     iteration (dstein); the eigenvalues come back ascending and the
     eigenvectors, back-transformed, M-orthonormal.  Bisection's Sturm
@@ -641,11 +644,7 @@ def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
     """
     import scipy.linalg
 
-    inv_sqrt_m = 1.0 / np.sqrt(mats.mass)
-    dt = mats.d * inv_sqrt_m**2
-    et = mats.e * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
-    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(et))):
-        raise NumericalError("scaled operator overflows for this grid")
+    dt, et, inv_sqrt_m = mats.spectral
     try:
         out = scipy.linalg.eigh_tridiagonal(
             dt, et, eigvals_only=not vectors, select="v",
@@ -679,20 +678,22 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
       mode0_min_eig      smallest-magnitude eigenvalue in the window
       mode0_kernel_eig   eigenvalue of the alignment-identified kernel pair
       mode0_eigvec_alignment_with_Z0   |<v, Z0>_M| / (||v||_M ||Z0||_M)
-      mode0_near_zero_count   exact inertia count in [-zero_tol, zero_tol],
+      mode0_near_zero_count   exact inertia count in (-zero_tol, zero_tol],
                          zero_tol = ZERO_TOL_REL * (pi/R)**2 (0.75x:
                          under the observed box floor >= 2x at every (n, s)
                          probed, above any adequately resolved kernel eig)
-      mode0_negative_count    exact count of eigenvalues < -zero_tol
+      mode0_negative_count    exact count of eigenvalues <= -zero_tol
                          (1 = the bubble direction, when resolved)
       mode2_min_eig      smallest ell = 2 eigenvalue (positive: no kernel)
       mode2_near_zero_count   expected 0
 
-    Counts are Sturm-sequence inertias of the pencil itself -- exact
-    integers, no iterative solver involved -- and are taken first.  The
-    eigenpairs are then computed on the sub-window (-win/2**k, win/2**k],
-    widened (k -= 1) until it certifies that its answer is the full
-    window's, so only the pairs the report needs are bisected:
+    Counts are Sturm counts of the scaled form M**(-1/2) K M**(-1/2), which
+    has the pencil's eigenvalues (ModeMatrices.spectral, built once per
+    mode and grid): LAPACK dstebz with an infinite tolerance, exact integers
+    and no iterative solver.  The eigenpairs are computed on the sub-window
+    (-win/2**k, win/2**k], starting at k = 4 for both modes and widened
+    (k -= 1) until it certifies that its answer is the full window's, so
+    only the pairs the report needs are bisected:
 
       ell = 0  the sub-window is non-empty, so it holds the full window's
                smallest-|lam| pair, and its best Z0 alignment a has
@@ -703,14 +704,12 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                eigenvalue lies below -zero_tol, so the smallest eigenvalue
                of the full window lies inside.
 
-    The widening starts at k = 4 when the counts allow a certificate (one
-    ell = 0 eigenvalue near zero; no ell = 2 eigenvalue below -zero_tol),
-    else at k = 0, the full window.  After dstebz's first split at 0 the
-    dyadic sub-windows are nodes of the full window's bisection tree, so
-    the values are those the full window gives (to roundoff on coarse
-    grids, whose Gershgorin interval the window leaves).  "No eigenvalues
-    inside the diagnostic window" is raised only when the full window is
-    empty.
+    At k = 0 the full window answers, certified or not.  After dstebz's
+    first split at 0 the dyadic sub-windows are nodes of the full window's
+    bisection tree, so the values are those the full window gives (to
+    roundoff on coarse grids, whose Gershgorin interval the window leaves).
+    "No eigenvalues inside the diagnostic window" is raised only when the
+    full window is empty.
     """
     unit = (np.pi / grid.R_max) ** 2
     ztol = ZERO_TOL_REL * unit
@@ -721,10 +720,9 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
 
     for ell in (0, 2):
         mats = assemble_mode(p, ell, grid)
-        below_lo = _count_eigs_below(mats.d, mats.e, mats.mass, -ztol)
-        below_hi = _count_eigs_below(mats.d, mats.e, mats.mass, ztol)
-        certifiable = below_hi - below_lo == 1 if ell == 0 else below_lo == 0
-        k = 4 if certifiable else 0
+        negative = _count_eigs(mats, -np.inf, -ztol)
+        near_zero = _count_eigs(mats, -ztol, ztol)
+        k = 4
         while True:
             half = win / 2**k
             vals, vecs = _window_eigenpairs(mats, -half, half, vectors=ell == 0)
@@ -735,8 +733,8 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                 )
                 kbest = int(np.argmax(aligns))
             # the certificates above; k = 0 is the full window
-            if k == 0 or vals.size and (
-                    aligns[kbest] ** 2 > 0.5 if ell == 0 else half > ztol):
+            if k == 0 or vals.size and (aligns[kbest] ** 2 > 0.5 if ell == 0
+                                        else half > ztol and negative == 0):
                 break
             k -= 1
         if vals.size == 0:
@@ -748,9 +746,9 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
             out["mode0_min_eig"] = float(vals[np.argmin(np.abs(vals))])
             out["mode0_kernel_eig"] = float(vals[kbest])
             out["mode0_eigvec_alignment_with_Z0"] = float(aligns[kbest])
-            out["mode0_near_zero_count"] = below_hi - below_lo
-            out["mode0_negative_count"] = below_lo
+            out["mode0_near_zero_count"] = near_zero
+            out["mode0_negative_count"] = negative
         else:
             out["mode2_min_eig"] = float(np.min(vals))
-            out["mode2_near_zero_count"] = below_hi - below_lo
+            out["mode2_near_zero_count"] = near_zero
     return out

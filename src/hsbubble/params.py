@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, NumericalError
 
@@ -103,6 +102,8 @@ def yamabe_consistency(n: int) -> dict:
     three are identical: (n-2)*6/(12*(2n-2)) = (n-2)*10/(20*(2n-2))
     = (n-2)/(4(n-1)).
     """
+    from fractions import Fraction
+
     n = int(HSParams(n, 0.0).n)
     c0 = Fraction((n - 2) * 6, 12 * (2 * n - 2))
     lam0 = Fraction((n - 2) * 10, 20 * (2 * n - 2))

@@ -187,6 +187,8 @@ def verdict(jet: PotentialJet, c: CurvatureData, p: HSParams,
     c.check_dimension(p)
     if not math.isfinite(lg_tol):
         raise DomainError(f"lg_tol must be finite, got {lg_tol}")
+    if lg_tol < 0.0:
+        raise DomainError(f"lg_tol must be >= 0, got {float(lg_tol)}")
     cv = p.c_ns * c.scal
     excess = jet.h0_val - cv
     tol = CRIT_RTOL * max(1.0, abs(cv))

@@ -595,6 +595,10 @@ def test_bad_grid_is_reported_before_its_source(capsys):
     (["energy", "--n", "7", "--s", "1", "--r0", "1e300"],
      "r0 = 1e+300 is too large: (2 r0)**2 overflows a float"),
     (["energy", "--n", "7", "--s", "1", "--r0", "1e200"], "r0 = 1e+200"),
+    # was exit 0 with a blow-up candidate for an obstruction of exactly 0
+    (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--h0", "7.954545454545454", "--base-lg", "0", "--lg-tol", "-1"],
+     "lg_tol must be >= 0, got -1.0"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -663,13 +667,15 @@ _REPORT_LOADED = (
     "    'hsbubble': sorted(m for m in sys.modules\n"
     "                       if m.split('.')[0] == 'hsbubble'),\n"
     "    'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
-    "    'scipy.sparse': 'scipy.sparse' in sys.modules}))\n")
+    "    'scipy.sparse': 'scipy.sparse' in sys.modules,\n"
+    "    'fractions': 'fractions' in sys.modules}))\n")
 
 
 def test_each_run_loads_only_what_it_uses(tmp_path):
-    # the package and the CLI import lazily: `constants` loads no numpy,
-    # `kernel` none of the energy, geometry, moments or reduction modules,
-    # scipy loads only where its routines run, and nothing loads scipy.sparse
+    # the package and the CLI import lazily: `constants` loads no numpy and
+    # no fractions, `kernel` none of the energy, geometry, moments or
+    # reduction modules, scipy loads only where its routines run, and
+    # nothing loads scipy.sparse
     runs = {"import hsbubble": "import hsbubble\n",
             "import hsbubble.cli": "import hsbubble.cli\n"}
     for argv in readme_examples():
@@ -689,6 +695,8 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
             ["hsbubble"] + [f"hsbubble.{m}" for m in modules.split()]), run
         assert (got["numpy"], got["scipy"]) == (numpy, scipy), run
         assert not got["scipy.sparse"], run
+        if not numpy:
+            assert not got["fractions"], run
 
 
 def test_scipy_free_subcommands_load_no_scipy():

@@ -15,7 +15,7 @@ from hsbubble.geometry import PotentialJet, curvature_preset, lg_total
 from hsbubble.linearized import (
     ModeSolution,
     WDecomposition,
-    _count_eigs_below,
+    _count_eigs,
     _fd_defect,
     assemble_mode,
     hat_c,
@@ -362,9 +362,9 @@ def test_factored_arrays_refuse_writes():
     # ell = 0 has no centrifugal stencil array
     assert m0.stencil[-1] is None
     arrays = [m0.ds, *m0.lu, m0.border[0], m0.border[2], *m0.samples,
-              *m0.stencil[1:-1], m2.ds, *m2.lu, *m2.stencil[1:],
-              sols["mode2"].profile.values]
-    assert len(arrays) == 33
+              *m0.stencil[1:-1], *m0.spectral, m2.ds, *m2.lu,
+              *m2.stencil[1:], *m2.spectral, sols["mode2"].profile.values]
+    assert len(arrays) == 39
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -578,6 +578,18 @@ def test_kernel_diagnostics_matches_full_window(n, s, N, R_max):
             assert got[key] == want[key], key
 
 
+def test_kernel_diagnostics_ell2_widens_past_a_negative_eigenvalue():
+    # (16, 1.5) on 20 nodes to R_max = 20 leaves one ell = 2 eigenvalue
+    # below -zero_tol inside the window; the positive pairs of the smaller
+    # sub-windows must not stop the widening before it is reached
+    p = HSParams(16, 1.5)
+    grid = default_grid(p, N=20, R_max=20.0)
+    got = kernel_diagnostics(p, grid)["mode2_min_eig"]
+    assert got == pytest.approx(_full_window_diagnostics(p, grid)[
+        "mode2_min_eig"], rel=1e-14)
+    assert got < -(np.pi / 20.0) ** 2
+
+
 def test_kernel_diagnostics_bisects_at_most_four_pairs_per_mode(monkeypatch):
     import scipy.linalg
 
@@ -598,13 +610,14 @@ def test_kernel_diagnostics_bisects_at_most_four_pairs_per_mode(monkeypatch):
 
 def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
     # (9, 0.5) at N = 2000 (the kernel-9-05 golden) has no eigenvalue near
-    # zero, so the eigenpairs come from the full window.  Counts that allow
-    # the small start (one near zero, one below) make the sub-windows
-    # answer first; the smallest holds one box pair whose Z0 alignment is
-    # 2.6e-4, and only the full window holds the best-aligned pair.
+    # zero.  The smallest sub-window holds one box pair whose Z0 alignment is
+    # 2.6e-4, no sub-window certifies, and only the full window holds the
+    # best-aligned pair, so ell = 0 widens from k = 4 to k = 0.
+    import scipy.linalg
+
     p = HSParams(9, 0.5)
     grid = default_grid(p, N=2000)
-    want = kernel_diagnostics(p, grid)
+    want = _full_window_diagnostics(p, grid)
     mats = assemble_mode(p, 0, grid)
     win = linearized.WINDOW_REL * (np.pi / grid.R_max) ** 2
     vals, vecs = linearized._window_eigenpairs(mats, -win / 16, win / 16,
@@ -615,34 +628,49 @@ def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
     assert vals.size == 1
     assert align == pytest.approx(2.6e-4, rel=0.02)
 
-    monkeypatch.setattr(linearized, "_count_eigs_below",
-                        lambda d, e, mass, sigma: 1 + int(sigma > 0.0))
+    real = scipy.linalg.eigh_tridiagonal
+    halves = []
+
+    def recorded(*args, **kwargs):
+        if not kwargs["eigvals_only"]:
+            halves.append(kwargs["select_range"][1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
     got = kernel_diagnostics(p, grid)
-    assert got["mode0_near_zero_count"] == 1
-    assert got["mode0_kernel_eig"] == want["mode0_kernel_eig"]
+    assert halves == [win / 2**k for k in (4, 3, 2, 1, 0)]
+    for key in ("mode0_min_eig", "mode0_kernel_eig",
+                "mode0_eigvec_alignment_with_Z0"):
+        assert got[key] == want[key], key
     assert got["mode0_kernel_eig"] == pytest.approx(0.02435, rel=1e-3)
-    assert got["mode0_eigvec_alignment_with_Z0"] == \
-        want["mode0_eigvec_alignment_with_Z0"]
     assert got["mode0_eigvec_alignment_with_Z0"] == pytest.approx(4.03e-3,
                                                                   rel=1e-3)
 
 
 def test_sturm_count_against_dense_eigenvalues():
-    # exact inertia counts vs numpy's dense solve on a small grid
+    # exact dstebz counts vs scipy's dense pencil solve on small grids; at
+    # 64,5 the window leaves the Gershgorin interval of the scaled form
     import scipy.linalg
 
-    grid = grid71(300)
-    mats = assemble_mode(P71, 0, grid)
-    A = np.diag(mats.d) + np.diag(mats.e, 1) + np.diag(mats.e, -1)
-    M = np.diag(mats.mass)
-    vals = scipy.linalg.eigh(A, M, eigvals_only=True)
-    for sigma in (-1.0, -1e-3, 0.0, 1e-3, 0.3, 10.0):
-        want = int(np.sum(vals < sigma))
-        assert _count_eigs_below(mats.d, mats.e, mats.mass, sigma) == want
+    for N, R_max in ((300, 200.0), (64, 5.0)):
+        grid = default_grid(P71, N=N, R_max=R_max)
+        unit = (np.pi / R_max) ** 2
+        ztol = linearized.ZERO_TOL_REL * unit
+        win = linearized.WINDOW_REL * unit
+        ranges = [(-np.inf, -ztol), (-ztol, ztol), (-win, win)] + [
+            (-np.inf, sigma) for sigma in (-1.0, -1e-3, 0.0, 1e-3, 0.3, 10.0)]
+        for ell in (0, 2):
+            mats = assemble_mode(P71, ell, grid)
+            A = np.diag(mats.d) + np.diag(mats.e, 1) + np.diag(mats.e, -1)
+            vals = scipy.linalg.eigh(A, np.diag(mats.mass), eigvals_only=True)
+            for lo, hi in ranges:
+                want = int(np.sum((vals > lo) & (vals <= hi)))
+                assert _count_eigs(mats, lo, hi) == want, (N, ell, lo, hi)
 
 
 def _count_eigs_below_numpy_scalars(d, e, mass, sigma):
-    # reference: the same LDL^T recurrence, stepped on numpy scalars
+    # reference: the LDL^T pivot recurrence of the raw pencil K - sigma M,
+    # stepped on numpy scalars; its inertia counts eigenvalues below sigma
     tiny = np.finfo(float).tiny
     q = d[0] - sigma * mass[0]
     count = int(q < 0.0)
@@ -657,17 +685,20 @@ def _count_eigs_below_numpy_scalars(d, e, mass, sigma):
 @pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5), (30, 1.0)])
 @pytest.mark.parametrize("N", [2000, 8000])
 def test_sturm_count_matches_numpy_scalar_recurrence(n, s, N):
+    # on grids too large for a dense oracle, the counts of the scaled form
+    # match the inertia of the unscaled pencil
     p = HSParams(n, s)
     grid = default_grid(p, N=N)
     unit = (np.pi / grid.R_max) ** 2
     ztol, win = 0.75 * unit, 100.0 * unit  # kernel_diagnostics defaults
     for ell in (0, 2):
         mats = assemble_mode(p, ell, grid)
-        for sigma in (-win, -ztol, 0.0, ztol, win):
-            want = _count_eigs_below_numpy_scalars(mats.d, mats.e, mats.mass,
-                                                   sigma)
-            got = _count_eigs_below(mats.d, mats.e, mats.mass, sigma)
-            assert got == want, (ell, sigma)
+        below = {sigma: _count_eigs_below_numpy_scalars(mats.d, mats.e,
+                                                        mats.mass, sigma)
+                 for sigma in (-win, -ztol, 0.0, ztol, win)}
+        for sigma, want in below.items():
+            assert _count_eigs(mats, -np.inf, sigma) == want, (ell, sigma)
+        assert _count_eigs(mats, -ztol, ztol) == below[ztol] - below[-ztol]
 
 
 def test_zero_cell_mass_is_a_numerical_error():

@@ -211,6 +211,8 @@ def test_verdict_lg_tolerance_and_flat_case():
                    tiny).classification == "critical-blowup-candidate"
     assert verdict(PotentialJet(CV, 0.0), SPHERE7, P71, tiny,
                    lg_tol=1e-12).classification == "critical-degenerate"
+    with pytest.raises(DomainError, match=r"lg_tol must be >= 0, got -1\.0"):
+        verdict(PotentialJet(CV, 0.0), SPHERE7, P71, _lg(0.0), lg_tol=-1)
     flat = curvature_preset("flat", 7)
     out = verdict(PotentialJet(0.0, 0.0), flat, P71, _lg(0.0))
     assert out.classification == "critical-degenerate"
