@@ -102,6 +102,24 @@ def d2z0(p: HSParams, r):
     return 0.5 * (n - 2.0) * p.kappa * (2.0 - s) * core
 
 
+def power_law_breaks(p: HSParams, delta: float = 1.0) -> tuple:
+    """The radii delta beta**(-1/(2-s)) and delta beta**(1/(2-s)).
+
+    With beta = (n-2)/(2-s) they bound the profile's transition: below the
+    first t <= 1/beta and U1 = kappa (1+t)**(-beta) is within a factor e of
+    kappa, above the second t >= beta and U1 is within e of its tail law
+    kappa t**(-beta).  At s = 1.9 and n = 7 they are 1e-17 and 1e17.
+    """
+    n, s = p.n, p.s
+    log_scale = math.log((n - 2.0) / (2.0 - s)) / (2.0 - s)
+    try:
+        return delta * math.exp(-log_scale), delta * math.exp(log_scale)
+    except OverflowError:
+        raise NumericalError(
+            f"the bubble scale ((n - 2)/(2 - s))**(1/(2 - s)) overflows a "
+            f"float at n = {n}, s = {s}") from None
+
+
 def eval_profiles(p: HSParams, delta: float, r) -> dict:
     """U_delta, its r-derivative, and Z_delta at radius r (scalar or array).
 

@@ -46,11 +46,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .bubble import du1, u1
+from .bubble import du1, power_law_breaks, u1
 from .errors import DomainError, NumericalError
 from .geometry import CurvatureData, PotentialJet, density_coeffs
 from .moments import bubble_moment, ipq
-from .params import HSParams, sphere_area
+from .params import HSParams, derive_constants, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
 # relative quadrature tolerance of every energy integral
@@ -372,9 +372,13 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     and the trace-free part, reduced via the axial representative to a weight
     (u^2 - 1/n) with u the cosine against the axis; the angular integral of
     |...|^q then becomes a Gauss-Jacobi sum with weight (1-u^2)^{(n-3)/2},
-    and the radial integral is adaptive.  Integration runs in the original
-    radial variable (no delta substitution), so the delta^2 scaling law is
-    an outcome, not an input.
+    and the radial integral is adaptive, in x = log r over the whole
+    half-line.  The density decays like r**(-(n-2)), so the engine gets the
+    declared tail exponent b = q (n-2) and the profile's breaks delta
+    beta**(-+1/(2-s)), beta = (n-2)/(2-s), and decides the span from them
+    rather than from samples of the integrand.  Integration runs in the
+    original radial variable (no delta substitution), so the delta^2
+    scaling law is an outcome, not an input.
 
     The JACOBI_POINTS-point rule is built once per n and reused by
     every later call; it is folded onto its nonnegative nodes (the weight
@@ -403,8 +407,8 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
         # product with a finite weight, would shrink the norm silently
         # (callers silence numpy's warnings).  Both are nonnegative, so one
         # product of maxima clears the common case; where the weight itself
-        # overflows (r near the end of the semi-infinite map) the density
-        # has underflowed and nothing in the integral overflows
+        # overflows (r far out in the tail) the density has underflowed and
+        # nothing in the integral overflows
         if np.isfinite(np.asarray(x).max() * np.asarray(r).max() ** (n - 1.0)):
             return x
         w = np.power(r, n - 1.0)
@@ -430,8 +434,10 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
                 out[blk] = vals @ ang_wt
             return checked(omega_inner * out, r)
 
-    total = integrate_radial(
-        RadialIntegrand(f=radial_f, a=n - 1.0, R=None), tol=TOL)["value"]
+    derive_constants(p)  # a kappa overflow is named before the scale's
+    total = integrate_radial(RadialIntegrand(
+        f=radial_f, a=n - 1.0, b=q * (n - 2.0),
+        breaks=power_law_breaks(p, delta)), tol=TOL)["value"]
     if mu == 0.0:
         total *= sphere_area(n)
     return float(checked(total) ** (1.0 / q))

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import bubble
 from .errors import DomainError, NumericalError
-from .params import DEFAULT_TOL, HSParams, sphere_area
+from .params import DEFAULT_TOL, HSParams, derive_constants, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
 MOMENT_KINDS = (
@@ -181,7 +181,9 @@ def moment_quadrature(p: HSParams, kind: str,
 
     Deliberately independent of the t-substitution route: the integrands are
     built from the profile closed forms, with the endpoint exponent split off
-    so the engine sees a smooth factor.
+    so the engine sees a smooth factor.  Each declares its tail exponent and
+    the profile's breaks (``bubble.power_law_breaks``), from which the engine
+    places its x = log r span: at s = 1.9 the mass reaches r ~ 1e17.
     """
     n, s = p.n, float(p.s)
     a = float(n - 1)
@@ -197,28 +199,37 @@ def moment_quadrature(p: HSParams, kind: str,
         return 0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0) \
             * ((1.0 + m) + (1.0 - m) * t)
 
+    # (f, weight power, endpoint exponent, tail exponent b of f): U1 decays
+    # like r**-(n-2), and U1' r**(s-1), Z0' r**(s-1) and U1**2*(s) all give
+    # r**-(2(n-s)) once squared
+    b_mass, b_grad = 2.0 * (n - 2), 2.0 * (n - s)
     table = {
-        "mass2": (lambda r: bubble.u1(p, r) ** 2, a, 0.0),
-        "r2mass": (lambda r: bubble.u1(p, r) ** 2, a + 2.0, 0.0),
-        "gradsq": (lambda r: du_smooth(r) ** 2, a, 2.0 - 2.0 * s),
-        "r2grad": (lambda r: du_smooth(r) ** 2, a + 2.0, 2.0 - 2.0 * s),
-        "r4grad": (lambda r: du_smooth(r) ** 2, a + 4.0, 2.0 - 2.0 * s),
-        "crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a, -s),
-        "r2crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a + 2.0, -s),
-        "r4crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a + 4.0, -s),
-        "z0grad": (lambda r: dz_smooth(r) ** 2, a, 2.0 - 2.0 * s),
+        "mass2": (lambda r: bubble.u1(p, r) ** 2, a, 0.0, b_mass),
+        "r2mass": (lambda r: bubble.u1(p, r) ** 2, a + 2.0, 0.0, b_mass),
+        "gradsq": (lambda r: du_smooth(r) ** 2, a, 2.0 - 2.0 * s, b_grad),
+        "r2grad": (lambda r: du_smooth(r) ** 2, a + 2.0, 2.0 - 2.0 * s, b_grad),
+        "r4grad": (lambda r: du_smooth(r) ** 2, a + 4.0, 2.0 - 2.0 * s, b_grad),
+        "crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a, -s, b_grad),
+        "r2crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a + 2.0, -s, b_grad),
+        "r4crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a + 4.0, -s, b_grad),
+        "z0grad": (lambda r: dz_smooth(r) ** 2, a, 2.0 - 2.0 * s, b_grad),
     }
     if kind not in table:
         raise DomainError(f"unknown moment kind {kind!r}")
-    f, aa, sing = table[kind]
-    value = integrate_radial(RadialIntegrand(f=f, a=aa, sing=sing),
-                             tol=tol)["value"]
+    f, aa, sing, b = table[kind]
+    derive_constants(p)  # a kappa overflow is its own error, not the moment's
+    where = f"the {kind} moment by quadrature at n = {n}, s = {s}"
+    try:
+        value = integrate_radial(RadialIntegrand(
+            f=f, a=aa, sing=sing, b=b, breaks=bubble.power_law_breaks(p)),
+            tol=tol)["value"]
+    except NumericalError as exc:
+        raise NumericalError(f"{where}: {exc}") from None
     if value == 0.0 or not math.isfinite(value):
         # the panels drop integrand values beyond the float range, so a
         # moment whose whole mass lies there sums to 0
         raise NumericalError(
-            f"the {kind} moment by quadrature at n = {n}, s = {s} is {value}: "
-            "its integrand leaves the float range")
+            f"{where} is {value}: its integrand leaves the float range")
     return sphere_area(n) * value
 
 

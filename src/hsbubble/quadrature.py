@@ -13,28 +13,29 @@ Engine
 ------
 Plain adaptive Gauss-Kronrod (G7, K15) on panels:
 
-  * infinite domains are compactified by u = r/(1+r), r = u/(1-u),
-    dr = du/(1-u)^2, turning algebraic tails r**(-beta) into endpoint
-    behaviour (1-u)**(beta-2) at u = 1;
-  * the initial partition is geometrically graded toward both endpoints
-    (panel edges at 2**-j), which resolves r**(a+sing) singularities at 0 and
-    slow algebraic tails at infinity without weight-specific rules;
+  * an infinite domain runs in x = log r (int g(r) dr = int g(e^x) e^x dx),
+    where the power laws at 0 and at infinity are exponentials; its span is
+    set from the exponents and break radii the caller declares (see
+    RadialIntegrand), in uniform panels about 2 wide plus an edge at each
+    break;
+  * a finite domain [0, R] is geometrically graded toward r = 0 (panel edges
+    at R 2**-j), which resolves r**(a+sing) singularities without
+    weight-specific rules;
   * the panel with the largest |K15 - G7| discrepancy is bisected until the
     accumulated discrepancy drops below tol * |I| or a roundoff floor is
     hit; an exhausted budget or a non-finite panel sum is an error.
 
 The integrand is called on many panels' nodes at once: one call on the nodes
-of every initial panel (61 panels on a finite domain, 108 on an infinite
-one), then one call per bisection on the 30 nodes of both halves.  f must
-therefore be elementwise over a 1-D numpy array: each output may depend only
-on the r at the same position.  The K15 rule is open (no endpoint nodes), so
-f is never called at r = 0 or u = 1.
+of every initial panel, then one call per bisection on the 30 nodes of both
+halves.  f must therefore be elementwise over a 1-D numpy array: each output
+may depend only on the r at the same position.  The K15 rule is open (no
+endpoint nodes), so f is never called at r = 0.
 """
 
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from math import isfinite
-from typing import Callable, Optional
+from math import ceil, inf, isfinite, log
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +83,9 @@ for _i, _x in enumerate(_NODES):
 
 PANEL_BUDGET = 1_000_000  # function evaluations
 _GRADE_LEVELS = 60        # initial geometric grading depth toward r = 0
-_TAIL_LEVELS = 48         # grading depth toward u = 1 (float spacing limit)
+_X_WIDTH = 2.0            # initial panel width in x = log r (infinite domain)
+_LOG_EPS = -log(float(np.finfo(float).eps))  # e-folds down to float eps
+_LOG_MAX = log(float(np.finfo(float).max))   # largest x with e**x finite
 
 
 @dataclass
@@ -92,12 +95,22 @@ class RadialIntegrand:
     `a` is the geometric weight power and `sing` the extra endpoint exponent;
     they are kept separate purely as bookkeeping for callers.  `f` must be
     elementwise over 1-D numpy arrays of r > 0.
+
+    On an infinite domain `b` declares the tail, f = O(r**-b), and `breaks`
+    the radii where f leaves its power laws: f = O(1) holds below the first
+    and f ~ r**-b above the last, within a factor of order one.  The span
+    in x = log r runs from where the first law, to where the second, has
+    fallen by float eps.  Without breaks, or without b at the tail end, it
+    runs as far as the weight r**(a + sing + 1) stays in the float range,
+    and without b no divergence at infinity is decided.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     a: float = 0.0
     sing: float = 0.0
     R: Optional[float] = None
+    b: Optional[float] = None
+    breaks: Sequence[float] = ()
 
 
 def _panels(g, lo, hi):
@@ -113,25 +126,30 @@ def _panels(g, lo, hi):
     x = c[:, None] + h[:, None] * _NODES
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         y = np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
-        y = np.where(np.isfinite(y), y, 0.0)  # underflow/rounding guard at u -> 1
+        y = np.where(np.isfinite(y), y, 0.0)  # an overflowing weight times 0
         return [(k15 := hk * float(_W15 @ yk), abs(k15 - hk * float(_W7 @ yk)),
                  hk * float(_W15 @ ak))
                 for hk, yk, ak in zip(h.tolist(), y, np.abs(y))]
 
 
-def _tail_slope(g):
-    """Crude log-log decay slope of g at large r (divergence screen)."""
-    rs = np.array([1e3, 1e4, 1e5, 1e6])
-    # samples may overflow: the slope is then +-inf or nan (nan screens none)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        vals = np.abs(np.asarray(g(rs), dtype=float))
-        if np.all(vals < 1e-290):
-            return -np.inf  # effectively compactly supported
-        good = vals > 0
-        if good.sum() < 2:
-            return -np.inf
-        lr, lv = np.log(rs[good]), np.log(vals[good])
-        return (lv[-1] - lv[0]) / (lr[-1] - lr[0])
+def _log_edges(power, b, breaks):
+    """Initial x = log r edges: each end is where its power law in x,
+    e**((power+1) x) or e**((power+1-b) x) anchored at the nearest break,
+    has fallen by float eps, or, undeclared, where the weight
+    e**((power+1) x) leaves the float range."""
+    if not all(0.0 < r < inf for r in breaks):
+        raise NumericalError(f"the break points {list(breaks)} of a radial "
+                             "integrand must be positive and finite")
+    wide = _LOG_MAX / max(power + 1.0, 1.0)
+    xb = np.log(np.asarray(breaks, dtype=float))
+    lo, hi = -wide, wide
+    if len(xb):
+        lo = max(float(xb.min()) - _LOG_EPS / (power + 1.0), -wide)
+        if b is not None:
+            hi = float(xb.max()) + _LOG_EPS / (b - power - 1.0)
+    count = max(1, ceil((hi - lo) / _X_WIDTH))
+    return np.union1d(np.linspace(lo, hi, count + 1),
+                      xb[(xb > lo) & (xb < hi)])
 
 
 def integrate_radial(integrand: RadialIntegrand,
@@ -141,8 +159,9 @@ def integrate_radial(integrand: RadialIntegrand,
     Returns {"value", "error_estimate", "evaluations"}; on success
     error_estimate <= tol * |value| (or sits at the roundoff floor).  Raises
     DomainError when the integrand is divergent (endpoint exponent <= -1, or
-    a non-decaying tail on an infinite domain) and NumericalError when a
-    panel sum is not finite or PANEL_BUDGET runs out before convergence.
+    a declared tail exponent a + sing - b >= -1 on an infinite domain) and
+    NumericalError when a panel sum is not finite or PANEL_BUDGET runs out
+    before convergence.
 
     integrand.f is called on the nodes of many panels at once (all initial
     panels in one call, then both halves of each bisection), so it must be
@@ -161,20 +180,17 @@ def integrate_radial(integrand: RadialIntegrand,
         return integrand.f(r) * r ** power
 
     if integrand.R is None:
-        slope = _tail_slope(g)
-        if slope >= -1.001:
+        b = integrand.b
+        if b is not None and power - b >= -1.0:
             raise DomainError(
-                f"integrand decays like r**({slope:.3f}) at infinity; "
-                "integral diverges")
+                f"the integrand decays like r**({power - b}) at infinity; "
+                "integral diverges (need exponent < -1)")
 
-        def gu(u):
-            r = u / (1.0 - u)
-            return g(r) / (1.0 - u) ** 2
+        def target(x):
+            r = np.exp(x)
+            return g(r) * r
 
-        lo_edges = [0.0] + [2.0 ** -j for j in range(_GRADE_LEVELS, 0, -1)]
-        hi_edges = [1.0 - 2.0 ** -j for j in range(1, _TAIL_LEVELS + 1)] + [1.0]
-        edges = np.array(lo_edges + hi_edges[1:])
-        target = gu
+        edges = _log_edges(power, b, integrand.breaks)
     else:
         if integrand.R <= 0:
             raise DomainError("domain radius must be positive")

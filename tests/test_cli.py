@@ -14,6 +14,7 @@ import pytest
 
 import hsbubble
 from hsbubble.cli import main
+from hsbubble.energy import flat_alpha_inv_closed_form
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
 
@@ -519,9 +520,11 @@ def test_exit_2_ill_conditioned_fit(capsys):
      "values leave the float range"),
     # a moment integrand beyond the float range everywhere it has mass (was
     # an overflow RuntimeWarning from the tail screen, and without it a
-    # ZeroDivisionError traceback on the quadrature value 0)
+    # ZeroDivisionError traceback on the quadrature value 0); kappa**2 is
+    # 1e458 at (13, 1.95), so the mass2 moment overflows in a panel sum
     (["integrals", "--n", "13", "--s", "1.95"],
-     "the r2mass moment by quadrature at n = 13, s = 1.95 is 0.0"),
+     "the mass2 moment by quadrature at n = 13, s = 1.95: a quadrature "
+     "panel sum on"),
     (["integrals", "--n", "40", "--s", "1.8"],
      "the mass2 moment by quadrature at n = 40, s = 1.8 is 0.0"),
 ])
@@ -801,6 +804,20 @@ def test_exit_0_plain_runs(capsys):
                  ["integrals", "--n", "16", "--s", "1.9"]):
         rc, _, _ = invoke(capsys, argv)
         assert rc == 0
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.5), (7, 1.9), (8, 1.9), (10, 1.9)])
+def test_wide_profiles_answer(capsys, n, s):
+    # the profile reaches its tail law only near ((n-2)/(2-s))**(1/(2-s)),
+    # 1e17 at (7, 1.9), and at (7, 1.5) the remainder density times r**6
+    # decays only like r**-1.78: both need the half-line far past r = 1e15
+    doc = invoke_json(capsys, ["integrals", "--n", str(n), "--s", str(s)])
+    ratios = doc["outputs"]["ratios"].values()
+    assert max(row["rel_residual"] for row in ratios) <= 1e-8
+    doc = invoke_json(capsys, ["remainder", "--n", str(n), "--s", str(s),
+                               "--curvature", "flat", "--h0", "2"])
+    want = flat_alpha_inv_closed_form(HSParams(n, s), 2.0)
+    assert doc["outputs"]["alpha_inv"] == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------ golden reports

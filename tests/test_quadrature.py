@@ -4,11 +4,11 @@ from heapq import heappop, heappush
 import numpy as np
 import pytest
 
-from hsbubble import energy, linearized, moments, quadrature
+from hsbubble import bubble, energy, linearized, moments, quadrature
 from hsbubble.bubble import default_grid
 from hsbubble.errors import DomainError, NumericalError
 from hsbubble.geometry import PotentialJet, curvature_preset
-from hsbubble.params import HSParams, derive_constants
+from hsbubble.params import HSParams, derive_constants, sphere_area
 from hsbubble.quadrature import RadialIntegrand, integrate_radial
 
 
@@ -49,7 +49,35 @@ def test_divergent_at_origin_rejected():
 def test_divergent_tail_rejected():
     # r^5 * r^{-6} = r^{-1}: log-divergent at infinity
     with pytest.raises(DomainError):
-        integrate_radial(RadialIntegrand(f=lambda r: (1.0 + r) ** -6.0, a=5.0))
+        integrate_radial(
+            RadialIntegrand(f=lambda r: (1.0 + r) ** -6.0, a=5.0, b=6.0))
+
+
+@pytest.mark.parametrize("a,sing,b", [(5.0, 0.0, 6.0), (6.0, -1.0, 5.5),
+                                      (0.0, 0.0, 0.0), (2.0, 0.5, 1.0)])
+def test_divergent_declared_tail_never_calls_f(a, sing, b):
+    # a + sing - b >= -1 is decided from the declaration alone
+    def f(r):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(DomainError, match="diverges"):
+        integrate_radial(RadialIntegrand(f=f, a=a, sing=sing, b=b,
+                                         breaks=(0.5, 2.0)))
+
+
+def test_declared_tail_and_breaks_place_the_log_span():
+    # r^6 (1 + r^2)^{-7}: tail r^{-8}, power laws left at r ~ 1/3 and 3
+    exact = math.gamma(3.5) ** 2 / (2.0 * math.gamma(7))
+    res = integrate_radial(RadialIntegrand(
+        f=lambda r: (1.0 + r**2) ** -7.0, a=6.0, b=14.0, breaks=(1 / 3, 3.0)),
+        tol=1e-12)
+    np.testing.assert_allclose(res["value"], exact, rtol=1e-12)
+    # the span is |x| <= 6.3 (eps reached 36 / 7 e-folds past each break),
+    # not the weight's float range |x| <= 709.8 / 7
+    assert res["evaluations"] < 1000
+    undeclared = integrate_radial(
+        RadialIntegrand(f=lambda r: (1.0 + r**2) ** -7.0, a=6.0), tol=1e-12)
+    assert undeclared["evaluations"] > res["evaluations"]
 
 
 def test_budget_exhaustion_raises(monkeypatch):
@@ -116,8 +144,9 @@ def test_error_estimate_is_honest():
 def _reference_integrate(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
     """The engine with one integrand call per panel (no divergence screens).
 
-    Same graded edges, heap order, accumulation order and stopping rules as
-    integrate_radial; only the dispatch of integrand calls differs.
+    Same initial edges (graded in r, or the x = log r span), heap order,
+    accumulation order and stopping rules as integrate_radial; only the
+    dispatch of integrand calls differs.
     """
     power = integrand.a + integrand.sing
 
@@ -125,15 +154,11 @@ def _reference_integrate(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
         return integrand.f(r) * r ** power
 
     if integrand.R is None:
-        def target(u):
-            r = u / (1.0 - u)
-            return g(r) / (1.0 - u) ** 2
+        def target(x):
+            r = np.exp(x)
+            return g(r) * r
 
-        lo_edges = [0.0] + [2.0 ** -j
-                            for j in range(quadrature._GRADE_LEVELS, 0, -1)]
-        hi_edges = [1.0 - 2.0 ** -j
-                    for j in range(1, quadrature._TAIL_LEVELS + 1)] + [1.0]
-        edges = np.array(lo_edges + hi_edges[1:])
+        edges = quadrature._log_edges(power, integrand.b, integrand.breaks)
     else:
         target = g
         edges = float(integrand.R) * np.array(
@@ -248,3 +273,63 @@ def test_batched_budget_exhaustion_matches_panel_loop(monkeypatch):
     with pytest.raises(NumericalError) as got:
         integrate_radial(integrand, tol=1e-13)
     assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------- log-coordinate infinite domains
+
+
+def _evaluations(monkeypatch, module, run):
+    return sum(res["evaluations"]
+               for _, _, res in _recorded_calls(monkeypatch, module, run))
+
+
+def test_infinite_domain_evaluation_counts(monkeypatch):
+    # spans set from the declared exponents leave little to bisect
+    p = HSParams(7, 1.0)
+    assert _evaluations(monkeypatch, moments,
+                        lambda: moments.identity_report(p)) <= 3000
+    assert _evaluations(monkeypatch, energy, lambda: energy.remainder_alpha(
+        curvature_preset("sphere:1", 7), p, 1.0)) <= 1000
+
+
+def _remainder_oracle(c, p, h0):
+    """remainder_norm_scaled(c, p, h0) by nested scipy quad: log r outside,
+    the angle theta (u = cos theta, Jacobi weight sin**(n-2)) inside, split
+    at the kink of |A + B (u^2 - 1/n)/3|**q."""
+    from scipy.integrate import quad
+
+    n = p.n
+    q = 2.0 * n / (n + 2.0)
+    amp, mu = c.scal / (3.0 * n), energy._tfree_axial_mu(c)
+
+    def angular(r):
+        A = h0 * bubble.u1(p, r) + amp * r * bubble.du1(p, r)
+        B = mu * r * bubble.du1(p, r)
+        c2 = 1.0 / n - 3.0 * A / B
+        kink = [math.acos(math.sqrt(c2))] if 0.0 < c2 < 1.0 else None
+        return 2.0 * quad(
+            lambda th: abs(A + B * (math.cos(th) ** 2 - 1.0 / n) / 3.0) ** q
+            * math.sin(th) ** (n - 2), 0.0, math.pi / 2, points=kink,
+            epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    beta = (n - 2.0) / (2.0 - p.s)
+    xb = math.log(beta) / (2.0 - p.s)
+    cuts = [-xb - 8.0, -xb, xb, xb + 60.0 / (q * (n - 2) - n)]
+    total = sum(quad(lambda x: angular(math.exp(x)) * math.exp(n * x), x0, x1,
+                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for x0, x1 in zip(cuts, cuts[1:]))
+    return (sphere_area(n - 1) * total) ** (1.0 / q)
+
+
+def test_slow_tail_remainder_answers_within_a_small_budget(monkeypatch):
+    # at (7, 1.5) the density decays like r**-7.78 against the weight r**6,
+    # so the integrand in x = log r falls only like e**(-0.78 x) and its
+    # tail spans 46 e-folds past the bubble scale
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 20_000)
+    p = HSParams(7, 1.5)
+    c = curvature_preset(_NON_EINSTEIN, 7)
+    got = energy.remainder_norm_scaled(c, p, 1.0)
+    assert got == pytest.approx(_remainder_oracle(c, p, 1.0), rel=1e-9)
+    flat = energy.remainder_norm_scaled(curvature_preset("flat", 7), p, 2.0)
+    assert flat == pytest.approx(energy.flat_alpha_inv_closed_form(p, 2.0),
+                                 rel=1e-12)
