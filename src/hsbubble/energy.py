@@ -51,7 +51,8 @@ from .errors import DomainError, NumericalError
 from .geometry import CurvatureData, PotentialJet, density_coeffs
 from .moments import bubble_moment, ipq
 from .params import HSParams, derive_constants, sphere_area
-from .quadrature import RadialIntegrand, integrate_radial
+from .quadrature import (RadialIntegrand, integrate_radial,
+                         integrate_radial_batch)
 
 # relative quadrature tolerance of every energy integral
 TOL = 1e-12
@@ -86,8 +87,7 @@ class RadialModel:
         if not (isinstance(self.r0, (int, float)) and math.isfinite(self.r0)
                 and self.r0 > 0.0):
             raise DomainError(f"r0 must be a positive number, got {self.r0}")
-        dc = density_coeffs(self.c)
-        c2, c4 = dc["c2"], dc["c4"]
+        c2, c4 = self.coeffs["c2"], self.coeffs["c4"]
         # positivity of g(x) = 1 + c2 x + c4 x^2 on x in [0, X], X = (2 r0)^2:
         # endpoints plus the interior critical point x* = -c2/(2 c4)
         try:
@@ -107,9 +107,14 @@ class RadialModel:
                 "at this truncation radius"
             )
 
+    @functools.cached_property
+    def coeffs(self) -> dict:
+        """density_coeffs of the curvature data, computed once per model."""
+        return density_coeffs(self.c)
+
     def density(self, r):
         """G(r) = 1 + c2 r^2 + c4 r^4 (vectorized)."""
-        dc = density_coeffs(self.c)
+        dc = self.coeffs
         r = np.asarray(r, dtype=float)
         return 1.0 + dc["c2"] * r**2 + dc["c4"] * r**4
 
@@ -159,36 +164,49 @@ def _check_regime(model: RadialModel, p: HSParams, delta: float) -> None:
         )
 
 
+def _j_sweep(model: RadialModel, p: HSParams, deltas) -> list:
+    """J at each delta of a sweep the caller has checked, by quadrature.
+
+    The three integrands are functions of (rho, delta), built once, so the
+    three integrals at every delta run as one quadrature batch that calls
+    each integrand once per round, however many deltas there are.
+    """
+    n, s, two_star = p.n, p.s, p.crit_exp
+    h0, lap_h = model.jet.h0_val, model.jet.lap_h
+    omega = sphere_area(n)
+
+    def grad_f(rho, delta):
+        return du1(p, rho) ** 2 * model.density(delta * rho)
+
+    def pot_f(rho, delta):
+        hbar = h0 - (delta * rho) ** 2 * lap_h / (2.0 * n)
+        return hbar * u1(p, rho) ** 2 * model.density(delta * rho)
+
+    def crit_f(rho, delta):
+        return u1(p, rho) ** two_star * model.density(delta * rho)
+
+    parts = ((grad_f, 0.0), (pot_f, 0.0), (crit_f, -s))
+    v = [res["value"] for res in integrate_radial_batch(
+        [RadialIntegrand(f=f, a=n - 1.0, sing=sing, R=model.r0 / delta,
+                         arg=delta)
+         for delta in deltas for f, sing in parts], tol=TOL)]
+    return [omega * (0.5 * (grad + delta**2 * pot) - crit / two_star)
+            for delta, grad, pot, crit in zip(deltas, v[0::3], v[1::3],
+                                              v[2::3])]
+
+
 def j_at_bubble(model: RadialModel, p: HSParams, delta: float) -> float:
     """J at the truncated bubble of concentration delta, by quadrature.
 
     Integrates in the concentration variable rho = r/delta (an exact change
     of variables that keeps the peak at O(1) scale); no series expansion of
     any factor is used, so this is an independent route against
-    predicted_coeffs.
+    predicted_coeffs.  It is fit_expansion's sweep on one delta: each
+    member of a quadrature batch integrates as it would alone, so a fit
+    sample equals j_at_bubble at its delta bit for bit.
     """
     _check_regime(model, p, delta)
-    n, s, two_star = p.n, p.s, p.crit_exp
-    h0, lap_h = model.jet.h0_val, model.jet.lap_h
-    omega = sphere_area(n)
-    rho_max = model.r0 / delta
-
-    def grad_f(rho):
-        return du1(p, rho) ** 2 * model.density(delta * rho)
-
-    def pot_f(rho):
-        hbar = h0 - (delta * rho) ** 2 * lap_h / (2.0 * n)
-        return hbar * u1(p, rho) ** 2 * model.density(delta * rho)
-
-    def crit_f(rho):
-        return u1(p, rho) ** two_star * model.density(delta * rho)
-
-    def integral(f, sing=0.0):
-        return integrate_radial(RadialIntegrand(
-            f=f, a=n - 1.0, sing=sing, R=rho_max), tol=TOL)["value"]
-
-    return omega * (0.5 * (integral(grad_f) + delta**2 * integral(pot_f))
-                    - integral(crit_f, -s) / two_star)
+    return _j_sweep(model, p, [delta])[0]
 
 
 def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
@@ -201,8 +219,7 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     """
     p.require("the energy expansion", n_min=7)
     n, two_star = p.n, p.crit_exp
-    dc = density_coeffs(model.c)
-    F = dc["c4"]
+    F = model.coeffs["c4"]
     h0, lap_h = model.jet.h0_val, model.jet.lap_h
     scal = model.c.scal
 
@@ -240,6 +257,10 @@ def fit_expansion(model: RadialModel, p: HSParams,
     the asymptotic regime.  Truncation-order nuisance columns (delta^{n-2},
     delta^{n-1} log(1/delta), delta^{n-1}, delta^n) guard the reported
     coefficients against aliasing; pass nuisance=False to drop them.
+
+    J is sampled at every delta in one quadrature batch (the sweep behind
+    j_at_bubble), so the 3 integrals per delta advance together and each
+    sample equals j_at_bubble at its delta exactly.
     """
     deltas = np.asarray(sorted(float(d) for d in deltas), dtype=float)
     if deltas.size < 6:
@@ -271,7 +292,7 @@ def fit_expansion(model: RadialModel, p: HSParams,
             "is too narrow or contains near-duplicate deltas")
 
     try:
-        y = np.array([j_at_bubble(model, p, float(d)) for d in deltas])
+        y = np.array(_j_sweep(model, p, deltas.tolist()))
         with np.errstate(over="ignore", invalid="ignore"):
             coef_s = Vt.T @ ((U.T @ y) / sv)
             coef = coef_s / scales
@@ -290,7 +311,7 @@ def fit_expansion(model: RadialModel, p: HSParams,
     generic2 = 0.5 * max(abs(model.jet.h0_val),
                          abs(p.c_ns * model.c.scal),
                          1.0) * bubble_moment(p, "mass2")
-    generic4 = (abs(density_coeffs(model.c)["c4"])
+    generic4 = (abs(model.coeffs["c4"])
                 * (0.5 * bubble_moment(p, "r4grad")
                    + bubble_moment(p, "r4crit") / p.crit_exp)
                 + (abs(model.jet.lap_h)

@@ -23,13 +23,19 @@ Plain adaptive Gauss-Kronrod (G7, K15) on panels:
     weight-specific rules;
   * the panel with the largest |K15 - G7| discrepancy is bisected until the
     accumulated discrepancy drops below tol * |I| or a roundoff floor is
-    hit; an exhausted budget or a non-finite panel sum is an error.
+    hit; an exhausted budget or a non-finite panel sum is an error, and so
+    is an undeclared tail end whose outermost panel still holds more than
+    tol * |I| (the integral may diverge there).
 
-The integrand is called on many panels' nodes at once: one call on the nodes
-of every initial panel, then one call per bisection on the 30 nodes of both
-halves.  f must therefore be elementwise over a 1-D numpy array: each output
-may depend only on the r at the same position.  The K15 rule is open (no
-endpoint nodes), so f is never called at r = 0.
+integrate_radial_batch runs several integrands in lockstep.  Each keeps its
+own panels, heap, stopping rule and budget, so its result is exactly that of
+a run of its own; in each round every unconverged member bisects its worst
+panel, and the nodes of all members that share an integrand function (and
+weight power and domain kind) go to that function in one call.  The first
+round calls it on the nodes of every initial panel.  f must therefore be
+elementwise over a 1-D numpy array: each output may depend only on the r
+(and the arg, see RadialIntegrand) at the same position.  The K15 rule is
+open (no endpoint nodes), so f is never called at r = 0.
 """
 
 from dataclasses import dataclass
@@ -84,7 +90,8 @@ for _i, _x in enumerate(_NODES):
 PANEL_BUDGET = 1_000_000  # function evaluations
 _GRADE_LEVELS = 60        # initial geometric grading depth toward r = 0
 _X_WIDTH = 2.0            # initial panel width in x = log r (infinite domain)
-_LOG_EPS = -log(float(np.finfo(float).eps))  # e-folds down to float eps
+_EPS = float(np.finfo(float).eps)
+_LOG_EPS = -log(_EPS)                        # e-folds down to float eps
 _LOG_MAX = log(float(np.finfo(float).max))   # largest x with e**x finite
 
 
@@ -94,42 +101,50 @@ class RadialIntegrand:
 
     `a` is the geometric weight power and `sing` the extra endpoint exponent;
     they are kept separate purely as bookkeeping for callers.  `f` must be
-    elementwise over 1-D numpy arrays of r > 0.
+    elementwise over 1-D numpy arrays of r > 0.  With `arg` set, f is called
+    as f(r, arg), arg an array of r's shape holding the value at every node,
+    so the members of a batch that share f evaluate in one call.
 
     On an infinite domain `b` declares the tail, f = O(r**-b), and `breaks`
     the radii where f leaves its power laws: f = O(1) holds below the first
     and f ~ r**-b above the last, within a factor of order one.  The span
     in x = log r runs from where the first law, to where the second, has
     fallen by float eps.  Without breaks, or without b at the tail end, it
-    runs as far as the weight r**(a + sing + 1) stays in the float range,
-    and without b no divergence at infinity is decided.
+    runs as far as the weight r**(a + sing + 1) stays in the float range;
+    without b, an outermost panel holding more than tol * |I| is refused
+    as a possible divergence.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
+    f: Callable[..., np.ndarray]
     a: float = 0.0
     sing: float = 0.0
     R: Optional[float] = None
     b: Optional[float] = None
     breaks: Sequence[float] = ()
+    arg: Optional[float] = None
 
 
-def _panels(g, lo, hi):
+def _panels(g, lo, hi, arg):
     """15-point Kronrod and embedded 7-point Gauss sums on panels [lo[i], hi[i]].
 
-    g is called once, on the nodes of every panel.  The sums stay one dot
-    product per panel: a single matrix product over all panels may sum in a
-    different order and move the last bit of each panel value.  Returns
-    (k15, |k15 - g7|, |k15| sum) per panel, in order; a sum may overflow.
+    g is called once, on the nodes of every panel, and given arg[i] at
+    panel i's nodes unless arg is None.  Each sum is one np.vecdot over the
+    panels: it runs numpy's dot loop once per panel, the same sequential
+    BLAS ddot as a dot product on that panel alone, so each panel's sums
+    match a panel integrated alone bit for bit (a matrix product over all
+    panels may block its sums differently and move the last bit).  Returns
+    (k15, |k15 - g7|, |k15| sum) per panel as arrays; a sum may overflow.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    x = c[:, None] + h[:, None] * _NODES
+    x = (c[:, None] + h[:, None] * _NODES).ravel()
+    extra = () if arg is None else (np.repeat(arg, _NODES.size),)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        y = np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
+        y = np.asarray(g(x, *extra), dtype=float).reshape(-1, _NODES.size)
         y = np.where(np.isfinite(y), y, 0.0)  # an overflowing weight times 0
-        return [(k15 := hk * float(_W15 @ yk), abs(k15 - hk * float(_W7 @ yk)),
-                 hk * float(_W15 @ ak))
-                for hk, yk, ak in zip(h.tolist(), y, np.abs(y))]
+        k15 = h * np.vecdot(y, _W15)
+        return (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
+                h * np.vecdot(np.abs(y), _W15))
 
 
 def _log_edges(power, b, breaks):
@@ -152,14 +167,162 @@ def _log_edges(power, b, breaks):
                       xb[(xb > lo) & (xb < hi)])
 
 
+def _summand(f, power, log):
+    """The function the panels sum: f(r) r**power, times r more in x = log r."""
+    def g(x, *arg):
+        r = np.exp(x) if log else x
+        y = f(r, *arg) * r ** power
+        return y * r if log else y
+    return g
+
+
+class _Run:
+    """The adaptive state of one integrand: its panel heap, serial numbers,
+    running sums and stopping rule, as in a run of its own.  `todo` holds
+    the (lo, hi) edge lists of the panels to sum next, None once done."""
+
+    def __init__(self, integrand: RadialIntegrand, tol: float):
+        power = integrand.a + integrand.sing
+        if power <= -1.0:
+            raise DomainError(
+                f"r**({power}) is not integrable at 0 (need exponent > -1)")
+        log = integrand.R is None
+        self.tail_end = None  # x of an undeclared tail end
+        if log:
+            b = integrand.b
+            if b is not None and power - b >= -1.0:
+                raise DomainError(
+                    f"the integrand decays like r**({power - b}) at infinity; "
+                    "integral diverges (need exponent < -1)")
+            edges = _log_edges(power, b, integrand.breaks)
+            if b is None:
+                self.tail_end = float(edges[-1])
+        else:
+            if integrand.R <= 0:
+                raise DomainError("domain radius must be positive")
+            edges = float(integrand.R) * np.array(
+                [0.0] + [2.0 ** -j for j in range(_GRADE_LEVELS, -1, -1)])
+        # members with one key are summed in one call of one summand
+        self.key = (id(integrand.f), power, log, integrand.arg is None)
+        self.g = _summand(integrand.f, power, log)
+        self.arg = integrand.arg
+        self.tol = tol
+        self.heap = []
+        self.serial = 0
+        self.total, self.err_total, self.abs_total = 0.0, 0.0, 0.0
+        self.evals = 0
+        self.outer = 0.0  # value of the panel at tail_end
+        edges = edges.tolist()
+        self.todo = (edges[:-1], edges[1:])
+
+    def push(self, sums):
+        # a bisection hands its panel's own edge objects on, so a long heap
+        # holds one float per edge, not per entry
+        for plo, phi, val, err, kabs in zip(*self.todo, *sums):
+            if not (isfinite(err) and isfinite(kabs)):  # err is, if val is
+                raise NumericalError(f"a quadrature panel sum on [{plo:.6g}, "
+                                     f"{phi:.6g}] leaves the float range")
+            self.total += val
+            self.err_total += err
+            self.abs_total += kabs
+            self.evals += 15
+            if phi == self.tail_end:
+                self.outer = val
+            # stop refining panels at the roundoff floor or of negligible width
+            dead = (err <= 30.0 * _EPS * kabs) or \
+                (phi - plo <= 1e-15 * max(abs(phi), 1e-250))
+            if not dead:
+                heappush(self.heap, (-err, self.serial, plo, phi, val, err))
+                self.serial += 1
+
+    def bisect(self):
+        """Set todo to the halves of the worst panel, or to None once the
+        sums have converged or no panel is left to refine."""
+        self.todo = None
+        scale = max(abs(self.total), 1e-300)
+        if not self.heap or self.err_total <= self.tol * scale or \
+                self.err_total <= 50.0 * _EPS * self.abs_total:
+            if abs(self.outer) > self.tol * abs(self.total):
+                raise DomainError(
+                    "the integral may diverge at infinity: its outermost "
+                    f"panel, ending at x = log r = {self.tail_end:.6g}, still "
+                    f"holds {self.outer:.3e} of {self.total:.3e}; declare "
+                    "the integrand's tail exponent b")
+            return
+        if self.evals + 30 > PANEL_BUDGET:
+            raise NumericalError(
+                f"quadrature budget of {PANEL_BUDGET} evaluations exhausted; "
+                f"error estimate {self.err_total:.3e} vs target "
+                f"{self.tol * abs(self.total):.3e}")
+        _, _, lo, hi, val, err = heappop(self.heap)
+        self.total -= val
+        self.err_total -= err
+        mid = 0.5 * (lo + hi)
+        self.todo = ([lo, mid], [mid, hi])
+
+
+def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
+                           tol: float = DEFAULT_TOL) -> list:
+    """integrate_radial on each integrand, run in lockstep.
+
+    Each member's result is exactly what integrate_radial gives it alone.
+    When members fail, the batch raises the error of the first failing one
+    in input order, as a loop over integrate_radial would; members after it
+    stop.  An exception raised by f itself leaves the batch at once.
+    """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"quadrature tolerance must be finite and >= 0, "
+                          f"got tol={tol}")
+    runs, failure = [], None
+    for integrand in integrands:  # every divergence screen before any f call
+        try:
+            runs.append(_Run(integrand, tol))
+        except (DomainError, NumericalError) as exc:
+            failure = exc
+            break
+    live = list(runs)
+    while live:
+        groups = {}
+        for run in live:
+            groups.setdefault(run.key, []).append(run)
+        sums = {}
+        for members in groups.values():
+            lo = [e for run in members for e in run.todo[0]]
+            hi = [e for run in members for e in run.todo[1]]
+            arg = None if members[0].arg is None else \
+                [run.arg for run in members for _ in run.todo[0]]
+            k15, err, kabs = (v.tolist() for v in _panels(
+                members[0].g, np.array(lo), np.array(hi), arg))
+            start = 0
+            for run in members:
+                stop = start + len(run.todo[0])
+                sums[run] = (k15[start:stop], err[start:stop],
+                             kabs[start:stop])
+                start = stop
+        for i, run in enumerate(live):
+            try:
+                run.push(sums[run])
+                run.bisect()
+            except (DomainError, NumericalError) as exc:
+                failure = exc  # earlier in input order than any before it
+                del live[i:]
+                break
+        live = [run for run in live if run.todo is not None]
+    if failure is not None:
+        raise failure
+    return [{"value": run.total, "error_estimate": run.err_total,
+             "evaluations": run.evals} for run in runs]
+
+
 def integrate_radial(integrand: RadialIntegrand,
                      tol: float = DEFAULT_TOL) -> dict:
     """Adaptive evaluation of the radial integral.
 
     Returns {"value", "error_estimate", "evaluations"}; on success
     error_estimate <= tol * |value| (or sits at the roundoff floor).  Raises
-    DomainError when the integrand is divergent (endpoint exponent <= -1, or
-    a declared tail exponent a + sing - b >= -1 on an infinite domain) and
+    DomainError when the integrand is divergent (endpoint exponent <= -1, a
+    declared tail exponent a + sing - b >= -1 on an infinite domain, or an
+    undeclared tail whose outermost panel holds more than tol * |value|) and
     NumericalError when a panel sum is not finite or PANEL_BUDGET runs out
     before convergence.
 
@@ -168,79 +331,4 @@ def integrate_radial(integrand: RadialIntegrand,
     elementwise: a value may not depend on the array's length or on the
     other points in it.
     """
-    if not 0.0 <= tol < np.inf:
-        raise DomainError(f"quadrature tolerance must be finite and >= 0, "
-                          f"got tol={tol}")
-    power = integrand.a + integrand.sing
-    if power <= -1.0:
-        raise DomainError(
-            f"r**({power}) is not integrable at 0 (need exponent > -1)")
-
-    def g(r):
-        return integrand.f(r) * r ** power
-
-    if integrand.R is None:
-        b = integrand.b
-        if b is not None and power - b >= -1.0:
-            raise DomainError(
-                f"the integrand decays like r**({power - b}) at infinity; "
-                "integral diverges (need exponent < -1)")
-
-        def target(x):
-            r = np.exp(x)
-            return g(r) * r
-
-        edges = _log_edges(power, b, integrand.breaks)
-    else:
-        if integrand.R <= 0:
-            raise DomainError("domain radius must be positive")
-        R = float(integrand.R)
-        edges = R * np.array(
-            [0.0] + [2.0 ** -j for j in range(_GRADE_LEVELS, -1, -1)])
-        target = g
-
-    heap = []
-    serial = 0
-    total, err_total, abs_total, evals = 0.0, 0.0, 0.0, 0
-    eps = float(np.finfo(float).eps)
-
-    def push(lo, hi):
-        # lo, hi: lists of edge floats; a bisection hands its panel's own edge
-        # objects on, so a long heap holds one float per edge, not per entry
-        nonlocal serial, total, err_total, abs_total, evals
-        sums = _panels(target, np.array(lo), np.array(hi))
-        for plo, phi, (val, err, kabs) in zip(lo, hi, sums):
-            if not (isfinite(err) and isfinite(kabs)):  # err is, if val is
-                raise NumericalError(f"a quadrature panel sum on [{plo:.6g}, "
-                                     f"{phi:.6g}] leaves the float range")
-            total += val
-            err_total += err
-            abs_total += kabs
-            evals += 15
-            # stop refining panels at the roundoff floor or of negligible width
-            dead = (err <= 30.0 * eps * kabs) or \
-                (phi - plo <= 1e-15 * max(abs(phi), 1e-250))
-            if not dead:
-                heappush(heap, (-err, serial, plo, phi, val, err))
-                serial += 1
-
-    edges = edges.tolist()
-    push(edges[:-1], edges[1:])
-
-    def converged():
-        scale = max(abs(total), 1e-300)
-        return err_total <= tol * scale or err_total <= 50.0 * eps * abs_total
-
-    while heap and not converged():
-        if evals + 30 > PANEL_BUDGET:
-            raise NumericalError(
-                f"quadrature budget of {PANEL_BUDGET} evaluations exhausted; "
-                f"error estimate {err_total:.3e} vs target "
-                f"{tol * abs(total):.3e}")
-        neg_err, _, lo, hi, val, err = heappop(heap)
-        total -= val
-        err_total -= err
-        mid = 0.5 * (lo + hi)
-        push([lo, mid], [mid, hi])
-
-    return {"value": total, "error_estimate": err_total, "evaluations": evals}
+    return integrate_radial_batch([integrand], tol)[0]

@@ -228,6 +228,38 @@ def test_fit_without_nuisance_columns():
     assert abs(rep.c2_dev) > 0.005
 
 
+def test_fit_samples_equal_j_at_bubble(monkeypatch):
+    # the fit samples J at all deltas in one quadrature batch; each sample
+    # is exactly j_at_bubble at its delta
+    sweep, samples = energy._j_sweep, []
+
+    def spy(model, p, deltas):
+        samples.append(sweep(model, p, deltas))
+        return samples[-1]
+
+    m, deltas = critical_model(), np.geomspace(0.005, 0.05, 12)
+    monkeypatch.setattr(energy, "_j_sweep", spy)
+    fit_expansion(m, P71, deltas)
+    monkeypatch.undo()
+    assert samples == [[j_at_bubble(m, P71, float(d)) for d in deltas]]
+
+
+def test_radial_model_computes_density_coefficients_once(monkeypatch):
+    calls = []
+    real = energy.density_coeffs
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(energy, "density_coeffs", counted)
+    m = critical_model()
+    for r in (0.1, np.linspace(0.0, 1.0, 5)):
+        m.density(r)
+    predicted_coeffs(m, P71)
+    assert len(calls) == 1
+
+
 def test_fit_validation_errors():
     m = critical_model()
     with pytest.raises(DomainError):

@@ -53,6 +53,17 @@ def test_divergent_tail_rejected():
             RadialIntegrand(f=lambda r: (1.0 + r) ** -6.0, a=5.0, b=6.0))
 
 
+def test_undeclared_divergent_tail_rejected():
+    # the same r^{-1} tail without b: the span runs to the float range of
+    # the weight, and the outermost panel there still holds ~2 of ~116
+    with pytest.raises(DomainError, match="declare the integrand's tail"):
+        integrate_radial(RadialIntegrand(f=lambda r: (1.0 + r) ** -6.0, a=5.0))
+    # a convergent r^{-1.5} tail is not refused: 2 B(6, 1/2) = 1024/1386
+    res = integrate_radial(
+        RadialIntegrand(f=lambda r: (1.0 + r) ** -6.5, a=5.0), tol=1e-12)
+    np.testing.assert_allclose(res["value"], 1024.0 / 1386.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("a,sing,b", [(5.0, 0.0, 6.0), (6.0, -1.0, 5.5),
                                       (0.0, 0.0, 0.0), (2.0, 0.5, 1.0)])
 def test_divergent_declared_tail_never_calls_f(a, sing, b):
@@ -146,12 +157,15 @@ def _reference_integrate(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
 
     Same initial edges (graded in r, or the x = log r span), heap order,
     accumulation order and stopping rules as integrate_radial; only the
-    dispatch of integrand calls differs.
+    dispatch of integrand calls differs.  An integrand with an arg gets it
+    at each of the panel's nodes.
     """
     power = integrand.a + integrand.sing
 
     def g(r):
-        return integrand.f(r) * r ** power
+        if integrand.arg is None:
+            return integrand.f(r) * r ** power
+        return integrand.f(r, np.full_like(r, integrand.arg)) * r ** power
 
     if integrand.R is None:
         def target(x):
@@ -212,16 +226,20 @@ def _reference_integrate(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
 
 
 def _recorded_calls(monkeypatch, module, run):
-    """(integrand, tol, result) of every integrate_radial call `run` makes."""
+    """(integrand, tol, result) of every batch member that `run` integrates,
+    through integrate_radial or integrate_radial_batch."""
     calls = []
+    batch = quadrature.integrate_radial_batch
 
-    def spy(integrand, tol=quadrature.DEFAULT_TOL):
-        res = integrate_radial(integrand, tol=tol)
-        calls.append((integrand, tol, res))
-        return res
+    def spy(integrands, tol=quadrature.DEFAULT_TOL):
+        results = batch(integrands, tol=tol)
+        calls.extend((ig, tol, res) for ig, res in zip(integrands, results))
+        return results
 
     with monkeypatch.context() as m:
-        m.setattr(module, "integrate_radial", spy)
+        for mod in {quadrature, module}:
+            if hasattr(mod, "integrate_radial_batch"):
+                m.setattr(mod, "integrate_radial_batch", spy)
         run()
     assert calls
     return calls
@@ -254,6 +272,9 @@ _NON_EINSTEIN = {"scal": 42.0, "ric_norm2": 257.0, "rm_norm2": 84.0,
     pytest.param(energy, lambda: energy.remainder_alpha(
         curvature_preset(_NON_EINSTEIN, 7), HSParams(7, 1.0), 1.0),
         id="remainder-gauss-jacobi-infinite"),
+    pytest.param(energy, lambda: energy.fit_expansion(
+        _model(HSParams(7, 1.0)), HSParams(7, 1.0),
+        np.geomspace(0.005, 0.05, 12)), id="fit_expansion-sweep"),
 ])
 def test_batched_panels_bit_identical_to_panel_loop(monkeypatch, module, run):
     # every float sum keeps its order, so the results match exactly
@@ -272,6 +293,64 @@ def test_batched_budget_exhaustion_matches_panel_loop(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1200)
     with pytest.raises(NumericalError) as got:
         integrate_radial(integrand, tol=1e-13)
+    assert str(got.value) == str(want.value)
+
+
+def test_vecdot_matches_the_per_panel_dot():
+    # the premise of the panel sums: np.vecdot runs the same dot loop once
+    # per row, so it equals one dot product per panel bit for bit
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((2000, 15)) * np.exp(
+        rng.uniform(-300.0, 300.0, (2000, 1)))
+    for rows in (y, np.abs(y)):
+        for w in (quadrature._W15, quadrature._W7):
+            assert np.vecdot(rows, w).tolist() == [float(w @ r) for r in rows]
+
+
+def test_batch_members_sharing_f_are_summed_in_one_call():
+    # members with one f and weight power evaluate together, each given its
+    # own arg at its nodes; the batch makes as many calls as its longest
+    # member alone, and each result is that member's solo result
+    sizes = []
+
+    def f(r, k):
+        sizes.append(r.size)
+        return np.exp(-k * r)
+
+    members = [RadialIntegrand(f=f, a=2.0, R=R, arg=k)
+               for R, k in ((1.0, 1.0), (5.0, 3.0), (40.0, 0.5))]
+    solo = []
+    for ig in members:
+        sizes.clear()
+        solo.append((integrate_radial(ig, tol=1e-12), len(sizes)))
+    sizes.clear()
+    got = quadrature.integrate_radial_batch(members, tol=1e-12)
+    assert got == [res for res, _ in solo]
+    assert len(sizes) == max(calls for _, calls in solo)
+    for ig, (res, _) in zip(members, solo):
+        assert res == _reference_integrate(ig, tol=1e-12)
+
+
+def test_batch_raises_the_first_failing_member_in_input_order(monkeypatch):
+    # member 1 runs out of budget after many rounds; member 2 overflows in
+    # the first round and member 3 fails its divergence screen.  A loop over
+    # integrate_radial raises member 1's error, and so does the batch
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1200)
+    good = RadialIntegrand(f=lambda r: np.ones_like(r), a=2.0, R=1.0)
+    slow = RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r, R=1.0)
+    huge = RadialIntegrand(f=lambda r: np.full_like(r, 1e308), R=1.0)
+    divergent = RadialIntegrand(f=lambda r: r, sing=-2.0, R=1.0)
+    with pytest.raises(NumericalError) as want:
+        integrate_radial(slow, tol=1e-13)
+    assert "budget" in str(want.value)
+    with pytest.raises(NumericalError) as got:
+        quadrature.integrate_radial_batch([good, slow, huge, divergent],
+                                          tol=1e-13)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(NumericalError) as want:
+        integrate_radial(huge, tol=1e-13)
+    with pytest.raises(NumericalError) as got:
+        quadrature.integrate_radial_batch([good, huge, slow], tol=1e-13)
     assert str(got.value) == str(want.value)
 
 
