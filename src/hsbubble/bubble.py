@@ -33,29 +33,26 @@ from .params import HSParams
 
 
 def u1(p: HSParams, r):
-    n, s = p.n, p.s
-    t = np.asarray(r, dtype=float) ** (2.0 - s)
-    return p.kappa * (1.0 + t) ** (-(n - 2.0) / (2.0 - s))
+    t = np.asarray(r, dtype=float) ** (2.0 - p.s)
+    return p.kappa * (1.0 + t) ** (-p.beta)
 
 
 def du1(p: HSParams, r):
     n, s = p.n, p.s
     r = np.asarray(r, dtype=float)
-    m = (n - s) / (2.0 - s)
     with np.errstate(divide="ignore"):
         rpow = r ** (1.0 - s)
     t = r ** (2.0 - s)
-    return -p.kappa * (n - 2.0) * rpow * (1.0 + t) ** (-m)
+    return -p.kappa * (n - 2.0) * rpow * (1.0 + t) ** (-p.m)
 
 
 def d2u1(p: HSParams, r):
     n, s = p.n, p.s
     r = np.asarray(r, dtype=float)
-    m = (n - s) / (2.0 - s)
     t = r ** (2.0 - s)
     with np.errstate(divide="ignore"):
-        core = (1.0 - s) * r**-s * (1.0 + t) ** (-m) \
-            - (n - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-m - 1.0)
+        core = (1.0 - s) * r**-s * (1.0 + t) ** (-p.m) \
+            - (n - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-p.m - 1.0)
     return -p.kappa * (n - 2.0) * core
 
 
@@ -66,22 +63,20 @@ def rdru1(p: HSParams, r):
     """
     n, s = p.n, p.s
     r = np.asarray(r, dtype=float)
-    m = (n - s) / (2.0 - s)
     t = r ** (2.0 - s)
-    return -p.kappa * (n - 2.0) * t * (1.0 + t) ** (-m)
+    return -p.kappa * (n - 2.0) * t * (1.0 + t) ** (-p.m)
 
 
 def z0(p: HSParams, r):
     n, s = p.n, p.s
     t = np.asarray(r, dtype=float) ** (2.0 - s)
-    m = (n - s) / (2.0 - s)
-    return 0.5 * (n - 2.0) * p.kappa * (t - 1.0) * (1.0 + t) ** (-m)
+    return 0.5 * (n - 2.0) * p.kappa * (t - 1.0) * (1.0 + t) ** (-p.m)
 
 
 def dz0(p: HSParams, r):
     n, s = p.n, p.s
     r = np.asarray(r, dtype=float)
-    m = (n - s) / (2.0 - s)
+    m = p.m
     t = r ** (2.0 - s)
     with np.errstate(divide="ignore"):
         rpow = r ** (1.0 - s)
@@ -92,7 +87,7 @@ def dz0(p: HSParams, r):
 def d2z0(p: HSParams, r):
     n, s = p.n, p.s
     r = np.asarray(r, dtype=float)
-    m = (n - s) / (2.0 - s)
+    m = p.m
     t = r ** (2.0 - s)
     amp = (1.0 + m) + (1.0 - m) * t
     with np.errstate(divide="ignore"):
@@ -111,7 +106,7 @@ def power_law_breaks(p: HSParams, delta: float = 1.0) -> tuple:
     kappa t**(-beta).  At s = 1.9 and n = 7 they are 1e-17 and 1e17.
     """
     n, s = p.n, p.s
-    log_scale = math.log((n - 2.0) / (2.0 - s)) / (2.0 - s)
+    log_scale = math.log(p.beta) / (2.0 - s)
     try:
         return delta * math.exp(-log_scale), delta * math.exp(log_scale)
     except OverflowError:

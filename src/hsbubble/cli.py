@@ -6,9 +6,10 @@ can be reproduced from itself.  JSON documents have the fixed shape
     {"tool": "hsbubble", "subcommand": ..., "inputs": ..., "outputs": ...}
 
 with sorted keys, so two runs with the same inputs are byte-identical.
-Exit codes: 0 success, 1 domain/validation error (including bad flags),
-2 numerical failure (non-convergence, ill-conditioned fit).  A reader that
-closes stdout early (`| head`) ends the run quietly, with its exit code.
+Exit codes: 0 success, 1 domain/validation error (bad flags, unwritable CSV
+paths), 2 numerical failure (non-convergence, ill-conditioned fit, an output
+that is not finite).  A reader that closes stdout early (`| head`) ends the
+run quietly, with its exit code.
 
 The subcommands are rows of one table (_SUBCOMMANDS): name, help, the shared
 flag groups, the subcommand's own flags, the handler and an optional text
@@ -38,7 +39,15 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with validation failures mapped to exit code 1."""
+    """argparse with validation failures mapped to exit code 1, and every
+    token that reads as a float a value (argparse refuses -1e-3, -5., -inf)."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+            return None
+        except ValueError:
+            return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -186,8 +195,11 @@ def _csv(header, rows, path: Optional[str] = None) -> str:
     writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
                      for row in rows)
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            raise DomainError(f"cannot write CSV file {path!r}: {exc}") from exc
     return buf.getvalue()
 
 
@@ -249,8 +261,7 @@ def _cmd_chat(inp):
     det = nonlocal_term(inp.p, w, grid, detail=True)
     mode0, mode2 = det["mode0"], det["mode2"]
     outputs = {
-        "w": {"a": w.a, "mode0_extra": w.mode0_extra,
-              "t_free_norm2": w.t_free_norm2},
+        "w": asdict(w),
         "nonlocal_term": det["total"],
         "mode0_part": det["mode0_part"],
         "mode2_part": det["mode2_part"],
@@ -273,10 +284,7 @@ def _cmd_chat(inp):
 def _cmd_lg(inp):
     from .geometry import density_coeffs, kns, lg_total
     out = lg_total(inp.c, inp.jet, inp.p, inp.grid)
-    outputs = {"local_term": out.local_term,
-               "nonlocal_term": out.nonlocal_term,
-               "total": out.total,
-               "kns": kns(inp.c, inp.p),
+    outputs = {**asdict(out), "kns": kns(inp.c, inp.p),
                "density_coeffs": density_coeffs(inp.c)}
     return inp.echo("curvature", "potential", "grid"), outputs
 
@@ -285,10 +293,9 @@ def _cmd_energy(inp):
     from .energy import RadialModel, fit_expansion
     a = inp.args
     model = RadialModel(inp.c, inp.jet, r0=a.r0)
-    rep = fit_expansion(model, inp.p, _parse_deltas(a.deltas),
-                        nuisance=not a.no_nuisance)
+    rep = fit_expansion(model, inp.p, _parse_deltas(a.deltas))
     inputs = inp.echo("curvature", "potential", "deltas", "r0")
-    inputs["nuisance"] = not a.no_nuisance
+    inputs["nuisance"] = True  # the fit always carries its nuisance columns
     return inputs, asdict(rep)
 
 
@@ -317,10 +324,7 @@ def _cmd_reduce(inp):
         message = "no critical point: degenerate quartic coefficient"
     else:
         message = "no critical point: sign condition fails"
-    outputs = {"t0": out.t0, "second_derivative": out.second_derivative,
-               "nondegenerate": out.nondegenerate,
-               "degenerate_quartic": out.degenerate_quartic,
-               "message": message}
+    outputs = {**asdict(out), "message": message}
     inputs = inp.echo("quad", "quartic")
     if a.eps is not None:
         # checked even without a critical point: the report echoes it
@@ -337,11 +341,7 @@ def _cmd_family(inp):
     jet = inp.jet
     base, used = _obstruction(inp)
     ladder = family_theorem2(base, inp.p, jet.f_val, inp.args.k_max)
-    entries = [{"k": e.k, "lap_h_shift": e.lap_h_shift, "lg_k": e.lg_k,
-                "predicted_t0": e.predicted_t0} for e in ladder.entries]
-    outputs = {"base_lg": ladder.base_lg, "quad_coef": ladder.quad_coef,
-               "r4grad": ladder.r4grad, "entries": entries}
-    return {**inp.echo("potential", "k_max"), **used}, outputs
+    return {**inp.echo("potential", "k_max"), **used}, asdict(ladder)
 
 
 def _family_table(outputs: dict) -> str:
@@ -419,9 +419,7 @@ _SUBCOMMANDS = (
         ("params", "curvature", "potential"),
         (("--deltas", dict(default="0.005:0.05:12",
                            help="geometric sweep lo:hi:count")),
-         ("--r0", dict(type=float, default=1.0, help="truncation radius")),
-         ("--no-nuisance", dict(action="store_true", help="drop the "
-                                "truncation-order fit columns"))),
+         ("--r0", dict(type=float, default=1.0, help="truncation radius"))),
         _cmd_energy),
     _Subcommand("remainder",
                 "remainder-density norm and its delta^2 scaling",
@@ -474,14 +472,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _jsonable(obj):
+def _jsonable(obj, key):
+    """obj with lists for tuples and Python numbers for numpy scalars; a
+    non-finite float, which JSON cannot hold, is refused by its key."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, f"{key}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     np = sys.modules.get("numpy")  # no numpy scalar exists before its import
     if np is not None and isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise NumericalError(f"{key} = {obj!r} is not a finite number")
     return obj
 
 
@@ -504,16 +506,17 @@ def main(argv=None) -> int:
     cmd = args.command
     try:
         inputs, outputs = cmd.handler(_Inputs(args))
+        inputs = _jsonable(inputs, "inputs")
+        outputs = _jsonable(outputs, "outputs")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    outputs = _jsonable(outputs)
     if args.json:
         doc = {"tool": "hsbubble", "subcommand": cmd.name,
-               "inputs": _jsonable(inputs), "outputs": outputs}
+               "inputs": inputs, "outputs": outputs}
         report = json.dumps(doc, sort_keys=True, indent=2)
     elif cmd.render is not None:
         report = cmd.render(outputs)

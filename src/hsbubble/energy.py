@@ -187,7 +187,7 @@ def _j_sweep(model: RadialModel, p: HSParams, deltas) -> list:
 
     parts = ((grad_f, 0.0), (pot_f, 0.0), (crit_f, -s))
     v = [res["value"] for res in integrate_radial_batch(
-        [RadialIntegrand(f=f, a=n - 1.0, sing=sing, R=model.r0 / delta,
+        [RadialIntegrand(f=f, a=n - 1.0 + sing, R=model.r0 / delta,
                          arg=delta)
          for delta in deltas for f, sing in parts], tol=TOL)]
     return [omega * (0.5 * (grad + delta**2 * pot) - crit / two_star)
@@ -232,31 +232,14 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     return {"c0": c0, "c2": c2, "c4": c4}
 
 
-def _fit_columns(deltas: np.ndarray, n: int, nuisance: bool):
-    """Design-matrix columns and their names for the delta-sweep fit."""
-    cols = [np.ones_like(deltas), deltas**2, deltas**4]
-    names = ["1", "delta^2", "delta^4"]
-    if nuisance:
-        cols.append(deltas ** (n - 2))
-        names.append(f"delta^{n - 2}")
-        cols.append(deltas ** (n - 1) * np.log(1.0 / deltas))
-        names.append(f"delta^{n - 1}*log(1/delta)")
-        cols.append(deltas ** (n - 1))
-        names.append(f"delta^{n - 1}")
-        cols.append(deltas ** n)
-        names.append(f"delta^{n}")
-    return np.column_stack(cols), names
-
-
 def fit_expansion(model: RadialModel, p: HSParams,
-                  deltas: Sequence[float], *,
-                  nuisance: bool = True) -> FitReport:
+                  deltas: Sequence[float]) -> FitReport:
     """Least-squares fit of J(delta) against {1, delta^2, delta^4}.
 
-    The sweep must hold at least 6 distinct deltas spanning a decade inside
-    the asymptotic regime.  Truncation-order nuisance columns (delta^{n-2},
-    delta^{n-1} log(1/delta), delta^{n-1}, delta^n) guard the reported
-    coefficients against aliasing; pass nuisance=False to drop them.
+    The sweep must span a decade inside the asymptotic regime with more
+    distinct deltas than the fit's columns: these three and the nuisance
+    columns delta^{n-2}, delta^{n-1} log(1/delta), delta^{n-1}, delta^n,
+    which guard the reported coefficients against truncation aliasing.
 
     J is sampled at every delta in one quadrature batch (the sweep behind
     j_at_bubble), so the 3 integrals per delta advance together and each
@@ -275,7 +258,13 @@ def fit_expansion(model: RadialModel, p: HSParams,
     # closed forms and the design first: an overflowing moment prefactor or
     # a degenerate sweep fails here, before the quadrature sweep
     pred = predicted_coeffs(model, p)
-    X, names = _fit_columns(deltas, p.n, nuisance)
+    n = p.n
+    nuisance = {f"delta^{n - 2}": deltas ** (n - 2),
+                f"delta^{n - 1}*log(1/delta)":
+                    deltas ** (n - 1) * np.log(1.0 / deltas),
+                f"delta^{n - 1}": deltas ** (n - 1), f"delta^{n}": deltas ** n}
+    X = np.column_stack([np.ones_like(deltas), deltas**2, deltas**4,
+                         *nuisance.values()])
     scales = np.max(np.abs(X), axis=0)
     Xs = X / scales
     dof = deltas.size - Xs.shape[1]
@@ -326,7 +315,6 @@ def fit_expansion(model: RadialModel, p: HSParams,
     g4 = max(generic4, 1e-9 * denom0)
     denom4 = abs(pred["c4"]) if abs(pred["c4"]) >= 1e-9 * g4 else g4
 
-    nuis = {names[k]: float(coef[k]) for k in range(3, len(names))}
     return FitReport(
         c0_fit=float(coef[0]), c2_fit=float(coef[1]), c4_fit=float(coef[2]),
         c0_se=float(se[0]), c2_se=float(se[1]), c4_se=float(se[2]),
@@ -336,7 +324,7 @@ def fit_expansion(model: RadialModel, p: HSParams,
         c4_dev=float((coef[2] - pred["c4"]) / denom4),
         condition=cond,
         rms_residual=math.sqrt(rss / deltas.size),
-        nuisance=nuis,
+        nuisance=dict(zip(nuisance, coef[3:].tolist())),
     )
 
 
@@ -362,22 +350,21 @@ _RADIAL_BLOCK = 15
 
 
 @functools.lru_cache(maxsize=None)
-def _angular_rule(jacobi_points: int, n: int):
-    """Angular weights (u^2 - 1/n)/3 and Gauss-Jacobi weights for
-    (1-u^2)^{(n-3)/2} on [-1, 1], folded onto the nodes u >= 0.
+def _angular_rule(n: int):
+    """Angular weights (u^2 - 1/n)/3 and JACOBI_POINTS-point Gauss-Jacobi
+    weights for (1-u^2)^{(n-3)/2} on [-1, 1], folded onto the nodes u > 0.
 
-    The rule is symmetric, so each nonnegative node carries the summed
-    weight of its pair (u, -u); a centre node (odd point count) keeps its
-    own.  Cached: the arrays are read-only because every caller shares them.
+    The rule is symmetric and its point count even, so each positive node
+    carries the summed weight of its pair (u, -u).  Cached: the arrays are
+    read-only because every caller shares them.
     """
     from scipy.special import roots_jacobi
 
     a_jac = (n - 3.0) / 2.0
-    u, w = roots_jacobi(jacobi_points, a_jac, a_jac)
-    half = jacobi_points // 2
+    u, w = roots_jacobi(JACOBI_POINTS, a_jac, a_jac)
+    half = JACOBI_POINTS // 2
     ang_w = (u[half:] ** 2 - 1.0 / n) / 3.0
-    wt = w[half:].copy()
-    wt[jacobi_points % 2:] += w[:half][::-1]
+    wt = w[half:] + w[:half][::-1]
     ang_w.flags.writeable = False
     wt.flags.writeable = False
     return ang_w, wt
@@ -399,11 +386,9 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     beta**(-+1/(2-s)), beta = (n-2)/(2-s), and decides the span from them
     rather than from samples of the integrand.  Integration runs in the
     original radial variable (no delta substitution), so the delta^2
-    scaling law is an outcome, not an input.
-
-    The JACOBI_POINTS-point rule is built once per n and reused by
-    every later call; it is folded onto its nonnegative nodes (the weight
-    depends on u only through u^2), which halves the angular work.
+    scaling law is an outcome, not an input.  The angular rule is built
+    once per n (_angular_rule) and folded onto its positive nodes, which
+    halves the angular work.
     """
     p.require("the remainder norm", n_min=7)
     if not (math.isfinite(h0_val) and math.isfinite(delta) and delta > 0.0):
@@ -439,7 +424,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
         return x
 
     if mu != 0.0:
-        ang_w, ang_wt = _angular_rule(JACOBI_POINTS, n)
+        ang_w, ang_wt = _angular_rule(n)
 
     def radial_f(r):
         rho = r / delta
@@ -486,7 +471,6 @@ def flat_alpha_inv_closed_form(p: HSParams, h0_val: float) -> float:
     """
     n, s = p.n, p.s
     q = 2.0 * n / (n + 2.0)
-    beta_q = (n - 2.0) / (2.0 - s) * q
     m = n / (2.0 - s)
-    val = sphere_area(n) * p.kappa**q * ipq(beta_q, m - 1.0) / (2.0 - s)
+    val = sphere_area(n) * p.kappa**q * ipq(p.beta * q, m - 1.0) / (2.0 - s)
     return abs(h0_val) * float(val ** (1.0 / q))

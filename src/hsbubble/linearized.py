@@ -46,6 +46,14 @@ Two exactness properties of this assembly carry the percent-level physics:
 The Robin corner (n-2) R**(n-2) in S matches the truncated gradient tail of
 any r**(2-n) branch, so z0^T S z0 reproduces the full-space gradient norm of
 Z0 up to O(R**(2-n)) relative error.
+
+That bound is for Z0 alone.  The response to W ~ r**(2-n) decays like
+r**(4-n), not like the branch the Robin closure fits, so nonlocal_term (and
+`lg`, `chat`, `family`/`verdict` without --base-lg) carries a truncation
+error of order R_max**(6-n) that refining N does not reduce: with sphere:1
+on the default 8000,200 grid, W C(W) is 10% short in magnitude at (n, s) =
+(7, 1) and 57% short at (7, 1.5), measured against an R_max-free reference
+in log r (ROADMAP.md, open item 2).
 """
 
 from __future__ import annotations
@@ -269,11 +277,10 @@ def _frozen(*values) -> tuple:
 
 def potential_values(p: HSParams, r):
     """V(r) = (2*(s)-1)(n-s)(n-2) r**(-s) (1+r**(2-s))**(-2), for r > 0."""
-    n, s = p.n, p.s
+    s = p.s
     r = np.asarray(r, dtype=float)
-    qm1 = p.crit_exp - 1.0
     with np.errstate(divide="ignore"):
-        return qm1 * (n - s) * (n - 2.0) * r ** (-s) * (1.0 + r ** (2.0 - s)) ** (-2.0)
+        return p.potential_amp * r ** (-s) * (1.0 + r ** (2.0 - s)) ** (-2.0)
 
 
 def _first_cell_potential_mass(p: HSParams, m_edge: float) -> float:
@@ -284,18 +291,11 @@ def _first_cell_potential_mass(p: HSParams, m_edge: float) -> float:
     adaptively (cost: one tiny one-dimensional quadrature per ell = 0
     assembly).
     """
-    n, s = p.n, p.s
-    qm1 = p.crit_exp - 1.0
-    pref = qm1 * (n - s) * (n - 2.0)
-    out = integrate_radial(
-        RadialIntegrand(
-            f=lambda r: (1.0 + r ** (2.0 - s)) ** (-2.0),
-            a=float(n - 1) - s,
-            R=m_edge,
-        ),
-        tol=1e-13,
-    )
-    return pref * out["value"]
+    s = p.s
+    out = integrate_radial(RadialIntegrand(
+        f=lambda r: (1.0 + r ** (2.0 - s)) ** (-2.0), a=float(p.n - 1) - s,
+        R=m_edge), tol=1e-13)
+    return p.potential_amp * out["value"]
 
 
 @functools.lru_cache(maxsize=2)
@@ -623,8 +623,7 @@ def _count_eigs(mats: ModeMatrices, lo: float, hi: float) -> int:
     return int(lapack.dstebz(dt, et, 1, lo, hi, 0, 0, np.inf, "E")[0])
 
 
-def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
-                       vectors: bool):
+def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float):
     """All pencil eigenpairs K v = lam M v with lam in (lo, hi].
 
     Works on the scaled standard form M**(-1/2) K M**(-1/2) (spectral)
@@ -638,21 +637,21 @@ def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float, *,
     relative to the Gershgorin bound, which the origin cells push to
     ~1e26, uselessly coarse near zero.  The cost is one bisection per pair
     in the window, so callers ask for the narrowest window that answers
-    them (kernel_diagnostics).  With vectors=False only the eigenvalues are
+    them (kernel_diagnostics).  For ell = 2 only the eigenvalues are
     computed (the same bisection, so the same values) and None stands in
-    for the eigenvectors.
+    for the eigenvectors, which only ell = 0 needs (the Z0 alignment).
     """
     import scipy.linalg
 
     dt, et, inv_sqrt_m = mats.spectral
     try:
         out = scipy.linalg.eigh_tridiagonal(
-            dt, et, eigvals_only=not vectors, select="v",
+            dt, et, eigvals_only=mats.ell != 0, select="v",
             select_range=(lo, hi), tol=1e-14
         )
     except Exception as exc:
         raise NumericalError(f"eigen-diagnostic failed: {exc}") from exc
-    if not vectors:
+    if mats.ell != 0:
         return out, None
     vals, y = out
     # back-transform: u = M**(-1/2) y, already M-orthonormal
@@ -725,7 +724,7 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
         k = 4
         while True:
             half = win / 2**k
-            vals, vecs = _window_eigenpairs(mats, -half, half, vectors=ell == 0)
+            vals, vecs = _window_eigenpairs(mats, -half, half)
             if ell == 0 and vals.size:
                 zn = _norm_m(mats.mass, mats.z0)
                 aligns = np.abs(vecs.T @ (mats.mass * mats.z0)) / (

@@ -126,8 +126,7 @@ def _reduction(p: HSParams, kind: str):
     n, s = p.n, float(p.s)
     omega = sphere_area(n)
     g = 2.0 - s
-    m = (n - s) / g           # tail exponent of (1+t) in U1'
-    two_beta = 2.0 * (n - 2) / g
+    m = p.m                   # tail exponent of (1+t) in U1'
 
     def q_of(a):
         return (a + 1.0) / g - 1.0
@@ -142,8 +141,8 @@ def _reduction(p: HSParams, kind: str):
 
     # single-term kinds: (kappa power and its name, coefficient, P, r power)
     single = {
-        "mass2": (2, "2", 1, two_beta, n - 1),
-        "r2mass": (2, "2", 1, two_beta, n + 1),
+        "mass2": (2, "2", 1, 2.0 * p.beta, n - 1),
+        "r2mass": (2, "2", 1, 2.0 * p.beta, n + 1),
         "gradsq": (2, "2", (n - 2) ** 2, 2.0 * m, n + 1 - 2 * s),
         "r2grad": (2, "2", (n - 2) ** 2, 2.0 * m, n + 3 - 2 * s),
         "r4grad": (2, "2", (n - 2) ** 2, 2.0 * m, n + 5 - 2 * s),
@@ -221,7 +220,7 @@ def moment_quadrature(p: HSParams, kind: str,
     where = f"the {kind} moment by quadrature at n = {n}, s = {s}"
     try:
         value = integrate_radial(RadialIntegrand(
-            f=f, a=aa, sing=sing, b=b, breaks=bubble.power_law_breaks(p)),
+            f=f, a=aa + sing, b=b, breaks=bubble.power_law_breaks(p)),
             tol=tol)["value"]
     except NumericalError as exc:
         raise NumericalError(f"{where}: {exc}") from None

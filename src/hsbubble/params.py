@@ -77,6 +77,21 @@ class HSParams:
         return float((self.n - self.s) * (self.n - 2))
 
     @property
+    def beta(self) -> float:
+        """beta = (n - 2)/(2 - s), the decay exponent of (1 + t) in U1."""
+        return (self.n - 2.0) / (2.0 - self.s)
+
+    @property
+    def m(self) -> float:
+        """m = (n - s)/(2 - s) = beta + 1, the exponent of (1 + t) in U1'."""
+        return (self.n - self.s) / (2.0 - self.s)
+
+    @property
+    def potential_amp(self) -> float:
+        """(2*(s) - 1)(n - s)(n - 2), the amplitude of the potential V."""
+        return (self.crit_exp - 1.0) * (self.n - self.s) * (self.n - 2.0)
+
+    @property
     def c_ns(self) -> float:
         """c_ns = (n - 2)(6 - s) / (12(2n - 2 - s))."""
         n, s = self.n, self.s

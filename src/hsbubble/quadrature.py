@@ -2,12 +2,11 @@
 
 Every integral in the package has the shape
 
-    I = int_0^R  f(r) * r**(a + sing)  dr,        R finite or infinite,
+    I = int_0^R  f(r) * r**a  dr,        R finite or infinite,
 
-with f smooth on (0, oo), a the geometric weight power (something like n-1),
-and sing a possibly negative endpoint exponent at r = 0 (something like -s).
-The combined power a + sing must exceed -1 or the integral diverges at the
-origin.
+with f smooth on (0, oo) and a the weight power: the geometric power
+(something like n-1) plus any endpoint exponent at r = 0 (something like
+-s).  a must exceed -1 or the integral diverges at the origin.
 
 Engine
 ------
@@ -97,10 +96,9 @@ _LOG_MAX = log(float(np.finfo(float).max))   # largest x with e**x finite
 
 @dataclass
 class RadialIntegrand:
-    """Integrand f(r) * r**(a + sing) on [0, R] (R = None means infinity).
+    """Integrand f(r) * r**a on [0, R] (R = None means infinity).
 
-    `a` is the geometric weight power and `sing` the extra endpoint exponent;
-    they are kept separate purely as bookkeeping for callers.  `f` must be
+    `a` is the whole weight power, endpoint exponent included.  `f` must be
     elementwise over 1-D numpy arrays of r > 0.  With `arg` set, f is called
     as f(r, arg), arg an array of r's shape holding the value at every node,
     so the members of a batch that share f evaluate in one call.
@@ -110,14 +108,13 @@ class RadialIntegrand:
     and f ~ r**-b above the last, within a factor of order one.  The span
     in x = log r runs from where the first law, to where the second, has
     fallen by float eps.  Without breaks, or without b at the tail end, it
-    runs as far as the weight r**(a + sing + 1) stays in the float range;
+    runs as far as the weight r**(a + 1) stays in the float range;
     without b, an outermost panel holding more than tol * |I| is refused
     as a possible divergence.
     """
 
     f: Callable[..., np.ndarray]
     a: float = 0.0
-    sing: float = 0.0
     R: Optional[float] = None
     b: Optional[float] = None
     breaks: Sequence[float] = ()
@@ -182,7 +179,7 @@ class _Run:
     the (lo, hi) edge lists of the panels to sum next, None once done."""
 
     def __init__(self, integrand: RadialIntegrand, tol: float):
-        power = integrand.a + integrand.sing
+        power = integrand.a
         if power <= -1.0:
             raise DomainError(
                 f"r**({power}) is not integrable at 0 (need exponent > -1)")
@@ -321,14 +318,9 @@ def integrate_radial(integrand: RadialIntegrand,
     Returns {"value", "error_estimate", "evaluations"}; on success
     error_estimate <= tol * |value| (or sits at the roundoff floor).  Raises
     DomainError when the integrand is divergent (endpoint exponent <= -1, a
-    declared tail exponent a + sing - b >= -1 on an infinite domain, or an
+    declared tail exponent a - b >= -1 on an infinite domain, or an
     undeclared tail whose outermost panel holds more than tol * |value|) and
     NumericalError when a panel sum is not finite or PANEL_BUDGET runs out
-    before convergence.
-
-    integrand.f is called on the nodes of many panels at once (all initial
-    panels in one call, then both halves of each bisection), so it must be
-    elementwise: a value may not depend on the array's length or on the
-    other points in it.
+    before convergence.  integrand.f must be elementwise (module docstring).
     """
     return integrate_radial_batch([integrand], tol)[0]

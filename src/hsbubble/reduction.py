@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .geometry import CurvatureData, LgBreakdown, PotentialJet
 from .moments import bubble_moment
 from .params import HSParams
@@ -77,7 +77,8 @@ class CriticalPoint:
 
 
 def critical_t(rf: ReducedFunctional) -> CriticalPoint:
-    """Unique positive critical point of quad t^2 + quartic t^4, if any."""
+    """Unique positive critical point of quad t^2 + quartic t^4, if any;
+    a t0**2 or f''(t0) beyond the float range is a NumericalError."""
     quad, quartic = rf.quad_coef, rf.quartic_coef
     if quartic == 0.0:
         return CriticalPoint(t0=None, second_derivative=None,
@@ -85,9 +86,15 @@ def critical_t(rf: ReducedFunctional) -> CriticalPoint:
     if quad * quartic >= 0.0:
         return CriticalPoint(t0=None, second_derivative=None,
                              nondegenerate=False, degenerate_quartic=False)
-    t0 = math.sqrt(-quad / (2.0 * quartic))
+    t0_sq = -quad / 2.0 / quartic  # = -quad/(2 quartic), 2 quartic may overflow
     second = -4.0 * quad
-    return CriticalPoint(t0=t0, second_derivative=second,
+    where = f"at quad = {quad!r}, quartic = {quartic!r} leaves the float range"
+    if not 0.0 < t0_sq < math.inf:
+        raise NumericalError(f"the critical point's t0**2 = -quad/(2 quartic) "
+                             f"{where}")
+    if not math.isfinite(second):
+        raise NumericalError(f"the second derivative f''(t0) = -4 quad {where}")
+    return CriticalPoint(t0=math.sqrt(t0_sq), second_derivative=second,
                          nondegenerate=second != 0.0,
                          degenerate_quartic=False)
 
@@ -98,7 +105,11 @@ def predicted_delta(t0: float, eps: float) -> float:
         raise DomainError(f"t0 must be positive and finite, got {t0}")
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    return t0 * math.sqrt(eps)
+    delta = t0 * math.sqrt(eps)
+    if not 0.0 < delta < math.inf:
+        raise NumericalError(f"delta = t0 sqrt(eps) at t0 = {t0!r}, eps = "
+                             f"{eps!r} leaves the float range")
+    return delta
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """End-to-end checks of the subcommand driver: report shapes, exit codes,
 byte-identical re-runs, and the emitted CSV side files."""
 
+import argparse
 import csv
 import json
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 import hsbubble
-from hsbubble.cli import main
+from hsbubble.cli import build_parser, main
 from hsbubble.energy import flat_alpha_inv_closed_form
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
@@ -527,6 +530,11 @@ def test_exit_2_ill_conditioned_fit(capsys):
      "panel sum on"),
     (["integrals", "--n", "40", "--s", "1.8"],
      "the mass2 moment by quadrature at n = 40, s = 1.8 is 0.0"),
+    # was exit 0 with "t0": Infinity and "second_derivative": -Infinity,
+    # which is not JSON
+    (["reduce", "--quad", "1e308", "--quartic=-1e-308", "--json"],
+     "the critical point's t0**2 = -quad/(2 quartic) at quad = 1e+308, "
+     "quartic = -1e-308 leaves the float range"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -534,6 +542,33 @@ def test_exit_2_names_the_cause(capsys, argv, cause):
     assert out == ""
     assert err.startswith("numerical failure: ")
     assert cause in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_non_finite_output_exits_2(capsys, monkeypatch, json_flag):
+    # the backstop behind every handler: no report prints a non-finite number
+    monkeypatch.setattr(HSParams, "c_ns", property(lambda self: math.inf))
+    rc, out, err = invoke(capsys, ["constants", "--n", "7", "--s", "1",
+                                   *json_flag])
+    assert (rc, out) == (2, "")
+    assert err == ("numerical failure: outputs.c_ns = inf is not a finite "
+                   "number\n")
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["reduce", "--quad", "2", "--quartic", "-1e-3"], "quartic", -1e-3),
+    (["family", "--n", "7", "--s", "1", "--base-lg", "-1.5e+16",
+      "--f0", "-1", "--k-max", "2"], "base_lg", -1.5e16),
+    (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-5.",
+      "--k-max", "2"], "potential", {"h0": 0.0, "lap_h": 0.0, "f0": -5.0}),
+    (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--h0", "-1e-05", "--base-lg", "5"], "potential",
+     {"h0": -1e-05, "lap_h": 0.0, "f0": 0.0}),
+])
+def test_negative_exponent_values_are_values(capsys, argv, key, value):
+    # argparse alone reads -1e-3, -1.5e+16 and -5. as unknown flags, yet a
+    # report echoes numbers in that form
+    assert invoke_json(capsys, argv)["inputs"][key] == value
 
 
 def test_bad_grid_is_reported_before_its_source(capsys):
@@ -602,6 +637,19 @@ def test_bad_grid_is_reported_before_its_source(capsys):
     (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "7.954545454545454", "--base-lg", "0", "--lg-tol", "-1"],
      "lg_tol must be >= 0, got -1.0"),
+    # a negative infinity is a value, refused as one
+    (["reduce", "--quad", "2", "--quartic", "-inf"],
+     "reduced-functional coefficients must be finite"),
+    # unwritable side files (were FileNotFoundError and IsADirectoryError
+    # tracebacks)
+    (["bubble", "--n", "7", "--s", "1", "--delta", "0.1",
+      "--emit-profile", "missing-dir/p.csv"],
+     "cannot write CSV file 'missing-dir/p.csv'"),
+    (["chat", "--n", "7", "--s", "1", "--h0", "1", "--grid", "1000,100",
+      "--emit-modes", "missing-dir/m.csv"],
+     "cannot write CSV file 'missing-dir/m.csv'"),
+    (["integrals", "--n", "7", "--s", "1", "--csv", "."],
+     "cannot write CSV file '.'"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -894,6 +942,23 @@ def golden_cases() -> dict:
 
 
 GOLDEN_CASES = golden_cases()
+
+
+def _flags(parser):
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _flags(sub)
+
+
+def test_readme_names_every_flag():
+    text = README.read_text(encoding="utf-8")
+    flags = set(_flags(build_parser())) - {"-h", "--help"}
+    assert {"--csv", "--emit-modes", "--r0", "--json"} <= flags
+    missing = sorted(f for f in flags
+                     if not re.search(re.escape(f) + r"(?![\w-])", text))
+    assert missing == []
 
 
 def test_readme_examples_parse():

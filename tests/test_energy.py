@@ -218,16 +218,6 @@ def test_fit_flat_potential():
                                  "delta^6", "delta^7"}
 
 
-def test_fit_without_nuisance_columns():
-    rep = fit_expansion(flat_model(1.0), P71, np.geomspace(0.005, 0.05, 12),
-                        nuisance=False)
-    assert rep.nuisance == {}
-    assert rep.condition < 100.0
-    # truncation orders now alias into the primary columns: the delta^2
-    # coefficient drifts by more than the nuisance-guarded fit allows
-    assert abs(rep.c2_dev) > 0.005
-
-
 def test_fit_samples_equal_j_at_bubble(monkeypatch):
     # the fit samples J at all deltas in one quadrature batch; each sample
     # is exactly j_at_bubble at its delta
@@ -272,7 +262,7 @@ def test_fit_validation_errors():
         fit_expansion(m, P71, np.geomspace(0.005, 0.05, 6))
     with pytest.raises(NumericalError, match="condition"):
         # decade span but only two distinct deltas: rank-deficient design
-        fit_expansion(m, P71, [0.005] * 4 + [0.05] * 4, nuisance=False)
+        fit_expansion(m, P71, [0.005] * 4 + [0.05] * 4)
 
 
 def test_fit_report_requires_finite_deviations():
@@ -429,13 +419,14 @@ def test_angular_rule_built_once_per_remainder_run(monkeypatch, tmp_path,
     assert calls == [(2000, 2.0, 2.0)]
 
 
-@pytest.mark.parametrize("n,points", [(7, 2000), (8, 2000), (9, 2001)])
+@pytest.mark.parametrize("n,points", [(7, energy.JACOBI_POINTS),
+                                      (8, energy.JACOBI_POINTS)])
 def test_folded_angular_rule_matches_full_rule(n, points):
-    # the folded rule on u >= 0 against the full symmetric Gauss-Jacobi sum
+    # the folded rule on u > 0 against the full symmetric Gauss-Jacobi sum
     q = 2.0 * n / (n + 2.0)
     p = HSParams(n, 1.0)
-    ang_w, weights = energy._angular_rule(points, n)
-    assert ang_w.size == weights.size == (points + 1) // 2
+    ang_w, weights = energy._angular_rule(n)
+    assert ang_w.size == weights.size == points // 2
     nodes, full_w = roots_jacobi(points, (n - 3) / 2, (n - 3) / 2)
     full_ang = (nodes**2 - 1.0 / n) / 3.0
     for r in (0.05, 1.7, 40.0):

@@ -543,12 +543,12 @@ def _full_window_diagnostics(p, grid):
     unit = (np.pi / grid.R_max) ** 2
     ztol, win = linearized.ZERO_TOL_REL * unit, linearized.WINDOW_REL * unit
     m0, m2 = assemble_mode(p, 0, grid), assemble_mode(p, 2, grid)
-    vals, vecs = linearized._window_eigenpairs(m0, -win, win, vectors=True)
+    vals, vecs = linearized._window_eigenpairs(m0, -win, win)
     aligns = np.abs(vecs.T @ (m0.mass * m0.z0)) / (
         np.sqrt(np.sum(m0.mass * m0.z0**2))
         * np.sqrt(np.sum(m0.mass[:, None] * vecs**2, axis=0)))
     kbest = int(np.argmax(aligns))
-    vals2, _ = linearized._window_eigenpairs(m2, -win, win, vectors=False)
+    vals2, _ = linearized._window_eigenpairs(m2, -win, win)
     return {"mode0_min_eig": vals[np.argmin(np.abs(vals))],
             "mode0_kernel_eig": vals[kbest],
             "mode0_eigvec_alignment_with_Z0": aligns[kbest],
@@ -620,8 +620,7 @@ def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
     want = _full_window_diagnostics(p, grid)
     mats = assemble_mode(p, 0, grid)
     win = linearized.WINDOW_REL * (np.pi / grid.R_max) ** 2
-    vals, vecs = linearized._window_eigenpairs(mats, -win / 16, win / 16,
-                                               vectors=True)
+    vals, vecs = linearized._window_eigenpairs(mats, -win / 16, win / 16)
     v = vecs[:, 0]
     align = abs(v @ (mats.mass * mats.z0)) / np.sqrt(
         np.sum(mats.mass * mats.z0**2) * np.sum(mats.mass * v**2))

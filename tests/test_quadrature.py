@@ -15,7 +15,7 @@ from hsbubble.quadrature import RadialIntegrand, integrate_radial
 def test_inverse_sqrt_on_unit_interval():
     # int_0^1 r^{-1/2} dr = 2, endpoint singularity handled by grading
     res = integrate_radial(
-        RadialIntegrand(f=lambda r: np.ones_like(r), sing=-0.5, R=1.0),
+        RadialIntegrand(f=lambda r: np.ones_like(r), a=-0.5, R=1.0),
         tol=1e-12,
     )
     np.testing.assert_allclose(res["value"], 2.0, rtol=1e-12)
@@ -43,7 +43,7 @@ def test_critical_tail_beta_form():
 
 def test_divergent_at_origin_rejected():
     with pytest.raises(DomainError):
-        integrate_radial(RadialIntegrand(f=lambda r: np.ones_like(r), sing=-1.0, R=1.0))
+        integrate_radial(RadialIntegrand(f=lambda r: np.ones_like(r), a=-1.0, R=1.0))
 
 
 def test_divergent_tail_rejected():
@@ -72,7 +72,7 @@ def test_divergent_declared_tail_never_calls_f(a, sing, b):
         raise AssertionError("integrand called")
 
     with pytest.raises(DomainError, match="diverges"):
-        integrate_radial(RadialIntegrand(f=f, a=a, sing=sing, b=b,
+        integrate_radial(RadialIntegrand(f=f, a=a + sing, b=b,
                                          breaks=(0.5, 2.0)))
 
 
@@ -144,7 +144,7 @@ def test_scaling_covariance():
 def test_error_estimate_is_honest():
     exact = 2.0
     res = integrate_radial(
-        RadialIntegrand(f=lambda r: np.ones_like(r), sing=-0.5, R=1.0), tol=1e-8
+        RadialIntegrand(f=lambda r: np.ones_like(r), a=-0.5, R=1.0), tol=1e-8
     )
     assert abs(res["value"] - exact) <= max(res["error_estimate"], 1e-13)
 
@@ -160,7 +160,7 @@ def _reference_integrate(integrand, tol=1e-10, budget=quadrature.PANEL_BUDGET):
     dispatch of integrand calls differs.  An integrand with an arg gets it
     at each of the panel's nodes.
     """
-    power = integrand.a + integrand.sing
+    power = integrand.a
 
     def g(r):
         if integrand.arg is None:
@@ -339,7 +339,7 @@ def test_batch_raises_the_first_failing_member_in_input_order(monkeypatch):
     good = RadialIntegrand(f=lambda r: np.ones_like(r), a=2.0, R=1.0)
     slow = RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r, R=1.0)
     huge = RadialIntegrand(f=lambda r: np.full_like(r, 1e308), R=1.0)
-    divergent = RadialIntegrand(f=lambda r: r, sing=-2.0, R=1.0)
+    divergent = RadialIntegrand(f=lambda r: r, a=-2.0, R=1.0)
     with pytest.raises(NumericalError) as want:
         integrate_radial(slow, tol=1e-13)
     assert "budget" in str(want.value)

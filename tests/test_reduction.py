@@ -1,11 +1,12 @@
 """Reduced quartic, ladder families, and threshold classification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hsbubble.errors import DomainError
+from hsbubble.errors import DomainError, NumericalError
 from hsbubble.geometry import LgBreakdown, PotentialJet, curvature_preset
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
@@ -45,6 +46,25 @@ def test_degenerate_quartic_marker():
     out = critical_t(ReducedFunctional(-2.0, 0.0))
     assert out.t0 is None
     assert out.degenerate_quartic is True
+
+
+@pytest.mark.parametrize("quad,quartic,what", [
+    (1e308, -1e-308, "t0**2 = -quad/(2 quartic)"),  # t0**2 overflows
+    (-5e-324, 1e308, "t0**2 = -quad/(2 quartic)"),  # t0**2 underflows to 0
+    (-1e308, 1.0, "f''(t0) = -4 quad"),  # t0 is finite, -4 quad is not
+])
+def test_critical_point_out_of_float_range(quad, quartic, what):
+    with pytest.raises(NumericalError, match=re.escape(what)):
+        critical_t(ReducedFunctional(quad, quartic))
+
+
+def test_critical_point_where_only_2_quartic_overflows():
+    assert critical_t(ReducedFunctional(-1.0, 1e308)).t0 == math.sqrt(0.5e-308)
+
+
+def test_predicted_delta_out_of_float_range():
+    with pytest.raises(NumericalError, match="delta = t0 sqrt"):
+        predicted_delta(1e200, 1e300)
 
 
 def test_critical_point_scale_invariance():
