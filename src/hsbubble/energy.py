@@ -246,8 +246,10 @@ def fit_expansion(model: RadialModel, p: HSParams,
     sample equals j_at_bubble at its delta exactly.
     """
     deltas = np.asarray(sorted(float(d) for d in deltas), dtype=float)
-    if deltas.size < 6:
-        raise DomainError(f"need at least 6 deltas, got {deltas.size}")
+    if deltas.size < 8:
+        raise DomainError(
+            f"need at least 8 deltas (7 fit columns and one residual degree "
+            f"of freedom), got {deltas.size}")
     for d in deltas:
         _check_regime(model, p, float(d))
     span = deltas[-1] / deltas[0]
@@ -268,10 +270,6 @@ def fit_expansion(model: RadialModel, p: HSParams,
     scales = np.max(np.abs(X), axis=0)
     Xs = X / scales
     dof = deltas.size - Xs.shape[1]
-    if dof < 1:
-        raise DomainError(
-            f"{deltas.size} samples cannot determine {Xs.shape[1]} "
-            "coefficients with a residual degree of freedom")
 
     U, sv, Vt = np.linalg.svd(Xs, full_matrices=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf

@@ -86,9 +86,11 @@ __all__ = [
 # are refused (see solve_mode)
 SOLVABILITY_TOL = 1e-8
 # kernel_diagnostics: the near-zero band and the eigenvalue window, in units
-# of the box frequency (pi/R_max)**2
+# of the box frequency (pi/R_max)**2, and the absolute tolerance of its
+# eigenvalue bisection
 ZERO_TOL_REL = 0.75
 WINDOW_REL = 100.0
+EIG_TOL = 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +177,9 @@ class ModeMatrices:
     and the node samples U1, r U1', Delta Z0; for ell = 2 unit2, the
     solution of L_2 c2 = -phi, phi = r U1' / 3, and its pairing with phi;
     the defect's stencil; spectral, the scaled form M**(-1/2) K M**(-1/2)
-    of kernel_diagnostics as its diagonal and subdiagonal with M**(-1/2).
+    as the diagonal and subdiagonal that kernel_diagnostics bisects
+    (_bisect: dstebz, then dstein for ell = 0), with the M**(-1/2) that
+    back-transforms dstein's eigenvectors.
     Every array is read-only.
     """
 
@@ -609,53 +613,34 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
 # spectral diagnostics
 
 
-def _count_eigs(mats: ModeMatrices, lo: float, hi: float) -> int:
-    """Number of pencil eigenvalues K v = lam M v with lam in (lo, hi].
+def _bisect(mats: ModeMatrices, lo: float, hi: float, tol: float):
+    """LAPACK bisection of the pencil K v = lam M v on lam in (lo, hi].
 
-    The Sturm count of LAPACK dstebz on the scaled form (spectral): exact
-    integer inertia, immune to the huge dynamic range of the graded cells.
-    With an infinite tolerance it counts at lo and hi and bisects nothing,
-    so it cannot fail to converge.
+    dstebz on the scaled form (spectral): exact Sturm counts, immune to the
+    huge dynamic range of the graded cells, where shift-invert on the raw
+    pencil finds spurious near-zero eigenvalues.  tol = inf counts at lo
+    and hi, bisects nothing and returns the count.  A finite absolute tol
+    (dstebz's default is relative to the Gershgorin bound, ~1e26 here)
+    returns the eigenvalues in block order, ascending within each split-off
+    block, with, for ell = 0 only (the Z0 alignment), dstein's eigenvectors
+    on the same blocks back-transformed by M**(-1/2), so M-orthonormal;
+    None at ell = 2.  Each pair costs one bisection.
     """
     from scipy.linalg import lapack
 
-    dt, et, _ = mats.spectral
-    return int(lapack.dstebz(dt, et, 1, lo, hi, 0, 0, np.inf, "E")[0])
-
-
-def _window_eigenpairs(mats: ModeMatrices, lo: float, hi: float):
-    """All pencil eigenpairs K v = lam M v with lam in (lo, hi].
-
-    Works on the scaled standard form M**(-1/2) K M**(-1/2) (spectral)
-    and computes the window by LAPACK bisection (dstebz) plus inverse
-    iteration (dstein); the eigenvalues come back ascending and the
-    eigenvectors, back-transformed, M-orthonormal.  Bisection's Sturm
-    counts are immune to the enormous dynamic range of the graded cells
-    (no factorization of the full matrix is involved), where shift-invert
-    iterations on the raw pencil produce spurious near-zero eigenvalues.
-    An explicit absolute tolerance is passed: the driver default is
-    relative to the Gershgorin bound, which the origin cells push to
-    ~1e26, uselessly coarse near zero.  The cost is one bisection per pair
-    in the window, so callers ask for the narrowest window that answers
-    them (kernel_diagnostics).  For ell = 2 only the eigenvalues are
-    computed (the same bisection, so the same values) and None stands in
-    for the eigenvectors, which only ell = 0 needs (the Z0 alignment).
-    """
-    import scipy.linalg
-
     dt, et, inv_sqrt_m = mats.spectral
-    try:
-        out = scipy.linalg.eigh_tridiagonal(
-            dt, et, eigvals_only=mats.ell != 0, select="v",
-            select_range=(lo, hi), tol=1e-14
-        )
-    except Exception as exc:
-        raise NumericalError(f"eigen-diagnostic failed: {exc}") from exc
+    m, w, iblock, isplit, info = lapack.dstebz(dt, et, 1, lo, hi, 0, 0, tol,
+                                               "B")
+    if info:
+        raise NumericalError(f"eigen-diagnostic failed: dstebz info = {info}")
+    if tol == np.inf:
+        return int(m)
     if mats.ell != 0:
-        return out, None
-    vals, y = out
-    # back-transform: u = M**(-1/2) y, already M-orthonormal
-    return vals, y * inv_sqrt_m[:, None]
+        return w[:m], None
+    y, info = lapack.dstein(dt, et, w[:m], iblock, isplit)
+    if info:
+        raise NumericalError(f"eigen-diagnostic failed: dstein info = {info}")
+    return w[:m], y * inv_sqrt_m[:, None]
 
 
 def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
@@ -686,10 +671,11 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
       mode2_min_eig      smallest ell = 2 eigenvalue (positive: no kernel)
       mode2_near_zero_count   expected 0
 
-    Counts are Sturm counts of the scaled form M**(-1/2) K M**(-1/2), which
-    has the pencil's eigenvalues (ModeMatrices.spectral, built once per
-    mode and grid): LAPACK dstebz with an infinite tolerance, exact integers
-    and no iterative solver.  The eigenpairs are computed on the sub-window
+    Counts and pairs come from one LAPACK path, _bisect on the scaled form
+    M**(-1/2) K M**(-1/2), which has the pencil's eigenvalues
+    (ModeMatrices.spectral, built once per mode and grid).  The counts are
+    dstebz's Sturm counts with an infinite tolerance: exact integers and no
+    iterative solver.  The eigenpairs are computed on the sub-window
     (-win/2**k, win/2**k], starting at k = 4 for both modes and widened
     (k -= 1) until it certifies that its answer is the full window's, so
     only the pairs the report needs are bisected:
@@ -699,16 +685,17 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                a**2 > 1/2; the eigenvectors are M-orthonormal, so the
                squared alignments of all pairs sum to 1 and no pair outside
                can align better;
-      ell = 2  the sub-window is non-empty, win/2**k > zero_tol and no
-               eigenvalue lies below -zero_tol, so the smallest eigenvalue
-               of the full window lies inside.
+      ell = 2  the sub-window is non-empty and no eigenvalue lies below
+               -zero_tol; win/2**k >= win/16 > zero_tol, so the smallest
+               eigenvalue of the full window lies inside.
 
     At k = 0 the full window answers, certified or not.  After dstebz's
     first split at 0 the dyadic sub-windows are nodes of the full window's
     bisection tree, so the values are those the full window gives (to
     roundoff on coarse grids, whose Gershgorin interval the window leaves).
-    "No eigenvalues inside the diagnostic window" is raised only when the
-    full window is empty.
+    The minimum and the arg-extrema need no sorting, so they are read from
+    dstebz's block order.  "No eigenvalues inside the diagnostic window" is
+    raised only when the full window is empty.
     """
     unit = (np.pi / grid.R_max) ** 2
     ztol = ZERO_TOL_REL * unit
@@ -719,12 +706,12 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
 
     for ell in (0, 2):
         mats = assemble_mode(p, ell, grid)
-        negative = _count_eigs(mats, -np.inf, -ztol)
-        near_zero = _count_eigs(mats, -ztol, ztol)
+        negative = _bisect(mats, -np.inf, -ztol, np.inf)
+        near_zero = _bisect(mats, -ztol, ztol, np.inf)
         k = 4
         while True:
             half = win / 2**k
-            vals, vecs = _window_eigenpairs(mats, -half, half)
+            vals, vecs = _bisect(mats, -half, half, EIG_TOL)
             if ell == 0 and vals.size:
                 zn = _norm_m(mats.mass, mats.z0)
                 aligns = np.abs(vecs.T @ (mats.mass * mats.z0)) / (
@@ -733,7 +720,7 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                 kbest = int(np.argmax(aligns))
             # the certificates above; k = 0 is the full window
             if k == 0 or vals.size and (aligns[kbest] ** 2 > 0.5 if ell == 0
-                                        else half > ztol and negative == 0):
+                                        else negative == 0):
                 break
             k -= 1
         if vals.size == 0:

@@ -18,8 +18,8 @@ Plain adaptive Gauss-Kronrod (G7, K15) on panels:
     RadialIntegrand), in uniform panels about 2 wide plus an edge at each
     break;
   * a finite domain [0, R] is geometrically graded toward r = 0 (panel edges
-    at R 2**-j), which resolves r**(a+sing) singularities without
-    weight-specific rules;
+    at R 2**-j), which resolves r**a singularities without weight-specific
+    rules;
   * the panel with the largest |K15 - G7| discrepancy is bisected until the
     accumulated discrepancy drops below tol * |I| or a roundoff floor is
     hit; an exhausted budget or a non-finite panel sum is an error, and so

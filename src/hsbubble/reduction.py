@@ -78,7 +78,7 @@ class CriticalPoint:
 
 def critical_t(rf: ReducedFunctional) -> CriticalPoint:
     """Unique positive critical point of quad t^2 + quartic t^4, if any;
-    a t0**2 or f''(t0) beyond the float range is a NumericalError."""
+    a t0 or f''(t0) beyond the float range is a NumericalError."""
     quad, quartic = rf.quad_coef, rf.quartic_coef
     if quartic == 0.0:
         return CriticalPoint(t0=None, second_derivative=None,
@@ -87,14 +87,17 @@ def critical_t(rf: ReducedFunctional) -> CriticalPoint:
         return CriticalPoint(t0=None, second_derivative=None,
                              nondegenerate=False, degenerate_quartic=False)
     t0_sq = -quad / 2.0 / quartic  # = -quad/(2 quartic), 2 quartic may overflow
+    # where t0**2 leaves the float range, t0 itself may not
+    t0 = math.sqrt(t0_sq) if 0.0 < t0_sq < math.inf \
+        else math.sqrt(abs(quad) / 2.0) / math.sqrt(abs(quartic))
     second = -4.0 * quad
     where = f"at quad = {quad!r}, quartic = {quartic!r} leaves the float range"
-    if not 0.0 < t0_sq < math.inf:
-        raise NumericalError(f"the critical point's t0**2 = -quad/(2 quartic) "
-                             f"{where}")
+    if not 0.0 < t0 < math.inf:
+        raise NumericalError(f"the critical point's t0 (t0**2 = -quad/(2 "
+                             f"quartic)) {where}")
     if not math.isfinite(second):
         raise NumericalError(f"the second derivative f''(t0) = -4 quad {where}")
-    return CriticalPoint(t0=math.sqrt(t0_sq), second_derivative=second,
+    return CriticalPoint(t0=t0, second_derivative=second,
                          nondegenerate=second != 0.0,
                          degenerate_quartic=False)
 

@@ -533,7 +533,7 @@ def test_exit_2_ill_conditioned_fit(capsys):
     # was exit 0 with "t0": Infinity and "second_derivative": -Infinity,
     # which is not JSON
     (["reduce", "--quad", "1e308", "--quartic=-1e-308", "--json"],
-     "the critical point's t0**2 = -quad/(2 quartic) at quad = 1e+308, "
+     "the second derivative f''(t0) = -4 quad at quad = 1e+308, "
      "quartic = -1e-308 leaves the float range"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
@@ -650,6 +650,10 @@ def test_bad_grid_is_reported_before_its_source(capsys):
      "cannot write CSV file 'missing-dir/m.csv'"),
     (["integrals", "--n", "7", "--s", "1", "--csv", "."],
      "cannot write CSV file '.'"),
+    # :6 and :7 passed a "6 deltas" check and failed later on the design
+    *((["energy", "--n", "7", "--s", "1", "--deltas", f"0.005:0.05:{k}"],
+       f"need at least 8 deltas (7 fit columns and one residual degree of "
+       f"freedom), got {k}") for k in (5, 6, 7)),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -852,6 +856,18 @@ def test_exit_0_plain_runs(capsys):
                  ["integrals", "--n", "16", "--s", "1.9"]):
         rc, _, _ = invoke(capsys, argv)
         assert rc == 0
+
+
+@pytest.mark.parametrize("argv,t0", [
+    (["--quad", "-1e300", "--quartic", "1e-300"], 7.071067811865476e299),
+    (["--quad", "1e-300", "--quartic=-1e300"], 7.071067811865476e-301),
+])
+def test_reduce_answers_where_only_t0_squared_leaves_float_range(capsys, argv,
+                                                                 t0):
+    # were exit 2: t0**2 overflows (underflows) although t0 fits a float
+    doc = invoke_json(capsys, ["reduce", *argv])
+    assert doc["outputs"]["t0"] == pytest.approx(t0, rel=1e-15)
+    assert doc["outputs"]["nondegenerate"] is True
 
 
 @pytest.mark.parametrize("n,s", [(7, 1.5), (7, 1.9), (8, 1.9), (10, 1.9)])

@@ -253,13 +253,17 @@ def test_radial_model_computes_density_coefficients_once(monkeypatch):
 def test_fit_validation_errors():
     m = critical_model()
     with pytest.raises(DomainError):
-        fit_expansion(m, P71, [0.005, 0.01, 0.02, 0.04, 0.05])  # < 6
+        fit_expansion(m, P71, [0.005, 0.01, 0.02, 0.04, 0.05])  # < 8
     with pytest.raises(DomainError):
         fit_expansion(m, P71, np.geomspace(0.01, 0.05, 8))  # half a decade
     with pytest.raises(DomainError):
         fit_expansion(m, P71, np.geomspace(0.02, 0.2, 8))  # outside regime
-    with pytest.raises(DomainError, match="6 samples cannot determine 7"):
+    with pytest.raises(DomainError, match="need at least 8 deltas .* got 6"):
         fit_expansion(m, P71, np.geomspace(0.005, 0.05, 6))
+    with pytest.raises(DomainError, match="need at least 8 deltas .* got 7"):
+        fit_expansion(m, P71, np.geomspace(0.005, 0.05, 7))
+    with pytest.raises(DomainError, match="got 0"):
+        fit_expansion(m, P71, [])
     with pytest.raises(NumericalError, match="condition"):
         # decade span but only two distinct deltas: rank-deficient design
         fit_expansion(m, P71, [0.005] * 4 + [0.05] * 4)

@@ -15,7 +15,7 @@ from hsbubble.geometry import PotentialJet, curvature_preset, lg_total
 from hsbubble.linearized import (
     ModeSolution,
     WDecomposition,
-    _count_eigs,
+    _bisect,
     _fd_defect,
     assemble_mode,
     hat_c,
@@ -543,12 +543,12 @@ def _full_window_diagnostics(p, grid):
     unit = (np.pi / grid.R_max) ** 2
     ztol, win = linearized.ZERO_TOL_REL * unit, linearized.WINDOW_REL * unit
     m0, m2 = assemble_mode(p, 0, grid), assemble_mode(p, 2, grid)
-    vals, vecs = linearized._window_eigenpairs(m0, -win, win)
+    vals, vecs = _bisect(m0, -win, win, linearized.EIG_TOL)
     aligns = np.abs(vecs.T @ (m0.mass * m0.z0)) / (
         np.sqrt(np.sum(m0.mass * m0.z0**2))
         * np.sqrt(np.sum(m0.mass[:, None] * vecs**2, axis=0)))
     kbest = int(np.argmax(aligns))
-    vals2, _ = linearized._window_eigenpairs(m2, -win, win)
+    vals2, _ = _bisect(m2, -win, win, linearized.EIG_TOL)
     return {"mode0_min_eig": vals[np.argmin(np.abs(vals))],
             "mode0_kernel_eig": vals[kbest],
             "mode0_eigvec_alignment_with_Z0": aligns[kbest],
@@ -588,24 +588,44 @@ def test_kernel_diagnostics_ell2_widens_past_a_negative_eigenvalue():
     assert got == pytest.approx(_full_window_diagnostics(p, grid)[
         "mode2_min_eig"], rel=1e-14)
     assert got < -(np.pi / 20.0) ** 2
+    # the smallest sub-window already reaches past -zero_tol, which the
+    # ell = 2 certificate relies on
+    assert linearized.WINDOW_REL / 2**4 > linearized.ZERO_TOL_REL
+
+
+def _spy_bisection(monkeypatch):
+    # every dstebz call as (size, hi, tol, pairs) and every dstein call's
+    # pair count
+    import scipy.linalg.lapack
+
+    real_stebz = scipy.linalg.lapack.dstebz
+    real_stein = scipy.linalg.lapack.dstein
+    calls = {"dstebz": [], "dstein": []}
+
+    def stebz(d, e, rng, lo, hi, il, iu, tol, order):
+        out = real_stebz(d, e, rng, lo, hi, il, iu, tol, order)
+        calls["dstebz"].append((d.size, hi, tol, out[0]))
+        return out
+
+    def stein(d, e, w, iblock, isplit):
+        calls["dstein"].append(w.size)
+        return real_stein(d, e, w, iblock, isplit)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", stebz)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", stein)
+    return calls
 
 
 def test_kernel_diagnostics_bisects_at_most_four_pairs_per_mode(monkeypatch):
-    import scipy.linalg
-
-    real = scipy.linalg.eigh_tridiagonal
-    pairs = []
-
-    def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        pairs.append(len(out if kwargs["eigvals_only"] else out[0]))
-        return out
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    calls = _spy_bisection(monkeypatch)
     kernel_diagnostics(P71, grid71(8000))
+    pairs = [m for _, _, tol, m in calls["dstebz"] if tol < np.inf]
     # one sub-window per mode; the full window holds 10 and 8 pairs
     assert len(pairs) == 2
     assert max(pairs) <= 4
+    # two Sturm counts per mode, and eigenvectors for ell = 0 alone
+    assert [tol for _, _, tol, _ in calls["dstebz"]].count(np.inf) == 4
+    assert calls["dstein"] == pairs[:1]
 
 
 def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
@@ -613,31 +633,24 @@ def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
     # zero.  The smallest sub-window holds one box pair whose Z0 alignment is
     # 2.6e-4, no sub-window certifies, and only the full window holds the
     # best-aligned pair, so ell = 0 widens from k = 4 to k = 0.
-    import scipy.linalg
-
     p = HSParams(9, 0.5)
     grid = default_grid(p, N=2000)
     want = _full_window_diagnostics(p, grid)
     mats = assemble_mode(p, 0, grid)
     win = linearized.WINDOW_REL * (np.pi / grid.R_max) ** 2
-    vals, vecs = linearized._window_eigenpairs(mats, -win / 16, win / 16)
+    vals, vecs = _bisect(mats, -win / 16, win / 16, linearized.EIG_TOL)
     v = vecs[:, 0]
     align = abs(v @ (mats.mass * mats.z0)) / np.sqrt(
         np.sum(mats.mass * mats.z0**2) * np.sum(mats.mass * v**2))
     assert vals.size == 1
     assert align == pytest.approx(2.6e-4, rel=0.02)
 
-    real = scipy.linalg.eigh_tridiagonal
-    halves = []
-
-    def recorded(*args, **kwargs):
-        if not kwargs["eigvals_only"]:
-            halves.append(kwargs["select_range"][1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+    calls = _spy_bisection(monkeypatch)
     got = kernel_diagnostics(p, grid)
+    halves = [hi for size, hi, tol, _ in calls["dstebz"]
+              if size == mats.d.size and tol < np.inf]
     assert halves == [win / 2**k for k in (4, 3, 2, 1, 0)]
+    assert len(calls["dstein"]) == 5
     for key in ("mode0_min_eig", "mode0_kernel_eig",
                 "mode0_eigvec_alignment_with_Z0"):
         assert got[key] == want[key], key
@@ -664,7 +677,51 @@ def test_sturm_count_against_dense_eigenvalues():
             vals = scipy.linalg.eigh(A, np.diag(mats.mass), eigvals_only=True)
             for lo, hi in ranges:
                 want = int(np.sum((vals > lo) & (vals <= hi)))
-                assert _count_eigs(mats, lo, hi) == want, (N, ell, lo, hi)
+                assert _bisect(mats, lo, hi, np.inf) == want, (N, ell, lo, hi)
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5)])
+@pytest.mark.parametrize("N", [2000, 4000, 8000])
+def test_sturm_count_equals_pairs_of_the_same_window(n, s, N):
+    # the grid-ladder grids: count mode and pair mode of one window agree
+    p = HSParams(n, s)
+    grid = default_grid(p, N=N, R_max=200.0)
+    unit = (np.pi / grid.R_max) ** 2
+    ranges = [(-linearized.WINDOW_REL * unit / 2**k,
+               linearized.WINDOW_REL * unit / 2**k) for k in range(5)] + [
+        (-linearized.ZERO_TOL_REL * unit, linearized.ZERO_TOL_REL * unit)]
+    for ell in (0, 2):
+        mats = assemble_mode(p, ell, grid)
+        for lo, hi in ranges:
+            vals, vecs = _bisect(mats, lo, hi, linearized.EIG_TOL)
+            assert _bisect(mats, lo, hi, np.inf) == vals.size, (ell, lo)
+            assert np.all((vals > lo) & (vals <= hi))
+            if ell == 0:
+                assert vecs.shape == (mats.d.size, vals.size)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_info_is_a_numerical_error(monkeypatch, routine):
+    import scipy.linalg.lapack
+
+    real = getattr(scipy.linalg.lapack, routine)
+    monkeypatch.setattr(scipy.linalg.lapack, routine,
+                        lambda *args: (*real(*args)[:-1], 2))
+    with pytest.raises(NumericalError, match=f"{routine} info = 2"):
+        kernel_diagnostics(P71, grid71(2000))
+
+
+@pytest.mark.parametrize("p,ell", [(HSParams(9, 0.5), 0), (P71, 2)])
+def test_empty_diagnostic_window_is_a_numerical_error(monkeypatch, p, ell):
+    # no grid probed leaves the full window empty, so it is narrowed to one
+    # box unit: (9, 0.5) at N = 2000 keeps its kernel pair near -100 units
+    # and its box pairs above 2, and (7, 1) at N = 8000 keeps only its
+    # near-zero ell = 0 pair inside
+    monkeypatch.setattr(linearized, "WINDOW_REL", 1.0)
+    grid = default_grid(p, N=2000 if ell == 0 else 8000)
+    with pytest.raises(NumericalError, match=f"no ell = {ell} eigenvalues "
+                       "inside the diagnostic window"):
+        kernel_diagnostics(p, grid)
 
 
 def _count_eigs_below_numpy_scalars(d, e, mass, sigma):
@@ -696,8 +753,9 @@ def test_sturm_count_matches_numpy_scalar_recurrence(n, s, N):
                                                         mats.mass, sigma)
                  for sigma in (-win, -ztol, 0.0, ztol, win)}
         for sigma, want in below.items():
-            assert _count_eigs(mats, -np.inf, sigma) == want, (ell, sigma)
-        assert _count_eigs(mats, -ztol, ztol) == below[ztol] - below[-ztol]
+            assert _bisect(mats, -np.inf, sigma, np.inf) == want, (ell, sigma)
+        assert _bisect(mats, -ztol, ztol, np.inf) == \
+            below[ztol] - below[-ztol]
 
 
 def test_zero_cell_mass_is_a_numerical_error():

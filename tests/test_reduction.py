@@ -49,8 +49,10 @@ def test_degenerate_quartic_marker():
 
 
 @pytest.mark.parametrize("quad,quartic,what", [
-    (1e308, -1e-308, "t0**2 = -quad/(2 quartic)"),  # t0**2 overflows
-    (-5e-324, 1e308, "t0**2 = -quad/(2 quartic)"),  # t0**2 underflows to 0
+    # t0**2 overflows, t0 = 7.07e307 does not, -4 quad does
+    (1e308, -1e-308, "f''(t0) = -4 quad"),
+    (-5e-324, 1e308, "t0**2 = -quad/(2 quartic)"),  # t0 underflows to 0
+    (-1e308, 5e-324, "t0**2 = -quad/(2 quartic)"),  # t0 overflows
     (-1e308, 1.0, "f''(t0) = -4 quad"),  # t0 is finite, -4 quad is not
 ])
 def test_critical_point_out_of_float_range(quad, quartic, what):
@@ -60,6 +62,18 @@ def test_critical_point_out_of_float_range(quad, quartic, what):
 
 def test_critical_point_where_only_2_quartic_overflows():
     assert critical_t(ReducedFunctional(-1.0, 1e308)).t0 == math.sqrt(0.5e-308)
+
+
+@pytest.mark.parametrize("quad,quartic,t0", [
+    (-1e300, 1e-300, 7.0710678118654752e299),  # t0**2 overflows
+    (1e-300, -1e300, 7.0710678118654752e-301),  # t0**2 underflows to 0
+])
+def test_critical_point_where_only_t0_squared_leaves_float_range(quad, quartic,
+                                                                  t0):
+    got = critical_t(ReducedFunctional(quad, quartic))
+    assert got.t0 == pytest.approx(t0, rel=1e-15)
+    assert got.second_derivative == -4.0 * quad
+    assert got.nondegenerate
 
 
 def test_predicted_delta_out_of_float_range():
