@@ -16,7 +16,8 @@ flag groups, the subcommand's own flags, the handler and an optional text
 renderer.  Handlers take an _Inputs, which parses (n, s), the curvature, the
 potential and the grid from the flags on first use.  Only errors and params
 are imported here; each handler imports the library functions it calls, so
-a run loads only the modules (and numpy or scipy) its subcommand uses.
+a run loads only the modules (and numpy or scipy) its subcommand uses:
+`reduce` and `verdict --base-lg` are arithmetic and load no numpy.
 """
 
 from __future__ import annotations

@@ -36,14 +36,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .bubble import RadialGrid
 from .errors import DomainError
-from .linearized import WDecomposition
-from .linearized import nonlocal_term as _nonlocal_term
-from .moments import bubble_moment
 from .params import HSParams
+
+if TYPE_CHECKING:  # annotations only: the curvature data needs no solver
+    from .bubble import RadialGrid
+    from .linearized import WDecomposition
 
 __all__ = [
     "CurvatureData",
@@ -58,6 +58,19 @@ __all__ = [
 ]
 
 CURVATURE_SCHEMA_KEYS = ("scal", "ric_norm2", "rm_norm2", "lap_scal")
+
+
+def __getattr__(name):
+    # lg_total imports these where it calls them, so that the curvature data
+    # loads no numpy; looked up here by name (as a tracer wrapping each
+    # lookup site does), each is its home module's current function
+    if name == "_nonlocal_term":
+        from .linearized import nonlocal_term
+        return nonlocal_term
+    if name == "bubble_moment":
+        from .moments import bubble_moment
+        return bubble_moment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -266,6 +279,7 @@ def assemble_w(c: CurvatureData, p: HSParams, a: float) -> WDecomposition:
     radial mode with amplitude Scal/(3n)) and its trace-free remainder,
     which only enters through |T|^2.
     """
+    from .linearized import WDecomposition
     c.check_dimension(p)
     return WDecomposition(
         a=float(a),
@@ -284,10 +298,12 @@ def lg_total(c: CurvatureData, jet: PotentialJet, p: HSParams,
                     a = c_ns Scal(x0) (the source the reduction produces).
     """
     p.require("the obstruction functional", n_min=7, s_positive=True)
+    from .linearized import nonlocal_term
+    from .moments import bubble_moment
     r4grad = bubble_moment(p, "r4grad")
     local = -(jet.lap_h - p.lambda_ns * c.lap_scal - kns(c, p)) \
         * r4grad / (4.0 * p.n)
     w = assemble_w(c, p, p.c_ns * c.scal)
-    nonlocal_part = -0.5 * _nonlocal_term(p, w, grid)
+    nonlocal_part = -0.5 * nonlocal_term(p, w, grid)
     return LgBreakdown(local_term=local, nonlocal_term=nonlocal_part,
                        total=local + nonlocal_part)

@@ -643,6 +643,25 @@ def _bisect(mats: ModeMatrices, lo: float, hi: float, tol: float):
     return w[:m], y * inv_sqrt_m[:, None]
 
 
+def _z0_and_norm(mats: ModeMatrices):
+    """Sampled Z0 and ||Z0||_M for the scale-free Z0 alignment: Z0 itself
+    where its norm is finite, else Z0 / max|Z0| (on coarse grids near s = 2
+    Z0 reaches 1e119 and its square overflows)."""
+    z = mats.z0
+    with np.errstate(over="ignore"):
+        zn = _norm_m(mats.mass, z)
+    if not np.isfinite(zn):
+        z = z / np.max(np.abs(z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            zn = _norm_m(mats.mass, z)
+        if not np.isfinite(zn):
+            raise NumericalError(
+                f"||Z0||_M is not finite on this grid (N = {mats.grid.N}, "
+                f"R_max = {mats.grid.R_max!r}), even with Z0 scaled to "
+                "max |Z0| = 1")
+    return z, zn
+
+
 def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     """Spectral diagnostics of both mode operators.
 
@@ -708,13 +727,14 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
         mats = assemble_mode(p, ell, grid)
         negative = _bisect(mats, -np.inf, -ztol, np.inf)
         near_zero = _bisect(mats, -ztol, ztol, np.inf)
+        if ell == 0:
+            z, zn = _z0_and_norm(mats)
         k = 4
         while True:
             half = win / 2**k
             vals, vecs = _bisect(mats, -half, half, EIG_TOL)
             if ell == 0 and vals.size:
-                zn = _norm_m(mats.mass, mats.z0)
-                aligns = np.abs(vecs.T @ (mats.mass * mats.z0)) / (
+                aligns = np.abs(vecs.T @ (mats.mass * z)) / (
                     zn * np.sqrt(np.sum(mats.mass[:, None] * vecs**2, axis=0))
                 )
                 kbest = int(np.argmax(aligns))

@@ -160,8 +160,12 @@ def _log_edges(power, b, breaks):
         if b is not None:
             hi = float(xb.max()) + _LOG_EPS / (b - power - 1.0)
     count = max(1, ceil((hi - lo) / _X_WIDTH))
-    return np.union1d(np.linspace(lo, hi, count + 1),
-                      xb[(xb > lo) & (xb < hi)])
+    # sorted and de-duplicated as np.union1d would, without its np.unique
+    # (which loads numpy.ma)
+    edges = np.concatenate((np.linspace(lo, hi, count + 1),
+                            xb[(xb > lo) & (xb < hi)]))
+    edges.sort()
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _summand(f, power, log):

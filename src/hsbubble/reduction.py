@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .errors import DomainError, NumericalError
-from .geometry import CurvatureData, LgBreakdown, PotentialJet
-from .moments import bubble_moment
 from .params import HSParams
+
+if TYPE_CHECKING:  # annotations only: the verdict needs no geometry solve
+    from .geometry import CurvatureData, LgBreakdown, PotentialJet
 
 __all__ = [
     "ReducedFunctional",
@@ -44,6 +45,16 @@ __all__ = [
 
 # relative tolerance of the criticality test h(x0) = c_ns Scal(x0) in verdict
 CRIT_RTOL = 1e-12
+
+
+def __getattr__(name):
+    # family_theorem2 imports bubble_moment where it calls it, so that the
+    # verdict loads no numpy; looked up here by name (as a tracer wrapping
+    # each lookup site does), it is the home module's current function
+    if name == "bubble_moment":
+        from .moments import bubble_moment
+        return bubble_moment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -143,15 +154,20 @@ def family_theorem2(base: LgBreakdown, p: HSParams, f0: float,
     obstruction by exactly +(1/(2k)) int |X|^4 |grad U1|^2.  The reduced
     quadratic coefficient (1/2) f0 int U1^2 needs f0 < 0 so that a positive
     rung obstruction yields a critical scale; rungs with lg_k <= 0 carry no
-    prediction (predicted_t0 = None).
+    prediction (predicted_t0 = None).  A quad_coef beyond the float range
+    is a NumericalError.
     """
     if not (math.isfinite(f0) and f0 < 0.0):
         raise DomainError(
             f"the family construction requires f(x0) < 0, got {f0}")
     if not (isinstance(k_max, int) and k_max >= 1):
         raise DomainError(f"k_max must be a positive integer, got {k_max}")
+    from .moments import bubble_moment
     r4grad = bubble_moment(p, "r4grad")
     quad = 0.5 * f0 * bubble_moment(p, "mass2")
+    if not math.isfinite(quad):
+        raise NumericalError(f"quad_coef = (1/2) f0 int U1^2 at f0 = {f0!r} "
+                             "leaves the float range")
     entries = []
     for k in range(1, k_max + 1):
         lg_k = base.total + r4grad / (2.0 * k)

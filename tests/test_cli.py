@@ -535,6 +535,11 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["reduce", "--quad", "1e308", "--quartic=-1e-308", "--json"],
      "the second derivative f''(t0) = -4 quad at quad = 1e+308, "
      "quartic = -1e-308 leaves the float range"),
+    # a valid f0 whose (1/2) f0 int U1^2 overflows (was exit 1, "reduced-
+    # functional coefficients must be finite")
+    (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1e308",
+      "--k-max", "3"],
+     "quad_coef = (1/2) f0 int U1^2 at f0 = -1e+308 leaves the float range"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -697,22 +702,24 @@ def child_env() -> dict:
 
 
 _CLI = "cli errors params"
-_GEOMETRY = "geometry linearized moments bubble quadrature"
+_MOMENTS = "moments bubble quadrature"
 
 # run -> (its hsbubble submodules, numpy loaded, scipy loaded); a run is an
 # import statement or a README example, run as the console script runs it
 RUN_LOADS = {
     "import hsbubble": ("", False, False),
     "import hsbubble.cli": (_CLI, False, False),
+    "import hsbubble.geometry": ("errors params geometry", False, False),
+    "import hsbubble.reduction": ("errors params reduction", False, False),
     "constants": (_CLI, False, False),
-    "integrals": (f"{_CLI} moments bubble quadrature", True, False),
+    "integrals": (f"{_CLI} {_MOMENTS}", True, False),
     "bubble": (f"{_CLI} bubble", True, False),
-    "lg": (f"{_CLI} {_GEOMETRY}", True, True),
-    "energy": (f"{_CLI} energy {_GEOMETRY}", True, False),
-    "remainder": (f"{_CLI} energy {_GEOMETRY}", True, False),
-    "reduce": (f"{_CLI} reduction {_GEOMETRY}", True, False),
-    "family": (f"{_CLI} reduction {_GEOMETRY}", True, False),
-    "verdict": (f"{_CLI} reduction {_GEOMETRY}", True, False),
+    "lg": (f"{_CLI} geometry linearized {_MOMENTS}", True, True),
+    "energy": (f"{_CLI} energy geometry {_MOMENTS}", True, False),
+    "remainder": (f"{_CLI} energy geometry {_MOMENTS}", True, False),
+    "reduce": (f"{_CLI} reduction", False, False),
+    "family": (f"{_CLI} reduction geometry {_MOMENTS}", True, False),
+    "verdict": (f"{_CLI} reduction geometry", False, False),
     "kernel": (f"{_CLI} linearized bubble quadrature", True, True),
 }
 
@@ -722,17 +729,27 @@ _REPORT_LOADED = (
     "    'hsbubble': sorted(m for m in sys.modules\n"
     "                       if m.split('.')[0] == 'hsbubble'),\n"
     "    'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
+    "    'numpy.ma': 'numpy.ma' in sys.modules,\n"
     "    'scipy.sparse': 'scipy.sparse' in sys.modules,\n"
     "    'fractions': 'fractions' in sys.modules}))\n")
 
 
+def _loaded(code: str, cwd=None) -> dict:
+    """What a fresh interpreter running code has loaded (_REPORT_LOADED)."""
+    out = subprocess.run([sys.executable, "-c", code + _REPORT_LOADED],
+                         cwd=cwd, env=child_env(), check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
 def test_each_run_loads_only_what_it_uses(tmp_path):
-    # the package and the CLI import lazily: `constants` loads no numpy and
-    # no fractions, `kernel` none of the energy, geometry, moments or
-    # reduction modules, scipy loads only where its routines run, and
-    # nothing loads scipy.sparse
-    runs = {"import hsbubble": "import hsbubble\n",
-            "import hsbubble.cli": "import hsbubble.cli\n"}
+    # the package and the CLI import lazily: `constants`, `reduce`,
+    # `verdict --base-lg` and the geometry and reduction modules load no
+    # numpy and no fractions, `kernel` none of the energy, geometry,
+    # moments or reduction modules, and only `lg` and `kernel` the solver;
+    # scipy loads only where its routines run, numpy.ma only with scipy,
+    # and nothing loads scipy.sparse
+    runs = {run: f"{run}\n" for run in RUN_LOADS if run.startswith("import ")}
     for argv in readme_examples():
         runs[argv[0]] = (
             "import contextlib, io\n"
@@ -741,20 +758,52 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
             f"    assert main({argv!r}) == 0\n")
     assert sorted(runs) == sorted(RUN_LOADS)
     for run, code in runs.items():
-        out = subprocess.run([sys.executable, "-c", code + _REPORT_LOADED],
-                             cwd=tmp_path, env=child_env(), check=True,
-                             capture_output=True, text=True).stdout
-        got = json.loads(out)
+        got = _loaded(code, cwd=tmp_path)
         modules, numpy, scipy = RUN_LOADS[run]
         assert got["hsbubble"] == sorted(
             ["hsbubble"] + [f"hsbubble.{m}" for m in modules.split()]), run
         assert (got["numpy"], got["scipy"]) == (numpy, scipy), run
         assert not got["scipy.sparse"], run
+        if not scipy:
+            assert not got["numpy.ma"], run
         if not numpy:
             assert not got["fractions"], run
 
 
+@pytest.mark.parametrize("argv,rc", [
+    (["reduce", "--quad", "-1", "--quartic", "2", "--eps", "0.01"], 0),
+    (["reduce", "--quad", "-1", "--quartic", "2", "--eps", "0.01",
+      "--json"], 0),
+    (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--potential", "pot.json", "--base-lg", "5", "--json"], 0),
+    (["reduce", "--quad", "2", "--quartic", "1", "--eps", "-1"], 1),
+    (["reduce", "--quad", "1e308", "--quartic=-1e-308"], 2),
+    (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--potential", "missing.json", "--base-lg", "5"], 1),
+    (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--h0", "1", "--base-lg", "5", "--lg-tol", "-1"], 1),
+], ids=["reduce-eps", "reduce-eps-json", "verdict-potential-file",
+        "reduce-bad-eps", "reduce-overflow", "verdict-missing-file",
+        "verdict-bad-lg-tol"])
+def test_decision_runs_load_no_numpy(tmp_path, argv, rc):
+    # the reduced functional and the verdict on a given obstruction are
+    # pure arithmetic: no path through them, error exits included, loads
+    # numpy or the solver
+    (tmp_path / "pot.json").write_text(json.dumps(INPUT_FILES["pot.json"]),
+                                       encoding="utf-8")
+    got = _loaded("import contextlib, io\n"
+                  "from hsbubble.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                  "        contextlib.redirect_stderr(io.StringIO()):\n"
+                  f"    assert main({argv!r}) == {rc}\n", cwd=tmp_path)
+    assert not got["numpy"]
+    assert set(got["hsbubble"]) <= {"hsbubble", "hsbubble.cli",
+                                    "hsbubble.errors", "hsbubble.params",
+                                    "hsbubble.reduction", "hsbubble.geometry"}
+
+
 def test_scipy_free_subcommands_load_no_scipy():
+    # nor numpy.ma, which only scipy's imports need
     runs = [
         ["constants", "--n", "7", "--s", "1"],
         ["integrals", "--n", "7", "--s", "1"],
@@ -774,7 +823,8 @@ def test_scipy_free_subcommands_load_no_scipy():
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')\n"
+            "             or m.split('.')[:2] == ['numpy', 'ma']))")
     out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -844,6 +894,28 @@ def test_benchmark_span_sites_resolve():
     linearized = importlib.import_module("hsbubble.linearized")
     for fn in (linearized.solve_mode, linearized.assemble_mode):
         assert list(inspect.signature(fn).parameters)[1] == "ell"
+
+
+def test_lazy_call_sites_resolve_to_the_home_function(monkeypatch):
+    # geometry and reduction import these where they call them; looked up on
+    # the module by name (as the benchmark's tracer does) each is the home
+    # module's current function, so a wrapper installed at home is the one
+    # a call meets, once
+    from hsbubble import geometry, linearized, moments, reduction
+
+    sites = [(geometry, "_nonlocal_term", linearized, "nonlocal_term"),
+             (geometry, "bubble_moment", moments, "bubble_moment"),
+             (reduction, "bubble_moment", moments, "bubble_moment")]
+    for mod, attr, home, name in sites:
+        assert getattr(mod, attr) is getattr(home, name), attr
+        marker = lambda *a, **k: None  # noqa: E731
+        monkeypatch.setattr(home, name, marker)
+        assert getattr(mod, attr) is marker, attr
+        monkeypatch.undo()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        geometry.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        reduction.no_such_name
 
 
 def test_exit_0_plain_runs(capsys):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -722,6 +723,38 @@ def test_empty_diagnostic_window_is_a_numerical_error(monkeypatch, p, ell):
     with pytest.raises(NumericalError, match=f"no ell = {ell} eigenvalues "
                        "inside the diagnostic window"):
         kernel_diagnostics(p, grid)
+
+
+def test_kernel_alignment_where_z0_norm_overflows():
+    # (16, 1.9) on 8 cells: Z0 reaches 1e119 and ||Z0||_M overflows (was an
+    # overflow RuntimeWarning and an alignment of 0.0); the alignment does
+    # not depend on Z0's scale, so it is taken with Z0 / max|Z0|
+    p = HSParams(16, 1.9)
+    grid = default_grid(p, N=8, R_max=200.0)
+    assert np.max(np.abs(assemble_mode(p, 0, grid).z0)) > 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = kernel_diagnostics(p, grid)
+    assert 0.0 < d["mode0_eigvec_alignment_with_Z0"] <= 1.0
+
+
+def test_kernel_alignment_is_the_same_with_z0_rescaled(monkeypatch):
+    # forcing the rescaled branch on a grid where ||Z0||_M is finite moves
+    # the alignment only by roundoff
+    grid = grid71(2000)
+    want = kernel_diagnostics(P71, grid)
+    z = assemble_mode(P71, 0, grid).z0
+    real = linearized._norm_m
+    monkeypatch.setattr(linearized, "_norm_m", lambda mass, x:
+                        np.inf if x is z else real(mass, x))
+    got = kernel_diagnostics(P71, grid)
+    assert got["mode0_eigvec_alignment_with_Z0"] == pytest.approx(
+        want["mode0_eigvec_alignment_with_Z0"], rel=1e-13)
+    assert got["mode0_kernel_eig"] == want["mode0_kernel_eig"]
+    monkeypatch.setattr(linearized, "_norm_m", lambda mass, x: np.inf)
+    with pytest.raises(NumericalError, match=r"\|\|Z0\|\|_M is not finite "
+                       r"on this grid \(N = 2000, R_max = 200.0\)"):
+        kernel_diagnostics(P71, grid)
 
 
 def _count_eigs_below_numpy_scalars(d, e, mass, sigma):

@@ -91,6 +91,40 @@ def test_declared_tail_and_breaks_place_the_log_span():
     assert undeclared["evaluations"] > res["evaluations"]
 
 
+def _log_edges_union1d(power, b, breaks):
+    # the edge builder as it was written with np.union1d (oracle only)
+    wide = quadrature._LOG_MAX / max(power + 1.0, 1.0)
+    xb = np.log(np.asarray(breaks, dtype=float))
+    lo, hi = -wide, wide
+    if len(xb):
+        lo = max(float(xb.min()) - quadrature._LOG_EPS / (power + 1.0), -wide)
+        if b is not None:
+            hi = float(xb.max()) + quadrature._LOG_EPS / (b - power - 1.0)
+    count = max(1, math.ceil((hi - lo) / quadrature._X_WIDTH))
+    return np.union1d(np.linspace(lo, hi, count + 1),
+                      xb[(xb > lo) & (xb < hi)])
+
+
+def test_log_edges_match_union1d_bit_for_bit():
+    # declared and undeclared tails, zero to three breaks (repeated ones and
+    # r = 1 included), and breaks beyond the span, which are left out
+    rng = np.random.default_rng(7)
+    for case in range(3000):
+        power = float(rng.uniform(-0.9, 20.0))
+        b = None if case % 2 else power + 1.0 + float(rng.uniform(0.05, 10.0))
+        breaks = [float(10.0 ** rng.uniform(-300.0, 300.0))
+                  for _ in range(int(rng.integers(0, 4)))]
+        if breaks and case % 5 == 0:
+            breaks.append(breaks[0])
+        if case % 7 == 0:
+            breaks.append(1.0)
+        got = quadrature._log_edges(power, b, breaks)
+        want = _log_edges_union1d(power, b, breaks)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            (power, b, breaks)
+        assert np.all(np.diff(got) > 0.0)
+
+
 def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1200)
     with pytest.raises(NumericalError):
