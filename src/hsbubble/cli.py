@@ -11,13 +11,14 @@ paths), 2 numerical failure (non-convergence, ill-conditioned fit, an output
 that is not finite).  A reader that closes stdout early (`| head`) ends the
 run quietly, with its exit code.
 
-The subcommands are rows of one table (_SUBCOMMANDS): name, help, the shared
-flag groups, the subcommand's own flags, the handler and an optional text
-renderer.  Handlers take an _Inputs, which parses (n, s), the curvature, the
-potential and the grid from the flags on first use.  Only errors and params
-are imported here; each handler imports the library functions it calls, so
-a run loads only the modules (and numpy or scipy) its subcommand uses:
-`reduce` and `verdict --base-lg` are arithmetic and load no numpy.
+The subcommands are rows of one table (_SUBCOMMANDS): name, help, the flags
+(the shared tuples _PARAMS, _CURVATURE, _POTENTIAL and _GRID, then the
+subcommand's own), the handler and an optional text renderer.  Handlers take
+an _Inputs, which parses (n, s), the curvature, the potential and the grid
+from the flags on first use.  Only errors and params are imported here; each
+handler imports the library functions it calls, so a run loads only the
+modules (and numpy or scipy) its subcommand uses: `reduce` and
+`verdict --base-lg` are arithmetic and load no numpy.
 """
 
 from __future__ import annotations
@@ -56,42 +57,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# ------------------------------------------------------------- flag groups
+# ------------------------------------------------------------ shared flags
+# (flag, add_argument keywords) pairs, as in each _SUBCOMMANDS row
 
-
-def _add_params(sp):
-    sp.add_argument("--n", type=int, required=True, help="dimension (>= 3)")
-    sp.add_argument("--s", type=float, required=True,
-                    help="singularity exponent in [0, 2)")
-
-
-def _add_curvature(sp):
-    sp.add_argument("--curvature", default="flat",
-                    help="flat | sphere:R | path to JSON with keys "
-                         "{scal, ric_norm2, rm_norm2, lap_scal}")
-
-
-def _add_potential(sp):
-    sp.add_argument("--potential", default=None,
-                    help="path to JSON with keys {h0, lap_h[, f0]} "
-                         "(exclusive with the inline flags)")
-    sp.add_argument("--h0", type=float, default=None,
-                    help="potential value at the point")
-    sp.add_argument("--lap-h", type=float, default=None,
-                    help="potential Laplacian at the point "
-                         "(minus-divergence convention)")
-    sp.add_argument("--f0", type=float, default=None,
-                    help="perturbation-direction value at the point")
-
-
-def _add_grid(sp):
-    sp.add_argument("--grid", default="8000,200",
-                    help="solver mesh as N,Rmax[,gamma] "
-                         "(default 8000,200, gamma defaults to 2/(2-s))")
-
-
-_GROUPS = {"params": _add_params, "curvature": _add_curvature,
-           "potential": _add_potential, "grid": _add_grid}
+_PARAMS = (("--n", dict(type=int, required=True, help="dimension (>= 3)")),
+           ("--s", dict(type=float, required=True,
+                        help="singularity exponent in [0, 2)")))
+_CURVATURE = (("--curvature", dict(
+    default="flat", help="flat | sphere:R | path to JSON with keys "
+                         "{scal, ric_norm2, rm_norm2, lap_scal}")),)
+_POTENTIAL = (
+    ("--potential", dict(help="path to JSON with keys {h0, lap_h[, f0]} "
+                              "(exclusive with the inline flags)")),
+    ("--h0", dict(type=float, help="potential value at the point")),
+    ("--lap-h", dict(type=float, help="potential Laplacian at the point "
+                                      "(minus-divergence convention)")),
+    ("--f0", dict(type=float,
+                  help="perturbation-direction value at the point")))
+_GRID = (("--grid", dict(default="8000,200",
+                         help="solver mesh as N,Rmax[,gamma] (default "
+                              "8000,200, gamma defaults to 2/(2-s))")),)
 
 
 # ------------------------------------------------------------- input layer
@@ -381,73 +366,73 @@ def _cmd_kernel(inp):
 class _Subcommand(NamedTuple):
     name: str
     help: str
-    groups: tuple          # keys of _GROUPS
-    flags: tuple           # (flag, add_argument keywords) pairs
+    flags: tuple           # (flag, add_argument keywords) pairs, in order
     handler: Callable
     render: Optional[Callable] = None  # outputs -> text; None: key = value
 
 
 _SUBCOMMANDS = (
-    _Subcommand("constants", "derived constants at (n, s)", ("params",), (),
+    _Subcommand("constants", "derived constants at (n, s)", _PARAMS,
                 _cmd_constants),
     _Subcommand(
         "integrals", "moment-ratio identities, quadrature vs closed form",
-        ("params",),
-        (("--tol", dict(type=float, default=DEFAULT_TOL,
-                        help="quadrature tolerance")),
-         ("--csv", dict(help="also write the table here"))),
+        _PARAMS + (("--tol", dict(type=float, default=DEFAULT_TOL,
+                                  help="quadrature tolerance")),
+                   ("--csv", dict(help="also write the table here"))),
         _cmd_integrals,
         lambda out: _ratio_table(out["ratios"]).rstrip("\n")),
     _Subcommand(
-        "bubble", "bubble profile at scale delta", ("params",),
-        (("--delta", dict(type=float, required=True)),
-         ("--emit-profile", dict(help="write r,U_delta,dr_U_delta,Z_delta "
-                                      "CSV here")),
-         ("--points", dict(type=int, default=401, help="rows in the emitted "
-                           "profile (on [0, 20 delta])"))),
+        "bubble", "bubble profile at scale delta",
+        _PARAMS + (("--delta", dict(type=float, required=True)),
+                   ("--emit-profile", dict(help="write r,U_delta,dr_U_delta,"
+                                                "Z_delta CSV here")),
+                   ("--points", dict(type=int, default=401, help="rows in "
+                                     "the emitted profile (on [0, 20 "
+                                     "delta])"))),
         _cmd_bubble),
     _Subcommand(
         "chat", "projected linear solve C(W) and the nonlocal pairing",
-        ("params", "curvature", "grid"),
-        (("--h0", dict(type=float, required=True,
-                       help="amplitude of the U1 component of W")),
-         ("--emit-modes", dict(help="write r,c0,c2 mode-profile CSV here"))),
+        _PARAMS + _CURVATURE + _GRID + (
+            ("--h0", dict(type=float, required=True,
+                          help="amplitude of the U1 component of W")),
+            ("--emit-modes", dict(help="write r,c0,c2 mode-profile CSV "
+                                       "here"))),
         _cmd_chat),
     _Subcommand("lg", "geometric obstruction at (h0, x0)",
-                ("params", "curvature", "potential", "grid"), (), _cmd_lg),
+                _PARAMS + _CURVATURE + _POTENTIAL + _GRID, _cmd_lg),
     _Subcommand(
         "energy", "delta-sweep energy fit vs predicted coefficients",
-        ("params", "curvature", "potential"),
-        (("--deltas", dict(default="0.005:0.05:12",
-                           help="geometric sweep lo:hi:count")),
-         ("--r0", dict(type=float, default=1.0, help="truncation radius"))),
+        _PARAMS + _CURVATURE + _POTENTIAL + (
+            ("--deltas", dict(default="0.005:0.05:12",
+                              help="geometric sweep lo:hi:count")),
+            ("--r0", dict(type=float, default=1.0, help="truncation radius"))),
         _cmd_energy),
     _Subcommand("remainder",
                 "remainder-density norm and its delta^2 scaling",
-                ("params", "curvature", "potential"), (), _cmd_remainder),
+                _PARAMS + _CURVATURE + _POTENTIAL, _cmd_remainder),
     _Subcommand(
-        "reduce", "critical point of the reduced quartic", (),
+        "reduce", "critical point of the reduced quartic",
         (("--quad", dict(type=float, required=True)),
          ("--quartic", dict(type=float, required=True)),
          ("--eps", dict(type=float, help="also report delta = t0 sqrt(eps)"))),
         _cmd_reduce),
     _Subcommand(
         "family", "k-ladder of perturbed potentials and predicted scales",
-        ("params", "curvature", "potential", "grid"),
-        (("--k-max", dict(type=int, required=True)),
-         ("--base-lg", dict(type=float, help="base obstruction value "
-                                             "(skips the solve)"))),
+        _PARAMS + _CURVATURE + _POTENTIAL + _GRID + (
+            ("--k-max", dict(type=int, required=True)),
+            ("--base-lg", dict(type=float, help="base obstruction value "
+                                                "(skips the solve)"))),
         _cmd_family, _family_table),
     _Subcommand(
         "verdict", "classification against the curvature threshold",
-        ("params", "curvature", "potential", "grid"),
-        (("--base-lg", dict(type=float,
-                            help="obstruction value (skips the solve)")),
-         ("--lg-tol", dict(type=float, default=0.0,
-                           help="obstruction zero tolerance"))),
+        _PARAMS + _CURVATURE + _POTENTIAL + _GRID + (
+            ("--base-lg", dict(type=float,
+                               help="obstruction value (skips the solve)")),
+            ("--lg-tol", dict(type=float, default=0.0,
+                              help="obstruction zero tolerance"))),
         _cmd_verdict),
     _Subcommand("kernel", "spectral diagnostics of both modes",
-                ("params", "grid"), (), _cmd_kernel),
+                _PARAMS + _GRID, _cmd_kernel),
 )
 
 
@@ -463,8 +448,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for cmd in _SUBCOMMANDS:
         sp = sub.add_parser(cmd.name, help=cmd.help)
-        for group in cmd.groups:
-            _GROUPS[group](sp)
         for flag, kwargs in cmd.flags:
             sp.add_argument(flag, **kwargs)
         sp.add_argument("--json", action="store_true",

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .params import HSParams
 
 if TYPE_CHECKING:  # annotations only: the curvature data needs no solver
@@ -301,8 +301,13 @@ def lg_total(c: CurvatureData, jet: PotentialJet, p: HSParams,
     from .linearized import nonlocal_term
     from .moments import bubble_moment
     r4grad = bubble_moment(p, "r4grad")
-    local = -(jet.lap_h - p.lambda_ns * c.lap_scal - kns(c, p)) \
-        * r4grad / (4.0 * p.n)
+    k = kns(c, p)
+    local = -(jet.lap_h - p.lambda_ns * c.lap_scal - k) * r4grad / (4.0 * p.n)
+    if not math.isfinite(local):
+        raise NumericalError(
+            "the local term -(lap_h - Lambda_ns lap_scal - K) int |X|^4 "
+            f"|grad U1|^2 / (4n) at lap_h = {jet.lap_h!r}, lap_scal = "
+            f"{c.lap_scal!r}, K = {k!r} leaves the float range")
     w = assemble_w(c, p, p.c_ns * c.scal)
     nonlocal_part = -0.5 * nonlocal_term(p, w, grid)
     return LgBreakdown(local_term=local, nonlocal_term=nonlocal_part,

@@ -383,6 +383,16 @@ def z0_laplacian_load(p: HSParams, grid: RadialGrid) -> np.ndarray:
 # defect measurement
 
 
+def _norm_in_range(norm, x: np.ndarray) -> float:
+    """norm(x); where its squares overflow but x is finite, max|x| times
+    norm(x / max|x|) (the norm is homogeneous), so a large finite solution
+    keeps finite norms and every other x keeps its bits."""
+    with np.errstate(over="ignore"):
+        v = float(norm(x))
+    m = float(np.max(np.abs(x))) if v == np.inf else np.nan
+    return m * float(norm(x / m)) if m < np.inf else v
+
+
 def _fd_defect(mats: ModeMatrices, u: np.ndarray, f: np.ndarray) -> float:
     """Mass-weighted RMS residual of an independent 3-point FD operator.
 
@@ -401,8 +411,8 @@ def _fd_defect(mats: ModeMatrices, u: np.ndarray, f: np.ndarray) -> float:
         lhs = lhs + cent * uc
     res = lhs - f[i0 + 1:-1]
     w = mats.mass[i0 + 1:-1]
-    num = float(np.sqrt(np.sum(w * res**2)))
-    den = float(np.sqrt(np.sum(w * f[i0 + 1:-1] ** 2)))
+    num = _norm_in_range(lambda x: np.sqrt(np.sum(w * x**2)), res)
+    den = _norm_in_range(lambda x: np.sqrt(np.sum(w * x**2)), f[i0 + 1:-1])
     if den == 0.0:
         return 0.0 if num == 0.0 else num
     return num / den
@@ -410,6 +420,11 @@ def _fd_defect(mats: ModeMatrices, u: np.ndarray, f: np.ndarray) -> float:
 
 # --------------------------------------------------------------------------
 # solvers
+
+
+class _LoadOverflow(NumericalError):
+    """An ell = 0 load whose norms leave the float range; hat_c names the
+    source behind it."""
 
 
 def _finite_or_fail(ell: int, x: np.ndarray) -> np.ndarray:
@@ -508,9 +523,18 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
 
     if ell == 0:
         z, g = mats.z0, mats.g
-        ip = float(z @ load)
-        scale = _norm_m(mats.mass, z) * float(
-            np.sqrt(np.sum(load**2 / mats.mass)))
+        with np.errstate(over="ignore"):
+            zn = _norm_m(mats.mass, z)
+            ip = float(z @ load)
+            scale = zn * float(np.sqrt(np.sum(load**2 / mats.mass)))
+        if not np.isfinite(zn):
+            raise NumericalError(
+                f"||Z0||_M leaves the float range on this grid (max |Z0| = "
+                f"{np.max(np.abs(z)):.3e}, N = {grid.N}, "
+                f"R_max = {grid.R_max!r})")
+        if not (np.isfinite(ip) and np.isfinite(scale)):
+            raise _LoadOverflow("the load's pairing with Z0 or its M^-1 "
+                                "norm overflows")
         solvability = abs(ip) / scale if scale > 0.0 else 0.0
         if solvability > SOLVABILITY_TOL:
             raise DomainError(
@@ -528,8 +552,8 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
         u = mats.ds * _gttrs(mats, load * mats.ds)
         resid = _apply_tridiag(mats.d, mats.e, u) - load
 
-    rnorm = float(np.linalg.norm(resid))
-    lnorm = float(np.linalg.norm(load))
+    rnorm = _norm_in_range(np.linalg.norm, resid)
+    lnorm = _norm_in_range(np.linalg.norm, load)
     algebraic = rnorm / lnorm if lnorm > 0.0 else rnorm
 
     defect = _fd_defect(mats, u, np.asarray(fvals, dtype=float))
@@ -564,11 +588,14 @@ def hat_c(p: HSParams, w: WDecomposition, grid: RadialGrid) -> dict:
         load_w = m0.mass * w0
         mu = float(m0.z0 @ load_w) / float(m0.z0 @ m0.g)
         load, fvals = -load_w + mu * m0.g, -w0 + mu * dz
+    where = (f"the ell = 0 source with a = {w.a!r}, mode0_extra = "
+             f"{w.mode0_extra!r} and its projection leave the float range")
     if not (np.all(np.isfinite(load)) and np.all(np.isfinite(fvals))):
-        raise NumericalError(
-            f"the ell = 0 source with a = {w.a!r}, mode0_extra = "
-            f"{w.mode0_extra!r} and its projection leave the float range")
-    mode0 = solve_mode(p, 0, None, grid, rhs_load=load, rhs_values=fvals)
+        raise NumericalError(where)
+    try:
+        mode0 = solve_mode(p, 0, None, grid, rhs_load=load, rhs_values=fvals)
+    except _LoadOverflow as exc:
+        raise NumericalError(f"{where} in the solve ({exc})") from None
     mode2, pair2 = assemble_mode(p, 2, grid).unit2
     return {"mode0": mode0, "mode2": mode2, "multiplier": mu, "w0": w0,
             "pair2": pair2}
@@ -716,6 +743,9 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     dstebz's block order.  "No eigenvalues inside the diagnostic window" is
     raised only when the full window is empty.
     """
+    # assembled first: its checks name a grid whose cells leave the float
+    # range, on which the unit below can overflow
+    modes = [assemble_mode(p, ell, grid) for ell in (0, 2)]
     unit = (np.pi / grid.R_max) ** 2
     ztol = ZERO_TOL_REL * unit
     win = WINDOW_REL * unit
@@ -723,8 +753,8 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                  "grid": {"N": grid.N, "R_max": grid.R_max,
                           "gamma": grid.gamma}}
 
-    for ell in (0, 2):
-        mats = assemble_mode(p, ell, grid)
+    for mats in modes:
+        ell = mats.ell
         negative = _bisect(mats, -np.inf, -ztol, np.inf)
         near_zero = _bisect(mats, -ztol, ztol, np.inf)
         if ell == 0:

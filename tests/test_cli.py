@@ -540,6 +540,35 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1e308",
       "--k-max", "3"],
      "quad_coef = (1/2) f0 int U1^2 at f0 = -1e+308 leaves the float range"),
+    # an R_max whose spectral unit (pi/R_max)**2 overflows (was an
+    # OverflowError traceback before the grid was checked)
+    (["kernel", "--n", "7", "--s", "1", "--grid", "8,1e-300"],
+     "cell masses underflow to 0 on this grid (gamma = 2.0, N = 8"),
+    # a finite lap_h whose local term overflows (were exit 1, "obstruction
+    # total must be finite, got -inf")
+    (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--lap-h", "1e308", "--grid", "100,200"],
+     "the local term -(lap_h - Lambda_ns lap_scal - K) int |X|^4 "
+     "|grad U1|^2 / (4n) at lap_h = 1e+308, lap_scal = 0.0"),
+    (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--h0", "7.954545454545454", "--lap-h", "1e308", "--grid", "100,200"],
+     "the local term -(lap_h - Lambda_ns lap_scal - K)"),
+    (["family", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--lap-h", "-1e308", "--f0", "-1", "--k-max", "2", "--grid", "100,200"],
+     "at lap_h = -1e+308, lap_scal = 0.0"),
+    # Z0 beyond the float range once squared (were overflow RuntimeWarnings,
+    # then "outputs.mode0_defect = nan is not a finite number")
+    (["chat", "--n", "16", "--s", "1.9", "--curvature", "sphere:1",
+      "--h0", "1", "--grid", "8,200"],
+     "||Z0||_M leaves the float range on this grid (max |Z0| = 3.307e+161, "
+     "N = 8, R_max = 200.0)"),
+    # an ell = 0 load whose norm overflows in the solve (were overflow
+    # RuntimeWarnings, then "ell = 0 banded solve failed: array must not
+    # contain infs or NaNs")
+    (["chat", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--h0", "1e300", "--grid", "100,200"],
+     "the ell = 0 source with a = 1e+300, mode0_extra = 2.0 and its "
+     "projection leave the float range in the solve"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -1071,3 +1100,25 @@ def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
     for fname in written:
         assert (tmp_path / fname).read_bytes() == \
             (GOLDEN / f"{name}.{fname}").read_bytes(), fname
+
+
+def help_text(capsys, monkeypatch) -> str:
+    """`hsbubble --help` and each subcommand's `--help`, each under a
+    `$ hsbubble ... --help` line, at a fixed 80-column width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parts = []
+    for argv in ([], *([name] for name in sub.choices)):
+        argv = [*argv, "--help"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (0, "")
+        parts.append(f"$ hsbubble {' '.join(argv)}\n{captured.out}")
+    return "".join(parts)
+
+
+def test_help_matches_golden(capsys, monkeypatch):
+    assert help_text(capsys, monkeypatch) == \
+        (GOLDEN / "help.stdout").read_text(encoding="utf-8")

@@ -413,6 +413,25 @@ def test_hat_c_zero_input_gives_zero():
     assert np.all(sols["mode0"].profile.values == 0.0)
 
 
+def test_hat_c_diagnostics_are_scale_free_where_squares_overflow():
+    # a = 2**480 gives a finite solution whose squares overflow in the
+    # residual and defect norms (were overflow RuntimeWarnings and a nan
+    # defect); the ratios match a = 1 to roundoff
+    p = HSParams(7, 1.5)
+    grid = default_grid(p, N=1000, R_max=200.0)
+    big, unit = (hat_c(p, WDecomposition(a, 0.0, 0.0), grid)["mode0"]
+                 for a in (2.0**480, 1.0))
+    assert big.defect == pytest.approx(unit.defect, rel=1e-14)
+    assert big.algebraic_residual == pytest.approx(unit.algebraic_residual,
+                                                   rel=1e-14)
+    assert big.solvability == unit.solvability
+    # a load whose own norm overflows is refused by its source
+    with pytest.raises(NumericalError, match=r"the ell = 0 source with "
+                       r"a = 3\.19\d+e\+147, mode0_extra = 0\.0 and its "
+                       r"projection leave the float range in the solve"):
+        hat_c(p, WDecomposition(2.0**490, 0.0, 0.0), grid)
+
+
 def test_defect_second_order_under_refinement():
     w = WDecomposition(a=0.7, mode0_extra=0.31, t_free_norm2=2.0)
     defects = {}
