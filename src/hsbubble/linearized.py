@@ -59,6 +59,7 @@ in log r (ROADMAP.md, open item 2).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,8 +174,10 @@ class ModeMatrices:
     built on first use, so assemble_mode and kernel_diagnostics never
     factor: ds, D = diag(ds) = |diag K|**(-1/2); lu, the gttrf factors of
     D K D (_solve_mode0_bordered says why); for ell = 0 the Keller border
-    (col = D g / gscale, gscale = |D g|, b = (D K D)^-1 col, schur = col^T b)
-    and the node samples U1, r U1', Delta Z0; for ell = 2 unit2, the
+    (col = D g / gscale, gscale = |D g|, b = (D K D)^-1 col, schur = col^T b),
+    the node samples U1, r U1', Delta Z0 and z0_scaled, Z0's norms: k,
+    z0 * 2**-k (max in [1/2, 1), so its squares stay in range), g * 2**-k,
+    ||z0 * 2**-k||_M and z0^T S z0 * 4**-k; for ell = 2 unit2, the
     solution of L_2 c2 = -phi, phi = r U1' / 3, and its pairing with phi;
     the defect's stencil; spectral, the scaled form M**(-1/2) K M**(-1/2)
     as the diagonal and subdiagonal that kernel_diagnostics bisects
@@ -205,7 +208,10 @@ class ModeMatrices:
 
         ds = self.ds
         es, dd = self.e * ds[:-1] * ds[1:], self.d * ds * ds
-        _finite_or_fail(self.ell, np.concatenate((es, dd)))
+        if not np.all(np.isfinite(np.concatenate((es, dd)))):
+            raise NumericalError(
+                f"ell = {self.ell} banded solve failed: the scaled operator "
+                "is not finite")
         *lu, info = lapack.dgttrf(es, dd, es)
         if info > 0:
             raise NumericalError(
@@ -236,6 +242,13 @@ class ModeMatrices:
                 * r ** (-p.s) * self.z0
         dz[0] = 0.0
         return _frozen(u, rdru1(p, r), dz)
+
+    @functools.cached_property
+    def z0_scaled(self) -> tuple:
+        k = int(np.frexp(np.max(np.abs(self.z0)))[1])
+        zs, gs = np.ldexp(self.z0, -k), np.ldexp(self.g, -k)
+        return _frozen(k, zs, gs, float(np.sqrt(np.sum(self.mass * zs**2))),
+                       float(zs @ gs))
 
     @functools.cached_property
     def unit2(self) -> tuple:
@@ -383,14 +396,11 @@ def z0_laplacian_load(p: HSParams, grid: RadialGrid) -> np.ndarray:
 # defect measurement
 
 
-def _norm_in_range(norm, x: np.ndarray) -> float:
-    """norm(x); where its squares overflow but x is finite, max|x| times
-    norm(x / max|x|) (the norm is homogeneous), so a large finite solution
-    keeps finite norms and every other x keeps its bits."""
-    with np.errstate(over="ignore"):
-        v = float(norm(x))
-    m = float(np.max(np.abs(x))) if v == np.inf else np.nan
-    return m * float(norm(x / m)) if m < np.inf else v
+def _ratio(num: float, den: float) -> float:
+    """num / den, num where den = 0; nan where either is not finite."""
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.nan
+    return num / den if den > 0.0 else num
 
 
 def _fd_defect(mats: ModeMatrices, u: np.ndarray, f: np.ndarray) -> float:
@@ -411,34 +421,19 @@ def _fd_defect(mats: ModeMatrices, u: np.ndarray, f: np.ndarray) -> float:
         lhs = lhs + cent * uc
     res = lhs - f[i0 + 1:-1]
     w = mats.mass[i0 + 1:-1]
-    num = _norm_in_range(lambda x: np.sqrt(np.sum(w * x**2)), res)
-    den = _norm_in_range(lambda x: np.sqrt(np.sum(w * x**2)), f[i0 + 1:-1])
-    if den == 0.0:
-        return 0.0 if num == 0.0 else num
-    return num / den
+    return _ratio(float(np.sqrt(np.sum(w * res**2))),
+                  float(np.sqrt(np.sum(w * f[i0 + 1:-1]**2))))
 
 
 # --------------------------------------------------------------------------
 # solvers
 
 
-class _LoadOverflow(NumericalError):
-    """An ell = 0 load whose norms leave the float range; hat_c names the
-    source behind it."""
-
-
-def _finite_or_fail(ell: int, x: np.ndarray) -> np.ndarray:
-    try:
-        return np.asarray_chkfinite(x)
-    except ValueError as exc:
-        raise NumericalError(f"ell = {ell} banded solve failed: {exc}") from exc
-
-
 def _gttrs(mats: ModeMatrices, rhs: np.ndarray) -> np.ndarray:
     """(D K D)^-1 rhs from the kept factors: one LAPACK gttrs."""
     from scipy.linalg import lapack
 
-    return lapack.dgttrs(*mats.lu, _finite_or_fail(mats.ell, rhs))[0]
+    return lapack.dgttrs(*mats.lu, rhs)[0]
 
 
 def _solve_mode0_bordered(mats: ModeMatrices,
@@ -478,14 +473,41 @@ def _solve_mode0_bordered(mats: ModeMatrices,
     res_u = load - (_apply_tridiag(mats.d, mats.e, u) + lam * mats.g)
     res_c = -float(mats.g @ u)
     du, dlam = solve_scaled(res_u, res_c)
-    u, lam = u + du, lam + dlam
-    if not (np.all(np.isfinite(u)) and np.isfinite(lam)):
-        raise NumericalError("bordered ell = 0 solve produced non-finite values")
-    return u, lam
+    return u + du, lam + dlam
 
 
-def _norm_m(mass: np.ndarray, x: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(mass * x**2)))
+def _solve_load(mats: ModeMatrices, load: np.ndarray,
+                fvals: Optional[np.ndarray]) -> Optional[tuple]:
+    """u, the multiplier, solvability, gradient orthogonality, algebraic
+    residual and defect for one load and its pointwise values (None: load /
+    mass), as solve_mode reports them; None where a norm, a pairing or the
+    solution leaves the float range."""
+    lagrange, solvability, grad_ortho = None, 0.0, None
+    if mats.ell == 0:
+        _, zs, gs, zn, zsz = mats.z0_scaled
+        solvability = _ratio(abs(float(zs @ load)), zn * float(
+            np.sqrt(np.sum(load**2 / mats.mass))))
+        if solvability > SOLVABILITY_TOL:
+            raise DomainError(
+                "ell = 0 right-hand side is not orthogonal to the kernel "
+                f"direction Z0: relative compatibility {solvability:.3e} "
+                f"exceeds {SOLVABILITY_TOL:.1e}"
+            )
+        if math.isnan(solvability):
+            return None
+        u, lagrange = _solve_mode0_bordered(mats, load)
+        un = float(np.sqrt(abs(u @ _apply_tridiag(mats.sd, mats.e, u))))
+        grad_ortho = _ratio(abs(float(gs @ u)), math.sqrt(zsz) * un)
+        resid = _apply_tridiag(mats.d, mats.e, u) + lagrange * mats.g - load
+    else:
+        u = mats.ds * _gttrs(mats, load * mats.ds)
+        resid = _apply_tridiag(mats.d, mats.e, u) - load
+    algebraic = _ratio(float(np.linalg.norm(resid)),
+                       float(np.linalg.norm(load)))
+    defect = _fd_defect(mats, u, load / mats.mass if fvals is None else fvals)
+    if math.isnan(algebraic + defect + (grad_ortho or 0.0)):
+        return None
+    return u, lagrange, solvability, grad_ortho, algebraic, defect
 
 
 def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
@@ -503,13 +525,20 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
     ell = 0 right-hand sides must satisfy the discrete solvability condition
     |<load, z0>| <= SOLVABILITY_TOL * ||z0||_M ||load||_(M^-1); the solve is
     then performed in bordered form, enforcing gradient-orthogonality to Z0.
+
+    Where a norm, a pairing or the solution leaves the float range, the
+    solve runs once more on load * 2**-k (max in [1/2, 1)) and scales the
+    profile and the multiplier back: a power of two moves no bit, so every
+    reported ratio keeps the bits an unbounded float would give.  A
+    solution out of range once scaled back is a NumericalError.
     """
     mats = assemble_mode(p, ell, grid)
     if rhs_load is not None:
         load = np.asarray(rhs_load, dtype=float)
         if load.shape != mats.r.shape:
             raise DomainError("rhs_load does not match the active grid nodes")
-        fvals = rhs_values if rhs_values is not None else load / mats.mass
+        fvals = None if rhs_values is None else np.asarray(rhs_values,
+                                                           dtype=float)
     else:
         if rhs is None:
             raise DomainError("either rhs or rhs_load must be given")
@@ -517,46 +546,25 @@ def solve_mode(p: HSParams, ell: int, rhs, grid: RadialGrid, *,
         fvals = full[1:] if ell == 2 else full
         if not np.all(np.isfinite(fvals)):
             raise DomainError("rhs evaluates to non-finite values on the grid")
-        load = mats.mass * fvals
-
-    lagrange, solvability, grad_ortho = None, 0.0, None
-
-    if ell == 0:
-        z, g = mats.z0, mats.g
         with np.errstate(over="ignore"):
-            zn = _norm_m(mats.mass, z)
-            ip = float(z @ load)
-            scale = zn * float(np.sqrt(np.sum(load**2 / mats.mass)))
-        if not np.isfinite(zn):
-            raise NumericalError(
-                f"||Z0||_M leaves the float range on this grid (max |Z0| = "
-                f"{np.max(np.abs(z)):.3e}, N = {grid.N}, "
-                f"R_max = {grid.R_max!r})")
-        if not (np.isfinite(ip) and np.isfinite(scale)):
-            raise _LoadOverflow("the load's pairing with Z0 or its M^-1 "
-                                "norm overflows")
-        solvability = abs(ip) / scale if scale > 0.0 else 0.0
-        if solvability > SOLVABILITY_TOL:
-            raise DomainError(
-                "ell = 0 right-hand side is not orthogonal to the kernel "
-                f"direction Z0: relative compatibility {solvability:.3e} "
-                f"exceeds {SOLVABILITY_TOL:.1e}"
-            )
-        u, lagrange = _solve_mode0_bordered(mats, load)
-        gn = float(np.sqrt(z @ g))  # sqrt(z0^T S z0) > 0
-        un = float(np.sqrt(abs(u @ _apply_tridiag(mats.sd, mats.e, u))))
-        den = gn * un
-        grad_ortho = abs(float(g @ u)) / den if den > 0.0 else 0.0
-        resid = _apply_tridiag(mats.d, mats.e, u) + lagrange * g - load
-    else:
-        u = mats.ds * _gttrs(mats, load * mats.ds)
-        resid = _apply_tridiag(mats.d, mats.e, u) - load
+            load = mats.mass * fvals
 
-    rnorm = _norm_in_range(np.linalg.norm, resid)
-    lnorm = _norm_in_range(np.linalg.norm, load)
-    algebraic = rnorm / lnorm if lnorm > 0.0 else rnorm
-
-    defect = _fd_defect(mats, u, np.asarray(fvals, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _solve_load(mats, load, fvals)
+        if out is None:
+            k = int(np.frexp(np.max(np.abs(load)))[1])
+            out = _solve_load(mats, np.ldexp(load, -k),
+                              None if fvals is None else np.ldexp(fvals, -k))
+            if out is not None:  # lagrange: None at ell = 2
+                out = (np.ldexp(out[0], k),
+                       out[1] and float(np.ldexp(out[1], k)), *out[2:])
+            if out is None or not (np.all(np.isfinite(out[0]))
+                                   and math.isfinite(out[1] or 0.0)):
+                raise NumericalError(
+                    f"the ell = {ell} load (max |load| = "
+                    f"{np.max(np.abs(load)):.3e}) or its solution leaves "
+                    "the float range")
+    u, lagrange, solvability, grad_ortho, algebraic, defect = out
 
     vals = np.concatenate([[0.0], u]) if ell == 2 else u  # Dirichlet at r = 0
     return ModeSolution(ell=ell, profile=RadialProfile.from_samples(grid, vals),
@@ -583,19 +591,19 @@ def hat_c(p: HSParams, w: WDecomposition, grid: RadialGrid) -> dict:
     m0 = assemble_mode(p, 0, grid)
     m0.border  # a bad grid is reported before a bad source
     u1s, rdru1s, dz = m0.samples
+    k, zs, gs, _, zsz = m0.z0_scaled
     with np.errstate(all="ignore"):
         w0 = w.a * u1s + w.mode0_extra * rdru1s
         load_w = m0.mass * w0
-        mu = float(m0.z0 @ load_w) / float(m0.z0 @ m0.g)
-        load, fvals = -load_w + mu * m0.g, -w0 + mu * dz
-    where = (f"the ell = 0 source with a = {w.a!r}, mode0_extra = "
-             f"{w.mode0_extra!r} and its projection leave the float range")
+        # mu * 2**k, whose product with g * 2**-k is mu g to the bit
+        mu = float(zs @ load_w) / zsz
+        load, mu = -load_w + mu * gs, float(np.ldexp(mu, -k))
+        fvals = -w0 + mu * dz
     if not (np.all(np.isfinite(load)) and np.all(np.isfinite(fvals))):
-        raise NumericalError(where)
-    try:
-        mode0 = solve_mode(p, 0, None, grid, rhs_load=load, rhs_values=fvals)
-    except _LoadOverflow as exc:
-        raise NumericalError(f"{where} in the solve ({exc})") from None
+        raise NumericalError(
+            f"the ell = 0 source with a = {w.a!r}, mode0_extra = "
+            f"{w.mode0_extra!r} and its projection leave the float range")
+    mode0 = solve_mode(p, 0, None, grid, rhs_load=load, rhs_values=fvals)
     mode2, pair2 = assemble_mode(p, 2, grid).unit2
     return {"mode0": mode0, "mode2": mode2, "multiplier": mu, "w0": w0,
             "pair2": pair2}
@@ -619,16 +627,23 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
     Only the ell = 0 solve depends on W: both modes' factors, the Keller
     border, the node samples and the ell = 2 pairing are kept on the grid's
     ModeMatrices, so a repeat pairing on one grid costs two triangular
-    solves (gttrs), the bordered solve and its refinement pass.
+    solves (gttrs), the bordered solve and its refinement pass.  A pairing
+    beyond the float range is a NumericalError that names W.
     """
     sols = hat_c(p, w, grid)
     omega = sphere_area(p.n)
     mass = assemble_mode(p, 0, grid).mass
     c0 = sols["mode0"].profile.values
-    part0 = omega * float(np.sum(mass * sols["w0"] * c0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        part0 = omega * float(np.sum(mass * sols["w0"] * c0))
     part2 = 2.0 * omega / (p.n * (p.n + 2.0)) * w.t_free_norm2 * sols["pair2"]
 
     total = part0 + part2
+    if not math.isfinite(total):
+        raise NumericalError(
+            f"the pairing W * C(W) at a = {w.a!r}, mode0_extra = "
+            f"{w.mode0_extra!r}, t_free_norm2 = {w.t_free_norm2!r} leaves "
+            "the float range")
     if detail:
         return {"total": total, "mode0_part": part0, "mode2_part": part2,
                 "multiplier": sols["multiplier"],
@@ -668,25 +683,6 @@ def _bisect(mats: ModeMatrices, lo: float, hi: float, tol: float):
     if info:
         raise NumericalError(f"eigen-diagnostic failed: dstein info = {info}")
     return w[:m], y * inv_sqrt_m[:, None]
-
-
-def _z0_and_norm(mats: ModeMatrices):
-    """Sampled Z0 and ||Z0||_M for the scale-free Z0 alignment: Z0 itself
-    where its norm is finite, else Z0 / max|Z0| (on coarse grids near s = 2
-    Z0 reaches 1e119 and its square overflows)."""
-    z = mats.z0
-    with np.errstate(over="ignore"):
-        zn = _norm_m(mats.mass, z)
-    if not np.isfinite(zn):
-        z = z / np.max(np.abs(z))
-        with np.errstate(over="ignore", invalid="ignore"):
-            zn = _norm_m(mats.mass, z)
-        if not np.isfinite(zn):
-            raise NumericalError(
-                f"||Z0||_M is not finite on this grid (N = {mats.grid.N}, "
-                f"R_max = {mats.grid.R_max!r}), even with Z0 scaled to "
-                "max |Z0| = 1")
-    return z, zn
 
 
 def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
@@ -758,7 +754,7 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
         negative = _bisect(mats, -np.inf, -ztol, np.inf)
         near_zero = _bisect(mats, -ztol, ztol, np.inf)
         if ell == 0:
-            z, zn = _z0_and_norm(mats)
+            _, z, _, zn, _ = mats.z0_scaled
         k = 4
         while True:
             half = win / 2**k

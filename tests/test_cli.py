@@ -556,19 +556,13 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["family", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--lap-h", "-1e308", "--f0", "-1", "--k-max", "2", "--grid", "100,200"],
      "at lap_h = -1e+308, lap_scal = 0.0"),
-    # Z0 beyond the float range once squared (were overflow RuntimeWarnings,
-    # then "outputs.mode0_defect = nan is not a finite number")
-    (["chat", "--n", "16", "--s", "1.9", "--curvature", "sphere:1",
-      "--h0", "1", "--grid", "8,200"],
-     "||Z0||_M leaves the float range on this grid (max |Z0| = 3.307e+161, "
-     "N = 8, R_max = 200.0)"),
-    # an ell = 0 load whose norm overflows in the solve (were overflow
-    # RuntimeWarnings, then "ell = 0 banded solve failed: array must not
-    # contain infs or NaNs")
+    # an ell = 0 source whose solve is in range once rescaled but whose
+    # pairing is not (were overflow RuntimeWarnings, then "ell = 0 banded
+    # solve failed: array must not contain infs or NaNs")
     (["chat", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "1e300", "--grid", "100,200"],
-     "the ell = 0 source with a = 1e+300, mode0_extra = 2.0 and its "
-     "projection leave the float range in the solve"),
+     "the pairing W * C(W) at a = 1e+300, mode0_extra = 2.0, "
+     "t_free_norm2 = 0.0 leaves the float range"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -576,6 +570,17 @@ def test_exit_2_names_the_cause(capsys, argv, cause):
     assert out == ""
     assert err.startswith("numerical failure: ")
     assert cause in err
+
+
+def test_chat_answers_where_z0_squares_overflow(capsys):
+    # Z0 reaches 3.3e161 on these 8 cells, so ||Z0||_M overflows (were
+    # overflow RuntimeWarnings, then a refusal of ||Z0||_M); its norms are
+    # taken on Z0 * 2**-k, as kernel's alignment is on the same grid
+    out = invoke_json(capsys, ["chat", "--n", "16", "--s", "1.9",
+                               "--curvature", "sphere:1", "--h0", "1",
+                               "--grid", "8,200"])["outputs"]
+    assert out["nonlocal_term"] == out["mode0_part"] + out["mode2_part"]
+    assert all(np.isfinite(v) for k, v in out.items() if k != "w")
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

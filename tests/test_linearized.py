@@ -1,6 +1,7 @@
 """Tests for the mode-decomposed linearized solver."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -363,9 +364,10 @@ def test_factored_arrays_refuse_writes():
     # ell = 0 has no centrifugal stencil array
     assert m0.stencil[-1] is None
     arrays = [m0.ds, *m0.lu, m0.border[0], m0.border[2], *m0.samples,
-              *m0.stencil[1:-1], *m0.spectral, m2.ds, *m2.lu,
-              *m2.stencil[1:], *m2.spectral, sols["mode2"].profile.values]
-    assert len(arrays) == 39
+              *m0.z0_scaled[1:3], *m0.stencil[1:-1], *m0.spectral, m2.ds,
+              *m2.lu, *m2.stencil[1:], *m2.spectral,
+              sols["mode2"].profile.values]
+    assert len(arrays) == 41
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -413,23 +415,58 @@ def test_hat_c_zero_input_gives_zero():
     assert np.all(sols["mode0"].profile.values == 0.0)
 
 
+def _scaled_source(j):
+    return WDecomposition(0.7 * 2.0**j, 0.31 * 2.0**j, 2.0 * 4.0**j)
+
+
+def _assert_scales_exactly(p, grid, j):
+    # a power of two moves no bit: C(2**j W) = 2**j C(W), the pairing
+    # scales by 4**j, and every ratio the solve reports keeps its bits
+    base, big = (nonlocal_term(p, _scaled_source(i), grid, detail=True)
+                 for i in (0, j))
+    assert np.array_equal(big["mode0"].profile.values,
+                          np.ldexp(base["mode0"].profile.values, j))
+    assert big["multiplier"] == np.ldexp(base["multiplier"], j)
+    for key in ("defect", "algebraic_residual", "solvability",
+                "gradient_orthogonality"):
+        assert getattr(big["mode0"], key) == getattr(base["mode0"], key), key
+    assert big["total"] == np.ldexp(base["total"], 2 * j)
+
+
+@pytest.mark.parametrize("n,s,N", [(7, 1.5, 1000), (7, 1.0, 2000)])
+@pytest.mark.parametrize("j", [-300, -1, 1, 300])
+def test_solve_is_exactly_homogeneous_in_the_source(n, s, N, j):
+    p = HSParams(n, s)
+    _assert_scales_exactly(p, default_grid(p, N=N, R_max=200.0), j)
+
+
 def test_hat_c_diagnostics_are_scale_free_where_squares_overflow():
-    # a = 2**480 gives a finite solution whose squares overflow in the
-    # residual and defect norms (were overflow RuntimeWarnings and a nan
-    # defect); the ratios match a = 1 to roundoff
+    # from j = 482 the load's norms overflow (were refused), and the solve
+    # runs on load * 2**-k; at j = 491 the solve still answers, but the
+    # pairing, 4**491 times the base -4.4e12, overflows (was -inf, with no
+    # warning) and is refused by its source
     p = HSParams(7, 1.5)
     grid = default_grid(p, N=1000, R_max=200.0)
-    big, unit = (hat_c(p, WDecomposition(a, 0.0, 0.0), grid)["mode0"]
-                 for a in (2.0**480, 1.0))
-    assert big.defect == pytest.approx(unit.defect, rel=1e-14)
-    assert big.algebraic_residual == pytest.approx(unit.algebraic_residual,
-                                                   rel=1e-14)
-    assert big.solvability == unit.solvability
-    # a load whose own norm overflows is refused by its source
-    with pytest.raises(NumericalError, match=r"the ell = 0 source with "
-                       r"a = 3\.19\d+e\+147, mode0_extra = 0\.0 and its "
-                       r"projection leave the float range in the solve"):
-        hat_c(p, WDecomposition(2.0**490, 0.0, 0.0), grid)
+    for j in (482, 490):
+        _assert_scales_exactly(p, grid, j)
+    w = _scaled_source(491)
+    with pytest.raises(NumericalError, match=re.escape(
+            f"the pairing W * C(W) at a = {w.a!r}, mode0_extra = "
+            f"{w.mode0_extra!r}, t_free_norm2 = {w.t_free_norm2!r} leaves "
+            "the float range")):
+        nonlocal_term(p, w, grid)
+
+
+def test_solution_beyond_the_float_range_is_a_numerical_error():
+    # a finite load whose solution overflows even rescaled is refused as a
+    # NumericalError, before RadialProfile's DomainError for a non-finite
+    # profile
+    grid = grid71(500)
+    load = np.full(assemble_mode(P71, 2, grid).r.shape, 2.0**1000)
+    with pytest.raises(NumericalError, match=r"the ell = 2 load \(max "
+                       r"\|load\| = 1\.072e\+301\) or its solution leaves "
+                       r"the float range"):
+        solve_mode(P71, 2, None, grid, rhs_load=load)
 
 
 def test_defect_second_order_under_refinement():
@@ -758,22 +795,16 @@ def test_kernel_alignment_where_z0_norm_overflows():
 
 
 def test_kernel_alignment_is_the_same_with_z0_rescaled(monkeypatch):
-    # forcing the rescaled branch on a grid where ||Z0||_M is finite moves
-    # the alignment only by roundoff
+    # Z0's norms are kept for Z0 * 2**-k; where ||Z0||_M is finite, the
+    # alignment formed with the unscaled Z0 has the same bits
     grid = grid71(2000)
-    want = kernel_diagnostics(P71, grid)
-    z = assemble_mode(P71, 0, grid).z0
-    real = linearized._norm_m
-    monkeypatch.setattr(linearized, "_norm_m", lambda mass, x:
-                        np.inf if x is z else real(mass, x))
+    assert assemble_mode(P71, 0, grid).z0_scaled[0] == 14
     got = kernel_diagnostics(P71, grid)
-    assert got["mode0_eigvec_alignment_with_Z0"] == pytest.approx(
-        want["mode0_eigvec_alignment_with_Z0"], rel=1e-13)
-    assert got["mode0_kernel_eig"] == want["mode0_kernel_eig"]
-    monkeypatch.setattr(linearized, "_norm_m", lambda mass, x: np.inf)
-    with pytest.raises(NumericalError, match=r"\|\|Z0\|\|_M is not finite "
-                       r"on this grid \(N = 2000, R_max = 200.0\)"):
-        kernel_diagnostics(P71, grid)
+    monkeypatch.setattr(linearized.ModeMatrices, "z0_scaled", property(
+        lambda m: (0, m.z0, m.g, float(np.sqrt(np.sum(m.mass * m.z0**2))),
+                   float(m.z0 @ m.g))))
+    want = kernel_diagnostics(P71, grid)
+    assert got == want
 
 
 def _count_eigs_below_numpy_scalars(d, e, mass, sigma):
