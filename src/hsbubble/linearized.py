@@ -181,8 +181,9 @@ class ModeMatrices:
     solution of L_2 c2 = -phi, phi = r U1' / 3, and its pairing with phi;
     the defect's stencil; spectral, the scaled form M**(-1/2) K M**(-1/2)
     as the diagonal and subdiagonal that kernel_diagnostics bisects
-    (_bisect: dstebz, then dstein for ell = 0), with the M**(-1/2) that
-    back-transforms dstein's eigenvectors.
+    (_bisect: dstebz, each eigenvalue once) and, for ell = 0, hands to
+    dstein (_eigvecs), with the M**(-1/2) that back-transforms dstein's
+    eigenvectors.
     Every array is read-only.
     """
 
@@ -325,7 +326,9 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     use (ModeMatrices).  A strong grading can put the first edges so close
     to 0 that edge**n underflows, and a huge R_max makes it overflow; every
     solve and spectral diagnostic divides by the cell masses, so a zero or
-    non-finite mass or flux is refused here.
+    non-finite mass or flux is refused here, and so are nodes that are not
+    strictly increasing (a subnormal R_max, or a grading whose first nodes
+    underflow to 0), whose zero gaps would make the fluxes infinite.
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
@@ -333,11 +336,19 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     n = p.n
     r = grid.nodes
     R = grid.R_max
+    gaps = np.diff(r)
+    zero_gaps = int(np.sum(gaps <= 0.0))
+    if zero_gaps:
+        raise NumericalError(
+            f"grid nodes are not strictly increasing: {zero_gaps} of the "
+            f"{grid.N} node gaps underflow to 0 (R_max = {R!r}, N = "
+            f"{grid.N}, gamma = {grid.gamma}); increase R_max, or reduce "
+            "the grading or N")
     edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [R]])
     with np.errstate(over="ignore", invalid="ignore"):
         mass = np.diff(edges**n) / n
         # flux coefficients a_{i+1/2} = m_{i+1/2}**(n-1) / (r_{i+1} - r_i)
-        flux = edges[1:-1] ** (n - 1) / np.diff(r)
+        flux = edges[1:-1] ** (n - 1) / gaps
     if not (np.all(np.isfinite(mass)) and np.all(np.isfinite(flux))):
         raise NumericalError(
             f"cell masses or fluxes overflow a float on this grid "
@@ -663,26 +674,35 @@ def _bisect(mats: ModeMatrices, lo: float, hi: float, tol: float):
     pencil finds spurious near-zero eigenvalues.  tol = inf counts at lo
     and hi, bisects nothing and returns the count.  A finite absolute tol
     (dstebz's default is relative to the Gershgorin bound, ~1e26 here)
-    returns the eigenvalues in block order, ascending within each split-off
-    block, with, for ell = 0 only (the Z0 alignment), dstein's eigenvectors
-    on the same blocks back-transformed by M**(-1/2), so M-orthonormal;
-    None at ell = 2.  Each pair costs one bisection.
+    returns the eigenvalues, their split-off block numbers and the split
+    points (dstebz's w, iblock, isplit), in block order, ascending within
+    each block.  Each pair costs one bisection.
     """
     from scipy.linalg import lapack
 
-    dt, et, inv_sqrt_m = mats.spectral
+    dt, et, _ = mats.spectral
     m, w, iblock, isplit, info = lapack.dstebz(dt, et, 1, lo, hi, 0, 0, tol,
                                                "B")
     if info:
         raise NumericalError(f"eigen-diagnostic failed: dstebz info = {info}")
     if tol == np.inf:
         return int(m)
-    if mats.ell != 0:
-        return w[:m], None
-    y, info = lapack.dstein(dt, et, w[:m], iblock, isplit)
+    return w[:m], iblock[:m], isplit
+
+
+def _eigvecs(mats: ModeMatrices, vals: np.ndarray, blocks: np.ndarray,
+             isplit: np.ndarray) -> np.ndarray:
+    """dstein's eigenvectors for eigenvalues in _bisect's block order,
+    back-transformed by M**(-1/2), so jointly M-orthonormal."""
+    from scipy.linalg import lapack
+
+    dt, et, inv_sqrt_m = mats.spectral
+    iblock = np.zeros_like(isplit)  # dstein reads blocks[:m] of n entries
+    iblock[:vals.size] = blocks
+    y, info = lapack.dstein(dt, et, vals, iblock, isplit)
     if info:
         raise NumericalError(f"eigen-diagnostic failed: dstein info = {info}")
-    return w[:m], y * inv_sqrt_m[:, None]
+    return y * inv_sqrt_m[:, None]
 
 
 def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
@@ -718,9 +738,16 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     (ModeMatrices.spectral, built once per mode and grid).  The counts are
     dstebz's Sturm counts with an infinite tolerance: exact integers and no
     iterative solver.  The eigenpairs are computed on the sub-window
-    (-win/2**k, win/2**k], starting at k = 4 for both modes and widened
-    (k -= 1) until it certifies that its answer is the full window's, so
-    only the pairs the report needs are bisected:
+    (-h_k, h_k], h_k = win/2**k, widened (k -= 1) until it certifies that
+    its answer is the full window's, so only the pairs the report needs
+    are bisected.  A mode whose near-zero count is at least 1 starts at
+    K0 = floor(log2(WINDOW_REL / ZERO_TOL_REL)), the smallest dyadic
+    sub-window that covers the zero band (h_K0 >= zero_tol); any other
+    mode starts at k = 4.  Each widening bisects only the two annuli it
+    adds, (-h_(k-1), -h_k] and (h_k, h_(k-1)], and merges their pairs with
+    those it holds in dstebz's block order, so every pair is bisected once;
+    for ell = 0, dstein then runs on the merged set, so the alignments are
+    those of jointly M-orthonormal vectors.  The certificates:
 
       ell = 0  the sub-window is non-empty, so it holds the full window's
                smallest-|lam| pair, and its best Z0 alignment a has
@@ -728,15 +755,16 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                squared alignments of all pairs sum to 1 and no pair outside
                can align better;
       ell = 2  the sub-window is non-empty and no eigenvalue lies below
-               -zero_tol; win/2**k >= win/16 > zero_tol, so the smallest
-               eigenvalue of the full window lies inside.
+               -zero_tol; h_k >= min(win/16, h_K0) >= zero_tol, so the
+               smallest eigenvalue of the full window lies inside.
 
     At k = 0 the full window answers, certified or not.  After dstebz's
-    first split at 0 the dyadic sub-windows are nodes of the full window's
-    bisection tree, so the values are those the full window gives (to
+    first split at 0 each sub-window and each annulus is a node of the full
+    window's bisection tree, and dstebz bisects a node the same way
+    wherever it starts, so the values are those the full window gives (to
     roundoff on coarse grids, whose Gershgorin interval the window leaves).
     The minimum and the arg-extrema need no sorting, so they are read from
-    dstebz's block order.  "No eigenvalues inside the diagnostic window" is
+    the block order.  "No eigenvalues inside the diagnostic window" is
     raised only when the full window is empty.
     """
     # assembled first: its checks name a grid whose cells leave the float
@@ -745,6 +773,7 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     unit = (np.pi / grid.R_max) ** 2
     ztol = ZERO_TOL_REL * unit
     win = WINDOW_REL * unit
+    k0 = math.floor(math.log2(WINDOW_REL / ZERO_TOL_REL))
     out: dict = {"zero_tol": ztol,
                  "grid": {"N": grid.N, "R_max": grid.R_max,
                           "gamma": grid.gamma}}
@@ -755,11 +784,12 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
         near_zero = _bisect(mats, -ztol, ztol, np.inf)
         if ell == 0:
             _, z, _, zn, _ = mats.z0_scaled
-        k = 4
+        k = k0 if near_zero else 4
+        half = win / 2**k
+        vals, blocks, isplit = _bisect(mats, -half, half, EIG_TOL)
         while True:
-            half = win / 2**k
-            vals, vecs = _bisect(mats, -half, half, EIG_TOL)
             if ell == 0 and vals.size:
+                vecs = _eigvecs(mats, vals, blocks, isplit)
                 aligns = np.abs(vecs.T @ (mats.mass * z)) / (
                     zn * np.sqrt(np.sum(mats.mass[:, None] * vecs**2, axis=0))
                 )
@@ -769,6 +799,13 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                                         else negative == 0):
                 break
             k -= 1
+            inner, half = half, win / 2**k
+            found = [(vals, blocks),
+                     _bisect(mats, -half, -inner, EIG_TOL)[:2],
+                     _bisect(mats, inner, half, EIG_TOL)[:2]]
+            vals, blocks = (np.concatenate(x) for x in zip(*found))
+            order = np.lexsort((vals, blocks))  # stable: keeps clusters
+            vals, blocks = vals[order], blocks[order]
         if vals.size == 0:
             raise NumericalError(
                 f"no ell = {ell} eigenvalues inside the diagnostic window; "

@@ -563,6 +563,11 @@ def test_exit_2_ill_conditioned_fit(capsys):
       "--h0", "1e300", "--grid", "100,200"],
      "the pairing W * C(W) at a = 1e+300, mode0_extra = 2.0, "
      "t_free_norm2 = 0.0 leaves the float range"),
+    # a subnormal R_max puts 99 of the 100 nodes at 0 (was "cell masses or
+    # fluxes overflow a float ... reduce R_max", the wrong remedy)
+    (["kernel", "--n", "7", "--s", "1", "--grid", "100,5e-324"],
+     "grid nodes are not strictly increasing: 99 of the 100 node gaps "
+     "underflow to 0 (R_max = 5e-324, N = 100, gamma = 2.0); increase R_max"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)

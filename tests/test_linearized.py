@@ -18,6 +18,7 @@ from hsbubble.linearized import (
     ModeSolution,
     WDecomposition,
     _bisect,
+    _eigvecs,
     _fd_defect,
     assemble_mode,
     hat_c,
@@ -600,12 +601,13 @@ def _full_window_diagnostics(p, grid):
     unit = (np.pi / grid.R_max) ** 2
     ztol, win = linearized.ZERO_TOL_REL * unit, linearized.WINDOW_REL * unit
     m0, m2 = assemble_mode(p, 0, grid), assemble_mode(p, 2, grid)
-    vals, vecs = _bisect(m0, -win, win, linearized.EIG_TOL)
+    vals, blocks, isplit = _bisect(m0, -win, win, linearized.EIG_TOL)
+    vecs = _eigvecs(m0, vals, blocks, isplit)
     aligns = np.abs(vecs.T @ (m0.mass * m0.z0)) / (
         np.sqrt(np.sum(m0.mass * m0.z0**2))
         * np.sqrt(np.sum(m0.mass[:, None] * vecs**2, axis=0)))
     kbest = int(np.argmax(aligns))
-    vals2, _ = _bisect(m2, -win, win, linearized.EIG_TOL)
+    vals2, _, _ = _bisect(m2, -win, win, linearized.EIG_TOL)
     return {"mode0_min_eig": vals[np.argmin(np.abs(vals))],
             "mode0_kernel_eig": vals[kbest],
             "mode0_eigvec_alignment_with_Z0": aligns[kbest],
@@ -615,9 +617,12 @@ def _full_window_diagnostics(p, grid):
 
 
 @pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5), (16, 1.5),
-                                 (30, 1.0), (10, 1.0), (7, 0.5)])
-@pytest.mark.parametrize("N,R_max", [(2000, 200.0), (8000, 200.0), (64, 5.0)])
+                                 (30, 1.0), (10, 1.0), (7, 0.5), (12, 1.5)])
+@pytest.mark.parametrize("N,R_max", [(2000, 200.0), (8000, 200.0), (64, 5.0),
+                                     (4000, 200.0)])
 def test_kernel_diagnostics_matches_full_window(n, s, N, R_max):
+    # at N = 4000, (9, 0.5) widens through k = 2 and (7, 1) starts in the
+    # zero band
     p = HSParams(n, s)
     grid = default_grid(p, N=N, R_max=R_max)
     got = kernel_diagnostics(p, grid)
@@ -645,14 +650,17 @@ def test_kernel_diagnostics_ell2_widens_past_a_negative_eigenvalue():
     assert got == pytest.approx(_full_window_diagnostics(p, grid)[
         "mode2_min_eig"], rel=1e-14)
     assert got < -(np.pi / 20.0) ** 2
-    # the smallest sub-window already reaches past -zero_tol, which the
-    # ell = 2 certificate relies on
+    # both start windows reach past -zero_tol, which the ell = 2
+    # certificate relies on: k = 4, and K0 = 7, the smallest dyadic window
+    # that covers the zero band
     assert linearized.WINDOW_REL / 2**4 > linearized.ZERO_TOL_REL
+    assert linearized.WINDOW_REL / 2**7 > linearized.ZERO_TOL_REL \
+        >= linearized.WINDOW_REL / 2**8
 
 
 def _spy_bisection(monkeypatch):
-    # every dstebz call as (size, hi, tol, pairs) and every dstein call's
-    # pair count
+    # every dstebz call as (size, lo, hi, tol, pairs) and every dstein
+    # call's pair count
     import scipy.linalg.lapack
 
     real_stebz = scipy.linalg.lapack.dstebz
@@ -661,7 +669,7 @@ def _spy_bisection(monkeypatch):
 
     def stebz(d, e, rng, lo, hi, il, iu, tol, order):
         out = real_stebz(d, e, rng, lo, hi, il, iu, tol, order)
-        calls["dstebz"].append((d.size, hi, tol, out[0]))
+        calls["dstebz"].append((d.size, lo, hi, tol, out[0]))
         return out
 
     def stein(d, e, w, iblock, isplit):
@@ -676,27 +684,52 @@ def _spy_bisection(monkeypatch):
 def test_kernel_diagnostics_bisects_at_most_four_pairs_per_mode(monkeypatch):
     calls = _spy_bisection(monkeypatch)
     kernel_diagnostics(P71, grid71(8000))
-    pairs = [m for _, _, tol, m in calls["dstebz"] if tol < np.inf]
+    pairs = [m for *_, tol, m in calls["dstebz"] if tol < np.inf]
     # one sub-window per mode; the full window holds 10 and 8 pairs
     assert len(pairs) == 2
     assert max(pairs) <= 4
+    # ell = 0 starts in the zero band and bisects the kernel pair alone
+    assert pairs[0] == 1
     # two Sturm counts per mode, and eigenvectors for ell = 0 alone
-    assert [tol for _, _, tol, _ in calls["dstebz"]].count(np.inf) == 4
+    assert [tol for *_, tol, _ in calls["dstebz"]].count(np.inf) == 4
     assert calls["dstein"] == pairs[:1]
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5)])
+@pytest.mark.parametrize("N", [2000, 4000, 8000])
+def test_kernel_diagnostics_bisects_each_pair_once(monkeypatch, n, s, N):
+    # the grid-ladder grids: the windows a mode bisects hold as many pairs
+    # together as its final window does, so no pair is bisected twice
+    p = HSParams(n, s)
+    grid = default_grid(p, N=N, R_max=200.0)
+    modes = [assemble_mode(p, ell, grid) for ell in (0, 2)]
+    calls = _spy_bisection(monkeypatch)
+    kernel_diagnostics(p, grid)
+    windows = [(size, lo, hi, m) for size, lo, hi, tol, m in calls["dstebz"]
+               if tol < np.inf]
+    for mats in modes:
+        mine = [(lo, hi, m) for size, lo, hi, m in windows
+                if size == mats.d.size]
+        half = max(hi for _, hi, _ in mine)
+        assert min(lo for lo, _, _ in mine) == -half
+        assert sum(m for *_, m in mine) == _bisect(mats, -half, half,
+                                                    np.inf), mats.ell
 
 
 def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
     # (9, 0.5) at N = 2000 (the kernel-9-05 golden) has no eigenvalue near
     # zero.  The smallest sub-window holds one box pair whose Z0 alignment is
     # 2.6e-4, no sub-window certifies, and only the full window holds the
-    # best-aligned pair, so ell = 0 widens from k = 4 to k = 0.
+    # best-aligned pair, so ell = 0 widens from k = 4 to k = 0, each step
+    # bisecting only the two annuli it adds.
     p = HSParams(9, 0.5)
     grid = default_grid(p, N=2000)
     want = _full_window_diagnostics(p, grid)
     mats = assemble_mode(p, 0, grid)
     win = linearized.WINDOW_REL * (np.pi / grid.R_max) ** 2
-    vals, vecs = _bisect(mats, -win / 16, win / 16, linearized.EIG_TOL)
-    v = vecs[:, 0]
+    vals, blocks, isplit = _bisect(mats, -win / 16, win / 16,
+                                   linearized.EIG_TOL)
+    v = _eigvecs(mats, vals, blocks, isplit)[:, 0]
     align = abs(v @ (mats.mass * mats.z0)) / np.sqrt(
         np.sum(mats.mass * mats.z0**2) * np.sum(mats.mass * v**2))
     assert vals.size == 1
@@ -704,10 +737,14 @@ def test_kernel_diagnostics_widens_until_z0_alignment_certifies(monkeypatch):
 
     calls = _spy_bisection(monkeypatch)
     got = kernel_diagnostics(p, grid)
-    halves = [hi for size, hi, tol, _ in calls["dstebz"]
-              if size == mats.d.size and tol < np.inf]
-    assert halves == [win / 2**k for k in (4, 3, 2, 1, 0)]
-    assert len(calls["dstein"]) == 5
+    windows = [(lo, hi) for size, lo, hi, tol, _ in calls["dstebz"]
+               if size == mats.d.size and tol < np.inf]
+    assert windows == [(-win / 16, win / 16)] + [
+        annulus for k in (3, 2, 1, 0)
+        for annulus in ((-win / 2**k, -win / 2**(k + 1)),
+                        (win / 2**(k + 1), win / 2**k))]
+    # dstein once per step, on every pair held so far
+    assert calls["dstein"] == [1, 2, 4, 6, 9]
     for key in ("mode0_min_eig", "mode0_kernel_eig",
                 "mode0_eigvec_alignment_with_Z0"):
         assert got[key] == want[key], key
@@ -750,11 +787,12 @@ def test_sturm_count_equals_pairs_of_the_same_window(n, s, N):
     for ell in (0, 2):
         mats = assemble_mode(p, ell, grid)
         for lo, hi in ranges:
-            vals, vecs = _bisect(mats, lo, hi, linearized.EIG_TOL)
+            vals, blocks, isplit = _bisect(mats, lo, hi, linearized.EIG_TOL)
             assert _bisect(mats, lo, hi, np.inf) == vals.size, (ell, lo)
             assert np.all((vals > lo) & (vals <= hi))
-            if ell == 0:
-                assert vecs.shape == (mats.d.size, vals.size)
+            if ell == 0 and vals.size:
+                assert _eigvecs(mats, vals, blocks, isplit).shape == (
+                    mats.d.size, vals.size)
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
