@@ -213,9 +213,10 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     """Closed-form c0, c2, c4 of the small-delta expansion of J.
 
     All three come from the bubble-moment registry; c4 is the exact
-    delta^4 coefficient of the truncated-model energy (the form that the
-    collapse identity reorganizes into the obstruction functional at the
-    critical potential).
+    delta^4 coefficient of the truncated-model energy.  At the critical
+    potential the identity in the geometry module turns it into the local
+    term of the obstruction functional times r2mass / r4grad; the nonlocal
+    term is not part of it.
     """
     p.require("the energy expansion", n_min=7)
     n, two_star = p.n, p.crit_exp

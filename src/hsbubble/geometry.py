@@ -27,8 +27,15 @@ c_ns the critical-potential constant and Q = n(n+2)(n-2)(10-s)/(2n-2-s),
 
     (1/3) Scal (c_ns Scal) - F Q = -Lambda_ns Delta Scal - K,
 
-which is how the r^4 coefficients of the energy expansion collapse into
-L(h0, x0) at the critical potential value.
+which is how, at the critical potential value h0 = c_ns Scal, the r^4
+coefficient c4 of the energy expansion becomes L's local combination in the
+second-moment normalization,
+
+    c4 = -(1/(4n)) (Delta h0 - Lambda_ns Delta Scal - K)
+           * integral |X|^2 U1^2 dX,
+
+that is L's local term times r2mass / r4grad.  The nonlocal term
+-(1/2) integral W C(W) dX is not part of c4.
 """
 
 from __future__ import annotations

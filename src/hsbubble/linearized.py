@@ -354,10 +354,12 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
             f"cell masses or fluxes overflow a float on this grid "
             f"(R_max = {R!r}, N = {grid.N}, n = {n}); reduce R_max")
     if np.any(mass == 0.0):
+        # the outermost mass is the largest; it is 0 where R_max**n underflows
+        remedy = "increase R_max (R_max**n underflows)" if mass[-1] == 0.0 \
+            else "reduce the grading or N"
         raise NumericalError(
             f"cell masses underflow to 0 on this grid (gamma = {grid.gamma}, "
-            f"N = {grid.N}, first edge radius {edges[1]:.3e}); "
-            "reduce the grading or N")
+            f"N = {grid.N}, first edge radius {edges[1]:.3e}); {remedy}")
 
     sd = np.zeros(r.size)
     sd[:-1] += flux
@@ -745,9 +747,11 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     sub-window that covers the zero band (h_K0 >= zero_tol); any other
     mode starts at k = 4.  Each widening bisects only the two annuli it
     adds, (-h_(k-1), -h_k] and (h_k, h_(k-1)], and merges their pairs with
-    those it holds in dstebz's block order, so every pair is bisected once;
-    for ell = 0, dstein then runs on the merged set, so the alignments are
-    those of jointly M-orthonormal vectors.  The certificates:
+    those it holds in dstebz's block order, so every pair is bisected once.
+    As h_k >= zero_tol, a mode whose negative count is 0 has nothing in the
+    negative annulus and skips it.  For ell = 0, dstein then runs on the
+    merged set, so the alignments are those of jointly M-orthonormal
+    vectors.  The certificates:
 
       ell = 0  the sub-window is non-empty, so it holds the full window's
                smallest-|lam| pair, and its best Z0 alignment a has
@@ -800,9 +804,10 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
                 break
             k -= 1
             inner, half = half, win / 2**k
-            found = [(vals, blocks),
-                     _bisect(mats, -half, -inner, EIG_TOL)[:2],
-                     _bisect(mats, inner, half, EIG_TOL)[:2]]
+            found = [(vals, blocks)]
+            if negative:  # else (-half, -inner] is empty: -inner <= -ztol
+                found.append(_bisect(mats, -half, -inner, EIG_TOL)[:2])
+            found.append(_bisect(mats, inner, half, EIG_TOL)[:2])
             vals, blocks = (np.concatenate(x) for x in zip(*found))
             order = np.lexsort((vals, blocks))  # stable: keeps clusters
             vals, blocks = vals[order], blocks[order]

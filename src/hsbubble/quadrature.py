@@ -34,7 +34,10 @@ weight power and domain kind) go to that function in one call.  The first
 round calls it on the nodes of every initial panel.  f must therefore be
 elementwise over a 1-D numpy array: each output may depend only on the r
 (and the arg, see RadialIntegrand) at the same position.  The K15 rule is
-open (no endpoint nodes), so f is never called at r = 0.
+open (no endpoint nodes), so f is never called at r = 0.  A failing member
+ends the batch: every divergence screen runs, in input order, before any f
+call, and after them the first DomainError or NumericalError met, round by
+round in the order the groups are summed, is raised.
 """
 
 from dataclasses import dataclass
@@ -267,26 +270,22 @@ def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
     """integrate_radial on each integrand, run in lockstep.
 
     Each member's result is exactly what integrate_radial gives it alone.
-    When members fail, the batch raises the error of the first failing one
-    in input order, as a loop over integrate_radial would; members after it
-    stop.  An exception raised by f itself leaves the batch at once.
+    The divergence screens run in input order before any f call, and the
+    first that fails is raised.  After them the batch ends at the first
+    failure it meets, round by round, in the order the groups are summed;
+    so when several members would fail, which error is raised can differ
+    from a loop over integrate_radial.  An exception raised by f itself
+    also leaves the batch at once.
     """
     if not 0.0 <= tol < np.inf:
         raise DomainError(f"quadrature tolerance must be finite and >= 0, "
                           f"got tol={tol}")
-    runs, failure = [], None
-    for integrand in integrands:  # every divergence screen before any f call
-        try:
-            runs.append(_Run(integrand, tol))
-        except (DomainError, NumericalError) as exc:
-            failure = exc
-            break
-    live = list(runs)
+    runs = [_Run(integrand, tol) for integrand in integrands]
+    live = runs
     while live:
         groups = {}
         for run in live:
             groups.setdefault(run.key, []).append(run)
-        sums = {}
         for members in groups.values():
             lo = [e for run in members for e in run.todo[0]]
             hi = [e for run in members for e in run.todo[1]]
@@ -297,20 +296,10 @@ def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
             start = 0
             for run in members:
                 stop = start + len(run.todo[0])
-                sums[run] = (k15[start:stop], err[start:stop],
-                             kabs[start:stop])
-                start = stop
-        for i, run in enumerate(live):
-            try:
-                run.push(sums[run])
+                run.push((k15[start:stop], err[start:stop], kabs[start:stop]))
                 run.bisect()
-            except (DomainError, NumericalError) as exc:
-                failure = exc  # earlier in input order than any before it
-                del live[i:]
-                break
+                start = stop
         live = [run for run in live if run.todo is not None]
-    if failure is not None:
-        raise failure
     return [{"value": run.total, "error_estimate": run.err_total,
              "evaluations": run.evals} for run in runs]
 

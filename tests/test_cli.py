@@ -568,6 +568,11 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["kernel", "--n", "7", "--s", "1", "--grid", "100,5e-324"],
      "grid nodes are not strictly increasing: 99 of the 100 node gaps "
      "underflow to 0 (R_max = 5e-324, N = 100, gamma = 2.0); increase R_max"),
+    # distinct nodes whose R_max**n underflows, so every cell mass is 0 (was
+    # "reduce the grading or N", the wrong remedy)
+    (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-100"],
+     "cell masses underflow to 0 on this grid (gamma = 2.0, N = 100, first "
+     "edge radius 5.000e-105); increase R_max (R_max**n underflows)"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)

@@ -698,10 +698,13 @@ def test_kernel_diagnostics_bisects_at_most_four_pairs_per_mode(monkeypatch):
 @pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5)])
 @pytest.mark.parametrize("N", [2000, 4000, 8000])
 def test_kernel_diagnostics_bisects_each_pair_once(monkeypatch, n, s, N):
-    # the grid-ladder grids: the windows a mode bisects hold as many pairs
-    # together as its final window does, so no pair is bisected twice
+    # the grid-ladder grids: the windows a mode bisects tile (-h_start,
+    # half], widened to (-half, half] unless the Sturm count puts nothing at
+    # or below -zero_tol, and hold as many pairs together as the final
+    # window (-half, half] does, so no pair is bisected twice
     p = HSParams(n, s)
     grid = default_grid(p, N=N, R_max=200.0)
+    ztol = linearized.ZERO_TOL_REL * (np.pi / grid.R_max) ** 2
     modes = [assemble_mode(p, ell, grid) for ell in (0, 2)]
     calls = _spy_bisection(monkeypatch)
     kernel_diagnostics(p, grid)
@@ -710,8 +713,15 @@ def test_kernel_diagnostics_bisects_each_pair_once(monkeypatch, n, s, N):
     for mats in modes:
         mine = [(lo, hi, m) for size, lo, hi, m in windows
                 if size == mats.d.size]
+        h_start = mine[0][1]
         half = max(hi for _, hi, _ in mine)
-        assert min(lo for lo, _, _ in mine) == -half
+        negative = _bisect(mats, -np.inf, -ztol, np.inf)
+        tiles = sorted((lo, hi) for lo, hi, _ in mine)
+        assert tiles[0][0] == (-half if negative else -h_start), mats.ell
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+        assert tiles[-1][1] == half
+        if not negative:
+            assert all(hi > -ztol for _, hi, _ in mine), mats.ell
         assert sum(m for *_, m in mine) == _bisect(mats, -half, half,
                                                     np.inf), mats.ell
 

@@ -66,9 +66,14 @@ def _boundary_value(p, scal, flat, delta, eps):
     return sol.y[0, -1]
 
 
-@pytest.mark.parametrize("curvature", ["flat", "sphere:1"])
-def test_shot_family_scale_matches_the_quartic(curvature):
-    p = HSParams(10, 1.0)
+@pytest.mark.parametrize("curvature,n,s", [
+    pytest.param("flat", 10, 1.0, id="flat"),
+    pytest.param("sphere:1", 10, 1.0, id="sphere:1"),
+    pytest.param("flat", 10, 0.5, id="flat-10-0.5"),
+    pytest.param("sphere:1", 10, 0.5, id="sphere:1-10-0.5"),
+])
+def test_shot_family_scale_matches_the_quartic(curvature, n, s):
+    p = HSParams(n, s)
     c = curvature_preset(curvature, p.n)
     jet = PotentialJet(p.c_ns * c.scal, -2.0 * p.n)
     c2 = 0.5 * -1.0 * bubble_moment(p, "mass2")

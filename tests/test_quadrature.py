@@ -369,26 +369,36 @@ def test_batch_members_sharing_f_are_summed_in_one_call():
         assert res == _reference_integrate(ig, tol=1e-12)
 
 
-def test_batch_raises_the_first_failing_member_in_input_order(monkeypatch):
-    # member 1 runs out of budget after many rounds; member 2 overflows in
-    # the first round and member 3 fails its divergence screen.  A loop over
-    # integrate_radial raises member 1's error, and so does the batch
+def test_batch_ends_at_the_first_failure_it_meets(monkeypatch):
+    # slow runs out of budget after many rounds, huge overflows in the first
+    # round and divergent fails its screen.  Every screen runs before any f
+    # call; after them the batch ends at the first failure of a round, so
+    # huge's overflow is raised, not slow's later budget error
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 1200)
-    good = RadialIntegrand(f=lambda r: np.ones_like(r), a=2.0, R=1.0)
-    slow = RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r, R=1.0)
-    huge = RadialIntegrand(f=lambda r: np.full_like(r, 1e308), R=1.0)
-    divergent = RadialIntegrand(f=lambda r: r, a=-2.0, R=1.0)
-    with pytest.raises(NumericalError) as want:
-        integrate_radial(slow, tol=1e-13)
-    assert "budget" in str(want.value)
-    with pytest.raises(NumericalError) as got:
+    calls = []
+
+    def spy(f):
+        def g(r):
+            calls.append(r.size)
+            return f(r)
+        return g
+
+    good = RadialIntegrand(f=spy(lambda r: np.ones_like(r)), a=2.0, R=1.0)
+    slow = RadialIntegrand(f=spy(lambda r: np.sin(50.0 * r) ** 2 + r), R=1.0)
+    huge = RadialIntegrand(f=spy(lambda r: np.full_like(r, 1e308)), R=1.0)
+    divergent = RadialIntegrand(f=spy(lambda r: r), a=-2.0, R=1.0)
+    with pytest.raises(DomainError, match="not integrable at 0"):
         quadrature.integrate_radial_batch([good, slow, huge, divergent],
                                           tol=1e-13)
-    assert str(got.value) == str(want.value)
+    assert calls == []
+    with pytest.raises(NumericalError, match="budget"):
+        integrate_radial(slow, tol=1e-13)
     with pytest.raises(NumericalError) as want:
         integrate_radial(huge, tol=1e-13)
+    assert "a quadrature panel sum on" in str(want.value)
+    assert "leaves the float range" in str(want.value)
     with pytest.raises(NumericalError) as got:
-        quadrature.integrate_radial_batch([good, huge, slow], tol=1e-13)
+        quadrature.integrate_radial_batch([good, slow, huge], tol=1e-13)
     assert str(got.value) == str(want.value)
 
 
