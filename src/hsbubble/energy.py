@@ -49,7 +49,7 @@ import numpy as np
 from .bubble import du1, power_law_breaks, u1
 from .errors import DomainError, NumericalError
 from .geometry import CurvatureData, PotentialJet, density_coeffs
-from .moments import bubble_moment, ipq
+from .moments import bubble_moment
 from .params import HSParams, derive_constants, sphere_area
 from .quadrature import (RadialIntegrand, integrate_radial,
                          integrate_radial_batch)
@@ -65,7 +65,6 @@ __all__ = [
     "fit_expansion",
     "remainder_alpha",
     "remainder_norm_scaled",
-    "flat_alpha_inv_closed_form",
 ]
 
 
@@ -339,34 +338,22 @@ def _tfree_axial_mu(c: CurvatureData) -> float:
     return math.sqrt(c.tfree_ric_norm2 * c.n / (c.n - 1.0))
 
 
-# Gauss-Jacobi points of the angular rule in the trace-free remainder norm
-JACOBI_POINTS = 2000
-
-# radial points per angular block: bounds the (block x nodes) temporary while
-# the quadrature engine hands over all initial panels' nodes in one call; 15
-# is one K15 panel, so every block holds exactly one panel's nodes
-_RADIAL_BLOCK = 15
+# Gauss-Legendre points on each side of the kink in the trace-free
+# remainder's angular integral
+ANGULAR_POINTS = 48
 
 
-@functools.lru_cache(maxsize=None)
-def _angular_rule(n: int):
-    """Angular weights (u^2 - 1/n)/3 and JACOBI_POINTS-point Gauss-Jacobi
-    weights for (1-u^2)^{(n-3)/2} on [-1, 1], folded onto the nodes u > 0.
-
-    The rule is symmetric and its point count even, so each positive node
-    carries the summed weight of its pair (u, -u).  Cached: the arrays are
-    read-only because every caller shares them.
-    """
-    from scipy.special import roots_jacobi
-
-    a_jac = (n - 3.0) / 2.0
-    u, w = roots_jacobi(JACOBI_POINTS, a_jac, a_jac)
-    half = JACOBI_POINTS // 2
-    ang_w = (u[half:] ** 2 - 1.0 / n) / 3.0
-    wt = w[half:] + w[:half][::-1]
-    ang_w.flags.writeable = False
-    wt.flags.writeable = False
-    return ang_w, wt
+@functools.cache
+def _graded_rule():
+    """ANGULAR_POINTS-point Gauss-Legendre on [0, 1], graded toward 0: nodes
+    v**3 and weights 3 v**2 w.  Cached: the arrays are read-only because
+    every caller shares them."""
+    v, w = np.polynomial.legendre.leggauss(ANGULAR_POINTS)
+    v = 0.5 * (v + 1.0)
+    x, wx = v**3, 1.5 * v**2 * w
+    x.flags.writeable = False
+    wx.flags.writeable = False
+    return x, wx
 
 
 def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
@@ -377,17 +364,18 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
 
     The angular contraction splits into its spherical mean Scal/n (radial)
     and the trace-free part, reduced via the axial representative to a weight
-    (u^2 - 1/n) with u the cosine against the axis; the angular integral of
-    |...|^q then becomes a Gauss-Jacobi sum with weight (1-u^2)^{(n-3)/2},
-    and the radial integral is adaptive, in x = log r over the whole
-    half-line.  The density decays like r**(-(n-2)), so the engine gets the
-    declared tail exponent b = q (n-2) and the profile's breaks delta
-    beta**(-+1/(2-s)), beta = (n-2)/(2-s), and decides the span from them
-    rather than from samples of the integrand.  Integration runs in the
+    (u^2 - 1/n) with u = cos t the cosine against the axis.  At each radial
+    node the angular integral of |A + B (u^2 - 1/n)/3|^q then runs over
+    t in [0, pi/2] with the smooth weight sin^(n-2) t, and its one kink
+    sits at cos^2 t* = 1/n - 3A/B (clipped to [0, 1]).  Each side of t* is
+    an ANGULAR_POINTS-point Gauss-Legendre sum graded toward t*
+    (_graded_rule).  The radial integral is adaptive, in x = log r over the
+    whole half-line.  The density decays like r**(-(n-2)), so the engine
+    gets the declared tail exponent b = q (n-2) and the profile's breaks
+    delta beta**(-+1/(2-s)), beta = (n-2)/(2-s), and decides the span from
+    them rather than from samples of the integrand.  Integration runs in the
     original radial variable (no delta substitution), so the delta^2
-    scaling law is an outcome, not an input.  The angular rule is built
-    once per n (_angular_rule) and folded onto its positive nodes, which
-    halves the angular work.
+    scaling law is an outcome, not an input.
     """
     p.require("the remainder norm", n_min=7)
     if not (math.isfinite(h0_val) and math.isfinite(delta) and delta > 0.0):
@@ -422,22 +410,27 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
             raise NumericalError(overflow)
         return x
 
-    if mu != 0.0:
-        ang_w, ang_wt = _angular_rule(n)
-
     def radial_f(r):
         rho = r / delta
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             A = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
             if mu == 0.0:
                 return checked(np.abs(A) ** q, r)
             B = pref * mu * rho * du1(p, rho)
-            out = np.empty_like(A)
-            for k in range(0, A.size, _RADIAL_BLOCK):
-                blk = slice(k, k + _RADIAL_BLOCK)
-                vals = np.abs(A[blk, None] + B[blk, None] * ang_w[None, :]) ** q
-                out[blk] = vals @ ang_wt
-            return checked(omega_inner * out, r)
+            # the kink A + B (cos^2 t - 1/n)/3 = 0; where B underflows to 0
+            # there is none, and any split is exact
+            ts = np.arccos(np.sqrt(np.clip(
+                1.0 / n - np.nan_to_num(3.0 * A / B), 0.0, 1.0)))
+            x, wx = _graded_rule()
+            out = 0.0
+            for L in (-ts, 0.5 * np.pi - ts):
+                t = ts[:, None] + L[:, None] * x
+                vals = (np.abs(A[:, None] + B[:, None]
+                               * (np.cos(t) ** 2 - 1.0 / n) / 3.0) ** q
+                        * np.sin(t) ** (n - 2.0))
+                # one dot per node, so f stays elementwise bit for bit
+                out = out + np.abs(L) * np.vecdot(vals, wx)
+            return checked(2.0 * omega_inner * out, r)
 
     derive_constants(p)  # a kappa overflow is named before the scale's
     total = integrate_radial(RadialIntegrand(
@@ -461,15 +454,3 @@ def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float) -> dict:
         return {"alpha_inv": 0.0, "alpha": None, "degenerate": True}
     return {"alpha_inv": nrm, "alpha": 1.0 / nrm, "degenerate": False}
 
-
-def flat_alpha_inv_closed_form(p: HSParams, h0_val: float) -> float:
-    """|h0| * ||U1||_{2n/(n+2)} in closed form (flat curvature case).
-
-    ||U1||_q^q = omega_{n-1} kappa^q * (1/(2-s)) B(n/(2-s), beta q - n/(2-s))
-    with beta = (n-2)/(2-s), evaluated through the moment kernel.
-    """
-    n, s = p.n, p.s
-    q = 2.0 * n / (n + 2.0)
-    m = n / (2.0 - s)
-    val = sphere_area(n) * p.kappa**q * ipq(p.beta * q, m - 1.0) / (2.0 - s)
-    return abs(h0_val) * float(val ** (1.0 / q))

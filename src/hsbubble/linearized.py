@@ -262,8 +262,9 @@ class ModeMatrices:
     @functools.cached_property
     def spectral(self) -> tuple:
         inv_sqrt_m = 1.0 / np.sqrt(self.mass)
-        dt = self.d * inv_sqrt_m**2
-        et = self.e * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = self.d * inv_sqrt_m**2
+            et = self.e * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
         if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(et))):
             raise NumericalError("scaled operator overflows for this grid")
         return _frozen(dt, et, inv_sqrt_m)

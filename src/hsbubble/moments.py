@@ -22,7 +22,7 @@ the prefactor carries the sphere area omega_{n-1}, the kappa powers, and the
 
 The log-gamma is ``_lgamma``, a port for x > 0 of Cephes ``lgam`` (S. L.
 Moshier, *Methods and Programs for Mathematical Functions*, 1989), the code
-behind ``scipy.special.gammaln``: same coefficients, same branches, same
+behind SciPy's ``gammaln``: same coefficients, same branches, same
 operation order, so it returns gammaln's double bit for bit and no moment
 moves a digit, while the closed forms load no scipy module.
 

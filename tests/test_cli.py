@@ -17,9 +17,10 @@ import pytest
 
 import hsbubble
 from hsbubble.cli import build_parser, main
-from hsbubble.energy import flat_alpha_inv_closed_form
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
+
+from closed_forms import flat_alpha_inv_closed_form
 
 P71 = HSParams(7, 1.0)
 CRIT_H0 = derive_constants(P71).c_ns * 42.0  # threshold for the unit sphere
@@ -573,6 +574,10 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-100"],
      "cell masses underflow to 0 on this grid (gamma = 2.0, N = 100, first "
      "edge radius 5.000e-105); increase R_max (R_max**n underflows)"),
+    # cell masses in range whose scaled operator is not (was an overflow
+    # RuntimeWarning before the typed exit)
+    (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-40"],
+     "scaled operator overflows for this grid"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -846,8 +851,10 @@ def test_decision_runs_load_no_numpy(tmp_path, argv, rc):
                                     "hsbubble.reduction", "hsbubble.geometry"}
 
 
-def test_scipy_free_subcommands_load_no_scipy():
+def test_scipy_free_subcommands_load_no_scipy(tmp_path):
     # nor numpy.ma, which only scipy's imports need
+    (tmp_path / "curv.json").write_text(json.dumps(INPUT_FILES["curv.json"]),
+                                        encoding="utf-8")
     runs = [
         ["constants", "--n", "7", "--s", "1"],
         ["integrals", "--n", "7", "--s", "1"],
@@ -855,6 +862,8 @@ def test_scipy_free_subcommands_load_no_scipy():
         ["reduce", "--quad", "2", "--quartic", "1"],
         ["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
          "--h0", "2"],
+        ["remainder", "--n", "7", "--s", "1", "--curvature", "curv.json",
+         "--h0", "7.5"],
         ["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
          "--h0", "7.954545454545454", "--base-lg", "5"],
         ["energy", "--n", "7", "--s", "1", "--curvature", "sphere:1",
@@ -870,7 +879,8 @@ def test_scipy_free_subcommands_load_no_scipy():
             "print(sorted(m for m in sys.modules if m.startswith('scipy')\n"
             "             or m.split('.')[:2] == ['numpy', 'ma']))")
     out = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                         check=True, capture_output=True, text=True).stdout
+                         cwd=tmp_path, check=True, capture_output=True,
+                         text=True).stdout
     assert out.strip() == "[]"
 
 

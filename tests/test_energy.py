@@ -2,29 +2,28 @@
 
 Layered so every closed-form claim is cross-examined by an independent
 route: predicted coefficients come from the moment registry, J from adaptive
-quadrature with no expansion, the remainder norm from Kronrod x Gauss-Jacobi
-against a scipy dblquad oracle and a Monte-Carlo angular check.
+quadrature with no expansion, the remainder norm from Kronrod x graded
+Gauss-Legendre against mpmath and scipy dblquad oracles and a Monte-Carlo
+angular check.
 """
 
-import json
 import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from scipy import integrate
 from scipy.special import roots_jacobi
 
-from hsbubble import cli, energy
+from hsbubble import energy
 from hsbubble.bubble import du1, u1
 from hsbubble.energy import (
     FitReport,
     RadialModel,
     _tfree_axial_mu,
     fit_expansion,
-    flat_alpha_inv_closed_form,
     j_at_bubble,
     predicted_coeffs,
     remainder_alpha,
@@ -34,6 +33,8 @@ from hsbubble.errors import DomainError, NumericalError
 from hsbubble.geometry import CurvatureData, PotentialJet, curvature_preset
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants, sphere_area
+
+from closed_forms import flat_alpha_inv_closed_form
 
 P71 = HSParams(7, 1.0)
 SPHERE7 = curvature_preset("sphere:1", 7)
@@ -397,46 +398,50 @@ def test_remainder_delta_squared_scaling():
         assert scaled / d**2 == pytest.approx(base, rel=1e-10)
 
 
-def test_angular_rule_built_once_per_remainder_run(monkeypatch, tmp_path,
-                                                   capsys):
-    # remainder_alpha plus the three scaling-check deltas share one rule
-    calls = []
-    real = scipy.special.roots_jacobi
+@pytest.mark.parametrize("n,s", [(7, 1.0), (10, 0.5), (16, 1.5)])
+def test_pure_tracefree_remainder_against_mpmath_oracle(n, s):
+    # with Scal = 0 and h0 = 0 the density (mu/3)(u^2 - 1/n) r U1' factors:
+    # its norm**q is omega_{n-2} C R, C the angular and R the radial integral
+    p = HSParams(n, s)
+    c = CurvatureData(n=n, scal=0.0, ric_norm2=2.0, rm_norm2=2.0,
+                      lap_scal=0.0)
+    with mpmath.workdps(30):
+        mu = mpmath.mpf(_tfree_axial_mu(c))
+        q = mpmath.mpf(2 * n) / (n + 2)
+        kappa, two_s = mpmath.mpf(p.kappa), 2 - mpmath.mpf(s)
+        u0 = 1 / mpmath.sqrt(n)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+        def angular(u):
+            return (abs(u * u - mpmath.mpf(1) / n) ** q
+                    * (1 - u * u) ** (mpmath.mpf(n - 3) / 2))
 
-    monkeypatch.setattr(scipy.special, "roots_jacobi", counting)
-    energy._angular_rule.cache_clear()
-    curv = tmp_path / "curvature.json"
-    curv.write_text(json.dumps({"scal": 3.0, "ric_norm2": 9.0 / 7.0 + 4.0,
-                                "rm_norm2": 2.0, "lap_scal": 0.0}))
+        def radial(r):
+            t = r ** two_s
+            rdu = kappa * (n - 2) * t * (1 + t) ** (-(n - 2) / two_s - 1)
+            return (mu * rdu / 3) ** q * r ** (n - 1)
+
+        C = mpmath.quad(angular, [-1, -u0, 0, u0, 1])
+        R = mpmath.quad(radial, [0, 1, mpmath.inf])
+        oracle = float((sphere_area(n - 1) * C * R) ** (1 / q))
+    assert remainder_norm_scaled(c, p, 0.0) == pytest.approx(oracle,
+                                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("n,s", [(60, 1.0), (100, 0.1)])
+def test_angular_points_suffice(monkeypatch, n, s):
+    # doubling the graded rule moves no norm, up to the largest n that
+    # answers
+    p = HSParams(n, s)
+    c = curvature_preset(
+        {"scal": 42.0, "ric_norm2": 300.0, "rm_norm2": 100.0,
+         "lap_scal": 1.5}, n)
+    energy._graded_rule.cache_clear()
+    base = remainder_norm_scaled(c, p, 7.5)
     try:
-        rc = cli.main(["remainder", "--n", "7", "--s", "1",
-                       "--curvature", str(curv), "--h0", "2", "--json"])
+        with monkeypatch.context() as m:
+            m.setattr(energy, "ANGULAR_POINTS", 2 * energy.ANGULAR_POINTS)
+            energy._graded_rule.cache_clear()
+            fine = remainder_norm_scaled(c, p, 7.5)
     finally:
-        energy._angular_rule.cache_clear()
-    assert rc == 0, capsys.readouterr().err
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["outputs"]["scaling_check"]["norm_over_delta_sq"]) == 3
-    assert calls == [(2000, 2.0, 2.0)]
-
-
-@pytest.mark.parametrize("n,points", [(7, energy.JACOBI_POINTS),
-                                      (8, energy.JACOBI_POINTS)])
-def test_folded_angular_rule_matches_full_rule(n, points):
-    # the folded rule on u > 0 against the full symmetric Gauss-Jacobi sum
-    q = 2.0 * n / (n + 2.0)
-    p = HSParams(n, 1.0)
-    ang_w, weights = energy._angular_rule(n)
-    assert ang_w.size == weights.size == points // 2
-    nodes, full_w = roots_jacobi(points, (n - 3) / 2, (n - 3) / 2)
-    full_ang = (nodes**2 - 1.0 / n) / 3.0
-    for r in (0.05, 1.7, 40.0):
-        for mu in (0.5, 4.0, 60.0):
-            A = 2.0 * u1(p, r) + 0.1 * r * du1(p, r)
-            B = mu * r * du1(p, r)
-            full = float(np.abs(A + B * full_ang) ** q @ full_w)
-            folded = float(np.abs(A + B * ang_w) ** q @ weights)
-            assert folded == pytest.approx(full, rel=1e-13, abs=0.0)
+        energy._graded_rule.cache_clear()
+    assert fine == pytest.approx(base, rel=1e-13, abs=0.0)

@@ -11,6 +11,8 @@ from hsbubble.geometry import PotentialJet, curvature_preset
 from hsbubble.params import HSParams, derive_constants, sphere_area
 from hsbubble.quadrature import RadialIntegrand, integrate_radial
 
+from closed_forms import flat_alpha_inv_closed_form
+
 
 def test_inverse_sqrt_on_unit_interval():
     # int_0^1 r^{-1/2} dr = 2, endpoint singularity handled by grading
@@ -458,5 +460,5 @@ def test_slow_tail_remainder_answers_within_a_small_budget(monkeypatch):
     got = energy.remainder_norm_scaled(c, p, 1.0)
     assert got == pytest.approx(_remainder_oracle(c, p, 1.0), rel=1e-9)
     flat = energy.remainder_norm_scaled(curvature_preset("flat", 7), p, 2.0)
-    assert flat == pytest.approx(energy.flat_alpha_inv_closed_form(p, 2.0),
+    assert flat == pytest.approx(flat_alpha_inv_closed_form(p, 2.0),
                                  rel=1e-12)
