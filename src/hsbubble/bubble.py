@@ -129,7 +129,8 @@ def eval_profiles(p: HSParams, delta: float, r) -> dict:
     rho = np.asarray(r, dtype=float) / delta
     u, du, z = u1(p, rho), du1(p, rho), z0(p, rho)
     try:
-        with np.errstate(over="raise"):
+        # invalid: 0 * (-inf) for U' at r = 0 when s > 1 and delta is huge
+        with np.errstate(over="raise", invalid="ignore"):
             return {
                 "U_delta": delta ** (-(n - 2.0) / 2.0) * u,
                 "dr_U_delta": delta ** (-n / 2.0) * du,
@@ -192,7 +193,11 @@ class RadialProfile:
         return cls(values=values)
 
     def on(self, grid: RadialGrid) -> np.ndarray:
-        """The callable sampled on the grid's nodes."""
+        """The callable sampled on the grid's nodes, or the samples."""
+        if self.fn is None:
+            if self.values.shape != (grid.N + 1,):
+                raise DomainError("sample array does not match the grid")
+            return self.values
         return np.asarray(self.fn(grid.nodes), dtype=float)
 
 
@@ -206,7 +211,6 @@ def pde_residual(p: HSParams, grid: RadialGrid,
     is positive); for Z it is normalized by the sup of the right side, which
     crosses zero at r = 1.
     """
-    p.require("pde_residual", s_positive=True)
     if method != "analytic":
         raise DomainError(f"unknown residual method {method!r}")
     r = grid.nodes

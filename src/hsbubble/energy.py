@@ -153,7 +153,7 @@ class FitReport:
 
 
 def _check_regime(model: RadialModel, p: HSParams, delta: float) -> None:
-    p.require("the energy expansion", n_min=7)
+    p.require("the energy expansion")
     if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
         raise DomainError(f"delta must be a finite number, got {delta}")
     if not (0.0 < delta <= model.r0 / 10.0):
@@ -217,7 +217,7 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     term of the obstruction functional times r2mass / r4grad; the nonlocal
     term is not part of it.
     """
-    p.require("the energy expansion", n_min=7)
+    p.require("the energy expansion")
     n, two_star = p.n, p.crit_exp
     F = model.coeffs["c4"]
     h0, lap_h = model.jet.h0_val, model.jet.lap_h
@@ -243,7 +243,9 @@ def fit_expansion(model: RadialModel, p: HSParams,
 
     J is sampled at every delta in one quadrature batch (the sweep behind
     j_at_bubble), so the 3 integrals per delta advance together and each
-    sample equals j_at_bubble at its delta exactly.
+    sample equals j_at_bubble at its delta exactly.  A design column that
+    underflows to 0 or overflows over the whole sweep is a NumericalError,
+    raised before the SVD and the quadrature sweep.
     """
     deltas = np.asarray(sorted(float(d) for d in deltas), dtype=float)
     if deltas.size < 8:
@@ -261,13 +263,22 @@ def fit_expansion(model: RadialModel, p: HSParams,
     # a degenerate sweep fails here, before the quadrature sweep
     pred = predicted_coeffs(model, p)
     n = p.n
-    nuisance = {f"delta^{n - 2}": deltas ** (n - 2),
-                f"delta^{n - 1}*log(1/delta)":
-                    deltas ** (n - 1) * np.log(1.0 / deltas),
-                f"delta^{n - 1}": deltas ** (n - 1), f"delta^{n}": deltas ** n}
-    X = np.column_stack([np.ones_like(deltas), deltas**2, deltas**4,
-                         *nuisance.values()])
+    with np.errstate(over="ignore"):
+        nuisance = {f"delta^{n - 2}": deltas ** (n - 2),
+                    f"delta^{n - 1}*log(1/delta)":
+                        deltas ** (n - 1) * np.log(1.0 / deltas),
+                    f"delta^{n - 1}": deltas ** (n - 1),
+                    f"delta^{n}": deltas ** n}
+        X = np.column_stack([np.ones_like(deltas), deltas**2, deltas**4,
+                             *nuisance.values()])
     scales = np.max(np.abs(X), axis=0)
+    for name, scale in zip(["1", "delta^2", "delta^4", *nuisance], scales):
+        if not 0.0 < scale < math.inf:
+            raise NumericalError(
+                f"the energy fit's design column {name} "
+                f"{'underflows to 0' if scale == 0.0 else 'overflows a float'}"
+                f" over the sweep [{float(deltas[0])!r}, "
+                f"{float(deltas[-1])!r}]")
     Xs = X / scales
     dof = deltas.size - Xs.shape[1]
 
@@ -377,7 +388,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     original radial variable (no delta substitution), so the delta^2
     scaling law is an outcome, not an input.
     """
-    p.require("the remainder norm", n_min=7)
+    p.require("the remainder norm")
     if not (math.isfinite(h0_val) and math.isfinite(delta) and delta > 0.0):
         raise DomainError("h0_val must be finite and delta positive")
     n = p.n

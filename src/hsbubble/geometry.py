@@ -304,7 +304,7 @@ def lg_total(c: CurvatureData, jet: PotentialJet, p: HSParams,
     nonlocal_term = -(1/2) integral W C(W) dX with the W amplitude
                     a = c_ns Scal(x0) (the source the reduction produces).
     """
-    p.require("the obstruction functional", n_min=7, s_positive=True)
+    p.require("the obstruction functional")
     from .linearized import nonlocal_term
     from .moments import bubble_moment
     r4grad = bubble_moment(p, "r4grad")

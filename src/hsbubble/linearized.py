@@ -333,7 +333,6 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
-    p.require("the linearized solver", s_positive=True)
     n = p.n
     r = grid.nodes
     R = grid.R_max
@@ -771,7 +770,15 @@ def kernel_diagnostics(p: HSParams, grid: RadialGrid) -> dict:
     The minimum and the arg-extrema need no sorting, so they are read from
     the block order.  "No eigenvalues inside the diagnostic window" is
     raised only when the full window is empty.
+
+    s = 0 is refused before anything is assembled: there the window misses
+    the kernel pair (Z0 alignment 4.2e-4 at n = 10, ROADMAP open item 3),
+    although both mode operators assemble and solve.
     """
+    if p.s == 0.0:
+        raise DomainError(
+            f"the kernel diagnostics need s in (0, 2), got s={p.s}: at s = 0 "
+            "the eigen-window misses the kernel pair")
     # assembled first: its checks name a grid whose cells leave the float
     # range, on which the unit below can overflow
     modes = [assemble_mode(p, ell, grid) for ell in (0, 2)]

@@ -259,9 +259,10 @@ def identity_report(p: HSParams, tol: float = DEFAULT_TOL) -> IdentityReport:
     fraction0 is r2grad/mass2 - (2/2*(s)) r2crit/mass2 = 6 n c_ns, and
     r4combined is r4grad/r2mass - (2/2*(s)) r4crit/r2mass.  The quadrature
     side uses only moment_quadrature; the closed-form side only rational
-    arithmetic on (n, s).  Requires n >= 7 so all six ratios are finite.
+    arithmetic on (n, s).  Requires n >= 7 so all six ratios are finite;
+    every s in [0, 2) is accepted, the Yamabe limit s = 0 included.
     """
-    p.require("the identity report", n_min=7, s_positive=True)
+    p.require("the identity report")
     q = {kind: moment_quadrature(p, kind, tol=tol)
          for kind in ("mass2", "r2mass", "r2grad", "r4grad", "r2crit", "r4crit")}
     two_over_crit = 2.0 / p.crit_exp

@@ -17,9 +17,9 @@ curvature-coupling rationals are
 
 At s = 0 both rationals collapse to the classical conformal value
 (n - 2)/(4(n - 1)); ``yamabe_consistency`` checks that in exact rational
-arithmetic.  s = 0 is accepted here and by the moment integrals (the constants
-stay finite); each operation that needs more states it through
-HSParams.require, the one place an (n, s) domain rule is checked.
+arithmetic.  Every operation takes s = 0 except the kernel diagnostics,
+which refuse it themselves; the operations that need the delta**4 moments
+refuse n < N_MIN through HSParams.require.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ from .errors import DomainError, NumericalError
 # relative tolerance of a quadrature call that names none; defined here, not
 # in quadrature, so the CLI's --tol default loads no numpy
 DEFAULT_TOL = 1e-10
+
+# the smallest n the delta**4 terms take: the moments int |X|**4 |grad U1|**2
+# and int |X|**2 U1**2 have radial integrands ~ r**(5 - n) at infinity, so
+# they converge only for n > 6; HSParams.require refuses smaller n for every
+# operation that uses them
+N_MIN = 7
 
 
 @dataclass(frozen=True)
@@ -47,13 +53,11 @@ class HSParams:
         if not (0.0 <= self.s < 2.0):
             raise DomainError(f"singularity exponent must lie in [0, 2), got s={self.s}")
 
-    def require(self, what: str, n_min: int = 3,
-                s_positive: bool = False) -> None:
-        """Refuse (n, s) outside the domain of the operation `what`."""
-        if self.n < n_min:
-            raise DomainError(f"{what} needs n >= {n_min}, got n={self.n}")
-        if s_positive and self.s <= 0.0:
-            raise DomainError(f"{what} needs s in (0, 2), got s={self.s}")
+    def require(self, what: str) -> None:
+        """Refuse n < N_MIN for the operation `what`, which needs the
+        delta**4 moments; every s in [0, 2) is accepted."""
+        if self.n < N_MIN:
+            raise DomainError(f"{what} needs n >= {N_MIN}, got n={self.n}")
 
     @property
     def crit_exp(self) -> float:

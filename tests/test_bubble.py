@@ -55,6 +55,13 @@ def test_delta_scaling_of_profiles():
             out["Z_delta"], delta ** (-3.5) * z0(p, r / delta), rtol=1e-14)
 
 
+def test_huge_scale_origin_is_quiet():
+    # at s > 1 U' is -inf at r = 0 and delta**(-n/2) underflows to 0; their
+    # product was an "invalid value" RuntimeWarning
+    out = eval_profiles(HSParams(7, 1.5), 1e200, 0.0)
+    assert out["U_delta"] == 0.0
+
+
 def test_z_is_delta_derivative_of_u():
     # centered difference in delta converges at second order to Z/delta
     p = P71
@@ -135,7 +142,9 @@ def test_profile_container():
 def test_domain_rejections():
     with pytest.raises(DomainError):
         eval_profiles(P71, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        pde_residual(HSParams(7, 0.0), default_grid(HSParams(7, 0.0), N=100))
+    # s = 0 (the Yamabe limit) answers: the identities hold to roundoff
+    p0 = HSParams(7, 0.0)
+    res = pde_residual(p0, default_grid(p0, N=100))
+    assert max(res.values()) <= 1e-10
     with pytest.raises(DomainError):
         RadialGrid(R_max=1.0, N=100, gamma=0.5)

@@ -578,6 +578,18 @@ def test_exit_2_ill_conditioned_fit(capsys):
     # RuntimeWarning before the typed exit)
     (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-40"],
      "scaled operator overflows for this grid"),
+    # a fit column that underflows to 0 or overflows over the whole sweep
+    # (were a RuntimeWarning, then a LinAlgError "SVD did not converge")
+    (["energy", "--n", "30", "--s", "1", "--deltas", "1e-12:1e-11:8"],
+     "the energy fit's design column delta^30 underflows to 0 over the "
+     "sweep [1e-12, 1e-11]"),
+    (["energy", "--n", "7", "--s", "1", "--deltas", "1e-50:1e-49:12"],
+     "the energy fit's design column delta^7 underflows to 0 over the "
+     "sweep [1e-50, 1e-49]"),
+    (["energy", "--n", "7", "--s", "1", "--r0", "1e60", "--deltas",
+      "1e50:1e51:8"],
+     "the energy fit's design column delta^7 overflows a float over the "
+     "sweep [1e+50, 1e+51]"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -708,6 +720,10 @@ def test_bad_grid_is_reported_before_its_source(capsys):
     *((["energy", "--n", "7", "--s", "1", "--deltas", f"0.005:0.05:{k}"],
        f"need at least 8 deltas (7 fit columns and one residual degree of "
        f"freedom), got {k}") for k in (5, 6, 7)),
+    # every other operation answers at s = 0; the kernel's window misses
+    # the kernel pair there
+    (["kernel", "--n", "7", "--s", "0"],
+     "the kernel diagnostics need s in (0, 2), got s=0.0"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -979,7 +995,11 @@ def test_exit_0_plain_runs(capsys):
                   "--f0", "-1", "--k-max", "1"],
                  # its moment integrands overflow only in a core that holds
                  # a negligible share of each moment
-                 ["integrals", "--n", "16", "--s", "1.9"]):
+                 ["integrals", "--n", "16", "--s", "1.9"],
+                 # s = 0, the Yamabe limit
+                 ["lg", "--n", "10", "--s", "0", "--curvature", "sphere:1",
+                  "--grid", "2000,200"],
+                 ["integrals", "--n", "7", "--s", "0"]):
         rc, _, _ = invoke(capsys, argv)
         assert rc == 0
 

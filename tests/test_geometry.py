@@ -325,9 +325,11 @@ def test_lg_total_rejects_bad_params(grid71):
     c = curvature_preset("flat", 6)
     with pytest.raises(DomainError):
         lg_total(c, PotentialJet(0.0, 0.0), HSParams(6, 1.0), grid71)
-    c0 = curvature_preset("flat", 7)
-    with pytest.raises(DomainError):
-        lg_total(c0, PotentialJet(0.0, 0.0), HSParams(7, 0.0), grid71)
+    # s = 0 (the Yamabe limit) answers, on its uniform default grid
+    p0 = HSParams(7, 0.0)
+    out = lg_total(curvature_preset("sphere:1", 7), PotentialJet(0.0, 0.0),
+                   p0, default_grid(p0, N=2000))
+    assert math.isfinite(out.total) and out.nonlocal_term != 0.0
 
 
 def test_potential_jet_validation():

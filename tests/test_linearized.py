@@ -74,8 +74,14 @@ def test_assembly_shapes_masses_and_robin():
     assert pure_gap == pytest.approx(2.0 * grid.R_max**5, rel=1e-12)
     with pytest.raises(DomainError):
         assemble_mode(P71, 1, grid)
-    with pytest.raises(DomainError):
-        assemble_mode(HSParams(7, 0.0), 0, grid)
+    # s = 0 assembles both modes; only the kernel diagnostics refuse it,
+    # before they assemble anything
+    p0 = HSParams(7, 0.0)
+    assemble_mode.cache_clear()
+    with pytest.raises(DomainError, match="kernel diagnostics"):
+        kernel_diagnostics(p0, grid)
+    assert assemble_mode.cache_info().currsize == 0
+    assert all(assemble_mode(p0, ell, grid).mass.size for ell in (0, 2))
 
 
 def test_first_cell_potential_against_series():
@@ -162,6 +168,23 @@ def test_solver_linearity():
         frac.profile.values, 1.7 * base.profile.values, rtol=1e-11,
         atol=1e-11 * np.max(np.abs(base.profile.values)),
     )
+
+
+def test_sampled_rhs_solves_as_its_callable():
+    # a sampled profile is a right-hand side too (was a TypeError)
+    grid = grid71(1000)
+    f = lambda r: -rdru1(P71, r) / 3.0
+    called = solve_mode(P71, 2, RadialProfile.from_callable(f), grid)
+    sampled = solve_mode(
+        P71, 2, RadialProfile.from_samples(grid, f(grid.nodes)), grid)
+    np.testing.assert_array_equal(sampled.profile.values,
+                                  called.profile.values)
+    assert (sampled.defect, sampled.algebraic_residual) == (
+        called.defect, called.algebraic_residual)
+    with pytest.raises(DomainError, match="sample array does not match"):
+        solve_mode(P71, 2, RadialProfile.from_samples(grid71(100),
+                                                      f(grid71(100).nodes)),
+                   grid)
 
 
 def test_solvability_error_for_unprojected_mode0_rhs():

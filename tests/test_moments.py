@@ -197,8 +197,9 @@ def test_identity_report_n7_s1_frozen_ratios():
 def test_identity_report_domain():
     with pytest.raises(DomainError):
         identity_report(HSParams(6, 1.0))
-    with pytest.raises(DomainError):
-        identity_report(HSParams(7, 0.0))
+    # s = 0 (the Yamabe limit) answers
+    rep = identity_report(HSParams(7, 0.0))
+    assert all(v["rel_residual"] <= 1e-8 for v in rep.ratios.values())
 
 
 def test_combined_r4_identity_exact_rationals():
