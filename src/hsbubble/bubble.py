@@ -129,11 +129,14 @@ def eval_profiles(p: HSParams, delta: float, r) -> dict:
     rho = np.asarray(r, dtype=float) / delta
     u, du, z = u1(p, rho), du1(p, rho), z0(p, rho)
     try:
-        # invalid: 0 * (-inf) for U' at r = 0 when s > 1 and delta is huge
+        # U' is -inf at r = 0 when s > 1, and stays so where delta**(-n/2)
+        # underflows to 0 (their product is nan); [()] keeps a scalar r's
+        # result a numpy scalar
         with np.errstate(over="raise", invalid="ignore"):
             return {
                 "U_delta": delta ** (-(n - 2.0) / 2.0) * u,
-                "dr_U_delta": delta ** (-n / 2.0) * du,
+                "dr_U_delta": np.where(np.isinf(du), du,
+                                       delta ** (-n / 2.0) * du)[()],
                 "Z_delta": delta ** (-(n - 2.0) / 2.0) * z,
             }
     except (OverflowError, FloatingPointError):

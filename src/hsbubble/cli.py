@@ -152,8 +152,7 @@ class _Inputs:
                 out[name] = {k: getattr(self.c, k)
                              for k in CURVATURE_SCHEMA_KEYS}
             elif name == "potential":
-                out[name] = {"h0": self.jet.h0_val, "lap_h": self.jet.lap_h,
-                             "f0": self.jet.f_val}
+                out[name] = asdict(self.jet)
             elif name == "grid":
                 out[name] = asdict(self.grid)
             else:
@@ -287,7 +286,7 @@ def _cmd_energy(inp):
 
 def _cmd_remainder(inp):
     from .energy import remainder_alpha, remainder_norm_scaled
-    c, h0 = inp.c, inp.jet.h0_val
+    c, h0 = inp.c, inp.jet.h0
     out = remainder_alpha(c, inp.p, h0)
     outputs = dict(out)
     if not out["degenerate"]:
@@ -324,9 +323,9 @@ def _cmd_reduce(inp):
 
 def _cmd_family(inp):
     from .reduction import family_theorem2
-    jet = inp.jet
+    f0 = inp.jet.f0
     base, used = _obstruction(inp)
-    ladder = family_theorem2(base, inp.p, jet.f_val, inp.args.k_max)
+    ladder = family_theorem2(base, inp.p, f0, inp.args.k_max)
     return {**inp.echo("potential", "k_max"), **used}, asdict(ladder)
 
 
@@ -347,12 +346,7 @@ def _cmd_verdict(inp):
     c, jet = inp.c, inp.jet
     lg, used = _obstruction(inp)
     v = verdict(jet, c, inp.p, lg, lg_tol=inp.args.lg_tol)
-    outputs = {"classification": v.classification, "h0": v.h0_val,
-               "critical_value": v.critical_value, "excess": v.excess,
-               "lg_total": v.lg_total,
-               "required_f_sign": v.required_f_sign,
-               "f_sign_ok": v.f_sign_ok}
-    return {**inp.echo("curvature", "potential", "lg_tol"), **used}, outputs
+    return {**inp.echo("curvature", "potential", "lg_tol"), **used}, asdict(v)
 
 
 def _cmd_kernel(inp):
@@ -457,15 +451,12 @@ def build_parser() -> _Parser:
 
 
 def _jsonable(obj, key):
-    """obj with lists for tuples and Python numbers for numpy scalars; a
-    non-finite float, which JSON cannot hold, is refused by its key."""
+    """obj with lists for tuples; a non-finite float, which JSON cannot
+    hold, is refused by its key."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v, f"{key}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
-    np = sys.modules.get("numpy")  # no numpy scalar exists before its import
-    if np is not None and isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         raise NumericalError(f"{key} = {obj!r} is not a finite number")
     return obj

@@ -171,7 +171,7 @@ def _j_sweep(model: RadialModel, p: HSParams, deltas) -> list:
     each integrand once per round, however many deltas there are.
     """
     n, s, two_star = p.n, p.s, p.crit_exp
-    h0, lap_h = model.jet.h0_val, model.jet.lap_h
+    h0, lap_h = model.jet.h0, model.jet.lap_h
     omega = sphere_area(n)
 
     def grad_f(rho, delta):
@@ -220,7 +220,7 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     p.require("the energy expansion")
     n, two_star = p.n, p.crit_exp
     F = model.coeffs["c4"]
-    h0, lap_h = model.jet.h0_val, model.jet.lap_h
+    h0, lap_h = model.jet.h0, model.jet.lap_h
     scal = model.c.scal
 
     c0 = (2.0 - p.s) / (2.0 * (n - p.s)) * bubble_moment(p, "crit")
@@ -304,16 +304,16 @@ def fit_expansion(model: RadialModel, p: HSParams,
             raise NumericalError("its fitted values leave the float range")
     except NumericalError as exc:
         raise NumericalError(
-            f"the energy fit with h0 = {model.jet.h0_val!r}: {exc}") from None
+            f"the energy fit with h0 = {model.jet.h0!r}: {exc}") from None
 
-    generic2 = 0.5 * max(abs(model.jet.h0_val),
+    generic2 = 0.5 * max(abs(model.jet.h0),
                          abs(p.c_ns * model.c.scal),
                          1.0) * bubble_moment(p, "mass2")
     generic4 = (abs(model.coeffs["c4"])
                 * (0.5 * bubble_moment(p, "r4grad")
                    + bubble_moment(p, "r4crit") / p.crit_exp)
                 + (abs(model.jet.lap_h)
-                   + abs(model.c.scal * model.jet.h0_val) / 3.0)
+                   + abs(model.c.scal * model.jet.h0) / 3.0)
                 * bubble_moment(p, "r2mass") / (4.0 * p.n))
     # deviations are relative to |pred| when the prediction is nonzero; a
     # coefficient predicted to (essentially) vanish is measured against the
@@ -367,7 +367,7 @@ def _graded_rule():
     return x, wx
 
 
-def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
+def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
                           delta: float = 1.0) -> float:
     """L^{2n/(n+2)} norm of the concentration-rescaled remainder density
 
@@ -389,16 +389,16 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     scaling law is an outcome, not an input.
     """
     p.require("the remainder norm")
-    if not (math.isfinite(h0_val) and math.isfinite(delta) and delta > 0.0):
-        raise DomainError("h0_val must be finite and delta positive")
+    if not (math.isfinite(h0) and math.isfinite(delta) and delta > 0.0):
+        raise DomainError("h0 must be finite and delta positive")
     n = p.n
     q = 2.0 * n / (n + 2.0)
     scal_amp = c.scal / (3.0 * n)
     mu = _tfree_axial_mu(c)
-    if h0_val == 0.0 and scal_amp == 0.0 and mu == 0.0:
+    if h0 == 0.0 and scal_amp == 0.0 and mu == 0.0:
         return 0.0
     omega_inner = sphere_area(n - 1)
-    overflow = (f"the remainder density with h0 = {h0_val!r} at delta = "
+    overflow = (f"the remainder density with h0 = {h0!r} at delta = "
                 f"{delta!r} leaves the float range")
     try:
         pref = delta ** (-(n - 2.0) / 2.0)
@@ -424,7 +424,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     def radial_f(r):
         rho = r / delta
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            A = pref * (h0_val * u1(p, rho) + scal_amp * rho * du1(p, rho))
+            A = pref * (h0 * u1(p, rho) + scal_amp * rho * du1(p, rho))
             if mu == 0.0:
                 return checked(np.abs(A) ** q, r)
             B = pref * mu * rho * du1(p, rho)
@@ -452,7 +452,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0_val: float,
     return float(checked(total) ** (1.0 / q))
 
 
-def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float) -> dict:
+def remainder_alpha(c: CurvatureData, p: HSParams, h0: float) -> dict:
     """The normalization constant of the blow-up family.
 
     alpha_inv = L^{2n/(n+2)} norm of h0 U1 + (1/3) Ric_ij sigma^i sigma^j
@@ -460,7 +460,7 @@ def remainder_alpha(c: CurvatureData, p: HSParams, h0_val: float) -> dict:
     (h0 = 0 and Ricci zero at the point) the constant is undefined and the
     degenerate marker is returned instead.
     """
-    nrm = remainder_norm_scaled(c, p, h0_val, 1.0)
+    nrm = remainder_norm_scaled(c, p, h0, 1.0)
     if nrm == 0.0:
         return {"alpha_inv": 0.0, "alpha": None, "degenerate": True}
     return {"alpha_inv": nrm, "alpha": 1.0 / nrm, "degenerate": False}

@@ -131,17 +131,18 @@ class CurvatureData:
 class PotentialJet:
     """The 2-jet data of the potential at the concentration point.
 
-    h0_val = h(x0); lap_h = Delta h(x0) in the minus-divergence convention;
-    f_val = value of the perturbation direction f(x0) used by the family
+    h0 = h(x0); lap_h = Delta h(x0) in the minus-divergence convention;
+    f0 = value of the perturbation direction f(x0) used by the family
     predictions (sign of f(x0) * L decides pushing above/below threshold).
+    The fields are the keys of a potential file and the CLI's flags.
     """
 
-    h0_val: float
+    h0: float
     lap_h: float
-    f_val: float = 0.0
+    f0: float = 0.0
 
     def __post_init__(self):
-        for name in ("h0_val", "lap_h", "f_val"):
+        for name in ("h0", "lap_h", "f0"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise DomainError(
@@ -214,8 +215,8 @@ def curvature_preset(kind: Union[str, dict], n: int) -> CurvatureData:
 
 def potential_file(path: str) -> PotentialJet:
     """PotentialJet from a JSON file with keys {"h0", "lap_h"[, "f0"]}."""
-    vals = _read_schema_file(path, "potential", ("h0", "lap_h"), ("f0",))
-    return PotentialJet(vals["h0"], vals["lap_h"], vals.get("f0", 0.0))
+    return PotentialJet(**_read_schema_file(path, "potential", ("h0", "lap_h"),
+                                            ("f0",)))
 
 
 def _read_schema_file(path: str, what: str, required: tuple,

@@ -48,7 +48,7 @@ class HSParams:
     s: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
+        if not (3 <= self.n < math.inf and int(self.n) == self.n):
             raise DomainError(f"dimension must be an integer >= 3, got n={self.n}")
         if not (0.0 <= self.s < 2.0):
             raise DomainError(f"singularity exponent must lie in [0, 2), got s={self.s}")

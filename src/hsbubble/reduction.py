@@ -197,7 +197,7 @@ class Verdict:
     """
 
     classification: str
-    h0_val: float
+    h0: float
     critical_value: float
     excess: float
     lg_total: float
@@ -220,7 +220,7 @@ def verdict(jet: PotentialJet, c: CurvatureData, p: HSParams,
     if lg_tol < 0.0:
         raise DomainError(f"lg_tol must be >= 0, got {float(lg_tol)}")
     cv = p.c_ns * c.scal
-    excess = jet.h0_val - cv
+    excess = jet.h0 - cv
     tol = CRIT_RTOL * max(1.0, abs(cv))
     if abs(excess) <= tol:
         if abs(lg.total) <= lg_tol:
@@ -233,10 +233,10 @@ def verdict(jet: PotentialJet, c: CurvatureData, p: HSParams,
         cls, req = "subcritical-minimizing", None
     else:
         cls, req = "supercritical", None
-    if req is None or jet.f_val == 0.0:
+    if req is None or jet.f0 == 0.0:
         ok = None
     else:
-        ok = (jet.f_val > 0.0) == (req > 0)
-    return Verdict(classification=cls, h0_val=jet.h0_val, critical_value=cv,
+        ok = (jet.f0 > 0.0) == (req > 0)
+    return Verdict(classification=cls, h0=jet.h0, critical_value=cv,
                    excess=excess, lg_total=lg.total, required_f_sign=req,
                    f_sign_ok=ok)

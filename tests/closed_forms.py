@@ -4,7 +4,7 @@ from hsbubble.moments import ipq
 from hsbubble.params import HSParams, sphere_area
 
 
-def flat_alpha_inv_closed_form(p: HSParams, h0_val: float) -> float:
+def flat_alpha_inv_closed_form(p: HSParams, h0: float) -> float:
     """|h0| * ||U1||_{2n/(n+2)} in closed form (flat curvature case).
 
     ||U1||_q^q = omega_{n-1} kappa^q * (1/(2-s)) B(n/(2-s), beta q - n/(2-s))
@@ -14,4 +14,4 @@ def flat_alpha_inv_closed_form(p: HSParams, h0_val: float) -> float:
     q = 2.0 * n / (n + 2.0)
     m = n / (2.0 - s)
     val = sphere_area(n) * p.kappa**q * ipq(p.beta * q, m - 1.0) / (2.0 - s)
-    return abs(h0_val) * float(val ** (1.0 / q))
+    return abs(h0) * float(val ** (1.0 / q))

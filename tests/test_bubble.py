@@ -57,9 +57,11 @@ def test_delta_scaling_of_profiles():
 
 def test_huge_scale_origin_is_quiet():
     # at s > 1 U' is -inf at r = 0 and delta**(-n/2) underflows to 0; their
-    # product was an "invalid value" RuntimeWarning
+    # product was an "invalid value" RuntimeWarning, and a nan U'
     out = eval_profiles(HSParams(7, 1.5), 1e200, 0.0)
     assert out["U_delta"] == 0.0
+    assert out["dr_U_delta"] == -np.inf
+    assert isinstance(out["dr_U_delta"], np.float64)
 
 
 def test_z_is_delta_derivative_of_u():

@@ -3,6 +3,7 @@ byte-identical re-runs, and the emitted CSV side files."""
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,9 +17,11 @@ import numpy as np
 import pytest
 
 import hsbubble
+from hsbubble import cli
 from hsbubble.cli import build_parser, main
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
+from hsbubble.reduction import Verdict
 
 from closed_forms import flat_alpha_inv_closed_form
 
@@ -365,6 +368,9 @@ def test_verdict_f_sign(capsys):
                        "--f0", "-1", "--base-lg", "5.0"])
     assert doc["outputs"]["required_f_sign"] == -1
     assert doc["outputs"]["f_sign_ok"] is True
+    # the report is the Verdict, field for field
+    assert list(doc["outputs"]) == sorted(
+        f.name for f in dataclasses.fields(Verdict))
 
 
 # -------------------------------------------------------------------- kernel
@@ -1134,8 +1140,20 @@ def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for fname, data in INPUT_FILES.items():
         (tmp_path / fname).write_text(json.dumps(data), encoding="utf-8")
+    # every leaf of a report is a plain Python value: a numpy scalar would
+    # print as np.float64(...) in a text report, or be refused by json
+    leaf_types = set()
+    jsonable = cli._jsonable
+
+    def spy(obj, key):
+        if not isinstance(obj, (dict, list, tuple)):
+            leaf_types.add(type(obj))
+        return jsonable(obj, key)
+
+    monkeypatch.setattr(cli, "_jsonable", spy)
     rc, out, err = invoke(capsys, GOLDEN_CASES[name])
     assert rc == 0, err
+    assert leaf_types <= {float, int, bool, str, type(None)}, leaf_types
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     written = sorted(set(os.listdir(tmp_path)) - set(INPUT_FILES))
     expected = sorted(f.name[len(name) + 1:]

@@ -6,6 +6,7 @@ follow from composing the sine series with the binomial — computed below in
 exact rational arithmetic, independently of the production formula.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -157,9 +158,12 @@ def test_potential_schema_matches_the_code(tmp_path):
         path.write_text(json.dumps(payload))
         return potential_file(str(path))
 
+    # the schema's keys are PotentialJet's fields, in order
+    assert list(schema["properties"]) == [
+        f.name for f in dataclasses.fields(PotentialJet)]
     full = {k: float(i + 1) for i, k in enumerate(schema["properties"])}
     assert read(full) == PotentialJet(full["h0"], full["lap_h"], full["f0"])
-    assert read({k: full[k] for k in required}).f_val == 0.0
+    assert read({k: full[k] for k in required}).f0 == 0.0
     for key in required:
         with pytest.raises(DomainError, match=re.escape(f"missing ['{key}']")):
             read({k: v for k, v in full.items() if k != key})
@@ -299,7 +303,7 @@ def test_lg_total_flat_zero_potential(grid71):
 def test_lg_total_unit_sphere_local_term(grid71):
     p = HSParams(7, 1.0)
     c = curvature_preset("sphere:1", 7)
-    out = lg_total(c, PotentialJet(h0_val=175.0 / 22.0, lap_h=0.0), p, grid71)
+    out = lg_total(c, PotentialJet(h0=175.0 / 22.0, lap_h=0.0), p, grid71)
     want_local = (98.0 / 11.0) / 28.0 * bubble_moment(p, "r4grad")
     assert out.local_term == pytest.approx(want_local, rel=1e-12)
     assert out.local_term > 0.0
@@ -334,8 +338,8 @@ def test_lg_total_rejects_bad_params(grid71):
 
 def test_potential_jet_validation():
     jet = PotentialJet(1.0, -2.0)
-    assert jet.f_val == 0.0
-    assert PotentialJet(1.0, -2.0, 3.0).f_val == 3.0
+    assert jet.f0 == 0.0
+    assert PotentialJet(1.0, -2.0, 3.0).f0 == 3.0
     with pytest.raises(DomainError):
         PotentialJet(math.inf, 0.0)
     with pytest.raises(DomainError):

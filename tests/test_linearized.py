@@ -267,7 +267,7 @@ def test_nonlocal_term_assembles_each_mode_once(monkeypatch):
     assemble_mode.cache_clear()
     quad.clear()
     grid = grid71(600)
-    lg_total(curvature_preset("sphere:1", 7), PotentialJet(h0_val=7.5, lap_h=0.0),
+    lg_total(curvature_preset("sphere:1", 7), PotentialJet(h0=7.5, lap_h=0.0),
              P71, grid)
     kernel_diagnostics(P71, grid)
     assert assemblies() == (2, 1)

@@ -80,6 +80,10 @@ def test_domain_rejections():
         HSParams(7, -0.1)
     with pytest.raises(DomainError):
         HSParams(7.5, 1.0)
+    for n in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            HSParams(n, 1.0)
+    assert HSParams(np.int64(7), 1.0).n == 7
     with pytest.raises(DomainError):
         yamabe_consistency(2)
 

@@ -214,18 +214,18 @@ def test_verdict_truth_table():
 
 def test_verdict_f_sign_compatibility():
     # obstruction positive -> needs f(x0) < 0
-    out = verdict(PotentialJet(CV, 0.0, f_val=-3.0), SPHERE7, P71, _lg(2.0))
+    out = verdict(PotentialJet(CV, 0.0, f0=-3.0), SPHERE7, P71, _lg(2.0))
     assert out.required_f_sign == -1 and out.f_sign_ok is True
-    out = verdict(PotentialJet(CV, 0.0, f_val=3.0), SPHERE7, P71, _lg(2.0))
+    out = verdict(PotentialJet(CV, 0.0, f0=3.0), SPHERE7, P71, _lg(2.0))
     assert out.f_sign_ok is False
     # obstruction negative -> needs f(x0) > 0
-    out = verdict(PotentialJet(CV, 0.0, f_val=3.0), SPHERE7, P71, _lg(-2.0))
+    out = verdict(PotentialJet(CV, 0.0, f0=3.0), SPHERE7, P71, _lg(-2.0))
     assert out.required_f_sign == 1 and out.f_sign_ok is True
     # no f supplied: no information
     out = verdict(PotentialJet(CV, 0.0), SPHERE7, P71, _lg(2.0))
     assert out.f_sign_ok is None
     # no requirement: no report even with f present
-    out = verdict(PotentialJet(0.5 * CV, 0.0, f_val=1.0), SPHERE7, P71,
+    out = verdict(PotentialJet(0.5 * CV, 0.0, f0=1.0), SPHERE7, P71,
                   _lg(2.0))
     assert out.f_sign_ok is None
 
