@@ -408,15 +408,14 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     def checked(x, r=1.0):
         # the quadrature weighs the density by r**(n-1) and drops a
         # non-finite value as 0, so an overflow of the density, or of its
-        # product with a finite weight, would shrink the norm silently
-        # (callers silence numpy's warnings).  Both are nonnegative, so one
-        # product of maxima clears the common case; where the weight itself
-        # overflows (r far out in the tail) the density has underflowed and
-        # nothing in the integral overflows
+        # product with the weight, would shrink the norm silently (callers
+        # silence numpy's warnings).  Both are nonnegative, so one product
+        # of maxima clears the common case; an overflowing weight (r far
+        # out in the tail) is harmless only against a density of exactly 0
         if np.isfinite(np.asarray(x).max() * np.asarray(r).max() ** (n - 1.0)):
             return x
         w = np.power(r, n - 1.0)
-        if not np.all((np.isfinite(x) & (np.isfinite(x * w) | np.isinf(w)))
+        if not np.all((np.isfinite(x) & (np.isfinite(x * w) | (x == 0.0)))
                       | np.isinf(r)):
             raise NumericalError(overflow)
         return x
@@ -447,6 +446,10 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     total = integrate_radial(RadialIntegrand(
         f=radial_f, a=n - 1.0, b=q * (n - 2.0),
         breaks=power_law_breaks(p, delta)), tol=TOL)["value"]
+    if total == 0.0:
+        # the density is not identically 0, so it, or its product with the
+        # weight, underflowed everywhere
+        raise NumericalError(overflow)
     if mu == 0.0:
         total *= sphere_area(n)
     return float(checked(total) ** (1.0 / q))

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .bubble import RadialGrid, RadialProfile, rdru1, u1, z0
 from .errors import DomainError, NumericalError
@@ -205,8 +206,6 @@ class ModeMatrices:
 
     @functools.cached_property
     def lu(self) -> tuple:
-        from scipy.linalg import lapack
-
         ds = self.ds
         es, dd = self.e * ds[:-1] * ds[1:], self.d * ds * ds
         if not np.all(np.isfinite(np.concatenate((es, dd)))):
@@ -444,8 +443,6 @@ def _fd_defect(mats: ModeMatrices, u: np.ndarray, f: np.ndarray) -> float:
 
 def _gttrs(mats: ModeMatrices, rhs: np.ndarray) -> np.ndarray:
     """(D K D)^-1 rhs from the kept factors: one LAPACK gttrs."""
-    from scipy.linalg import lapack
-
     return lapack.dgttrs(*mats.lu, rhs)[0]
 
 
@@ -680,8 +677,6 @@ def _bisect(mats: ModeMatrices, lo: float, hi: float, tol: float):
     points (dstebz's w, iblock, isplit), in block order, ascending within
     each block.  Each pair costs one bisection.
     """
-    from scipy.linalg import lapack
-
     dt, et, _ = mats.spectral
     m, w, iblock, isplit, info = lapack.dstebz(dt, et, 1, lo, hi, 0, 0, tol,
                                                "B")
@@ -696,8 +691,6 @@ def _eigvecs(mats: ModeMatrices, vals: np.ndarray, blocks: np.ndarray,
              isplit: np.ndarray) -> np.ndarray:
     """dstein's eigenvectors for eigenvalues in _bisect's block order,
     back-transformed by M**(-1/2), so jointly M-orthonormal."""
-    from scipy.linalg import lapack
-
     dt, et, inv_sqrt_m = mats.spectral
     iblock = np.zeros_like(isplit)  # dstein reads blocks[:m] of n entries
     iblock[:vals.size] = blocks

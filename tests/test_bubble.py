@@ -148,5 +148,7 @@ def test_domain_rejections():
     p0 = HSParams(7, 0.0)
     res = pde_residual(p0, default_grid(p0, N=100))
     assert max(res.values()) <= 1e-10
+    with pytest.raises(DomainError, match="unknown residual method 'fd'"):
+        pde_residual(P71, default_grid(P71, N=100), method="fd")
     with pytest.raises(DomainError):
         RadialGrid(R_max=1.0, N=100, gamma=0.5)

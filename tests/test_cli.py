@@ -730,6 +730,11 @@ def test_bad_grid_is_reported_before_its_source(capsys):
     # the kernel pair there
     (["kernel", "--n", "7", "--s", "0"],
      "the kernel diagnostics need s in (0, 2), got s=0.0"),
+    # values that do not parse are named with their flag
+    (["kernel", "--n", "7", "--s", "1", "--grid", "8000,abc"],
+     "bad --grid value '8000,abc'"),
+    (["energy", "--n", "7", "--s", "1", "--deltas", "x:0.05:12"],
+     "bad --deltas value 'x:0.05:12'"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)

@@ -316,7 +316,12 @@ def test_remainder_overflow_is_a_numerical_error():
     # drops as 0: flat and sphere:1 reported "degenerate" at h0 = 1e200
     flat = curvature_preset("flat", 7)
     cases = [(flat, 1e200, 1.0), (curvature_preset("sphere:1", 7), 1e200, 1.0),
-             (GENERIC_C, 1e200, 1.0), (flat, 1e190, 0.01), (flat, 2.0, 1e-300)]
+             (GENERIC_C, 1e200, 1.0), (flat, 1e190, 0.01), (flat, 2.0, 1e-300),
+             # the weight overflowed against a finite density, or every
+             # product underflowed: sphere:1 read 20579.7 for 34929.3, and
+             # flat read 0.0
+             (curvature_preset("sphere:1", 7), 7.5, 1e50), (flat, 7.5, 1e100),
+             (flat, 7.5, 1e-100)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c, h0, delta in cases:
@@ -393,7 +398,7 @@ def test_remainder_tracefree_branch_continuity():
 
 def test_remainder_delta_squared_scaling():
     base = remainder_alpha(GENERIC_C, P71, 2.0)["alpha_inv"]
-    for d in (0.1, 0.01):
+    for d in (0.1, 0.01, 1e30):
         scaled = remainder_norm_scaled(GENERIC_C, P71, 2.0, d)
         assert scaled / d**2 == pytest.approx(base, rel=1e-10)
 

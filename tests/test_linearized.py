@@ -200,6 +200,10 @@ def test_solve_mode_input_validation():
         solve_mode(P71, 0, None, grid)  # no rhs at all
     with pytest.raises(DomainError):
         solve_mode(P71, 2, None, grid, rhs_load=np.ones(5))  # wrong shape
+    with pytest.raises(DomainError, match="rhs evaluates to non-finite "
+                       "values on the grid"):
+        solve_mode(P71, 0, RadialProfile.from_callable(
+            lambda r: np.full_like(r, np.nan)), grid)
 
 
 def test_projected_solve_invariants():
@@ -314,17 +318,15 @@ def test_factored_solve_matches_solve_banded(n, s, N):
 
 
 def _count_lapack(monkeypatch):
-    import scipy.linalg.lapack
-
     calls = {"dgttrf": 0, "dgttrs": 0}
     for name in calls:
-        real = getattr(scipy.linalg.lapack, name)
+        real = getattr(linearized.lapack, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        monkeypatch.setattr(linearized.lapack, name, counted)
     return calls
 
 
@@ -421,8 +423,9 @@ def test_one_cache_clear_resets_all_per_grid_state(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_sparse_out():
-    # scipy is imported inside the functions that call it, so importing the
-    # CLI loads no scipy module at all (scipy.sparse is not used anywhere)
+    # only hsbubble.linearized imports scipy, and the CLI imports it only in
+    # the subcommands that solve, so importing the CLI loads no scipy module
+    # at all (scipy.sparse is not used anywhere)
     src = os.path.dirname(os.path.dirname(hsbubble.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -684,10 +687,8 @@ def test_kernel_diagnostics_ell2_widens_past_a_negative_eigenvalue():
 def _spy_bisection(monkeypatch):
     # every dstebz call as (size, lo, hi, tol, pairs) and every dstein
     # call's pair count
-    import scipy.linalg.lapack
-
-    real_stebz = scipy.linalg.lapack.dstebz
-    real_stein = scipy.linalg.lapack.dstein
+    real_stebz = linearized.lapack.dstebz
+    real_stein = linearized.lapack.dstein
     calls = {"dstebz": [], "dstein": []}
 
     def stebz(d, e, rng, lo, hi, il, iu, tol, order):
@@ -699,8 +700,8 @@ def _spy_bisection(monkeypatch):
         calls["dstein"].append(w.size)
         return real_stein(d, e, w, iblock, isplit)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", stebz)
-    monkeypatch.setattr(scipy.linalg.lapack, "dstein", stein)
+    monkeypatch.setattr(linearized.lapack, "dstebz", stebz)
+    monkeypatch.setattr(linearized.lapack, "dstein", stein)
     return calls
 
 
@@ -828,15 +829,28 @@ def test_sturm_count_equals_pairs_of_the_same_window(n, s, N):
                     mats.d.size, vals.size)
 
 
-@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+@pytest.mark.parametrize("routine", ["dstebz", "dstein", "dgttrf"])
 def test_lapack_info_is_a_numerical_error(monkeypatch, routine):
-    import scipy.linalg.lapack
-
-    real = getattr(scipy.linalg.lapack, routine)
-    monkeypatch.setattr(scipy.linalg.lapack, routine,
+    real = getattr(linearized.lapack, routine)
+    monkeypatch.setattr(linearized.lapack, routine,
                         lambda *args: (*real(*args)[:-1], 2))
-    with pytest.raises(NumericalError, match=f"{routine} info = 2"):
-        kernel_diagnostics(P71, grid71(2000))
+    if routine == "dgttrf":
+        # kernel_diagnostics factors nothing, and a kept factorization
+        # would skip dgttrf
+        assemble_mode.cache_clear()
+        with pytest.raises(NumericalError, match="ell = 0 banded solve "
+                           "failed: singular matrix"):
+            nonlocal_term(P71, WDecomposition(0.7, 0.31, 2.0), grid71(500))
+    else:
+        with pytest.raises(NumericalError, match=f"{routine} info = 2"):
+            kernel_diagnostics(P71, grid71(2000))
+
+
+def test_lapack_is_scipys():
+    # the spies above patch the one binding the solver calls through
+    import scipy.linalg
+
+    assert linearized.lapack is scipy.linalg.lapack
 
 
 @pytest.mark.parametrize("p,ell", [(HSParams(9, 0.5), 0), (P71, 2)])

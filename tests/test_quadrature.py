@@ -46,6 +46,8 @@ def test_critical_tail_beta_form():
 def test_divergent_at_origin_rejected():
     with pytest.raises(DomainError):
         integrate_radial(RadialIntegrand(f=lambda r: np.ones_like(r), a=-1.0, R=1.0))
+    with pytest.raises(DomainError, match="domain radius must be positive"):
+        integrate_radial(RadialIntegrand(f=lambda r: np.ones_like(r), a=1.0, R=0.0))
 
 
 def test_divergent_tail_rejected():
