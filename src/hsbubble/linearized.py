@@ -59,17 +59,51 @@ in log r (ROADMAP.md, open item 2).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .bubble import RadialGrid, RadialProfile, rdru1, u1, z0
 from .errors import DomainError, NumericalError
 from .params import HSParams, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
+
+
+def _load_lapack():
+    """scipy's LAPACK wrappers, without the import tree of scipy.linalg.
+
+    scipy.linalg.lapack re-exports the routines of one extension module,
+    scipy/linalg/_flapack<suffix>.  Loading that file alone spares the
+    about 0.3 s that `import scipy.linalg` spends on its other modules.  It
+    is loaded under its real name and registered in sys.modules, so a later
+    scipy.linalg import reuses it, and a copy already loaded is reused
+    here.  This relies on scipy's private file layout: where no such file
+    exists, scipy.linalg.lapack is used.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+lapack = _load_lapack()
 
 __all__ = [
     "WDecomposition",

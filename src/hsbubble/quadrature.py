@@ -37,7 +37,9 @@ elementwise over a 1-D numpy array: each output may depend only on the r
 open (no endpoint nodes), so f is never called at r = 0.  A failing member
 ends the batch: every divergence screen runs, in input order, before any f
 call, and after them the first DomainError or NumericalError met, round by
-round in the order the groups are summed, is raised.
+round in the order the groups are summed, is raised.  The panel edges,
+the heap and the running sums are Python floats; numpy evaluates the
+integrand and the panel sums, under one error-state scope per batch.
 """
 
 from dataclasses import dataclass
@@ -79,15 +81,12 @@ _WG = np.array([
     0.417959183673469387755102040816327,
 ])
 
-# full 15-node array in [-1, 1] and both weight vectors aligned with it
-_NODES = np.sort(np.concatenate([-_XGK[:-1], _XGK]))
-_W15 = np.empty(15)
+# full 15-node array in [-1, 1], ascending, and both weight vectors aligned
+# with it; the Gauss nodes are the odd Kronrod ones
+_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
+_W15 = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _W7 = np.zeros(15)
-for _i, _x in enumerate(_NODES):
-    _j = int(np.argmin(np.abs(_XGK - abs(_x))))
-    _W15[_i] = _WGK[_j]
-    if _j % 2 == 1:  # odd Kronrod indices are the original Gauss nodes
-        _W7[_i] = _WG[(_j - 1) // 2]
+_W7[1::2] = np.concatenate((_WG[:-1], _WG[::-1]))
 
 PANEL_BUDGET = 1_000_000  # function evaluations
 _GRADE_LEVELS = 60        # initial geometric grading depth toward r = 0
@@ -95,6 +94,9 @@ _X_WIDTH = 2.0            # initial panel width in x = log r (infinite domain)
 _EPS = float(np.finfo(float).eps)
 _LOG_EPS = -log(_EPS)                        # e-folds down to float eps
 _LOG_MAX = log(float(np.finfo(float).max))   # largest x with e**x finite
+_DEAD = 30.0 * _EPS       # a panel with err <= _DEAD * |panel| is at roundoff
+# initial finite-domain edges on [0, 1], graded toward r = 0
+_GRADE = [0.0] + [2.0 ** -j for j in range(_GRADE_LEVELS, -1, -1)]
 
 
 @dataclass
@@ -134,41 +136,42 @@ def _panels(g, lo, hi, arg):
     match a panel integrated alone bit for bit (a matrix product over all
     panels may block its sums differently and move the last bit).  Returns
     (k15, |k15 - g7|, |k15| sum) per panel as arrays; a sum may overflow.
+    The caller sets numpy's error state: g's overflows and 0 * inf are
+    expected here.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = (c[:, None] + h[:, None] * _NODES).ravel()
     extra = () if arg is None else (np.repeat(arg, _NODES.size),)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        y = np.asarray(g(x, *extra), dtype=float).reshape(-1, _NODES.size)
-        y = np.where(np.isfinite(y), y, 0.0)  # an overflowing weight times 0
-        k15 = h * np.vecdot(y, _W15)
-        return (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
-                h * np.vecdot(np.abs(y), _W15))
+    y = np.asarray(g(x, *extra), dtype=float).reshape(-1, _NODES.size)
+    y = np.where(np.isfinite(y), y, 0.0)  # an overflowing weight times 0
+    k15 = h * np.vecdot(y, _W15)
+    return (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
+            h * np.vecdot(np.abs(y), _W15))
 
 
 def _log_edges(power, b, breaks):
-    """Initial x = log r edges: each end is where its power law in x,
-    e**((power+1) x) or e**((power+1-b) x) anchored at the nearest break,
-    has fallen by float eps, or, undeclared, where the weight
-    e**((power+1) x) leaves the float range."""
+    """Initial x = log r edges, as a sorted list of floats: each end is
+    where its power law in x, e**((power+1) x) or e**((power+1-b) x)
+    anchored at the nearest break, has fallen by float eps, or, undeclared,
+    where the weight e**((power+1) x) leaves the float range.  Uniform
+    edges about _X_WIDTH apart fill the span, as np.linspace places them,
+    and every break inside it is an edge too."""
     if not all(0.0 < r < inf for r in breaks):
         raise NumericalError(f"the break points {list(breaks)} of a radial "
                              "integrand must be positive and finite")
     wide = _LOG_MAX / max(power + 1.0, 1.0)
-    xb = np.log(np.asarray(breaks, dtype=float))
+    # np.log, not math.log: the two differ in the last bit of a few inputs
+    xb = np.log(np.asarray(breaks, dtype=float)).tolist()
     lo, hi = -wide, wide
-    if len(xb):
-        lo = max(float(xb.min()) - _LOG_EPS / (power + 1.0), -wide)
+    if xb:
+        lo = max(min(xb) - _LOG_EPS / (power + 1.0), -wide)
         if b is not None:
-            hi = float(xb.max()) + _LOG_EPS / (b - power - 1.0)
+            hi = max(xb) + _LOG_EPS / (b - power - 1.0)
     count = max(1, ceil((hi - lo) / _X_WIDTH))
-    # sorted and de-duplicated as np.union1d would, without its np.unique
-    # (which loads numpy.ma)
-    edges = np.concatenate((np.linspace(lo, hi, count + 1),
-                            xb[(xb > lo) & (xb < hi)]))
-    edges.sort()
-    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    step = (hi - lo) / count
+    edges = [i * step + lo for i in range(count)] + [hi]
+    return sorted(set(edges + [x for x in xb if lo < x < hi]))
 
 
 def _summand(f, power, log):
@@ -183,7 +186,8 @@ def _summand(f, power, log):
 class _Run:
     """The adaptive state of one integrand: its panel heap, serial numbers,
     running sums and stopping rule, as in a run of its own.  `todo` holds
-    the (lo, hi) edge lists of the panels to sum next, None once done."""
+    the (lo, hi) edge lists of the panels to sum next, None once done.
+    Edges and sums are Python floats throughout."""
 
     def __init__(self, integrand: RadialIntegrand, tol: float):
         power = integrand.a
@@ -200,12 +204,11 @@ class _Run:
                     "integral diverges (need exponent < -1)")
             edges = _log_edges(power, b, integrand.breaks)
             if b is None:
-                self.tail_end = float(edges[-1])
+                self.tail_end = edges[-1]
         else:
             if integrand.R <= 0:
                 raise DomainError("domain radius must be positive")
-            edges = float(integrand.R) * np.array(
-                [0.0] + [2.0 ** -j for j in range(_GRADE_LEVELS, -1, -1)])
+            edges = [integrand.R * g for g in _GRADE]
         # members with one key are summed in one call of one summand
         self.key = (id(integrand.f), power, log, integrand.arg is None)
         self.g = _summand(integrand.f, power, log)
@@ -216,28 +219,33 @@ class _Run:
         self.total, self.err_total, self.abs_total = 0.0, 0.0, 0.0
         self.evals = 0
         self.outer = 0.0  # value of the panel at tail_end
-        edges = edges.tolist()
         self.todo = (edges[:-1], edges[1:])
 
     def push(self, sums):
         # a bisection hands its panel's own edge objects on, so a long heap
-        # holds one float per edge, not per entry
-        for plo, phi, val, err, kabs in zip(*self.todo, *sums):
+        # holds one float per edge, not per entry.  The loop keeps the books
+        # in locals; after a raise the batch ends and nothing reads them.
+        los, his = self.todo
+        total, err_total, abs_total = self.total, self.err_total, self.abs_total
+        heap, serial, tail_end = self.heap, self.serial, self.tail_end
+        for plo, phi, val, err, kabs in zip(los, his, *sums):
             if not (isfinite(err) and isfinite(kabs)):  # err is, if val is
                 raise NumericalError(f"a quadrature panel sum on [{plo:.6g}, "
                                      f"{phi:.6g}] leaves the float range")
-            self.total += val
-            self.err_total += err
-            self.abs_total += kabs
-            self.evals += 15
-            if phi == self.tail_end:
+            total += val
+            err_total += err
+            abs_total += kabs
+            if phi == tail_end:
                 self.outer = val
             # stop refining panels at the roundoff floor or of negligible width
-            dead = (err <= 30.0 * _EPS * kabs) or \
+            dead = (err <= _DEAD * kabs) or \
                 (phi - plo <= 1e-15 * max(abs(phi), 1e-250))
             if not dead:
-                heappush(self.heap, (-err, self.serial, plo, phi, val, err))
-                self.serial += 1
+                heappush(heap, (-err, serial, plo, phi, val, err))
+                serial += 1
+        self.total, self.err_total, self.abs_total = total, err_total, abs_total
+        self.serial = serial
+        self.evals += 15 * len(los)
 
     def bisect(self):
         """Set todo to the halves of the worst panel, or to None once the
@@ -282,24 +290,26 @@ def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
                           f"got tol={tol}")
     runs = [_Run(integrand, tol) for integrand in integrands]
     live = runs
-    while live:
-        groups = {}
-        for run in live:
-            groups.setdefault(run.key, []).append(run)
-        for members in groups.values():
-            lo = [e for run in members for e in run.todo[0]]
-            hi = [e for run in members for e in run.todo[1]]
-            arg = None if members[0].arg is None else \
-                [run.arg for run in members for _ in run.todo[0]]
-            k15, err, kabs = (v.tolist() for v in _panels(
-                members[0].g, np.array(lo), np.array(hi), arg))
-            start = 0
-            for run in members:
-                stop = start + len(run.todo[0])
-                run.push((k15[start:stop], err[start:stop], kabs[start:stop]))
-                run.bisect()
-                start = stop
-        live = [run for run in live if run.todo is not None]
+    with np.errstate(all="ignore"):  # for every _panels call of the batch
+        while live:
+            groups = {}
+            for run in live:
+                groups.setdefault(run.key, []).append(run)
+            for members in groups.values():
+                lo = [e for run in members for e in run.todo[0]]
+                hi = [e for run in members for e in run.todo[1]]
+                arg = None if members[0].arg is None else \
+                    [run.arg for run in members for _ in run.todo[0]]
+                k15, err, kabs = (v.tolist() for v in _panels(
+                    members[0].g, np.array(lo), np.array(hi), arg))
+                start = 0
+                for run in members:
+                    stop = start + len(run.todo[0])
+                    run.push((k15[start:stop], err[start:stop],
+                              kabs[start:stop]))
+                    run.bisect()
+                    start = stop
+            live = [run for run in live if run.todo is not None]
     return [{"value": run.total, "error_estimate": run.err_total,
              "evaluations": run.evals} for run in runs]
 

@@ -11,11 +11,12 @@ from hsbubble.bubble import (
     dz0,
     eval_profiles,
     pde_residual,
+    power_law_breaks,
     rdru1,
     u1,
     z0,
 )
-from hsbubble.errors import DomainError
+from hsbubble.errors import DomainError, NumericalError
 from hsbubble.params import HSParams, derive_constants
 
 P71 = HSParams(7, 1.0)
@@ -152,3 +153,8 @@ def test_domain_rejections():
         pde_residual(P71, default_grid(P71, N=100), method="fd")
     with pytest.raises(DomainError):
         RadialGrid(R_max=1.0, N=100, gamma=0.5)
+    # near s = 2 the bubble scale itself leaves the float range
+    with pytest.raises(NumericalError, match=r"the bubble scale "
+                       r"\(\(n - 2\)/\(2 - s\)\)\*\*\(1/\(2 - s\)\) "
+                       "overflows a float at n = 7, s = 1.999"):
+        power_law_breaks(HSParams(7, 1.999))

@@ -806,6 +806,7 @@ _REPORT_LOADED = (
     "                       if m.split('.')[0] == 'hsbubble'),\n"
     "    'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
     "    'numpy.ma': 'numpy.ma' in sys.modules,\n"
+    "    'scipy.linalg': 'scipy.linalg' in sys.modules,\n"
     "    'scipy.sparse': 'scipy.sparse' in sys.modules,\n"
     "    'fractions': 'fractions' in sys.modules}))\n")
 
@@ -824,7 +825,8 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
     # numpy and no fractions, `kernel` none of the energy, geometry,
     # moments or reduction modules, and only `lg` and `kernel` the solver;
     # scipy loads only where its routines run, numpy.ma only with scipy,
-    # and nothing loads scipy.sparse
+    # and nothing loads scipy.linalg (the solver loads its LAPACK extension
+    # alone) or scipy.sparse
     runs = {run: f"{run}\n" for run in RUN_LOADS if run.startswith("import ")}
     for argv in readme_examples():
         runs[argv[0]] = (
@@ -839,6 +841,7 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
         assert got["hsbubble"] == sorted(
             ["hsbubble"] + [f"hsbubble.{m}" for m in modules.split()]), run
         assert (got["numpy"], got["scipy"]) == (numpy, scipy), run
+        assert not got["scipy.linalg"], run
         assert not got["scipy.sparse"], run
         if not scipy:
             assert not got["numpy.ma"], run

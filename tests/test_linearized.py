@@ -846,11 +846,22 @@ def test_lapack_info_is_a_numerical_error(monkeypatch, routine):
             kernel_diagnostics(P71, grid71(2000))
 
 
-def test_lapack_is_scipys():
-    # the spies above patch the one binding the solver calls through
+def test_lapack_is_scipys(monkeypatch):
+    # the spies above patch the one binding the solver calls through; it is
+    # scipy's own LAPACK extension, so each routine is the very function
+    # scipy.linalg.lapack exports
+    import importlib.machinery
+
     import scipy.linalg
 
-    assert linearized.lapack is scipy.linalg.lapack
+    for name in ("dgttrf", "dgttrs", "dstebz", "dstein"):
+        assert getattr(linearized.lapack, name) is \
+            getattr(scipy.linalg.lapack, name), name
+    assert linearized._load_lapack() is sys.modules["scipy.linalg._flapack"]
+    # where scipy's files are laid out otherwise, scipy.linalg.lapack serves
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+    assert linearized._load_lapack() is scipy.linalg.lapack
 
 
 @pytest.mark.parametrize("p,ell", [(HSParams(9, 0.5), 0), (P71, 2)])

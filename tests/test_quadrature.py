@@ -123,10 +123,55 @@ def test_log_edges_match_union1d_bit_for_bit():
         if case % 7 == 0:
             breaks.append(1.0)
         got = quadrature._log_edges(power, b, breaks)
+        assert all(type(x) is float for x in got)
+        got = np.asarray(got)
         want = _log_edges_union1d(power, b, breaks)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
             (power, b, breaks)
         assert np.all(np.diff(got) > 0.0)
+    # a break that is not a positive finite radius is refused before f runs
+    for bad in (math.inf, 0.0, math.nan):
+        with pytest.raises(NumericalError, match=r"the break points \[1\.0, "
+                           r".*\] of a radial integrand must be positive "
+                           "and finite"):
+            integrate_radial(RadialIntegrand(f=None, a=6.0, b=14.0,
+                                             breaks=(1.0, bad)))
+
+
+def _sharing_f(r, k):
+    return np.exp(-k * r)
+
+
+@pytest.mark.parametrize("members,want", [
+    pytest.param([RadialIntegrand(f=lambda r: (1.0 + r**2) ** -7.0, a=6.0)],
+                 [("0x1.f6a7a2955385cp-8", "0x1.1eba040150000p-49", 1830)],
+                 id="undeclared-tail"),
+    pytest.param([RadialIntegrand(f=lambda r: (1.0 + r) ** -12.0, a=5.0,
+                                  b=12.0, breaks=(1.0,))],
+                 [("0x1.7a463005e8c58p-12", "0x1.63924819fe000p-52", 300)],
+                 id="declared-tail-one-break"),
+    pytest.param([RadialIntegrand(f=lambda r: np.ones_like(r), a=-0.5,
+                                  R=1.0)],
+                 [("0x1.ffffffffffbdep+0", "0x1.08715ec6caae2p-39", 1515)],
+                 id="endpoint-singularity"),
+    pytest.param([RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r,
+                                  R=1.0)],
+                 [("0x1.00a5ed0757884p+0", "0x1.34f8000000000p-44", 1695)],
+                 id="many-bisections"),
+    pytest.param([RadialIntegrand(f=_sharing_f, a=2.0, R=R, arg=k)
+                  for R, k in ((1.0, 1.0), (5.0, 3.0), (40.0, 0.5))],
+                 [("0x1.48ea1e23ea7d3p-3", "0x1.0504124920904p-55", 915),
+                  ("0x1.2f653e3d09a92p-4", "0x1.1d29812020000p-50", 975),
+                  ("0x1.fffff0b72807cp+3", "0x1.0255ba0148000p-39", 975)],
+                 id="lockstep-batch"),
+])
+def test_engine_results_are_pinned_bit_for_bit(members, want):
+    # value, error estimate and evaluation count of each member, exactly as
+    # the engine gave them when these pins were taken: a change to how the
+    # engine keeps its books must not move a bit
+    got = quadrature.integrate_radial_batch(members, tol=1e-12)
+    assert [(res["value"].hex(), res["error_estimate"].hex(),
+             res["evaluations"]) for res in got] == want
 
 
 def test_budget_exhaustion_raises(monkeypatch):
