@@ -241,7 +241,8 @@ class ModeMatrices:
     @functools.cached_property
     def lu(self) -> tuple:
         ds = self.ds
-        es, dd = self.e * ds[:-1] * ds[1:], self.d * ds * ds
+        with np.errstate(invalid="ignore", over="ignore"):  # refused below
+            es, dd = self.e * ds[:-1] * ds[1:], self.d * ds * ds
         if not np.all(np.isfinite(np.concatenate((es, dd)))):
             raise NumericalError(
                 f"ell = {self.ell} banded solve failed: the scaled operator "

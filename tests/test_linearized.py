@@ -846,6 +846,27 @@ def test_lapack_info_is_a_numerical_error(monkeypatch, routine):
             kernel_diagnostics(P71, grid71(2000))
 
 
+def test_solver_guards_name_their_cause(monkeypatch):
+    # the three refusals of the kept ell = 0 factors, each reached from an
+    # assembled mode with one field replaced
+    import dataclasses
+
+    mats = assemble_mode(P71, 0, grid71(500))
+    d = mats.d.copy()
+    d[3] = np.inf
+    with pytest.raises(NumericalError, match="ell = 0 banded solve failed: "
+                       "the scaled operator is not finite"):
+        dataclasses.replace(mats, d=d).lu
+    with pytest.raises(NumericalError, match="degenerate projection "
+                       "direction in ell = 0 solve"):
+        dataclasses.replace(mats, g=np.zeros_like(mats.g)).border
+    monkeypatch.setattr(linearized, "_gttrs",
+                        lambda mats, rhs: np.zeros_like(rhs))
+    with pytest.raises(NumericalError, match="bordered ell = 0 system is "
+                       "singular"):
+        dataclasses.replace(mats).border
+
+
 def test_lapack_is_scipys(monkeypatch):
     # the spies above patch the one binding the solver calls through; it is
     # scipy's own LAPACK extension, so each routine is the very function

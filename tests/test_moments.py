@@ -177,6 +177,34 @@ def test_all_moments_match_direct_quadrature():
                                        err_msg=f"{kind} at (n={n}, s={s})")
 
 
+@pytest.mark.parametrize("n,s", [(7, 1.0), (7, 1.5), (7, 1.9), (9, 0.5),
+                                 (10, 1.0), (16, 1.5), (30, 1.0), (8, 0.01),
+                                 (12, 0.0)])
+def test_trapezoidal_moments_as_close_as_the_adaptive_engine(monkeypatch, n,
+                                                             s):
+    # moment_quadrature's trapezoidal rule in x = log r against the adaptive
+    # G7/K15 engine on the same integrand: each moment is as close to its
+    # Beta closed form, within a factor 1.5 or 1e-14 relative; what is left
+    # is roundoff of the integrand or of the closed form
+    from hsbubble import moments, quadrature
+
+    adaptive = []
+    rule = quadrature.integrate_log_trapezoid
+
+    def spy(integrand, tol):
+        adaptive.append(integrate_radial(integrand, tol=tol)["value"])
+        return rule(integrand, tol=tol)
+
+    monkeypatch.setattr(moments, "integrate_log_trapezoid", spy)
+    p = HSParams(n, s)
+    for kind in MOMENT_KINDS:
+        closed = bubble_moment(p, kind)
+        got = moment_quadrature(p, kind)
+        old = sphere_area(n) * adaptive.pop()
+        bound = max(1.5 * abs(old - closed), 1e-14 * abs(closed))
+        assert abs(got - closed) <= bound, kind
+
+
 def test_identity_report_n7_s1_frozen_ratios():
     rep = identity_report(P71)
     expected = {

@@ -339,10 +339,6 @@ _NON_EINSTEIN = {"scal": 42.0, "ric_norm2": 257.0, "rm_norm2": 84.0,
 
 
 @pytest.mark.parametrize("module,run", [
-    pytest.param(moments, lambda: [
-        moments.moment_quadrature(p, kind)
-        for p in (HSParams(7, 1.0), HSParams(9, 0.5), HSParams(7, 1.5))
-        for kind in moments.MOMENT_KINDS], id="moment_quadrature"),
     pytest.param(energy, lambda: energy.j_at_bubble(
         _model(HSParams(7, 1.0)), HSParams(7, 1.0), 0.01),
         id="j_at_bubble-finite-R"),
@@ -460,10 +456,20 @@ def _evaluations(monkeypatch, module, run):
 
 
 def test_infinite_domain_evaluation_counts(monkeypatch):
-    # spans set from the declared exponents leave little to bisect
+    # spans set from the declared exponents leave little to bisect, and the
+    # moments' trapezoidal rule converges in a few halvings
     p = HSParams(7, 1.0)
-    assert _evaluations(monkeypatch, moments,
-                        lambda: moments.identity_report(p)) <= 3000
+    counts = []
+    rule = quadrature.integrate_log_trapezoid
+
+    def spy(integrand, tol=quadrature.DEFAULT_TOL):
+        res = rule(integrand, tol=tol)
+        counts.append(res["evaluations"])
+        return res
+
+    monkeypatch.setattr(moments, "integrate_log_trapezoid", spy)
+    moments.identity_report(p)
+    assert len(counts) == 6 and sum(counts) <= 1200
     assert _evaluations(monkeypatch, energy, lambda: energy.remainder_alpha(
         curvature_preset("sphere:1", 7), p, 1.0)) <= 1000
 
@@ -509,3 +515,110 @@ def test_slow_tail_remainder_answers_within_a_small_budget(monkeypatch):
     flat = energy.remainder_norm_scaled(curvature_preset("flat", 7), p, 2.0)
     assert flat == pytest.approx(flat_alpha_inv_closed_form(p, 2.0),
                                  rel=1e-12)
+
+
+# ------------------------------------------- trapezoidal rule in x = log r
+
+
+def _declared(f=lambda r: (1.0 + r) ** -12.0, **kw):
+    return RadialIntegrand(f=f, **{"a": 5.0, "b": 12.0, "breaks": (1.0,),
+                                   **kw})
+
+
+def test_log_trapezoid_beta_forms_on_nested_nodes():
+    # each node is evaluated once: a halving adds only the midpoints
+    seen = []
+
+    def f(r):
+        seen.extend(r.tolist())
+        return (1.0 + r**2) ** -7.0
+
+    exact = math.gamma(3.5) ** 2 / (2.0 * math.gamma(7))
+    res = quadrature.integrate_log_trapezoid(RadialIntegrand(
+        f=f, a=6.0, b=14.0, breaks=(1 / 3, 3.0)), tol=1e-12)
+    assert res["value"] == pytest.approx(exact, rel=1e-14)
+    assert res["error_estimate"] <= 1e-12 * res["value"]
+    assert res["evaluations"] == len(seen) == len(set(seen))
+    res = quadrature.integrate_log_trapezoid(_declared(), tol=1e-12)
+    assert res["value"] == pytest.approx(1.0 / 2772.0, rel=1e-14)
+
+
+def test_log_trapezoid_stops_at_the_first_converged_halving():
+    # |T_h - T_2h| <= tol |T_h| is met one halving later at a tighter tol,
+    # and the estimate is the last step's difference
+    loose = quadrature.integrate_log_trapezoid(_declared(), tol=1e-3)
+    tight = quadrature.integrate_log_trapezoid(_declared(), tol=1e-12)
+    assert loose["evaluations"] < tight["evaluations"]
+    assert 0.0 < loose["error_estimate"] <= 1e-3 * loose["value"]
+    assert abs(loose["value"] - 1.0 / 2772.0) <= loose["error_estimate"]
+    # a tol below roundoff stops at the floor, as the adaptive engine does
+    zero = quadrature.integrate_log_trapezoid(_declared(), tol=0.0)
+    assert zero["error_estimate"] <= quadrature._TRAP_FLOOR * zero["value"]
+
+
+def test_log_trapezoid_refuses_what_it_does_not_serve():
+    cause = "needs an infinite domain, a declared tail exponent b and breaks"
+    for bad in (_declared(R=1.0), _declared(b=None), _declared(breaks=()),
+                _declared(arg=1.0)):
+        with pytest.raises(DomainError, match=cause):
+            quadrature.integrate_log_trapezoid(bad)
+
+
+@pytest.mark.parametrize("kw,tol", [
+    ({"a": -1.0}, 1e-10),
+    ({"b": 6.0}, 1e-10),
+    ({}, math.nan),
+    ({}, -1.0),
+    ({}, math.inf),
+])
+def test_log_trapezoid_keeps_the_engine_refusals(kw, tol):
+    # the divergence screens and the tolerance check, with the same words,
+    # decided before f is called
+    def f(r):
+        raise AssertionError("integrand called")
+
+    integrand = _declared(f=f, **kw)
+    with pytest.raises(DomainError) as want:
+        integrate_radial(integrand, tol=tol)
+    with pytest.raises(DomainError) as got:
+        quadrature.integrate_log_trapezoid(integrand, tol=tol)
+    assert str(got.value) == str(want.value)
+
+
+def test_log_trapezoid_zeroes_non_finite_node_values():
+    # NaN on the nodes below r = 3e-3, where the span starts at 2.46e-3 and
+    # the weight r**6 leaves under 1e-12 of the integral, counts as 0
+    def f(r):
+        return np.where(r < 3e-3, np.nan, (1.0 + r) ** -12.0)
+
+    res = quadrature.integrate_log_trapezoid(_declared(f=f), tol=1e-12)
+    assert res["value"] == pytest.approx(1.0 / 2772.0, rel=1e-12)
+
+
+def test_log_trapezoid_non_finite_level_sum_is_refused_at_once():
+    # every summand is at most 2e307 (its value on the dozen nodes with
+    # r >= 1), but their sum overflows a float
+    calls = []
+
+    def f(r):
+        calls.append(r.size)
+        return 2e307 * np.minimum(1.0, r**-6.0)
+
+    with pytest.raises(NumericalError, match=r"a trapezoidal sum on \[-6\.0"
+                       r"0\d+, 6\.0\d+\] in x = log r leaves the float range"):
+        quadrature.integrate_log_trapezoid(_declared(f=f))
+    assert len(calls) == 1
+
+
+def test_log_trapezoid_gives_up_after_its_halvings():
+    # a kink at r = 1 converges only like h**2, short of tol = 1e-13
+    calls = []
+
+    def f(r):
+        calls.append(r.size)
+        return (1.0 + r) ** -12.0 * (1.0 + np.abs(np.log(r)))
+
+    with pytest.raises(NumericalError, match="did not converge in 12 "
+                       r"halvings: \|T_h - T_2h\| = .* against"):
+        quadrature.integrate_log_trapezoid(_declared(f=f), tol=1e-13)
+    assert len(calls) == 1 + quadrature._TRAP_HALVINGS

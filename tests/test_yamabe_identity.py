@@ -110,3 +110,37 @@ def test_laplacian_only_datum_is_roundoff():
         * bubble_moment(p, "r2mass") / (4.0 * n)
     assert abs(c4) <= 1e-12 * scale
     assert abs(nonlocal_part) <= 1e-12 * scale
+
+
+def rm_weight_over_c0(n, s):
+    """a_Rm / c0: the |Rm|**2 coefficient of c4, differenced in rm_norm2 on
+    otherwise zero data, over c0, both from predicted_coeffs."""
+    p = HSParams(n, s)
+    c = [predicted_coeffs(RadialModel(CurvatureData(n, 0.0, 0.0, rm2, 0.0),
+                                      PotentialJet(0.0, 0.0)), p)
+         for rm2 in (0.0, 1.0)]
+    return (c[1]["c4"] - c[0]["c4"]) / c[0]["c0"]
+
+
+def test_aubin_weyl_constant_at_s0():
+    """The |Rm|**2 coefficient of c4 is purely local: with
+    K = r4grad/2 - r4crit/2*, it is a_Rm = -3 K / (360 n (n+2)).  At s = 0
+    the Beta moments make a_Rm / c0 = -1/(24 (n-4)(n-6)) for every n >= 7.
+    With the minimal energy Q**(n/2)/n (Q the Yamabe quotient) and
+    |Rm|**2 = |W|**2 in conformal normal coordinates, that is
+    dQ/Q = -|W|**2 delta**4 / (12 n (n-4)(n-6)), the constant of Aubin's
+    test-function expansion (J. Math. Pures Appl. 55, 1976).  It pins the
+    -3 |Rm|**2 weight of the density, the r4grad and r4crit closed forms
+    and c0 at once; measured to 7.6e-14."""
+    for n in range(7, 41):
+        want = -1.0 / (24.0 * (n - 4) * (n - 6))
+        assert rm_weight_over_c0(n, 0.0) == pytest.approx(want, rel=1e-12), n
+
+
+@pytest.mark.parametrize("n,ratio", [(7, -3 / 20), (8, -63 / 1600),
+                                     (9, -1 / 60), (10, -99 / 11200),
+                                     (12, -143 / 40320)])
+def test_rm_weight_is_rational_at_s1(n, ratio):
+    # at s = 1 the Gamma ratios of the moments cancel to rationals
+    # (measured to 3.9e-15); at s = 0.5 they do not
+    assert rm_weight_over_c0(n, 1.0) == pytest.approx(ratio, rel=1e-13)
