@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .params import HSParams
+from .params import DEFAULT_GRID, HSParams
 
 
 def u1(p: HSParams, r):
@@ -166,7 +166,8 @@ class RadialGrid:
         return self.R_max * (i / self.N) ** self.gamma
 
 
-def default_grid(p: HSParams, N: int = 8000, R_max: float = 200.0,
+def default_grid(p: HSParams, N: int = DEFAULT_GRID[0],
+                 R_max: float = DEFAULT_GRID[1],
                  gamma: Optional[float] = None) -> RadialGrid:
     """Default solver mesh: grading exponent 2/(2-s) puts uniform resolution
     on the t = r**(2-s) variable in which the profiles are rational."""

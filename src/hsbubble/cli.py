@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NumericalError
-from .params import DEFAULT_TOL, HSParams
+from .params import DEFAULT_GRID, DEFAULT_TOL, HSParams
 
 __all__ = ["main", "build_parser"]
 
@@ -74,9 +74,9 @@ _POTENTIAL = (
                                       "(minus-divergence convention)")),
     ("--f0", dict(type=float,
                   help="perturbation-direction value at the point")))
-_GRID = (("--grid", dict(default="8000,200",
+_GRID = (("--grid", dict(default="%d,%g" % DEFAULT_GRID,
                          help="solver mesh as N,Rmax[,gamma] (default "
-                              "8000,200, gamma defaults to 2/(2-s))")),)
+                              "%(default)s, gamma defaults to 2/(2-s))")),)
 
 
 # ------------------------------------------------------------- input layer

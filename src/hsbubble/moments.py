@@ -225,17 +225,29 @@ def moment_quadrature(p: HSParams, kind: str,
     f, aa, sing, b = table[kind]
     derive_constants(p)  # a kappa overflow is its own error, not the moment's
     where = f"the {kind} moment by quadrature at n = {n}, s = {s}"
+
+    def cause():
+        # the integrand carries kappa**2 (kappa**2*(s) for the crit kinds);
+        # where that power overflows, it is the cause, whatever the symptom
+        power = p.crit_exp if "crit" in kind else 2.0
+        try:
+            p.kappa ** power
+        except OverflowError:
+            return (f"; the cause is kappa**{power:.6g}, which overflows a "
+                    f"float (kappa = {p.kappa:.3g})")
+        return ""
+
     try:
         value = integrate_log_trapezoid(RadialIntegrand(
             f=f, a=aa + sing, b=b, breaks=bubble.power_law_breaks(p)),
             tol=tol)["value"]
     except NumericalError as exc:
-        raise NumericalError(f"{where}: {exc}") from None
+        raise NumericalError(f"{where}: {exc}{cause()}") from None
     if value == 0.0 or not math.isfinite(value):
         # the rule drops integrand values beyond the float range, so a
         # moment whose whole mass lies there sums to 0
-        raise NumericalError(
-            f"{where} is {value}: its integrand leaves the float range")
+        raise NumericalError(f"{where} is {value}: its integrand leaves "
+                             f"the float range{cause()}")
     return sphere_area(n) * value
 
 

@@ -29,9 +29,11 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 
-# relative tolerance of a quadrature call that names none; defined here, not
-# in quadrature, so the CLI's --tol default loads no numpy
+# relative tolerance of a quadrature call, and solver mesh (N, R_max) of a
+# grid, that name none; defined here, not in quadrature and bubble, so the
+# CLI's --tol and --grid defaults load no numpy
 DEFAULT_TOL = 1e-10
+DEFAULT_GRID = (8000, 200.0)
 
 # the smallest n the delta**4 terms take: the moments int |X|**4 |grad U1|**2
 # and int |X|**2 U1**2 have radial integrands ~ r**(5 - n) at infinity, so

@@ -108,11 +108,11 @@ _EPS = float(np.finfo(float).eps)
 _LOG_EPS = -log(_EPS)                        # e-folds down to float eps
 _LOG_MAX = log(float(np.finfo(float).max))   # largest x with e**x finite
 _DEAD = 30.0 * _EPS       # a panel with err <= _DEAD * |panel| is at roundoff
+_ROUNDOFF = 50.0 * _EPS   # both rules' roundoff floor, relative to the value
 # initial finite-domain edges on [0, 1], graded toward r = 0
 _GRADE = [0.0] + [2.0 ** -j for j in range(_GRADE_LEVELS, -1, -1)]
 _TRAP_STEP = 0.5          # coarsest step of the trapezoidal rule in x = log r
 _TRAP_HALVINGS = 12       # its step halvings before it gives up
-_TRAP_FLOOR = 50.0 * _EPS  # its roundoff floor, relative to the value
 
 
 @dataclass
@@ -159,18 +159,24 @@ def _panels(g, lo, hi, arg):
     h = 0.5 * (hi - lo)
     x = (c[:, None] + h[:, None] * _NODES).ravel()
     extra = () if arg is None else (np.repeat(arg, _NODES.size),)
-    y = np.asarray(g(x, *extra), dtype=float).reshape(-1, _NODES.size)
-    y = np.where(np.isfinite(y), y, 0.0)  # an overflowing weight times 0
+    y = _finite(np.asarray(g(x, *extra), dtype=float)
+                .reshape(-1, _NODES.size))
     k15 = h * np.vecdot(y, _W15)
     return (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
             h * np.vecdot(np.abs(y), _W15))
 
 
+def _finite(y):
+    """y with each non-finite value, an overflowing weight times 0, as 0."""
+    return np.where(np.isfinite(y), y, 0.0)
+
+
 def _log_span(power, b, breaks):
     """(lo, hi, xb): the x = log r span of an infinite domain and the breaks
-    in x, xb a list of floats.  Each end is where its power law in x,
+    in x, xb a list of floats.  A declared end is where its power law in x,
     e**((power+1) x) or e**((power+1-b) x) anchored at the nearest break,
-    has fallen by float eps, or, undeclared, where the weight
+    has fallen by float eps, and no lower than x = -_LOG_MAX, so r = e**x
+    stays a positive float; an undeclared end is where the weight
     e**((power+1) x) leaves the float range."""
     if not all(0.0 < r < inf for r in breaks):
         raise NumericalError(f"the break points {list(breaks)} of a radial "
@@ -180,7 +186,7 @@ def _log_span(power, b, breaks):
     xb = np.log(np.asarray(breaks, dtype=float)).tolist()
     lo, hi = -wide, wide
     if xb:
-        lo = max(min(xb) - _LOG_EPS / (power + 1.0), -wide)
+        lo = max(min(xb) - _LOG_EPS / (power + 1.0), -_LOG_MAX)
         if b is not None:
             hi = max(xb) + _LOG_EPS / (b - power - 1.0)
     return lo, hi, xb
@@ -287,7 +293,7 @@ class _Run:
         self.todo = None
         scale = max(abs(self.total), 1e-300)
         if not self.heap or self.err_total <= self.tol * scale or \
-                self.err_total <= 50.0 * _EPS * self.abs_total:
+                self.err_total <= _ROUNDOFF * self.abs_total:
             if abs(self.outer) > self.tol * abs(self.total):
                 raise DomainError(
                     "the integral may diverge at infinity: its outermost "
@@ -366,13 +372,12 @@ def integrate_log_trapezoid(integrand: RadialIntegrand,
     """The trapezoidal rule in x = log r on a declared half-line integrand.
 
     The integrand needs R = None, a declared tail exponent b and at least
-    one break; the span is the adaptive engine's (_log_span).  The nodes
-    are uniform in x, from a step of about _TRAP_STEP; each level halves
-    the step and reuses every node.  The summand is
-    g(x) = f(e**x) e**((a+1) x), with weight 1/2 at the two end nodes, and
-    a non-finite node value counts as 0 (an overflowing weight times 0).
-    The run stops at the first halving with |T_h - T_2h| <= tol |T_h|, or
-    at the roundoff floor _TRAP_FLOOR |T_h| for a smaller tol, and returns
+    one break.  Its span, non-finite values and roundoff floor are the
+    engine's (_log_span, _finite, _ROUNDOFF).  The nodes are uniform in x,
+    from a step of about _TRAP_STEP; each level halves the step and reuses
+    every node.  The summand is g(x) = f(e**x) e**((a+1) x), with weight
+    1/2 at the two end nodes.  The run stops at the first halving with
+    |T_h - T_2h| <= max(tol, _ROUNDOFF) |T_h| and returns
     {"value": T_h, "error_estimate": |T_h - T_2h|, "evaluations"}.
 
     Raises DomainError for any other integrand and for the engine's
@@ -392,37 +397,32 @@ def integrate_log_trapezoid(integrand: RadialIntegrand,
     h = (hi - lo) / count
     g = _summand(integrand.f, power, True)
 
-    def node_sum(y):
-        total = float(y.sum())
-        if not isfinite(total):  # count non-finite values as 0
-            total = float(np.where(np.isfinite(y), y, 0.0).sum())
-        return total
-
-    def level(value):
-        if not isfinite(value):
+    def add(total, y):
+        part = float(y.sum())  # finite only if every value of y is
+        total += part if isfinite(part) else float(_finite(y).sum())
+        if not isfinite(total):  # exactly when h * total is not (h <= 1/2)
             raise NumericalError(
                 f"a trapezoidal sum on [{lo:.6g}, {hi:.6g}] in x = log r "
                 "leaves the float range")
-        return value
+        return total
 
     with np.errstate(all="ignore"):
         y = g(lo + h * np.arange(count + 1.0))
         y[0] *= 0.5
         y[-1] *= 0.5
-        total = node_sum(y)
-        value = level(h * total)
-        evals = count + 1
+        total = add(0.0, y)
+        value, evals = h * total, count + 1
         for _ in range(_TRAP_HALVINGS):
-            total += node_sum(g(lo + h * (np.arange(count) + 0.5)))
+            total = add(total, g(lo + h * (np.arange(count) + 0.5)))
             evals += count
             h *= 0.5
             count *= 2
-            coarse, value = value, level(h * total)
+            coarse, value = value, h * total
             err = abs(value - coarse)
-            if err <= max(tol, _TRAP_FLOOR) * abs(value):
+            if err <= max(tol, _ROUNDOFF) * abs(value):
                 return {"value": value, "error_estimate": err,
                         "evaluations": evals}
     raise NumericalError(
         "the trapezoidal rule in x = log r did not converge in "
         f"{_TRAP_HALVINGS} halvings: |T_h - T_2h| = {err:.3e} against "
-        f"{max(tol, _TRAP_FLOOR) * abs(value):.3e}")
+        f"{max(tol, _ROUNDOFF) * abs(value):.3e}")

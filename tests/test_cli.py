@@ -596,6 +596,13 @@ def test_exit_2_ill_conditioned_fit(capsys):
       "1e50:1e51:8"],
      "the energy fit's design column delta^7 overflows a float over the "
      "sweep [1e+50, 1e+51]"),
+    # kappa fits a float but kappa**2 does not: the refusal names that cause
+    # after the rule's own symptom (here 12 halvings that do not converge)
+    (["integrals", "--n", "18", "--s", "1.9"],
+     "the mass2 moment by quadrature at n = 18, s = 1.9: the trapezoidal "
+     "rule in x = log r did not converge in 12 halvings"),
+    (["integrals", "--n", "18", "--s", "1.9"],
+     "; the cause is kappa**2, which overflows a float (kappa = 7.51e+192)"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)

@@ -403,6 +403,22 @@ def test_remainder_delta_squared_scaling():
         assert scaled / d**2 == pytest.approx(base, rel=1e-10)
 
 
+@pytest.mark.parametrize("curvature,h0", [
+    pytest.param({"scal": 42.0, "ric_norm2": 300.0, "rm_norm2": 100.0,
+                  "lap_scal": 0.0}, 7.5, id="tracefree"),
+    pytest.param("sphere:1", 1.0, id="sphere-radial")])
+def test_remainder_delta_squared_scaling_at_tiny_delta(curvature, h0):
+    # the span in x = log r comes from the declared breaks delta 5**-+1
+    # alone: clipped where the weight r**7 leaves the float range
+    # (x = -101.4), it lost the core below delta ~ 7.6e-42 and read 16.4%
+    # (tracefree) and 21.0% (sphere) low at 1e-45, 99.6% and 99.7% at 1e-50
+    c = curvature_preset(curvature, 7)
+    base = remainder_norm_scaled(c, P71, h0)
+    for d in (1e-45, 1e-50):
+        scaled = remainder_norm_scaled(c, P71, h0, d)
+        assert scaled / d**2 == pytest.approx(base, rel=1e-12, abs=0.0), d
+
+
 @pytest.mark.parametrize("n,s", [(7, 1.0), (10, 0.5), (16, 1.5)])
 def test_pure_tracefree_remainder_against_mpmath_oracle(n, s):
     # with Scal = 0 and h0 = 0 the density (mu/3)(u^2 - 1/n) r U1' factors:

@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hsbubble.errors import DomainError
+from hsbubble.errors import DomainError, NumericalError
 from hsbubble.moments import (
     MOMENT_KINDS,
     _lgamma,
@@ -252,3 +253,15 @@ def test_fraction0_matches_coupling_constant():
             two_over_crit = Fraction(n - 2, 1) / (n - s)
             c_ns = Fraction(n - 2) * (6 - s) / (12 * (2 * n - 2 - s))
             assert r1 - two_over_crit * r2 == 6 * n * c_ns
+
+
+@pytest.mark.parametrize("kind,power", [("mass2", "2"), ("gradsq", "2"),
+                                        ("crit", "2.0125")])
+def test_moment_refusal_names_an_overflowing_kappa_power(kind, power):
+    # kappa = 7.51e192 fits a float at (18, 1.9), but the integrands carry
+    # kappa**2 (kappa**2*(s) for the crit kinds), which does not: each
+    # refusal names it after the rule's own symptom
+    with pytest.raises(NumericalError, match=re.escape(
+            f"; the cause is kappa**{power}, which overflows a float "
+            "(kappa = 7.51e+192)")):
+        moment_quadrature(HSParams(18, 1.9), kind)

@@ -101,7 +101,8 @@ def _log_edges_union1d(power, b, breaks):
     xb = np.log(np.asarray(breaks, dtype=float))
     lo, hi = -wide, wide
     if len(xb):
-        lo = max(float(xb.min()) - quadrature._LOG_EPS / (power + 1.0), -wide)
+        lo = max(float(xb.min()) - quadrature._LOG_EPS / (power + 1.0),
+                 -quadrature._LOG_MAX)
         if b is not None:
             hi = float(xb.max()) + quadrature._LOG_EPS / (b - power - 1.0)
     count = max(1, math.ceil((hi - lo) / quadrature._X_WIDTH))
@@ -553,7 +554,7 @@ def test_log_trapezoid_stops_at_the_first_converged_halving():
     assert abs(loose["value"] - 1.0 / 2772.0) <= loose["error_estimate"]
     # a tol below roundoff stops at the floor, as the adaptive engine does
     zero = quadrature.integrate_log_trapezoid(_declared(), tol=0.0)
-    assert zero["error_estimate"] <= quadrature._TRAP_FLOOR * zero["value"]
+    assert zero["error_estimate"] <= quadrature._ROUNDOFF * zero["value"]
 
 
 def test_log_trapezoid_refuses_what_it_does_not_serve():
