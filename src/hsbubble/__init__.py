@@ -14,11 +14,11 @@ _EXPORTS = {
                "sphere_area"),
     "errors": ("DomainError", "NumericalError"),
     "quadrature": ("RadialIntegrand", "integrate_radial"),
-    "bubble": ("RadialGrid", "RadialProfile", "default_grid", "eval_profiles",
-               "pde_residual"),
+    "bubble": ("RadialGrid", "RadialProfile", "WDecomposition", "default_grid",
+               "eval_profiles", "pde_residual"),
     "moments": ("IdentityReport", "bubble_moment", "moment_quadrature",
                 "identity_report"),
-    "linearized": ("WDecomposition", "ModeSolution", "hat_c", "nonlocal_term",
+    "linearized": ("ModeSolution", "hat_c", "nonlocal_term",
                    "kernel_diagnostics"),
     "geometry": ("CurvatureData", "PotentialJet", "LgBreakdown",
                  "curvature_preset", "density_coeffs", "kns", "assemble_w",

@@ -205,6 +205,38 @@ class RadialProfile:
         return np.asarray(self.fn(grid.nodes), dtype=float)
 
 
+@dataclass(frozen=True)
+class WDecomposition:
+    """Mode decomposition of the geometric source W.
+
+    W(x) = a U1(r) + (1/3) T_ij sigma^i sigma^j (r U1'(r)) + mode0_extra
+    after splitting the full quadratic-coefficient contraction into its
+    spherical mean (which joins the radial mode) and its trace-free part T:
+
+      a           -- amplitude of the U1 component (a potential value, or
+                     c_ns * scalar curvature, depending on the caller);
+      mode0_extra -- radial amplitude multiplying r dU1/dr (the spherical
+                     mean of the contraction, e.g. Scal/(3n));
+      t_free_norm2-- |T|**2 for the trace-free part T = Ric - (Scal/n) g.
+                     Only |T|**2 enters any rotationally invariant output.
+    """
+
+    a: float
+    mode0_extra: float
+    t_free_norm2: float
+
+    def __post_init__(self):
+        for name in ("a", "mode0_extra", "t_free_norm2"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise DomainError(
+                    f"WDecomposition field {name!r} must be finite, got {v!r}")
+        if self.t_free_norm2 < 0.0:
+            raise DomainError(
+                f"t_free_norm2 must be >= 0, got {self.t_free_norm2}"
+            )
+
+
 def pde_residual(p: HSParams, grid: RadialGrid,
                  method: str = "analytic") -> dict:
     """Maximal relative defect of the two profile identities on the grid.

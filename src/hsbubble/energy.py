@@ -46,9 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bubble import du1, power_law_breaks, u1
+from .bubble import du1, power_law_breaks, rdru1, u1
 from .errors import DomainError, NumericalError
-from .geometry import CurvatureData, PotentialJet, density_coeffs
+from .geometry import CurvatureData, PotentialJet, assemble_w, density_coeffs
 from .moments import bubble_moment
 from .params import HSParams, derive_constants, sphere_area
 from .quadrature import (RadialIntegrand, integrate_radial,
@@ -154,6 +154,7 @@ class FitReport:
 
 def _check_regime(model: RadialModel, p: HSParams, delta: float) -> None:
     p.require("the energy expansion")
+    model.c.check_dimension(p)
     if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
         raise DomainError(f"delta must be a finite number, got {delta}")
     if not (0.0 < delta <= model.r0 / 10.0):
@@ -218,6 +219,7 @@ def predicted_coeffs(model: RadialModel, p: HSParams) -> dict:
     term is not part of it.
     """
     p.require("the energy expansion")
+    model.c.check_dimension(p)
     n, two_star = p.n, p.crit_exp
     F = model.coeffs["c4"]
     h0, lap_h = model.jet.h0, model.jet.lap_h
@@ -340,15 +342,6 @@ def fit_expansion(model: RadialModel, p: HSParams,
 # --------------------------------------------------------------- remainder
 
 
-def _tfree_axial_mu(c: CurvatureData) -> float:
-    """Axial amplitude: T = mu (e x e - g/n) has |T|^2 = mu^2 (n-1)/n.
-
-    Only |T|^2 enters any rotationally invariant quantity, so the axial
-    representative is fully general for the norms computed here.
-    """
-    return math.sqrt(c.tfree_ric_norm2 * c.n / (c.n - 1.0))
-
-
 # Gauss-Legendre points on each side of the kink in the trace-free
 # remainder's angular integral
 ANGULAR_POINTS = 48
@@ -373,8 +366,9 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
 
       h0 U_delta + (1/3) Ric_ij sigma^i sigma^j delta^{-(n-2)/2} (r U1')(r/delta).
 
-    The angular contraction splits into its spherical mean Scal/n (radial)
-    and the trace-free part, reduced via the axial representative to a weight
+    The density is the reduction's source W = assemble_w(c, p, h0): a radial
+    part h0 U1 + mode0_extra (r U1') and a trace-free part, whose axial
+    representative T = mu (e x e - g/n), |T|^2 = mu^2 (n-1)/n, gives a weight
     (u^2 - 1/n) with u = cos t the cosine against the axis.  At each radial
     node the angular integral of |A + B (u^2 - 1/n)/3|^q then runs over
     t in [0, pi/2] with the smooth weight sin^(n-2) t, and its one kink
@@ -391,11 +385,11 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     p.require("the remainder norm")
     if not (math.isfinite(h0) and math.isfinite(delta) and delta > 0.0):
         raise DomainError("h0 must be finite and delta positive")
+    w = assemble_w(c, p, h0)
     n = p.n
     q = 2.0 * n / (n + 2.0)
-    scal_amp = c.scal / (3.0 * n)
-    mu = _tfree_axial_mu(c)
-    if h0 == 0.0 and scal_amp == 0.0 and mu == 0.0:
+    mu = math.sqrt(w.t_free_norm2 * n / (n - 1.0))
+    if w.a == 0.0 and w.mode0_extra == 0.0 and mu == 0.0:
         return 0.0
     omega_inner = sphere_area(n - 1)
     overflow = (f"the remainder density with h0 = {h0!r} at delta = "
@@ -423,10 +417,11 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     def radial_f(r):
         rho = r / delta
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            A = pref * (h0 * u1(p, rho) + scal_amp * rho * du1(p, rho))
+            rdu = rdru1(p, rho)
+            A = pref * (w.a * u1(p, rho) + w.mode0_extra * rdu)
             if mu == 0.0:
                 return checked(np.abs(A) ** q, r)
-            B = pref * mu * rho * du1(p, rho)
+            B = pref * mu * rdu
             # the kink A + B (cos^2 t - 1/n)/3 = 0; where B underflows to 0
             # there is none, and any split is exact
             ts = np.arccos(np.sqrt(np.clip(

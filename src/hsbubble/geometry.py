@@ -48,9 +48,8 @@ from typing import TYPE_CHECKING, Union
 from .errors import DomainError, NumericalError
 from .params import HSParams
 
-if TYPE_CHECKING:  # annotations only: the curvature data needs no solver
-    from .bubble import RadialGrid
-    from .linearized import WDecomposition
+if TYPE_CHECKING:  # annotations only: the curvature data needs no numpy
+    from .bubble import RadialGrid, WDecomposition
 
 __all__ = [
     "CurvatureData",
@@ -287,7 +286,7 @@ def assemble_w(c: CurvatureData, p: HSParams, a: float) -> WDecomposition:
     radial mode with amplitude Scal/(3n)) and its trace-free remainder,
     which only enters through |T|^2.
     """
-    from .linearized import WDecomposition
+    from .bubble import WDecomposition
     c.check_dimension(p)
     return WDecomposition(
         a=float(a),

@@ -197,10 +197,10 @@ def moment_quadrature(p: HSParams, kind: str,
     def du_smooth(r):
         # U1'(r) * r^{s-1}: smooth at 0
         t = r ** (2.0 - s)
-        return -p.kappa * (n - 2) * (1.0 + t) ** (-(n - s) / (2.0 - s))
+        return -p.kappa * (n - 2) * (1.0 + t) ** (-p.m)
 
     def dz_smooth(r):
-        m = (n - s) / (2.0 - s)
+        m = p.m
         t = r ** (2.0 - s)
         return 0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0) \
             * ((1.0 + m) + (1.0 - m) * t)

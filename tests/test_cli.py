@@ -965,6 +965,40 @@ def test_closed_stdout_ends_quietly(argv):
     assert proc.returncode == 0
 
 
+def test_broken_pipe_points_stdout_at_devnull(monkeypatch):
+    # the in-process path of the runs above: the report's print meets a
+    # closed pipe, and main succeeds after pointing stdout's descriptor at
+    # devnull (recorded here, not done to the test's own stdout)
+    def closed_pipe(*args, **kwargs):
+        raise BrokenPipeError
+
+    class Stdout:
+        def fileno(self):
+            return 99
+
+    dup2 = []
+    monkeypatch.setattr(cli, "print", closed_pipe, raising=False)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(os, "dup2", lambda fd, fd2: dup2.append((fd, fd2)))
+    assert main(["constants", "--n", "7", "--s", "1"]) == 0
+    [(fd, target)] = dup2
+    try:
+        assert target == 99
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
+def test_module_attribute_imports_its_module(monkeypatch):
+    # a loaded submodule is also an attribute of the package; without it,
+    # the package's __getattr__ imports the module by name
+    import importlib
+
+    energy = importlib.import_module("hsbubble.energy")
+    monkeypatch.delattr(hsbubble, "energy")
+    assert hsbubble.energy is energy
+
+
 def test_benchmark_span_sites_resolve():
     # the benchmark's tracer (--trace 1) wraps these hsbubble attributes by
     # name and reads ell as the second positional argument of two of them,

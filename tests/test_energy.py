@@ -22,7 +22,6 @@ from hsbubble.bubble import du1, u1
 from hsbubble.energy import (
     FitReport,
     RadialModel,
-    _tfree_axial_mu,
     fit_expansion,
     j_at_bubble,
     predicted_coeffs,
@@ -30,7 +29,8 @@ from hsbubble.energy import (
     remainder_norm_scaled,
 )
 from hsbubble.errors import DomainError, NumericalError
-from hsbubble.geometry import CurvatureData, PotentialJet, curvature_preset
+from hsbubble.geometry import (CurvatureData, PotentialJet, assemble_w,
+                               curvature_preset)
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants, sphere_area
 
@@ -286,6 +286,12 @@ GENERIC_C = CurvatureData(n=7, scal=3.0, ric_norm2=9.0 / 7.0 + 4.0,
                           rm_norm2=2.0, lap_scal=0.0)
 
 
+def axial_mu(c):
+    """mu of the axial trace-free Ricci T = mu (e x e - g/n), whose
+    |T|^2 = mu^2 (n-1)/n is the data's trace-free magnitude."""
+    return math.sqrt(c.tfree_ric_norm2 * c.n / (c.n - 1.0))
+
+
 def test_remainder_flat_matches_closed_form():
     got = remainder_alpha(curvature_preset("flat", 7), P71, 1.0)
     want = flat_alpha_inv_closed_form(P71, 1.0)
@@ -309,6 +315,37 @@ def test_remainder_validation():
         remainder_norm_scaled(GENERIC_C, P71, 1.0, 0.0)
     with pytest.raises(DomainError):
         remainder_norm_scaled(GENERIC_C, P71, math.nan, 1.0)
+
+
+def test_curvature_of_another_dimension_is_refused():
+    # sphere:1 built at n = 8 and paired with (7, 1) used to answer: with
+    # h0 = 1, c2 = -15317906.04 (the n = 7 data give -11089777.40),
+    # J(0.05) = 693801.96 (698507.27), remainder norm 219953.49 (160010.87)
+    c8 = curvature_preset("sphere:1", 8)
+    model = RadialModel(c8, PotentialJet(1.0, 0.0))
+    calls = [lambda: predicted_coeffs(model, P71),
+             lambda: j_at_bubble(model, P71, 0.05),
+             lambda: fit_expansion(model, P71, np.geomspace(0.005, 0.05, 12)),
+             lambda: remainder_norm_scaled(c8, P71, 1.0)]
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(
+                "dimension mismatch: data n=8, params n=7")):
+            call()
+
+
+@pytest.mark.parametrize("ric_norm2,t_free", [(300.0, True), (252.0, False)],
+                         ids=["tracefree", "radial"])
+def test_remainder_sees_the_curvature_only_through_w(ric_norm2, t_free):
+    # W = assemble_w(c, p, h0) holds Scal/(3n) and |Ric - (Scal/n) g|^2
+    # only, so data that differ in |Rm|^2 and Delta Scal alone give the
+    # same norm, bit for bit, on either path
+    c1 = CurvatureData(n=7, scal=42.0, ric_norm2=ric_norm2, rm_norm2=100.0,
+                       lap_scal=0.0)
+    c2 = CurvatureData(n=7, scal=42.0, ric_norm2=ric_norm2, rm_norm2=3.0,
+                       lap_scal=1.5)
+    assert (assemble_w(c1, P71, 7.5).t_free_norm2 > 0.0) is t_free
+    assert remainder_norm_scaled(c1, P71, 7.5) == \
+        remainder_norm_scaled(c2, P71, 7.5)
 
 
 def test_remainder_overflow_is_a_numerical_error():
@@ -347,7 +384,7 @@ def test_remainder_answers_where_only_the_radial_weight_overflows(n):
 def test_remainder_generic_against_dblquad_oracle():
     h0 = 2.0
     n, q = 7, 14.0 / 9.0
-    mu = _tfree_axial_mu(GENERIC_C)
+    mu = axial_mu(GENERIC_C)
     scal_amp = GENERIC_C.scal / (3.0 * n)
 
     def integrand(u, r):
@@ -368,7 +405,7 @@ def test_remainder_generic_against_dblquad_oracle():
 def test_remainder_angular_reduction_against_monte_carlo():
     rng = np.random.default_rng(0)
     n, q = 7, 14.0 / 9.0
-    mu = _tfree_axial_mu(GENERIC_C)
+    mu = axial_mu(GENERIC_C)
     r = 1.7
     A = 2.0 * u1(P71, r) + GENERIC_C.scal / 21.0 * r * du1(P71, r)
     B = mu * r * du1(P71, r) / 3.0
@@ -427,7 +464,7 @@ def test_pure_tracefree_remainder_against_mpmath_oracle(n, s):
     c = CurvatureData(n=n, scal=0.0, ric_norm2=2.0, rm_norm2=2.0,
                       lap_scal=0.0)
     with mpmath.workdps(30):
-        mu = mpmath.mpf(_tfree_axial_mu(c))
+        mu = mpmath.mpf(axial_mu(c))
         q = mpmath.mpf(2 * n) / (n + 2)
         kappa, two_s = mpmath.mpf(p.kappa), 2 - mpmath.mpf(s)
         u0 = 1 / mpmath.sqrt(n)

@@ -483,7 +483,8 @@ def _remainder_oracle(c, p, h0):
 
     n = p.n
     q = 2.0 * n / (n + 2.0)
-    amp, mu = c.scal / (3.0 * n), energy._tfree_axial_mu(c)
+    amp = c.scal / (3.0 * n)
+    mu = math.sqrt(c.tfree_ric_norm2 * n / (n - 1.0))  # |T|^2 = mu^2 (n-1)/n
 
     def angular(r):
         A = h0 * bubble.u1(p, r) + amp * r * bubble.du1(p, r)
