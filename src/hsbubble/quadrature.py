@@ -39,24 +39,19 @@ Plain adaptive Gauss-Kronrod (G7, K15) on panels:
     is an undeclared tail end whose outermost panel still holds more than
     tol * |I| (the integral may diverge there).
 
-integrate_radial_batch runs several integrands in lockstep.  Each keeps its
-own panels, heap, stopping rule and budget, so its result is exactly that of
-a run of its own; in each round every unconverged member bisects its worst
-panel, and the nodes of all members that share an integrand function (and
-weight power and domain kind) go to that function in one call.  The first
-round calls it on the nodes of every initial panel.  f must therefore be
+integrate_radial_batch runs several integrands in lockstep, each exactly as
+a run of its own (its docstring gives the round rules), and the nodes of all
+members that share an integrand function (and weight power, domain kind and
+initial panel count) go to that function in one call.  f must therefore be
 elementwise over a 1-D numpy array: each output may depend only on the r
 (and the arg, see RadialIntegrand) at the same position.  The K15 rule is
-open (no endpoint nodes), so f is never called at r = 0.  A failing member
-ends the batch: every divergence screen runs, in input order, before any f
-call, and after them the first DomainError or NumericalError met, round by
-round in the order the groups are summed, is raised.  The panel edges,
+open (no endpoint nodes), so f is never called at r = 0.  The panel edges,
 the heap and the running sums are Python floats; numpy evaluates the
 integrand and the panel sums, under one error-state scope per batch.
 """
 
 from dataclasses import dataclass
-from heapq import heappush, heappop
+from heapq import heapify, heappush, heappop
 from math import ceil, inf, isfinite, log
 from typing import Callable, Optional, Sequence
 
@@ -113,6 +108,8 @@ _ROUNDOFF = 50.0 * _EPS   # both rules' roundoff floor, relative to the value
 _GRADE = [0.0] + [2.0 ** -j for j in range(_GRADE_LEVELS, -1, -1)]
 _TRAP_STEP = 0.5          # coarsest step of the trapezoidal rule in x = log r
 _TRAP_HALVINGS = 12       # its step halvings before it gives up
+_AHEAD = 3                # most look-ahead panels a run holds; calls per
+                          # (7, 1) fit: 23 without, 11, 9, 9 with 2, 3, 4
 
 
 @dataclass
@@ -142,28 +139,30 @@ class RadialIntegrand:
     arg: Optional[float] = None
 
 
-def _panels(g, lo, hi, arg):
-    """15-point Kronrod and embedded 7-point Gauss sums on panels [lo[i], hi[i]].
-
-    g is called once, on the nodes of every panel, and given arg[i] at
-    panel i's nodes unless arg is None.  Each sum is one np.vecdot over the
-    panels: it runs numpy's dot loop once per panel, the same sequential
-    BLAS ddot as a dot product on that panel alone, so each panel's sums
-    match a panel integrated alone bit for bit (a matrix product over all
-    panels may block its sums differently and move the last bit).  Returns
-    (k15, |k15 - g7|, |k15| sum) per panel as arrays; a sum may overflow.
-    The caller sets numpy's error state: g's overflows and 0 * inf are
-    expected here.
+def _panels(members):
+    """(lo, hi, (k15, |k15 - g7|, |k15| sum)), as arrays over the todo
+    panels [lo[i], hi[i]] of all members, in order: 15-point Kronrod and
+    embedded 7-point Gauss sums from one call of their summand, given each
+    member's arg at its panels' nodes unless arg is None.  Each sum is one
+    np.vecdot over the panels: it runs numpy's dot loop once per panel, the
+    same sequential BLAS ddot as a dot product on that panel alone, so each
+    panel's sums match a panel integrated alone bit for bit (a matrix
+    product over all panels may block its sums differently and move the
+    last bit).  A sum may overflow.  The caller sets numpy's error state:
+    g's overflows and 0 * inf are expected here.
     """
+    lo = np.array([e for run in members for e in run.todo[0]])
+    hi = np.array([e for run in members for e in run.todo[1]])
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = (c[:, None] + h[:, None] * _NODES).ravel()
-    extra = () if arg is None else (np.repeat(arg, _NODES.size),)
-    y = _finite(np.asarray(g(x, *extra), dtype=float)
+    extra = () if members[0].arg is None else (np.repeat(
+        [run.arg for run in members for _ in run.todo[0]], _NODES.size),)
+    y = _finite(np.asarray(members[0].g(x, *extra), dtype=float)
                 .reshape(-1, _NODES.size))
     k15 = h * np.vecdot(y, _W15)
-    return (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
-            h * np.vecdot(np.abs(y), _W15))
+    return lo, hi, (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
+                    h * np.vecdot(np.abs(y), _W15))
 
 
 def _finite(y):
@@ -233,8 +232,10 @@ def _refuse_divergence(power, b):
 class _Run:
     """The adaptive state of one integrand: its panel heap, serial numbers,
     running sums and stopping rule, as in a run of its own.  `todo` holds
-    the (lo, hi) edge lists of the panels to sum next, None once done.
-    Edges and sums are Python floats throughout."""
+    the (lo, hi) edge lists of the panels to sum next (initial, then
+    halves), None once done; `ready` maps a heap panel's lower edge to its
+    summed halves until bisect commits them.  Edges and sums are Python
+    floats throughout."""
 
     def __init__(self, integrand: RadialIntegrand, tol: float):
         power = integrand.a
@@ -249,26 +250,23 @@ class _Run:
             if integrand.R <= 0:
                 raise DomainError("domain radius must be positive")
             edges = [integrand.R * g for g in _GRADE]
-        # members with one key are summed in one call of one summand
-        self.key = (id(integrand.f), power, log, integrand.arg is None)
+        # members with one key are summed in one call, and booked in one table
+        self.key = (id(integrand.f), power, log, integrand.arg is None,
+                    len(edges))
         self.g = _summand(integrand.f, power, log)
         self.arg = integrand.arg
         self.tol = tol
-        self.heap = []
-        self.serial = 0
-        self.total, self.err_total, self.abs_total = 0.0, 0.0, 0.0
         self.evals = 0
-        self.outer = 0.0  # value of the panel at tail_end
+        self.ready = {}
         self.todo = (edges[:-1], edges[1:])
 
-    def push(self, sums):
+    def push(self, los, his, rows):
         # a bisection hands its panel's own edge objects on, so a long heap
         # holds one float per edge, not per entry.  The loop keeps the books
         # in locals; after a raise the batch ends and nothing reads them.
-        los, his = self.todo
         total, err_total, abs_total = self.total, self.err_total, self.abs_total
         heap, serial, tail_end = self.heap, self.serial, self.tail_end
-        for plo, phi, val, err, kabs in zip(los, his, *sums):
+        for plo, phi, (val, err, kabs) in zip(los, his, rows):
             if not (isfinite(err) and isfinite(kabs)):  # err is, if val is
                 raise NumericalError(f"a quadrature panel sum on [{plo:.6g}, "
                                      f"{phi:.6g}] leaves the float range")
@@ -288,42 +286,95 @@ class _Run:
         self.evals += 15 * len(los)
 
     def bisect(self):
-        """Set todo to the halves of the worst panel, or to None once the
-        sums have converged or no panel is left to refine."""
-        self.todo = None
-        scale = max(abs(self.total), 1e-300)
-        if not self.heap or self.err_total <= self.tol * scale or \
-                self.err_total <= _ROUNDOFF * self.abs_total:
-            if abs(self.outer) > self.tol * abs(self.total):
-                raise DomainError(
-                    "the integral may diverge at infinity: its outermost "
-                    f"panel, ending at x = log r = {self.tail_end:.6g}, still "
-                    f"holds {self.outer:.3e} of {self.total:.3e}; declare "
-                    "the integrand's tail exponent b")
-            return
-        if self.evals + 30 > PANEL_BUDGET:
-            raise NumericalError(
-                f"quadrature budget of {PANEL_BUDGET} evaluations exhausted; "
-                f"error estimate {self.err_total:.3e} vs target "
-                f"{self.tol * abs(self.total):.3e}")
-        _, _, lo, hi, val, err = heappop(self.heap)
-        self.total -= val
-        self.err_total -= err
-        mid = 0.5 * (lo + hi)
-        self.todo = ([lo, mid], [mid, hi])
+        """Bisect worst panels, as the serial engine would, while their
+        halves are ready.  Then set todo to the halves of the worst panel
+        and of more from the heap's first 7 entries (they hold its 3 worst),
+        worst first, while the error the stopping rule still has to shed
+        exceeds what the earlier picks remove and ready holds at most
+        _AHEAD of them; or to None once the sums converge or no panel is
+        left to refine."""
+        while True:
+            self.todo = None
+            scale = max(abs(self.total), 1e-300)
+            if not self.heap or self.err_total <= self.tol * scale or \
+                    self.err_total <= _ROUNDOFF * self.abs_total:
+                if abs(self.outer) > self.tol * abs(self.total):
+                    raise DomainError(
+                        "the integral may diverge at infinity: its outermost "
+                        f"panel, ending at x = log r = {self.tail_end:.6g}, "
+                        f"still holds {self.outer:.3e} of {self.total:.3e}; "
+                        "declare the integrand's tail exponent b")
+                return
+            if self.evals + 30 > PANEL_BUDGET:
+                raise NumericalError(
+                    f"quadrature budget of {PANEL_BUDGET} evaluations "
+                    f"exhausted; error estimate {self.err_total:.3e} vs "
+                    f"target {self.tol * abs(self.total):.3e}")
+            halves = self.ready.pop(self.heap[0][2], None)
+            if halves is None:
+                break
+            _, _, _, _, val, err = heappop(self.heap)
+            self.total -= val
+            self.err_total -= err
+            self.push(*halves)
+        self.todo = los, his = [], []
+        room = self.err_total - max(self.tol * scale,
+                                    _ROUNDOFF * self.abs_total)
+        for _, _, lo, hi, _, err in sorted(self.heap[:7]):
+            if room <= 0.0 or len(self.ready) + len(los) // 2 > _AHEAD:
+                break
+            room -= err
+            if lo not in self.ready:
+                mid = 0.5 * (lo + hi)
+                los += [lo, mid]
+                his += [mid, hi]
+
+
+def _start(members, lo, hi, sums):
+    """Book each member's initial panels as push would, then bisect it, in
+    input order: its sums are a sequential np.cumsum along its row (a
+    leading 0.0 keeps the loop's sign of zero), its live panels heapified."""
+    k15, err, kabs = sums
+    m, count = len(members), len(members[0].todo[0])
+    rows = np.zeros((3, m, count + 1))
+    rows[:, :, 1:] = np.reshape(sums, (3, m, count))
+    books = np.cumsum(rows, axis=2)[:, :, -1].T.tolist()
+    bad = np.flatnonzero(~np.isfinite(np.maximum(err, kabs))).tolist()
+    live = np.flatnonzero((err > _DEAD * kabs) & (
+        hi - lo > 1e-15 * np.maximum(np.abs(hi), 1e-250)))
+    cols = [v[live].tolist() for v in (-err, lo, hi, k15, err)]
+    cuts = np.searchsorted(live, range(0, m * count + 1, count)).tolist()
+    for i, run in enumerate(members):
+        a, b, end = cuts[i], cuts[i + 1], (i + 1) * count
+        run.heap = list(zip(cols[0][a:b], range(b - a),
+                            *(v[a:b] for v in cols[1:])))
+        heapify(run.heap)
+        run.serial, run.evals = b - a, 15 * count
+        run.total, run.err_total, run.abs_total = books[i]
+        run.outer = 0.0 if run.tail_end is None else float(k15[end - 1])
+        if bad and bad[0] < end:  # push raises on its first bad panel
+            j = bad[0]
+            run.push([lo[j]], [hi[j]], [(k15[j], err[j], kabs[j])])
+        run.bisect()
 
 
 def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
                            tol: float = DEFAULT_TOL) -> list:
     """integrate_radial on each integrand, run in lockstep.
 
-    Each member's result is exactly what integrate_radial gives it alone.
-    The divergence screens run in input order before any f call, and the
-    first that fails is raised.  After them the batch ends at the first
-    failure it meets, round by round, in the order the groups are summed;
-    so when several members would fail, which error is raised can differ
-    from a loop over integrate_radial.  An exception raised by f itself
-    also leaves the batch at once.
+    Each member's result is exactly what integrate_radial gives it alone:
+    the sums, heap pops and stopping decisions of a run that bisects one
+    worst panel at a time.  The first round sums every initial panel; in
+    each later round a member sums the halves of its worst panel and,
+    looking ahead, of up to _AHEAD more heap panels (_Run.bisect), committed
+    in the serial order; `evaluations` and the budget count committed
+    panels only.  The divergence screens run in input order before any f
+    call, and the first that fails is raised.  After them the batch ends at
+    the first failure it meets, round by round, in the order the groups are
+    summed; so when several members would fail, which error is raised can
+    differ from a loop over integrate_radial, and from one-panel rounds.
+    An exception raised by f leaves the batch if its call, made again
+    without look-ahead panels, raises again.
     """
     _check_tol(tol)
     runs = [_Run(integrand, tol) for integrand in integrands]
@@ -334,19 +385,27 @@ def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
             for run in live:
                 groups.setdefault(run.key, []).append(run)
             for members in groups.values():
-                lo = [e for run in members for e in run.todo[0]]
-                hi = [e for run in members for e in run.todo[1]]
-                arg = None if members[0].arg is None else \
-                    [run.arg for run in members for _ in run.todo[0]]
-                k15, err, kabs = (v.tolist() for v in _panels(
-                    members[0].g, np.array(lo), np.array(hi), arg))
-                start = 0
+                if not members[0].evals:
+                    _start(members, *_panels(members))
+                    continue
+                try:
+                    sums = _panels(members)[2]
+                except Exception:
+                    # f may fail on a look-ahead node that the serial
+                    # engine never sums; only a failure without them counts
+                    if all(len(run.todo[0]) == 2 for run in members):
+                        raise
+                    for run in members:
+                        run.todo = (run.todo[0][:2], run.todo[1][:2])
+                    sums = _panels(members)[2]
+                rows = list(zip(*(v.tolist() for v in sums)))
                 for run in members:
-                    stop = start + len(run.todo[0])
-                    run.push((k15[start:stop], err[start:stop],
-                              kabs[start:stop]))
+                    los, his = run.todo
+                    for j in range(0, len(los), 2):
+                        run.ready[los[j]] = (los[j:j + 2], his[j:j + 2],
+                                             rows[j:j + 2])
+                    del rows[:len(los)]
                     run.bisect()
-                    start = stop
             live = [run for run in live if run.todo is not None]
     return [{"value": run.total, "error_estimate": run.err_total,
              "evaluations": run.evals} for run in runs]
@@ -375,7 +434,8 @@ def integrate_log_trapezoid(integrand: RadialIntegrand,
     one break.  Its span, non-finite values and roundoff floor are the
     engine's (_log_span, _finite, _ROUNDOFF).  The nodes are uniform in x,
     from a step of about _TRAP_STEP; each level halves the step and reuses
-    every node.  The summand is g(x) = f(e**x) e**((a+1) x), with weight
+    every node; f gets level 0 and its first halving in one call, on the
+    same floats.  The summand is g(x) = f(e**x) e**((a+1) x), with weight
     1/2 at the two end nodes.  The run stops at the first halving with
     |T_h - T_2h| <= max(tol, _ROUNDOFF) |T_h| and returns
     {"value": T_h, "error_estimate": |T_h - T_2h|, "evaluations"}.
@@ -407,13 +467,14 @@ def integrate_log_trapezoid(integrand: RadialIntegrand,
         return total
 
     with np.errstate(all="ignore"):
-        y = g(lo + h * np.arange(count + 1.0))
+        y = g(lo + 0.5 * h * np.arange(2.0 * count + 1.0))
         y[0] *= 0.5
         y[-1] *= 0.5
-        total = add(0.0, y)
+        total = add(0.0, y[::2].copy())
         value, evals = h * total, count + 1
-        for _ in range(_TRAP_HALVINGS):
-            total = add(total, g(lo + h * (np.arange(count) + 0.5)))
+        for halving in range(_TRAP_HALVINGS):
+            total = add(total, g(lo + h * (np.arange(count) + 0.5))
+                        if halving else y[1::2].copy())
             evals += count
             h *= 0.5
             count *= 2

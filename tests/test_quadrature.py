@@ -1,3 +1,4 @@
+import hashlib
 import math
 from heapq import heappop, heappush
 
@@ -380,6 +381,120 @@ def test_batched_budget_exhaustion_matches_panel_loop(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
+_P71 = HSParams(7, 1.0)
+
+
+@pytest.mark.parametrize("module,run,want", [
+    # sha256 of the repr of the 36 (value.hex(), error_estimate.hex(),
+    # evaluations) triples of the README sweep's batch
+    pytest.param(energy, lambda: energy._j_sweep(
+        _model(_P71), _P71, list(np.geomspace(0.005, 0.05, 12))),
+        "2e740b35cb1593712557023a36cf3f1fe8bf4c320daaa0ed498025f2980a1a15",
+        id="j-sweep-7-1"),
+    pytest.param(energy, lambda: energy.remainder_norm_scaled(
+        curvature_preset("sphere:1", 7), _P71, 1.0),
+        [("0x1.cbb36f29dc874p+21", "0x1.4f04a855b9000p-20", 510)],
+        id="remainder-radial-7-1"),
+    pytest.param(energy, lambda: energy.remainder_norm_scaled(
+        curvature_preset(_NON_EINSTEIN, 7), _P71, 1.0),
+        [("0x1.dc3ee3f8d38cap+26", "0x1.c0947925e2000p-15", 540)],
+        id="remainder-tracefree-7-1"),
+    pytest.param(energy, lambda: energy.remainder_norm_scaled(
+        curvature_preset("sphere:1", 9), HSParams(9, 0.5), 1.0),
+        [("0x1.89a9fda693e8cp+23", "0x1.686afff670100p-18", 435)],
+        id="remainder-radial-9-05"),
+    pytest.param(energy, lambda: energy.remainder_norm_scaled(
+        curvature_preset(_NON_EINSTEIN, 9), HSParams(9, 0.5), 1.0),
+        [("0x1.1f80993987794p+27", "0x1.29774904e1900p-14", 465)],
+        id="remainder-tracefree-9-05"),
+    pytest.param(energy, lambda: energy.remainder_norm_scaled(
+        curvature_preset("sphere:1", 7), HSParams(7, 1.5), 1.0),
+        [("0x1.a72eb9d2ff256p+36", "0x1.8ce25fc285634p-4", 525)],
+        id="remainder-radial-7-15"),
+    pytest.param(energy, lambda: energy.remainder_norm_scaled(
+        curvature_preset(_NON_EINSTEIN, 7), HSParams(7, 1.5), 1.0),
+        [("0x1.b669f4ac26bd0p+41", "0x1.9b55da66259b8p+1", 525)],
+        id="remainder-tracefree-7-15"),
+    pytest.param(linearized, lambda: (
+        linearized.assemble_mode.cache_clear(),
+        linearized.assemble_mode(_P71, 0, default_grid(_P71, 2000, 200.0))),
+        [("0x1.9ca105d91aa47p-95", "0x1.0010010410400p-147", 915)],
+        id="first-cell-mass-7-1"),
+])
+def test_caller_results_are_pinned_bit_for_bit(monkeypatch, module, run,
+                                               want):
+    # the engine's results for its callers, as a run that bisects one
+    # panel per integrand call gives them: look-ahead may change which
+    # nodes a call holds, never a committed sum or decision
+    got = [(res["value"].hex(), res["error_estimate"].hex(),
+            res["evaluations"])
+           for _, _, res in _recorded_calls(monkeypatch, module, run)]
+    if isinstance(want, str):
+        got = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert got == want
+
+
+def test_tail_divergence_refusal_text_is_pinned():
+    with pytest.raises(DomainError) as got:
+        integrate_radial(RadialIntegrand(f=lambda r: (1.0 + r) ** -6.0,
+                                         a=5.0))
+    assert str(got.value) == (
+        "the integral may diverge at infinity: its outermost panel, ending "
+        "at x = log r = 118.297, still holds 1.988e+00 of 1.160e+02; "
+        "declare the integrand's tail exponent b")
+
+
+def test_budget_refusal_keeps_its_text_and_bounds_the_look_ahead():
+    # the committed panels, not the looked-ahead ones, count against the
+    # budget, so the refusal keeps the serial engine's text; f sees at most
+    # _AHEAD uncommitted panels' halves, 30 nodes each, beyond it
+    nodes = []
+
+    def f(r):
+        nodes.append(r.size)
+        return np.sin(1.0 / r) ** 2
+
+    with pytest.raises(NumericalError) as got:
+        integrate_radial(RadialIntegrand(f=f, R=1.0), tol=1e-14)
+    assert str(got.value) == (
+        "quadrature budget of 1000000 evaluations exhausted; error estimate "
+        "1.570e-07 vs target 6.735e-15")
+    assert sum(nodes) <= quadrature.PANEL_BUDGET + 30 * quadrature._AHEAD
+
+
+def test_f_failing_only_on_look_ahead_nodes_leaves_the_result_alone():
+    # the serial engine's nodes, from the one-panel-per-call reference
+    panels = []
+
+    def record(r):
+        panels.append(frozenset(r.tolist()))
+        return np.sin(50.0 * r) ** 2 + r
+
+    want = _reference_integrate(RadialIntegrand(f=record, R=1.0), tol=0.0)
+    serial = frozenset().union(*panels)
+    refused = []
+
+    def f(r):
+        if not serial.issuperset(r.tolist()):
+            refused.append(r.size)
+            raise RuntimeError("a node the serial engine never sums")
+        return np.sin(50.0 * r) ** 2 + r
+
+    # at the roundoff floor the run stops with a looked-ahead panel unused
+    got = integrate_radial(RadialIntegrand(f=f, R=1.0), tol=0.0)
+    assert refused and got == want
+
+    # a failure on a node the serial engine sums is raised as f raised it,
+    # here on the last panel it bisects
+    def g(r):
+        if not panels[-1].isdisjoint(r.tolist()):
+            raise RuntimeError("a serial node")
+        return f(r)
+
+    with pytest.raises(RuntimeError, match="a serial node"):
+        integrate_radial(RadialIntegrand(f=g, R=1.0), tol=0.0)
+
+
 def test_vecdot_matches_the_per_panel_dot():
     # the premise of the panel sums: np.vecdot runs the same dot loop once
     # per row, so it equals one dot product per panel bit for bit
@@ -623,4 +738,9 @@ def test_log_trapezoid_gives_up_after_its_halvings():
     with pytest.raises(NumericalError, match="did not converge in 12 "
                        r"halvings: \|T_h - T_2h\| = .* against"):
         quadrature.integrate_log_trapezoid(_declared(f=f), tol=1e-13)
-    assert len(calls) == 1 + quadrature._TRAP_HALVINGS
+    # the first call holds level 0 and its first halving, 2 c + 1 nodes for
+    # c level-0 steps; the run sums c 2**12 steps and its last halving
+    # adds their c 2**11 midpoints
+    steps = calls[0] // 2
+    assert sum(calls) == steps * 2 ** quadrature._TRAP_HALVINGS + 1
+    assert calls[-1] == steps * 2 ** (quadrature._TRAP_HALVINGS - 1)
