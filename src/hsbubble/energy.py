@@ -374,9 +374,12 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     t in [0, pi/2] with the smooth weight sin^(n-2) t, and its one kink
     sits at cos^2 t* = 1/n - 3A/B (clipped to [0, 1]).  Each side of t* is
     an ANGULAR_POINTS-point Gauss-Legendre sum graded toward t*
-    (_graded_rule).  The radial integral is adaptive, in x = log r over the
-    whole half-line.  The density decays like r**(-(n-2)), so the engine
-    gets the declared tail exponent b = q (n-2) and the profile's breaks
+    (_graded_rule); where t* is clipped to an end, as at most radial nodes,
+    one side has length 0, adds exactly 0 and is not evaluated, and the
+    other side's angles, which depend on t* alone, are formed once for all
+    the nodes that share it.  The radial integral is adaptive, in x = log r
+    over the whole half-line.  The density decays like r**(-(n-2)), so the
+    engine gets the declared tail exponent b = q (n-2) and the profile's breaks
     delta beta**(-+1/(2-s)), beta = (n-2)/(2-s), and decides the span from
     them rather than from samples of the integrand.  Integration runs in the
     original radial variable (no delta substitution), so the delta^2
@@ -427,14 +430,33 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
             ts = np.arccos(np.sqrt(np.clip(
                 1.0 / n - np.nan_to_num(3.0 * A / B), 0.0, 1.0)))
             x, wx = _graded_rule()
-            out = 0.0
+            out = np.zeros_like(ts)
             for L in (-ts, 0.5 * np.pi - ts):
-                t = ts[:, None] + L[:, None] * x
-                vals = (np.abs(A[:, None] + B[:, None]
-                               * (np.cos(t) ** 2 - 1.0 / n) / 3.0) ** q
-                        * np.sin(t) ** (n - 2.0))
+                # where the kink is clipped to an end, this side has length
+                # 0 and adds exactly 0: sum only the nodes where it does not
+                on = np.flatnonzero(L)
+                # a side's angles depend on its kink alone, and most kinks
+                # are clipped to the same end: form the angular factors
+                # once per distinct kink
+                kinks, first, at = np.unique(ts[on], return_index=True,
+                                             return_inverse=True)
+                t = L[on[first], None] * x
+                t += kinks[:, None]
+                cos2 = np.cos(t)
+                cos2 **= 2
+                cos2 -= 1.0 / n
+                np.sin(t, out=t)
+                t **= n - 2.0
+                # |A + B (cos^2 t - 1/n)/3|**q sin(t)**(n-2), in place
+                vals = cos2[at]
+                vals *= B[on, None]
+                vals /= 3.0
+                vals += A[on, None]
+                np.abs(vals, out=vals)
+                vals **= q
+                vals *= t[at]
                 # one dot per node, so f stays elementwise bit for bit
-                out = out + np.abs(L) * np.vecdot(vals, wx)
+                out[on] += np.abs(L[on]) * np.vecdot(vals, wx)
             return checked(2.0 * omega_inner * out, r)
 
     derive_constants(p)  # a kappa overflow is named before the scale's

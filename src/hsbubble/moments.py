@@ -32,7 +32,9 @@ t-substitution; ``identity_report`` compares the two routes against the six
 closed-form ratio identities.  It runs the trapezoidal rule in x = log r
 (``quadrature.integrate_log_trapezoid``): a moment integrand has no kink and
 no finite end, so the rule converges geometrically and matches the adaptive
-engine's accuracy at a fraction of its cost.
+engine's accuracy at a fraction of its cost.  The moments weigh four profile
+functions, and the identity report's six moments run as one list, so the
+rule evaluates each function once per level for all the moments using it.
 """
 
 from __future__ import annotations
@@ -191,64 +193,87 @@ def moment_quadrature(p: HSParams, kind: str,
     trapezoidal rule places its x = log r span: at s = 1.9 the mass reaches
     r ~ 1e17.
     """
+    return _moment_runs(p, (kind,), tol)[0]
+
+
+def _moment_runs(p: HSParams, kinds, tol: float) -> list:
+    """moment_quadrature of each kind, as one run of the trapezoidal rule.
+
+    The kinds share one f per profile function (U1**2, (U1' r**(s-1))**2,
+    U1**2*(s) and (Z0' r**(s-1))**2), so the rule calls each once per level
+    for all the kinds that weigh it.  A failure raises the error of the
+    first failing kind in input order; a quadrature failure is raised
+    before a moment that sums to 0.
+    """
     n, s = p.n, float(p.s)
     a = float(n - 1)
 
-    def du_smooth(r):
-        # U1'(r) * r^{s-1}: smooth at 0
-        t = r ** (2.0 - s)
-        return -p.kappa * (n - 2) * (1.0 + t) ** (-p.m)
+    def mass(r):
+        return bubble.u1(p, r) ** 2
 
-    def dz_smooth(r):
+    def grad(r):
+        # (U1'(r) r^{s-1})**2: smooth at 0
+        t = r ** (2.0 - s)
+        return (-p.kappa * (n - 2) * (1.0 + t) ** (-p.m)) ** 2
+
+    def crit(r):
+        return bubble.u1(p, r) ** p.crit_exp
+
+    def z0grad(r):
         m = p.m
         t = r ** (2.0 - s)
-        return 0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0) \
-            * ((1.0 + m) + (1.0 - m) * t)
+        return (0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0)
+                * ((1.0 + m) + (1.0 - m) * t)) ** 2
 
     # (f, weight power, endpoint exponent, tail exponent b of f): U1 decays
     # like r**-(n-2), and U1' r**(s-1), Z0' r**(s-1) and U1**2*(s) all give
     # r**-(2(n-s)) once squared
     b_mass, b_grad = 2.0 * (n - 2), 2.0 * (n - s)
     table = {
-        "mass2": (lambda r: bubble.u1(p, r) ** 2, a, 0.0, b_mass),
-        "r2mass": (lambda r: bubble.u1(p, r) ** 2, a + 2.0, 0.0, b_mass),
-        "gradsq": (lambda r: du_smooth(r) ** 2, a, 2.0 - 2.0 * s, b_grad),
-        "r2grad": (lambda r: du_smooth(r) ** 2, a + 2.0, 2.0 - 2.0 * s, b_grad),
-        "r4grad": (lambda r: du_smooth(r) ** 2, a + 4.0, 2.0 - 2.0 * s, b_grad),
-        "crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a, -s, b_grad),
-        "r2crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a + 2.0, -s, b_grad),
-        "r4crit": (lambda r: bubble.u1(p, r) ** p.crit_exp, a + 4.0, -s, b_grad),
-        "z0grad": (lambda r: dz_smooth(r) ** 2, a, 2.0 - 2.0 * s, b_grad),
+        "mass2": (mass, a, 0.0, b_mass),
+        "r2mass": (mass, a + 2.0, 0.0, b_mass),
+        "gradsq": (grad, a, 2.0 - 2.0 * s, b_grad),
+        "r2grad": (grad, a + 2.0, 2.0 - 2.0 * s, b_grad),
+        "r4grad": (grad, a + 4.0, 2.0 - 2.0 * s, b_grad),
+        "crit": (crit, a, -s, b_grad),
+        "r2crit": (crit, a + 2.0, -s, b_grad),
+        "r4crit": (crit, a + 4.0, -s, b_grad),
+        "z0grad": (z0grad, a, 2.0 - 2.0 * s, b_grad),
     }
-    if kind not in table:
-        raise DomainError(f"unknown moment kind {kind!r}")
-    f, aa, sing, b = table[kind]
+    for kind in kinds:
+        if kind not in table:
+            raise DomainError(f"unknown moment kind {kind!r}")
     derive_constants(p)  # a kappa overflow is its own error, not the moment's
-    where = f"the {kind} moment by quadrature at n = {n}, s = {s}"
 
-    def cause():
+    def refusal(kind, symptom):
         # the integrand carries kappa**2 (kappa**2*(s) for the crit kinds);
         # where that power overflows, it is the cause, whatever the symptom
         power = p.crit_exp if "crit" in kind else 2.0
+        cause = ""
         try:
             p.kappa ** power
         except OverflowError:
-            return (f"; the cause is kappa**{power:.6g}, which overflows a "
-                    f"float (kappa = {p.kappa:.3g})")
-        return ""
+            cause = (f"; the cause is kappa**{power:.6g}, which overflows a "
+                     f"float (kappa = {p.kappa:.3g})")
+        return NumericalError(f"the {kind} moment by quadrature at n = {n}, "
+                              f"s = {s}{symptom}{cause}")
 
+    breaks = bubble.power_law_breaks(p)
     try:
-        value = integrate_log_trapezoid(RadialIntegrand(
-            f=f, a=aa + sing, b=b, breaks=bubble.power_law_breaks(p)),
-            tol=tol)["value"]
+        runs = integrate_log_trapezoid(
+            [RadialIntegrand(f=f, a=aa + sing, b=b, breaks=breaks)
+             for f, aa, sing, b in (table[kind] for kind in kinds)], tol=tol)
     except NumericalError as exc:
-        raise NumericalError(f"{where}: {exc}{cause()}") from None
-    if value == 0.0 or not math.isfinite(value):
-        # the rule drops integrand values beyond the float range, so a
-        # moment whose whole mass lies there sums to 0
-        raise NumericalError(f"{where} is {value}: its integrand leaves "
-                             f"the float range{cause()}")
-    return sphere_area(n) * value
+        raise refusal(kinds[exc.member], f": {exc}") from None
+    values = []
+    for kind, run in zip(kinds, runs):
+        if run["value"] == 0.0 or not math.isfinite(run["value"]):
+            # the rule drops integrand values beyond the float range, so a
+            # moment whose whole mass lies there sums to 0
+            raise refusal(kind, f" is {run['value']}: its integrand leaves "
+                          "the float range")
+        values.append(sphere_area(n) * run["value"])
+    return values
 
 
 @dataclass
@@ -277,13 +302,16 @@ def identity_report(p: HSParams, tol: float = DEFAULT_TOL) -> IdentityReport:
 
     fraction0 is r2grad/mass2 - (2/2*(s)) r2crit/mass2 = 6 n c_ns, and
     r4combined is r4grad/r2mass - (2/2*(s)) r4crit/r2mass.  The quadrature
-    side uses only moment_quadrature; the closed-form side only rational
-    arithmetic on (n, s).  Requires n >= 7 so all six ratios are finite;
-    every s in [0, 2) is accepted, the Yamabe limit s = 0 included.
+    side uses only the moment_quadrature integrands, its six moments run
+    as one trapezoidal rule (a moment there may differ from
+    moment_quadrature's by the integrand's roundoff, since it sums on the
+    union of the six spans); the closed-form side only rational arithmetic
+    on (n, s).  Requires n >= 7 so all six ratios are finite; every s in
+    [0, 2) is accepted, the Yamabe limit s = 0 included.
     """
     p.require("the identity report")
-    q = {kind: moment_quadrature(p, kind, tol=tol)
-         for kind in ("mass2", "r2mass", "r2grad", "r4grad", "r2crit", "r4crit")}
+    kinds = ("mass2", "r2mass", "r2grad", "r4grad", "r2crit", "r4crit")
+    q = dict(zip(kinds, _moment_runs(p, kinds, tol)))
     two_over_crit = 2.0 / p.crit_exp
     measured = {
         "r2grad_over_mass2": q["r2grad"] / q["mass2"],

@@ -12,14 +12,17 @@ Two rules serve them.
 
 Trapezoidal rule in x = log r (integrate_log_trapezoid)
 -------------------------------------------------------
-For a half-line integrand that declares its tail exponent and breaks and is
-analytic in a strip about the real x axis, as the profile moments are.
-There its power laws at 0 and at infinity decay exponentially in x, and the
-plain trapezoidal rule converges geometrically in 1/h (Trefethen &
+For half-line integrands that declare their tail exponents and breaks and
+are analytic in a strip about the real x axis, as the profile moments are.
+There their power laws at 0 and at infinity decay exponentially in x, and
+the plain trapezoidal rule converges geometrically in 1/h (Trefethen &
 Weideman, SIAM Rev. 56, 2014).  Nested levels give the h versus 2h
-difference as a deterministic error estimate.  A kink (the remainders'
-|A|**q) or a finite end breaks that convergence, so those integrands keep
-the adaptive engine.
+difference as a deterministic error estimate.  The rule takes a list: its
+members share one node set, over the union of their spans, and each
+distinct f is evaluated once per level for all the members that weigh it,
+each with its own sums and stopping rule.  A kink (the remainders' |A|**q)
+or a finite end breaks that convergence, so those integrands keep the
+adaptive engine.
 
 Adaptive engine (integrate_radial, integrate_radial_batch)
 ----------------------------------------------------------
@@ -426,36 +429,57 @@ def integrate_radial(integrand: RadialIntegrand,
     return integrate_radial_batch([integrand], tol)[0]
 
 
-def integrate_log_trapezoid(integrand: RadialIntegrand,
-                            tol: float = DEFAULT_TOL) -> dict:
-    """The trapezoidal rule in x = log r on a declared half-line integrand.
+def integrate_log_trapezoid(integrands: Sequence[RadialIntegrand],
+                            tol: float = DEFAULT_TOL) -> list:
+    """The trapezoidal rule in x = log r on declared half-line integrands.
 
-    The integrand needs R = None, a declared tail exponent b and at least
-    one break.  Its span, non-finite values and roundoff floor are the
-    engine's (_log_span, _finite, _ROUNDOFF).  The nodes are uniform in x,
-    from a step of about _TRAP_STEP; each level halves the step and reuses
-    every node; f gets level 0 and its first halving in one call, on the
-    same floats.  The summand is g(x) = f(e**x) e**((a+1) x), with weight
-    1/2 at the two end nodes.  The run stops at the first halving with
-    |T_h - T_2h| <= max(tol, _ROUNDOFF) |T_h| and returns
-    {"value": T_h, "error_estimate": |T_h - T_2h|, "evaluations"}.
+    Each integrand needs R = None, a declared tail exponent b and at least
+    one break.  Spans, non-finite values and roundoff floor are the
+    engine's (_log_span, _finite, _ROUNDOFF).  The members run on one node
+    set, uniform in x over the union of their spans, from a step of about
+    _TRAP_STEP; each level halves the step and reuses every node.  Each
+    distinct f is called once per level, on the nodes the level adds, for
+    the members that share it and still run; level 0 and its first halving
+    come from one call, on the same floats.  A member's summand is
+    g(x) = f(e**x) e**((a+1) x), with weight 1/2 at the two end nodes.  It
+    stops at its first halving with |T_h - T_2h| <= max(tol, _ROUNDOFF)
+    |T_h| and returns {"value": T_h, "error_estimate": |T_h - T_2h|,
+    "evaluations"}, its nodes up to then.  A one-member list is the rule on
+    that integrand alone.
 
     Raises DomainError for any other integrand and for the engine's
-    divergence screens, and NumericalError when a level sum is not finite
-    or _TRAP_HALVINGS halvings do not converge.
+    divergence screens, checked in input order before any f call.  A
+    member fails when a level sum is not finite or _TRAP_HALVINGS halvings
+    do not converge; the members before it run on, and then the first
+    failed member in input order raises its NumericalError, with that
+    member's index as the error's `member` attribute.  An exception raised
+    by f leaves at once.
     """
     _check_tol(tol)
-    if integrand.R is not None or integrand.b is None or \
-            not integrand.breaks or integrand.arg is not None:
-        raise DomainError(
-            "the trapezoidal rule in x = log r needs an infinite domain, a "
-            "declared tail exponent b and breaks, and no arg")
-    power = integrand.a
-    _refuse_divergence(power, integrand.b)
-    lo, hi, _ = _log_span(power, integrand.b, integrand.breaks)
+    spans = []
+    for integrand in integrands:
+        if integrand.R is not None or integrand.b is None or \
+                not integrand.breaks or integrand.arg is not None:
+            raise DomainError(
+                "the trapezoidal rule in x = log r needs an infinite domain, "
+                "a declared tail exponent b and breaks, and no arg")
+        _refuse_divergence(integrand.a, integrand.b)
+        spans.append(_log_span(integrand.a, integrand.b, integrand.breaks))
+    lo = min(span[0] for span in spans)
+    hi = max(span[1] for span in spans)
     count = ceil((hi - lo) / _TRAP_STEP)
     h = (hi - lo) / count
-    g = _summand(integrand.f, power, True)
+
+    def sample(x, live):
+        """Each live member's summand at x, one f call per distinct f."""
+        r = np.exp(x)
+        fr = {}
+        for i in live:
+            f = integrands[i].f
+            if id(f) not in fr:
+                fr[id(f)] = f(r)
+        return {i: fr[id(integrands[i].f)] * r ** integrands[i].a * r
+                for i in live}
 
     def add(total, y):
         part = float(y.sum())  # finite only if every value of y is
@@ -466,24 +490,53 @@ def integrate_log_trapezoid(integrand: RadialIntegrand,
                 "leaves the float range")
         return total
 
+    out, totals, values = {}, {}, {}  # out: a result or a NumericalError
     with np.errstate(all="ignore"):
-        y = g(lo + 0.5 * h * np.arange(2.0 * count + 1.0))
-        y[0] *= 0.5
-        y[-1] *= 0.5
-        total = add(0.0, y[::2].copy())
-        value, evals = h * total, count + 1
-        for halving in range(_TRAP_HALVINGS):
-            total = add(total, g(lo + h * (np.arange(count) + 0.5))
-                        if halving else y[1::2].copy())
-            evals += count
-            h *= 0.5
-            count *= 2
-            coarse, value = value, h * total
-            err = abs(value - coarse)
-            if err <= max(tol, _ROUNDOFF) * abs(value):
-                return {"value": value, "error_estimate": err,
-                        "evaluations": evals}
-    raise NumericalError(
-        "the trapezoidal rule in x = log r did not converge in "
-        f"{_TRAP_HALVINGS} halvings: |T_h - T_2h| = {err:.3e} against "
-        f"{max(tol, _ROUNDOFF) * abs(value):.3e}")
+        live = range(len(integrands))
+        first = sample(lo + 0.5 * h * np.arange(2.0 * count + 1.0), live)
+        for y in first.values():
+            y[0] *= 0.5
+            y[-1] *= 0.5
+        evals = count + 1
+        for level in range(_TRAP_HALVINGS + 1):
+            if level < 2:  # level 0 and its first halving are one call
+                ys = {i: first[i][level::2].copy() for i in live}
+            else:
+                ys = sample(lo + h * (np.arange(count) + 0.5), live)
+            if level:
+                evals += count
+                h *= 0.5
+                count *= 2
+            for i in live:
+                try:
+                    totals[i] = add(totals.get(i, 0.0), ys[i])
+                except NumericalError as exc:
+                    out[i] = exc
+                    continue
+                coarse, values[i] = values.get(i), h * totals[i]
+                if not level:
+                    continue
+                err = abs(values[i] - coarse)
+                bound = max(tol, _ROUNDOFF) * abs(values[i])
+                if err <= bound:
+                    out[i] = {"value": values[i], "error_estimate": err,
+                              "evaluations": evals}
+                elif level == _TRAP_HALVINGS:
+                    out[i] = NumericalError(
+                        "the trapezoidal rule in x = log r did not converge "
+                        f"in {_TRAP_HALVINGS} halvings: |T_h - T_2h| = "
+                        f"{err:.3e} against {bound:.3e}")
+            # a member after a failed one cannot change the error raised
+            cut = min((i for i, res in out.items()
+                       if isinstance(res, NumericalError)),
+                      default=len(integrands))
+            live = [i for i in live if i < cut and i not in out]
+            if not live:
+                break
+    results = []
+    for i in range(len(integrands)):
+        if isinstance(out[i], NumericalError):
+            out[i].member = i
+            raise out[i]
+        results.append(out[i])
+    return results

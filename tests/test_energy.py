@@ -7,6 +7,7 @@ Gauss-Legendre against mpmath and scipy dblquad oracles and a Monte-Carlo
 angular check.
 """
 
+import hashlib
 import math
 import re
 import warnings
@@ -503,3 +504,31 @@ def test_angular_points_suffice(monkeypatch, n, s):
     finally:
         energy._graded_rule.cache_clear()
     assert fine == pytest.approx(base, rel=1e-13, abs=0.0)
+
+
+def test_remainder_values_are_pinned_bit_for_bit():
+    # the angular sum skips a side of the kink only where that side has
+    # length 0, and forms the integrand in the order it always had: every
+    # norm, or refusal, of this sweep keeps its bits (all 240 cases take
+    # about 0.4 s; 24 are typed refusals)
+    got = []
+    for n in (7, 9, 16, 30):
+        non_einstein = {"scal": float(n * (n - 1)),
+                        "ric_norm2": float(n * (n - 1) ** 2) + 5.0,
+                        "rm_norm2": float(2 * n * (n - 1)), "lap_scal": 0.0}
+        curvatures = [curvature_preset(c, n) for c in (
+            non_einstein, {"scal": 42.0, "ric_norm2": 300.0,
+                           "rm_norm2": 100.0, "lap_scal": 1.5}, "sphere:1")]
+        for s in (0.0, 0.5, 1.0, 1.5, 1.9):
+            p = HSParams(n, s)
+            for c in curvatures:
+                for h0 in (1.0, 7.5):
+                    for delta in (1.0, 1e-3):
+                        try:
+                            got.append(remainder_norm_scaled(
+                                c, p, h0, delta).hex())
+                        except (DomainError, NumericalError) as exc:
+                            got.append((type(exc).__name__, str(exc)))
+    assert len(got) == 240
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "087774f6995486a306ce9e273572526f5b74475ea2aa875ecd9fb3be7ed1f35e")

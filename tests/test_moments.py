@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from hsbubble.errors import DomainError, NumericalError
+from hsbubble import moments, quadrature
 from hsbubble.moments import (
     MOMENT_KINDS,
     _lgamma,
@@ -15,7 +18,8 @@ from hsbubble.moments import (
     ipq,
     moment_quadrature,
 )
-from hsbubble.params import HSParams, derive_constants, sphere_area
+from hsbubble.params import (DEFAULT_TOL, HSParams, derive_constants,
+                             sphere_area)
 from hsbubble.quadrature import RadialIntegrand, integrate_radial
 
 P71 = HSParams(7, 1.0)
@@ -187,14 +191,13 @@ def test_trapezoidal_moments_as_close_as_the_adaptive_engine(monkeypatch, n,
     # G7/K15 engine on the same integrand: each moment is as close to its
     # Beta closed form, within a factor 1.5 or 1e-14 relative; what is left
     # is roundoff of the integrand or of the closed form
-    from hsbubble import moments, quadrature
-
     adaptive = []
     rule = quadrature.integrate_log_trapezoid
 
-    def spy(integrand, tol):
-        adaptive.append(integrate_radial(integrand, tol=tol)["value"])
-        return rule(integrand, tol=tol)
+    def spy(integrands, tol):
+        adaptive.extend(integrate_radial(integrand, tol=tol)["value"]
+                        for integrand in integrands)
+        return rule(integrands, tol=tol)
 
     monkeypatch.setattr(moments, "integrate_log_trapezoid", spy)
     p = HSParams(n, s)
@@ -265,3 +268,88 @@ def test_moment_refusal_names_an_overflowing_kappa_power(kind, power):
             f"; the cause is kappa**{power}, which overflows a float "
             "(kappa = 7.51e+192)")):
         moment_quadrature(HSParams(18, 1.9), kind)
+
+
+# the domain contract's (n, s) grid (test_domain_contract.py)
+CONTRACT = [(n, s) for n in (*range(7, 21), 24, 30, 40, 60)
+            for s in (0.0, 0.01, 0.5, 1.0, 1.5, 1.7, 1.8, 1.9, 1.95, 1.99)]
+IDENTITY_KINDS = ("mass2", "r2mass", "r2grad", "r4grad", "r2crit", "r4crit")
+
+
+@functools.cache
+def _one_kind_runs():
+    """{(n, s): [moment_quadrature of each kind, or its refusal]}."""
+    runs = {}
+    for n, s in CONTRACT:
+        runs[n, s] = []
+        for kind in MOMENT_KINDS:
+            try:
+                runs[n, s].append(moment_quadrature(HSParams(n, s), kind))
+            except NumericalError as exc:
+                runs[n, s].append((type(exc).__name__, str(exc)))
+    return runs
+
+
+def test_moment_quadrature_is_pinned_bit_for_bit():
+    # every kind alone is a one-member run of the trapezoidal rule, with the
+    # bits, and the refusals, of the rule before it took lists
+    got = [v.hex() if isinstance(v, float) else v
+           for row in _one_kind_runs().values() for v in row]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "b2b1913070ad701fae45d1dd500be21665a64f99bc42f53900c6c4e233bebe23")
+
+
+def test_identity_moments_in_one_run_agree_with_runs_alone():
+    # one run sums every moment on the union of their spans, so each moment
+    # sees other nodes than alone: they differ by the integrand's roundoff,
+    # at most 5.0e-14 (r4grad at (7, 1.95), itself 1.5e-12 from its closed
+    # form), and a batch refuses where the runs alone do
+    index = [MOMENT_KINDS.index(kind) for kind in IDENTITY_KINDS]
+    answered = 0
+    for (n, s), row in _one_kind_runs().items():
+        alone = [row[i] for i in index]
+        try:
+            batch = moments._moment_runs(HSParams(n, s), IDENTITY_KINDS,
+                                         DEFAULT_TOL)
+        except NumericalError as exc:
+            first = next(v for v in alone if not isinstance(v, float))
+            assert str(exc).split(":")[0] == first[1].split(":")[0], (n, s)
+            continue
+        answered += 1
+        for kind, got, want in zip(IDENTITY_KINDS, batch, alone):
+            assert abs(got - want) <= 1e-13 * abs(want), (n, s, kind)
+    assert answered == 137
+
+
+@pytest.mark.parametrize("n,s", [(7, 1.0), (9, 0.5), (7, 1.5)])
+def test_identity_report_calls_each_profile_function_once_per_level(
+        monkeypatch, n, s):
+    # the six moments weigh three profile functions; each is called once
+    # per level of the longest run among the moments that use it, on the
+    # nodes that level adds (level 0 and its first halving in one call)
+    sizes = {}
+    rule = quadrature.integrate_log_trapezoid
+
+    def spy(integrands, tol):
+        counted = {}
+        for integrand in integrands:
+            f = integrand.f
+            if id(f) not in counted:
+                def counting(r, f=f, calls=sizes.setdefault(id(f), [])):
+                    calls.append(r.size)
+                    return f(r)
+                counted[id(f)] = counting
+            integrand.f = counted[id(f)]
+        res = rule(integrands, tol=tol)
+        for key, wrapped in counted.items():
+            longest = max(run["evaluations"]
+                          for integrand, run in zip(integrands, res)
+                          if integrand.f is wrapped)
+            calls = sizes[key]
+            steps = calls[0] // 2  # level 0 has steps + 1 nodes
+            assert steps * 2 ** len(calls) + 1 == longest == sum(calls)
+        return res
+
+    monkeypatch.setattr(moments, "integrate_log_trapezoid", spy)
+    identity_report(HSParams(n, s))
+    assert len(sizes) == 3

@@ -573,19 +573,25 @@ def _evaluations(monkeypatch, module, run):
 
 def test_infinite_domain_evaluation_counts(monkeypatch):
     # spans set from the declared exponents leave little to bisect, and the
-    # moments' trapezoidal rule converges in a few halvings
+    # moments' trapezoidal rule converges in a few halvings: the identity
+    # report's six moments are one run, whose three profile functions are
+    # each evaluated as often as the longest run among the members using it
     p = HSParams(7, 1.0)
-    counts = []
+    calls = []
     rule = quadrature.integrate_log_trapezoid
 
-    def spy(integrand, tol=quadrature.DEFAULT_TOL):
-        res = rule(integrand, tol=tol)
-        counts.append(res["evaluations"])
+    def spy(integrands, tol=quadrature.DEFAULT_TOL):
+        res = rule(integrands, tol=tol)
+        shared = {}
+        for integrand, run in zip(integrands, res):
+            key = id(integrand.f)
+            shared[key] = max(shared.get(key, 0), run["evaluations"])
+        calls.append((len(integrands), sum(shared.values())))
         return res
 
     monkeypatch.setattr(moments, "integrate_log_trapezoid", spy)
     moments.identity_report(p)
-    assert len(counts) == 6 and sum(counts) <= 1200
+    assert len(calls) == 1 and calls[0][0] == 6 and calls[0][1] <= 1200
     assert _evaluations(monkeypatch, energy, lambda: energy.remainder_alpha(
         curvature_preset("sphere:1", 7), p, 1.0)) <= 1000
 
@@ -651,25 +657,25 @@ def test_log_trapezoid_beta_forms_on_nested_nodes():
         return (1.0 + r**2) ** -7.0
 
     exact = math.gamma(3.5) ** 2 / (2.0 * math.gamma(7))
-    res = quadrature.integrate_log_trapezoid(RadialIntegrand(
-        f=f, a=6.0, b=14.0, breaks=(1 / 3, 3.0)), tol=1e-12)
+    res = quadrature.integrate_log_trapezoid([RadialIntegrand(
+        f=f, a=6.0, b=14.0, breaks=(1 / 3, 3.0))], tol=1e-12)[0]
     assert res["value"] == pytest.approx(exact, rel=1e-14)
     assert res["error_estimate"] <= 1e-12 * res["value"]
     assert res["evaluations"] == len(seen) == len(set(seen))
-    res = quadrature.integrate_log_trapezoid(_declared(), tol=1e-12)
+    res = quadrature.integrate_log_trapezoid([_declared()], tol=1e-12)[0]
     assert res["value"] == pytest.approx(1.0 / 2772.0, rel=1e-14)
 
 
 def test_log_trapezoid_stops_at_the_first_converged_halving():
     # |T_h - T_2h| <= tol |T_h| is met one halving later at a tighter tol,
     # and the estimate is the last step's difference
-    loose = quadrature.integrate_log_trapezoid(_declared(), tol=1e-3)
-    tight = quadrature.integrate_log_trapezoid(_declared(), tol=1e-12)
+    loose = quadrature.integrate_log_trapezoid([_declared()], tol=1e-3)[0]
+    tight = quadrature.integrate_log_trapezoid([_declared()], tol=1e-12)[0]
     assert loose["evaluations"] < tight["evaluations"]
     assert 0.0 < loose["error_estimate"] <= 1e-3 * loose["value"]
     assert abs(loose["value"] - 1.0 / 2772.0) <= loose["error_estimate"]
     # a tol below roundoff stops at the floor, as the adaptive engine does
-    zero = quadrature.integrate_log_trapezoid(_declared(), tol=0.0)
+    zero = quadrature.integrate_log_trapezoid([_declared()], tol=0.0)[0]
     assert zero["error_estimate"] <= quadrature._ROUNDOFF * zero["value"]
 
 
@@ -678,7 +684,7 @@ def test_log_trapezoid_refuses_what_it_does_not_serve():
     for bad in (_declared(R=1.0), _declared(b=None), _declared(breaks=()),
                 _declared(arg=1.0)):
         with pytest.raises(DomainError, match=cause):
-            quadrature.integrate_log_trapezoid(bad)
+            quadrature.integrate_log_trapezoid([bad])
 
 
 @pytest.mark.parametrize("kw,tol", [
@@ -698,7 +704,7 @@ def test_log_trapezoid_keeps_the_engine_refusals(kw, tol):
     with pytest.raises(DomainError) as want:
         integrate_radial(integrand, tol=tol)
     with pytest.raises(DomainError) as got:
-        quadrature.integrate_log_trapezoid(integrand, tol=tol)
+        quadrature.integrate_log_trapezoid([integrand], tol=tol)
     assert str(got.value) == str(want.value)
 
 
@@ -708,7 +714,7 @@ def test_log_trapezoid_zeroes_non_finite_node_values():
     def f(r):
         return np.where(r < 3e-3, np.nan, (1.0 + r) ** -12.0)
 
-    res = quadrature.integrate_log_trapezoid(_declared(f=f), tol=1e-12)
+    res = quadrature.integrate_log_trapezoid([_declared(f=f)], tol=1e-12)[0]
     assert res["value"] == pytest.approx(1.0 / 2772.0, rel=1e-12)
 
 
@@ -723,7 +729,7 @@ def test_log_trapezoid_non_finite_level_sum_is_refused_at_once():
 
     with pytest.raises(NumericalError, match=r"a trapezoidal sum on \[-6\.0"
                        r"0\d+, 6\.0\d+\] in x = log r leaves the float range"):
-        quadrature.integrate_log_trapezoid(_declared(f=f))
+        quadrature.integrate_log_trapezoid([_declared(f=f)])
     assert len(calls) == 1
 
 
@@ -737,10 +743,56 @@ def test_log_trapezoid_gives_up_after_its_halvings():
 
     with pytest.raises(NumericalError, match="did not converge in 12 "
                        r"halvings: \|T_h - T_2h\| = .* against"):
-        quadrature.integrate_log_trapezoid(_declared(f=f), tol=1e-13)
+        quadrature.integrate_log_trapezoid([_declared(f=f)], tol=1e-13)
     # the first call holds level 0 and its first halving, 2 c + 1 nodes for
     # c level-0 steps; the run sums c 2**12 steps and its last halving
     # adds their c 2**11 midpoints
     steps = calls[0] // 2
     assert sum(calls) == steps * 2 ** quadrature._TRAP_HALVINGS + 1
     assert calls[-1] == steps * 2 ** (quadrature._TRAP_HALVINGS - 1)
+
+
+def test_log_trapezoid_members_share_f_and_keep_their_own_runs():
+    # two weights on one f: one call per level serves both, and each member
+    # stops at its own first converged halving, on the union of the spans
+    calls = []
+
+    def f(r):
+        calls.append(r.size)
+        return (1.0 + r) ** -12.0
+
+    wide, narrow = quadrature.integrate_log_trapezoid(
+        [_declared(f=f, a=9.0), _declared(f=f, a=3.0)], tol=1e-12)
+    assert wide["value"] == pytest.approx(math.gamma(10) * math.gamma(2)
+                                          / math.gamma(12), rel=1e-13)
+    assert narrow["value"] == pytest.approx(1.0 / 1320.0, rel=1e-13)
+    assert sum(calls) == max(wide["evaluations"], narrow["evaluations"])
+    steps = calls[0] // 2
+    assert steps * 2 ** len(calls) + 1 == sum(calls)
+    for run in (wide, narrow):
+        assert run["error_estimate"] <= 1e-12 * run["value"]
+
+
+def test_log_trapezoid_raises_the_first_failing_member_in_input_order():
+    # the kinked member fails only after 12 halvings, the overflowing one
+    # at level 0; the error raised is the earlier member's, with its index,
+    # and no member after a failed one runs on
+    calls = []
+
+    def kinked(r):
+        calls.append(r.size)
+        return (1.0 + r) ** -12.0 * (1.0 + np.abs(np.log(r)))
+
+    def huge(r):
+        return 2e307 * np.minimum(1.0, r**-6.0)
+
+    members = [_declared(), _declared(f=kinked), _declared(f=huge)]
+    with pytest.raises(NumericalError, match="did not converge") as got:
+        quadrature.integrate_log_trapezoid(members, tol=1e-13)
+    assert got.value.member == 1
+    assert len(calls) == quadrature._TRAP_HALVINGS
+    calls.clear()
+    with pytest.raises(NumericalError, match="leaves the float") as got:
+        quadrature.integrate_log_trapezoid(members[::-1], tol=1e-13)
+    assert got.value.member == 0
+    assert len(calls) == 1
