@@ -238,14 +238,11 @@ class ModeMatrices:
     @functools.cached_property
     def samples(self) -> tuple:
         p, r = self.p, self.r
-        u = u1(p, r)
-        # pointwise Delta Z0 = (2*-1) U1**(2*-2) r**(-s) Z0 for the defect;
-        # integrably singular at r = 0, a node the defect skips
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dz = (p.crit_exp - 1.0) * u ** (p.crit_exp - 2.0) \
-                * r ** (-p.s) * self.z0
+        # pointwise Delta Z0 = V Z0 for the defect; integrably singular at
+        # r = 0, a node the defect skips
+        dz = potential_values(p, r) * self.z0
         dz[0] = 0.0
-        return _frozen(u, rdru1(p, r), dz)
+        return _frozen(u1(p, r), rdru1(p, r), dz)
 
     @functools.cached_property
     def z0_scaled(self) -> tuple:

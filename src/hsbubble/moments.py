@@ -14,11 +14,11 @@ substitution t = r**(2-s):
 
     int_0^inf r^a (1 + r^{2-s})^{-P} dr = 1/(2-s) * I_P^{(a+1)/(2-s) - 1}.
 
-The registry ``_REDUCTIONS`` is the single audited location of that
-bookkeeping: each tag maps (n, s) to (prefactor, [(coef, P, q), ...]) where
-the prefactor carries the sphere area omega_{n-1}, the kappa powers, and the
-1/(2-s) Jacobian.  Gamma values are handled in log space so large P (s near
-2) cannot overflow.
+One registry, ``_KINDS``, gives each of the nine moment kinds as a profile
+function and the power of |X| it adds; ``_profiles`` gives each profile's
+kappa power, endpoint exponent, tail exponent and Beta data.  The closed
+form, the quadrature and their refusals read nothing else.  Gamma values
+are handled in log space so large P (s near 2) cannot overflow.
 
 The log-gamma is ``_lgamma``, a port for x > 0 of Cephes ``lgam`` (S. L.
 Moshier, *Methods and Programs for Mathematical Functions*, 1989), the code
@@ -52,17 +52,19 @@ from .quadrature import RadialIntegrand, integrate_log_trapezoid
 # span tracer wraps it at this site; ROADMAP item 11 drops the site and this
 from .quadrature import integrate_radial  # noqa: F401
 
-MOMENT_KINDS = (
-    "mass2",    # int U1^2 dX
-    "r2mass",   # int |X|^2 U1^2 dX
-    "gradsq",   # int |grad U1|^2 dX
-    "r2grad",   # int |X|^2 |grad U1|^2 dX
-    "r4grad",   # int |X|^4 |grad U1|^2 dX
-    "crit",     # int U1^{2*(s)} |X|^{-s} dX
-    "r2crit",   # int |X|^{2-s} U1^{2*(s)} dX
-    "r4crit",   # int |X|^{4-s} U1^{2*(s)} dX
-    "z0grad",   # int |grad Z0|^2 dX
-)
+# kind: (profile, power of |X| it adds), in the order MOMENT_KINDS lists
+_KINDS = {
+    "mass2": ("mass", 0),     # int U1^2 dX
+    "r2mass": ("mass", 2),    # int |X|^2 U1^2 dX
+    "gradsq": ("grad", 0),    # int |grad U1|^2 dX
+    "r2grad": ("grad", 2),    # int |X|^2 |grad U1|^2 dX
+    "r4grad": ("grad", 4),    # int |X|^4 |grad U1|^2 dX
+    "crit": ("crit", 0),      # int U1^{2*(s)} |X|^{-s} dX
+    "r2crit": ("crit", 2),    # int |X|^{2-s} U1^{2*(s)} dX
+    "r4crit": ("crit", 4),    # int |X|^{4-s} U1^{2*(s)} dX
+    "z0grad": ("z0grad", 0),  # int |grad Z0|^2 dX
+}
+MOMENT_KINDS = tuple(_KINDS)
 
 
 # Cephes lgam coefficients: Stirling series (A), rational (B/C) on [2, 3)
@@ -129,48 +131,74 @@ def ipq(p: float, q: float) -> float:
     return float(np.exp(_lgamma(q + 1.0) + _lgamma(p - q - 1.0) - _lgamma(p)))
 
 
+def _kind(kind: str) -> tuple:
+    """(profile, power of |X|) of a moment kind; refuses an unknown one."""
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise DomainError(f"unknown moment kind {kind!r}") from None
+
+
+def _profiles(p: HSParams) -> dict:
+    """{profile: (f, (e, name), (j, c), b, (coef, g_pow, terms))} at (n, s).
+
+    For a kind adding |X|**k the quadrature integrates f r**(n-1+k+j-c s):
+    f is O(1) at r = 0 and O(r**-b) at infinity (U1 decays like r**-(n-2);
+    U1' r**(s-1), Z0' r**(s-1) and U1**2*(s) all give r**-(2(n-s)) once
+    squared), and carries kappa**e, which the closed form's refusal names
+    kappa**name.  The
+    Beta form is omega coef kappa**e g**g_pow sum(w I_P^(q+dq)) over the
+    terms (w, P, dq), q from the same r power and g = 2 - s: 1/g is the
+    Jacobian of t = r**(2-s), and Z0' carries g, so its square g**2.
+    """
+    n, s, m = p.n, float(p.s), p.m
+
+    def mass(r):
+        return bubble.u1(p, r) ** 2
+
+    def grad(r):
+        # (U1'(r) r^{s-1})**2: smooth at 0
+        t = r ** (2.0 - s)
+        return (-p.kappa * (n - 2) * (1.0 + t) ** (-m)) ** 2
+
+    def crit(r):
+        return bubble.u1(p, r) ** p.crit_exp
+
+    def z0grad(r):
+        # Z0' = (n-2)/2 kappa g r^{1-s} (1+t)^{-m-1} [(1+m) + (1-m) t]
+        t = r ** (2.0 - s)
+        return (0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0)
+                * ((1.0 + m) + (1.0 - m) * t)) ** 2
+
+    two, b = (2, "2"), 2.0 * (n - s)
+    return {
+        "mass": (mass, two, (0, 0), 2.0 * (n - 2),
+                 (1, -1, ((1.0, 2.0 * p.beta, 0),))),
+        "grad": (grad, two, (2, 2), b, ((n - 2) ** 2, -1, ((1.0, 2.0 * m, 0),))),
+        "crit": (crit, (p.crit_exp, "(2*(s))"), (0, 1), b,
+                 (1, -1, ((1.0, 2.0 * m, 0),))),
+        "z0grad": (z0grad, two, (2, 2), b, ((0.5 * (n - 2)) ** 2, 1, (
+            ((1.0 + m) ** 2, 2.0 * m + 2.0, 0),
+            (2.0 * (1.0 + m) * (1.0 - m), 2.0 * m + 2.0, 1),
+            ((1.0 - m) ** 2, 2.0 * m + 2.0, 2)))),
+    }
+
+
 def _reduction(p: HSParams, kind: str):
     """(prefactor, [(coef, P, q), ...]) for one moment tag."""
+    name, k = _kind(kind)
+    _, (e, e_name), (j, c), _, (coef, g_pow, terms) = _profiles(p)[name]
     n, s = p.n, float(p.s)
-    omega = sphere_area(n)
     g = 2.0 - s
-    m = p.m                   # tail exponent of (1+t) in U1'
-
-    def q_of(a):
-        return (a + 1.0) / g - 1.0
-
-    def kappa_pow(e, name):
-        try:
-            return p.kappa**e
-        except OverflowError:
-            raise NumericalError(
-                f"the moment prefactor kappa**{name} overflows a float at "
-                f"n = {n}, s = {s} (kappa = {p.kappa:.6g})") from None
-
-    # single-term kinds: (kappa power and its name, coefficient, P, r power)
-    single = {
-        "mass2": (2, "2", 1, 2.0 * p.beta, n - 1),
-        "r2mass": (2, "2", 1, 2.0 * p.beta, n + 1),
-        "gradsq": (2, "2", (n - 2) ** 2, 2.0 * m, n + 1 - 2 * s),
-        "r2grad": (2, "2", (n - 2) ** 2, 2.0 * m, n + 3 - 2 * s),
-        "r4grad": (2, "2", (n - 2) ** 2, 2.0 * m, n + 5 - 2 * s),
-        "crit": (p.crit_exp, "(2*(s))", 1, 2.0 * m, n - 1 - s),
-        "r2crit": (p.crit_exp, "(2*(s))", 1, 2.0 * m, n + 1 - s),
-        "r4crit": (p.crit_exp, "(2*(s))", 1, 2.0 * m, n + 3 - s),
-    }
-    if kind in single:
-        e, name, coef, P, a = single[kind]
-        return omega * coef * kappa_pow(e, name) / g, [(1.0, P, q_of(a))]
-    if kind == "z0grad":
-        # Z0' = (n-2)/2 kappa g r^{1-s} (1+t)^{-m-1} [(1+m) + (1-m) t]
-        pref = omega * (0.5 * (n - 2)) ** 2 * kappa_pow(2, "2") * g
-        q0 = q_of(n + 1 - 2 * s)
-        return pref, [
-            ((1.0 + m) ** 2, 2.0 * m + 2.0, q0),
-            (2.0 * (1.0 + m) * (1.0 - m), 2.0 * m + 2.0, q0 + 1.0),
-            ((1.0 - m) ** 2, 2.0 * m + 2.0, q0 + 2.0),
-        ]
-    raise DomainError(f"unknown moment kind {kind!r}")
+    try:
+        pref = sphere_area(n) * coef * p.kappa ** e
+    except OverflowError:
+        raise NumericalError(
+            f"the moment prefactor kappa**{e_name} overflows a float at "
+            f"n = {n}, s = {s} (kappa = {p.kappa:.6g})") from None
+    q = ((n - 1 + k + j) - c * s + 1.0) / g - 1.0
+    return (pref * g if g_pow > 0 else pref / g,
+            [(w, P, q + dq) for w, P, dq in terms])
 
 
 def bubble_moment(p: HSParams, kind: str) -> float:
@@ -199,78 +227,42 @@ def moment_quadrature(p: HSParams, kind: str,
 def _moment_runs(p: HSParams, kinds, tol: float) -> list:
     """moment_quadrature of each kind, as one run of the trapezoidal rule.
 
-    The kinds share one f per profile function (U1**2, (U1' r**(s-1))**2,
-    U1**2*(s) and (Z0' r**(s-1))**2), so the rule calls each once per level
-    for all the kinds that weigh it.  A failure raises the error of the
-    first failing kind in input order; a quadrature failure is raised
-    before a moment that sums to 0.
+    The kinds share one f per profile (``_profiles``), so the rule calls
+    each once per level for all the kinds that weigh it.  A failure raises
+    the error of the first failing kind in input order; a quadrature
+    failure is raised before a moment that sums to 0.
     """
     n, s = p.n, float(p.s)
-    a = float(n - 1)
-
-    def mass(r):
-        return bubble.u1(p, r) ** 2
-
-    def grad(r):
-        # (U1'(r) r^{s-1})**2: smooth at 0
-        t = r ** (2.0 - s)
-        return (-p.kappa * (n - 2) * (1.0 + t) ** (-p.m)) ** 2
-
-    def crit(r):
-        return bubble.u1(p, r) ** p.crit_exp
-
-    def z0grad(r):
-        m = p.m
-        t = r ** (2.0 - s)
-        return (0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0)
-                * ((1.0 + m) + (1.0 - m) * t)) ** 2
-
-    # (f, weight power, endpoint exponent, tail exponent b of f): U1 decays
-    # like r**-(n-2), and U1' r**(s-1), Z0' r**(s-1) and U1**2*(s) all give
-    # r**-(2(n-s)) once squared
-    b_mass, b_grad = 2.0 * (n - 2), 2.0 * (n - s)
-    table = {
-        "mass2": (mass, a, 0.0, b_mass),
-        "r2mass": (mass, a + 2.0, 0.0, b_mass),
-        "gradsq": (grad, a, 2.0 - 2.0 * s, b_grad),
-        "r2grad": (grad, a + 2.0, 2.0 - 2.0 * s, b_grad),
-        "r4grad": (grad, a + 4.0, 2.0 - 2.0 * s, b_grad),
-        "crit": (crit, a, -s, b_grad),
-        "r2crit": (crit, a + 2.0, -s, b_grad),
-        "r4crit": (crit, a + 4.0, -s, b_grad),
-        "z0grad": (z0grad, a, 2.0 - 2.0 * s, b_grad),
-    }
-    for kind in kinds:
-        if kind not in table:
-            raise DomainError(f"unknown moment kind {kind!r}")
+    profiles = _profiles(p)
+    rows = [(profiles[name], k) for name, k in map(_kind, kinds)]
     derive_constants(p)  # a kappa overflow is its own error, not the moment's
 
-    def refusal(kind, symptom):
-        # the integrand carries kappa**2 (kappa**2*(s) for the crit kinds);
-        # where that power overflows, it is the cause, whatever the symptom
-        power = p.crit_exp if "crit" in kind else 2.0
-        cause = ""
+    def refusal(i, symptom):
+        # the integrand carries its profile's kappa**e; where that power
+        # overflows, it is the cause, whatever the symptom
+        (power, _), cause = rows[i][0][1], ""
         try:
             p.kappa ** power
         except OverflowError:
             cause = (f"; the cause is kappa**{power:.6g}, which overflows a "
                      f"float (kappa = {p.kappa:.3g})")
-        return NumericalError(f"the {kind} moment by quadrature at n = {n}, "
-                              f"s = {s}{symptom}{cause}")
+        return NumericalError(f"the {kinds[i]} moment by quadrature at n = "
+                              f"{n}, s = {s}{symptom}{cause}")
 
     breaks = bubble.power_law_breaks(p)
     try:
         runs = integrate_log_trapezoid(
-            [RadialIntegrand(f=f, a=aa + sing, b=b, breaks=breaks)
-             for f, aa, sing, b in (table[kind] for kind in kinds)], tol=tol)
+            [RadialIntegrand(f=f, a=(float(n - 1) + k) + (j - c * s), b=b,
+                             breaks=breaks)
+             for (f, _, (j, c), b, _), k in rows], tol=tol)
     except NumericalError as exc:
-        raise refusal(kinds[exc.member], f": {exc}") from None
+        raise refusal(exc.member, f": {exc}") from None
     values = []
-    for kind, run in zip(kinds, runs):
-        if run["value"] == 0.0 or not math.isfinite(run["value"]):
+    for i, run in enumerate(runs):
+        if run["value"] == 0.0:
             # the rule drops integrand values beyond the float range, so a
             # moment whose whole mass lies there sums to 0
-            raise refusal(kind, f" is {run['value']}: its integrand leaves "
+            raise refusal(i, f" is {run['value']}: its integrand leaves "
                           "the float range")
         values.append(sphere_area(n) * run["value"])
     return values

@@ -258,16 +258,54 @@ def test_fraction0_matches_coupling_constant():
             assert r1 - two_over_crit * r2 == 6 * n * c_ns
 
 
-@pytest.mark.parametrize("kind,power", [("mass2", "2"), ("gradsq", "2"),
-                                        ("crit", "2.0125")])
-def test_moment_refusal_names_an_overflowing_kappa_power(kind, power):
-    # kappa = 7.51e192 fits a float at (18, 1.9), but the integrands carry
-    # kappa**2 (kappa**2*(s) for the crit kinds), which does not: each
-    # refusal names it after the rule's own symptom
+@pytest.mark.parametrize("kind,power", [
+    ("mass2", "2"), ("r2mass", "2"), ("gradsq", "2"), ("r2grad", "2"),
+    ("r4grad", "2"), ("crit", "2.0125"), ("r2crit", "2.0125"),
+    ("r4crit", "2.0125"), ("z0grad", "2")])
+def test_moment_refusal_names_an_overflowing_kappa_power(monkeypatch, kind,
+                                                         power):
+    # kappa = 7.51e192 fits a float at (18, 1.9), but kappa**2 and
+    # kappa**2*(s) do not: the closed form refuses every kind, naming the
+    # power its prefactor carries.  The quadrature refuses where its
+    # integrand leaves the float range, naming that power after the rule's
+    # own symptom, and answers r2mass, r4grad and r4crit, which fit a
+    # float, as the closed form summed in log space gives them
+    p = HSParams(18, 1.9)
+    name = "2" if power == "2" else "(2*(s))"
     with pytest.raises(NumericalError, match=re.escape(
-            f"; the cause is kappa**{power}, which overflows a float "
-            "(kappa = 7.51e+192)")):
-        moment_quadrature(HSParams(18, 1.9), kind)
+            f"the moment prefactor kappa**{name} overflows a float at "
+            "n = 18, s = 1.9 (kappa = 7.5105e+192)")):
+        bubble_moment(p, kind)
+    if kind not in ("r2mass", "r4grad", "r4crit"):
+        with pytest.raises(NumericalError, match=re.escape(
+                f"; the cause is kappa**{power}, which overflows a float "
+                "(kappa = 7.51e+192)")):
+            moment_quadrature(p, kind)
+        return
+    got = moment_quadrature(p, kind)
+    log_kappa_power = float(power) * math.log(p.kappa)
+    monkeypatch.setattr(HSParams, "kappa", 1.0)
+    pref, terms = _reduction(p, kind)
+    want = math.exp(math.log(pref * sum(w * ipq(P, q) for w, P, q in terms))
+                    + log_kappa_power)
+    assert abs(got - want) <= 1e-11 * want
+
+
+def test_bubble_moment_is_pinned_bit_for_bit():
+    # the closed forms at non-dyadic s, refusals included: summing a kind's
+    # r power in another order moves the last bit of gradsq, r2grad, r4grad
+    # and z0grad there, and crit and mass2 feed the energy fit's c0 and c2
+    got = []
+    for n in (3, 4, 7, 9, 16, 30, 60):
+        for s in np.linspace(0.0, 1.99, 200).tolist():
+            p = HSParams(n, s)
+            for kind in MOMENT_KINDS:
+                try:
+                    got.append(bubble_moment(p, kind).hex())
+                except (DomainError, NumericalError) as exc:
+                    got.append((type(exc).__name__, str(exc)))
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "8d50569ab7357682eb9cd8597430dfdf3471187cd56ba1392b86c01122612fac")
 
 
 # the domain contract's (n, s) grid (test_domain_contract.py)

@@ -69,6 +69,24 @@ def test_undeclared_divergent_tail_rejected():
     np.testing.assert_allclose(res["value"], 1024.0 / 1386.0, rtol=1e-12)
 
 
+def test_undeclared_tail_refusal_weighs_the_refined_outermost_panel():
+    # a narrow bump in x = log r, 0.5 past the lower edge of the outermost
+    # initial panel of an undeclared tail, [234.598, 236.594]: bisection
+    # moves the bump off the half that ends at the tail end, and the
+    # divergence screen weighs that half, not the whole initial panel
+    # (which holds 1.420e-02 of 8.862e-02); the integral is 0.05 sqrt(pi)
+    lo, hi = quadrature._log_edges(2.0, None, ())[-2:]
+    assert (round(lo, 3), round(hi, 3)) == (234.598, 236.594)
+    x0 = lo + 0.5
+
+    def bump(r):
+        return np.exp(-((np.log(r) - x0) / 0.05) ** 2) * r ** -3.0
+
+    res = integrate_radial(RadialIntegrand(f=bump, a=2.0))
+    np.testing.assert_allclose(res["value"], 0.05 * math.sqrt(math.pi),
+                               rtol=1e-12)
+
+
 @pytest.mark.parametrize("a,sing,b", [(5.0, 0.0, 6.0), (6.0, -1.0, 5.5),
                                       (0.0, 0.0, 0.0), (2.0, 0.5, 1.0)])
 def test_divergent_declared_tail_never_calls_f(a, sing, b):
