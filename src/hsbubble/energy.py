@@ -402,74 +402,65 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     except OverflowError:
         raise NumericalError(overflow) from None
 
-    def checked(x, r=1.0):
-        # the quadrature weighs the density by r**(n-1) and drops a
-        # non-finite value as 0, so an overflow of the density, or of its
-        # product with the weight, would shrink the norm silently (callers
-        # silence numpy's warnings).  Both are nonnegative, so one product
-        # of maxima clears the common case; an overflowing weight (r far
-        # out in the tail) is harmless only against a density of exactly 0
-        if np.isfinite(np.asarray(x).max() * np.asarray(r).max() ** (n - 1.0)):
-            return x
-        w = np.power(r, n - 1.0)
-        if not np.all((np.isfinite(x) & (np.isfinite(x * w) | (x == 0.0)))
-                      | np.isinf(r)):
-            raise NumericalError(overflow)
-        return x
-
     def radial_f(r):
         rho = r / delta
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rdu = rdru1(p, rho)
-            A = pref * (w.a * u1(p, rho) + w.mode0_extra * rdu)
-            if mu == 0.0:
-                return checked(np.abs(A) ** q, r)
-            B = pref * mu * rdu
-            # the kink A + B (cos^2 t - 1/n)/3 = 0; where B underflows to 0
-            # there is none, and any split is exact
-            ts = np.arccos(np.sqrt(np.clip(
-                1.0 / n - np.nan_to_num(3.0 * A / B), 0.0, 1.0)))
-            x, wx = _graded_rule()
-            out = np.zeros_like(ts)
-            for L in (-ts, 0.5 * np.pi - ts):
-                # where the kink is clipped to an end, this side has length
-                # 0 and adds exactly 0: sum only the nodes where it does not
-                on = np.flatnonzero(L)
-                # a side's angles depend on its kink alone, and most kinks
-                # are clipped to the same end: form the angular factors
-                # once per distinct kink
-                kinks, first, at = np.unique(ts[on], return_index=True,
-                                             return_inverse=True)
-                t = L[on[first], None] * x
-                t += kinks[:, None]
-                cos2 = np.cos(t)
-                cos2 **= 2
-                cos2 -= 1.0 / n
-                np.sin(t, out=t)
-                t **= n - 2.0
-                # |A + B (cos^2 t - 1/n)/3|**q sin(t)**(n-2), in place
-                vals = cos2[at]
-                vals *= B[on, None]
-                vals /= 3.0
-                vals += A[on, None]
-                np.abs(vals, out=vals)
-                vals **= q
-                vals *= t[at]
-                # one dot per node, so f stays elementwise bit for bit
-                out[on] += np.abs(L[on]) * np.vecdot(vals, wx)
-            return checked(2.0 * omega_inner * out, r)
+        rdu = rdru1(p, rho)
+        A = pref * (w.a * u1(p, rho) + w.mode0_extra * rdu)
+        if mu == 0.0:
+            return np.abs(A) ** q
+        B = pref * mu * rdu
+        # the kink A + B (cos^2 t - 1/n)/3 = 0; where B underflows to 0
+        # there is none, and any split is exact
+        ts = np.arccos(np.sqrt(np.clip(
+            1.0 / n - np.nan_to_num(3.0 * A / B), 0.0, 1.0)))
+        x, wx = _graded_rule()
+        out = np.zeros_like(ts)
+        for L in (-ts, 0.5 * np.pi - ts):
+            # where the kink is clipped to an end, this side has length
+            # 0 and adds exactly 0: sum only the nodes where it does not
+            on = np.flatnonzero(L)
+            # a side's angles depend on its kink alone, and most kinks
+            # are clipped to the same end: form the angular factors
+            # once per distinct kink
+            kinks, first, at = np.unique(ts[on], return_index=True,
+                                         return_inverse=True)
+            t = L[on[first], None] * x
+            t += kinks[:, None]
+            cos2 = np.cos(t)
+            cos2 **= 2
+            cos2 -= 1.0 / n
+            np.sin(t, out=t)
+            t **= n - 2.0
+            # |A + B (cos^2 t - 1/n)/3|**q sin(t)**(n-2), in place
+            vals = cos2[at]
+            vals *= B[on, None]
+            vals /= 3.0
+            vals += A[on, None]
+            np.abs(vals, out=vals)
+            vals **= q
+            vals *= t[at]
+            # one dot per node, so f stays elementwise bit for bit
+            out[on] += np.abs(L[on]) * np.vecdot(vals, wx)
+        return 2.0 * omega_inner * out
 
     derive_constants(p)  # a kappa overflow is named before the scale's
-    total = integrate_radial(RadialIntegrand(
-        f=radial_f, a=n - 1.0, b=q * (n - 2.0),
-        breaks=power_law_breaks(p, delta)), tol=TOL)["value"]
+    try:
+        total = integrate_radial(RadialIntegrand(
+            f=radial_f, a=n - 1.0, b=q * (n - 2.0),
+            breaks=power_law_breaks(p, delta)), tol=TOL)["value"]
+    except NumericalError as exc:
+        if hasattr(exc, "r"):  # the engine's non-finite summand
+            raise NumericalError(f"{overflow}: {exc}") from None
+        raise
     if total == 0.0:
         # the density is not identically 0, so it, or its product with the
         # weight, underflowed everywhere
         raise NumericalError(overflow)
     if mu == 0.0:
         total *= sphere_area(n)
-    return float(checked(total) ** (1.0 / q))
+    if not math.isfinite(total):  # then neither is the norm
+        raise NumericalError(overflow)
+    return float(total ** (1.0 / q))
 
 
 def remainder_alpha(c: CurvatureData, p: HSParams, h0: float) -> dict:

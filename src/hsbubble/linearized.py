@@ -329,7 +329,8 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     solve and spectral diagnostic divides by the cell masses, so a zero or
     non-finite mass or flux is refused here, and so are nodes that are not
     strictly increasing (a subnormal R_max, or a grading whose first nodes
-    underflow to 0), whose zero gaps would make the fluxes infinite.
+    underflow to 0), whose zero gaps would make the fluxes infinite.  A
+    grid ending inside the profile's core is a DomainError.
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
@@ -360,6 +361,10 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
         raise NumericalError(
             f"cell masses underflow to 0 on this grid (gamma = {grid.gamma}, "
             f"N = {grid.N}, first edge radius {edges[1]:.3e}); {remedy}")
+    log_core = -math.log(p.beta) / (2.0 - p.s)  # in logs: none overflows
+    if math.log(R) < log_core:  # the inner radius of power_law_breaks
+        raise DomainError(f"the grid ends at R_max = {R!r}, inside the "
+                          f"bubble's core of radius {math.exp(log_core):.3g}")
 
     sd = np.zeros(r.size)
     sd[:-1] += flux

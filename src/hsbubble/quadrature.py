@@ -38,9 +38,9 @@ Plain adaptive Gauss-Kronrod (G7, K15) on panels:
     rules;
   * the panel with the largest |K15 - G7| discrepancy is bisected until the
     accumulated discrepancy drops below tol * |I| or a roundoff floor is
-    hit; an exhausted budget or a non-finite panel sum is an error, and so
-    is an undeclared tail end whose outermost panel still holds more than
-    tol * |I| (the integral may diverge there).
+    hit; an exhausted budget, a non-finite panel sum or summand (where
+    f != 0) is an error, and so is an undeclared tail end whose outermost
+    panel holds more than tol * |I| (the integral may diverge there).
 
 integrate_radial_batch runs several integrands in lockstep, each exactly as
 a run of its own (its docstring gives the round rules), and the nodes of all
@@ -151,8 +151,9 @@ def _panels(members):
     same sequential BLAS ddot as a dot product on that panel alone, so each
     panel's sums match a panel integrated alone bit for bit (a matrix
     product over all panels may block its sums differently and move the
-    last bit).  A sum may overflow.  The caller sets numpy's error state:
-    g's overflows and 0 * inf are expected here.
+    last bit).  A non-finite summand where f != 0 raises (its radius is
+    the error's `r`); a sum may overflow.  The caller sets numpy's error
+    state: g's overflows and 0 * inf (f underflowed) are expected here.
     """
     lo = np.array([e for run in members for e in run.todo[0]])
     hi = np.array([e for run in members for e in run.todo[1]])
@@ -161,16 +162,18 @@ def _panels(members):
     x = (c[:, None] + h[:, None] * _NODES).ravel()
     extra = () if members[0].arg is None else (np.repeat(
         [run.arg for run in members for _ in run.todo[0]], _NODES.size),)
-    y = _finite(np.asarray(members[0].g(x, *extra), dtype=float)
-                .reshape(-1, _NODES.size))
+    r, fr, y = members[0].g(x, *extra)
+    finite = np.isfinite(y)
+    for i in np.flatnonzero(~finite & (fr != 0.0))[:1]:
+        exc = NumericalError(
+            f"a quadrature summand f(r) r**({members[0].key[1]}) is not "
+            f"finite at r = {r[i]:.6g}, where f(r) = {fr[i]:.6g}")
+        exc.r = float(r[i])
+        raise exc
+    y = np.where(finite, y, 0.0).reshape(-1, _NODES.size)
     k15 = h * np.vecdot(y, _W15)
     return lo, hi, (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
                     h * np.vecdot(np.abs(y), _W15))
-
-
-def _finite(y):
-    """y with each non-finite value, an overflowing weight times 0, as 0."""
-    return np.where(np.isfinite(y), y, 0.0)
 
 
 def _log_span(power, b, breaks):
@@ -206,11 +209,11 @@ def _log_edges(power, b, breaks):
 
 
 def _summand(f, power, log):
-    """The function the panels sum: f(r) r**power, times r more in x = log r."""
+    """g(x) = (r, f(r), f(r) r**power), times r more in x = log r."""
     def g(x, *arg):
         r = np.exp(x) if log else x
-        y = f(r, *arg) * r ** power
-        return y * r if log else y
+        fr = f(r, *arg)
+        return r, fr, (fr * r ** power * r if log else fr * r ** power)
     return g
 
 
@@ -376,8 +379,8 @@ def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
     the first failure it meets, round by round, in the order the groups are
     summed; so when several members would fail, which error is raised can
     differ from a loop over integrate_radial, and from one-panel rounds.
-    An exception raised by f leaves the batch if its call, made again
-    without look-ahead panels, raises again.
+    An exception from f or a non-finite summand leaves the batch if its
+    call, made again without look-ahead panels, fails again.
     """
     _check_tol(tol)
     runs = [_Run(integrand, tol) for integrand in integrands]
@@ -423,8 +426,8 @@ def integrate_radial(integrand: RadialIntegrand,
     DomainError when the integrand is divergent (endpoint exponent <= -1, a
     declared tail exponent a - b >= -1 on an infinite domain, or an
     undeclared tail whose outermost panel holds more than tol * |value|) and
-    NumericalError when a panel sum is not finite or PANEL_BUDGET runs out
-    before convergence.  integrand.f must be elementwise (module docstring).
+    NumericalError when a panel sum, or a summand where f != 0 (the error's
+    `r`), is not finite or PANEL_BUDGET runs out.  f must be elementwise.
     """
     return integrate_radial_batch([integrand], tol)[0]
 
@@ -434,18 +437,18 @@ def integrate_log_trapezoid(integrands: Sequence[RadialIntegrand],
     """The trapezoidal rule in x = log r on declared half-line integrands.
 
     Each integrand needs R = None, a declared tail exponent b and at least
-    one break.  Spans, non-finite values and roundoff floor are the
-    engine's (_log_span, _finite, _ROUNDOFF).  The members run on one node
-    set, uniform in x over the union of their spans, from a step of about
-    _TRAP_STEP; each level halves the step and reuses every node.  Each
-    distinct f is called once per level, on the nodes the level adds, for
-    the members that share it and still run; level 0 and its first halving
-    come from one call, on the same floats.  A member's summand is
-    g(x) = f(e**x) e**((a+1) x), with weight 1/2 at the two end nodes.  It
-    stops at its first halving with |T_h - T_2h| <= max(tol, _ROUNDOFF)
-    |T_h| and returns {"value": T_h, "error_estimate": |T_h - T_2h|,
-    "evaluations"}, its nodes up to then.  A one-member list is the rule on
-    that integrand alone.
+    one break.  Spans and roundoff floor are the engine's (_log_span,
+    _ROUNDOFF), but a non-finite node value counts as 0.  The members run
+    on one node set, uniform in x over the union of their spans, from a
+    step of about _TRAP_STEP; each level halves the step and reuses every
+    node.  Each distinct f is called once per level, on the nodes the level
+    adds, for the members that share it and still run; level 0 and its
+    first halving come from one call, on the same floats.  A member's
+    summand is g(x) = f(e**x) e**((a+1) x), with weight 1/2 at the two end
+    nodes.  It stops at its first halving with |T_h - T_2h| <=
+    max(tol, _ROUNDOFF) |T_h| and returns {"value": T_h, "error_estimate":
+    |T_h - T_2h|, "evaluations"}, its nodes up to then.  A one-member list
+    is the rule on that integrand alone.
 
     Raises DomainError for any other integrand and for the engine's
     divergence screens, checked in input order before any f call.  A
@@ -483,7 +486,8 @@ def integrate_log_trapezoid(integrands: Sequence[RadialIntegrand],
 
     def add(total, y):
         part = float(y.sum())  # finite only if every value of y is
-        total += part if isfinite(part) else float(_finite(y).sum())
+        total += part if isfinite(part) else \
+            float(np.where(np.isfinite(y), y, 0.0).sum())
         if not isfinite(total):  # exactly when h * total is not (h <= 1/2)
             raise NumericalError(
                 f"a trapezoidal sum on [{lo:.6g}, {hi:.6g}] in x = log r "

@@ -519,11 +519,12 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["kernel", "--n", "7", "--s", "1", "--grid", "2000,1e45"],
      "cell masses or fluxes overflow a float on this grid (R_max = 1e+45, "
      "N = 2000"),
-    # a potential term whose panel sums overflow (was a numpy RuntimeWarning
-    # and about 3 s spent on the whole budget, then "error estimate nan")
+    # a potential term that overflows (was a numpy RuntimeWarning and about
+    # 3 s spent on the whole budget, then "error estimate nan", then "a
+    # quadrature panel sum ... leaves the float range")
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e305"], "the energy fit with h0 = 1e+305: a quadrature "
-     "panel sum"),
+     "summand f(r) r**(6.0) is not finite at r = "),
     # a fit whose residual overflows (was exit 0 with Infinity, not JSON)
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e200"], "the energy fit with h0 = 1e+200: its fitted "
@@ -581,8 +582,9 @@ def test_exit_2_ill_conditioned_fit(capsys):
      "cell masses underflow to 0 on this grid (gamma = 2.0, N = 100, first "
      "edge radius 5.000e-105); increase R_max (R_max**n underflows)"),
     # cell masses in range whose scaled operator is not (was an overflow
-    # RuntimeWarning before the typed exit)
-    (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-40"],
+    # RuntimeWarning before the typed exit); R_max = 1e-11 is outside the
+    # core, whose radius is 1e-17 at (7, 1.9)
+    (["kernel", "--n", "7", "--s", "1.9", "--grid", "50,1e-11"],
      "scaled operator overflows for this grid"),
     # a fit column that underflows to 0 or overflows over the whole sweep
     # (were a RuntimeWarning, then a LinAlgError "SVD did not converge")
@@ -742,6 +744,17 @@ def test_bad_grid_is_reported_before_its_source(capsys):
      "bad --grid value '8000,abc'"),
     (["energy", "--n", "7", "--s", "1", "--deltas", "x:0.05:12"],
      "bad --deltas value 'x:0.05:12'"),
+    # grids that end inside the profile's core, whose radius is 0.2 at
+    # (7, 1) (were exit 0 with nonlocal_term 4.86e-20 and mode0_min_eig
+    # 1.94e81, and exit 2 with "scaled operator overflows for this grid")
+    (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--grid", "8,1e-3"],
+     "the grid ends at R_max = 0.001, inside the bubble's core of radius "
+     "0.2"),
+    (["kernel", "--n", "7", "--s", "1", "--grid", "8,1e-40"],
+     "the grid ends at R_max = 1e-40, inside the bubble's core"),
+    (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-40"],
+     "the grid ends at R_max = 1e-40, inside the bubble's core"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)

@@ -490,17 +490,27 @@ def test_f_failing_only_on_look_ahead_nodes_leaves_the_result_alone():
 
     want = _reference_integrate(RadialIntegrand(f=record, R=1.0), tol=0.0)
     serial = frozenset().union(*panels)
-    refused = []
 
-    def f(r):
-        if not serial.issuperset(r.tolist()):
-            refused.append(r.size)
-            raise RuntimeError("a node the serial engine never sums")
-        return np.sin(50.0 * r) ** 2 + r
+    def raises(r):
+        raise RuntimeError("a node the serial engine never sums")
 
-    # at the roundoff floor the run stops with a looked-ahead panel unused
-    got = integrate_radial(RadialIntegrand(f=f, R=1.0), tol=0.0)
-    assert refused and got == want
+    def inf(r):
+        # a non-finite summand is refused inside the same retried call
+        return np.where([x in serial for x in r.tolist()],
+                        np.sin(50.0 * r) ** 2 + r, np.inf)
+
+    for fail in (raises, inf):
+        refused = []
+
+        def f(r):
+            if not serial.issuperset(r.tolist()):
+                refused.append(r.size)
+                return fail(r)
+            return np.sin(50.0 * r) ** 2 + r
+
+        # at the roundoff floor the run stops with a looked-ahead panel unused
+        got = integrate_radial(RadialIntegrand(f=f, R=1.0), tol=0.0)
+        assert refused and got == want
 
     # a failure on a node the serial engine sums is raised as f raised it,
     # here on the last panel it bisects
@@ -511,6 +521,36 @@ def test_f_failing_only_on_look_ahead_nodes_leaves_the_result_alone():
 
     with pytest.raises(RuntimeError, match="a serial node"):
         integrate_radial(RadialIntegrand(f=g, R=1.0), tol=0.0)
+
+
+@pytest.mark.parametrize("integrand,want", [
+    # f is inf at the centre node of the panel [0.5, 1] (was counted as 0,
+    # and the panel bisected until no node sat there)
+    (RadialIntegrand(f=lambda r: np.where(r == 0.75, np.inf, np.cos(r)),
+                     R=1.0),
+     "a quadrature summand f(r) r**(0.0) is not finite at r = 0.75, where "
+     "f(r) = inf"),
+    # (1+r)**-41.5 is still subnormal where r**40 overflows, past r = 5e7
+    # (was counted as 0, which dropped the tail's int r**-1.5 dr = 2.8e-4
+    # and answered B(41, 1/2) 1.0e-3 low)
+    (RadialIntegrand(f=lambda r: (1.0 + r) ** -41.5, a=40.0, b=41.5,
+                     breaks=(1.0,)),
+     "a quadrature summand f(r) r**(40.0) is not finite at r = 5.68262e+07, "
+     "where f(r) = 1.5316e-322"),
+], ids=["inf-f", "overflowing-weight"])
+def test_non_finite_summand_is_refused(integrand, want):
+    with pytest.raises(NumericalError) as got:
+        integrate_radial(integrand)
+    assert str(got.value) == want
+    assert f"r = {got.value.r:.6g}," in want  # the error carries its node
+
+
+def test_zero_f_against_an_overflowing_weight_counts_as_zero():
+    # exp(-r) underflows to exactly 0 long before r**40 overflows, so the
+    # nan of 0 * inf there is a summand of 0: int r**40 e**-r dr = 40!
+    res = integrate_radial(RadialIntegrand(f=lambda r: np.exp(-r), a=40.0,
+                                           b=41.5, breaks=(1.0,)))
+    assert res["value"] == pytest.approx(math.factorial(40), rel=1e-12)
 
 
 def test_vecdot_matches_the_per_panel_dot():
