@@ -105,14 +105,12 @@ def power_law_breaks(p: HSParams, delta: float = 1.0) -> tuple:
     kappa, above the second t >= beta and U1 is within e of its tail law
     kappa t**(-beta).  At s = 1.9 and n = 7 they are 1e-17 and 1e17.
     """
-    n, s = p.n, p.s
-    log_scale = math.log(p.beta) / (2.0 - s)
     try:
-        return delta * math.exp(-log_scale), delta * math.exp(log_scale)
+        return delta * math.exp(-p.log_scale), delta * math.exp(p.log_scale)
     except OverflowError:
         raise NumericalError(
             f"the bubble scale ((n - 2)/(2 - s))**(1/(2 - s)) overflows a "
-            f"float at n = {n}, s = {s}") from None
+            f"float at n = {p.n}, s = {p.s}") from None
 
 
 def eval_profiles(p: HSParams, delta: float, r) -> dict:

@@ -361,7 +361,7 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
         raise NumericalError(
             f"cell masses underflow to 0 on this grid (gamma = {grid.gamma}, "
             f"N = {grid.N}, first edge radius {edges[1]:.3e}); {remedy}")
-    log_core = -math.log(p.beta) / (2.0 - p.s)  # in logs: none overflows
+    log_core = -p.log_scale  # in logs: none overflows
     if math.log(R) < log_core:  # the inner radius of power_law_breaks
         raise DomainError(f"the grid ends at R_max = {R!r}, inside the "
                           f"bubble's core of radius {math.exp(log_core):.3g}")

@@ -93,6 +93,12 @@ class HSParams:
         return (self.n - self.s) / (2.0 - self.s)
 
     @property
+    def log_scale(self) -> float:
+        """log(beta)/(2 - s): U1's transition runs from r = exp(-log_scale)
+        to exp(log_scale), where t = r**(2 - s) passes 1/beta and beta."""
+        return math.log(self.beta) / (2.0 - self.s)
+
+    @property
     def potential_amp(self) -> float:
         """(2*(s) - 1)(n - s)(n - 2), the amplitude of the potential V."""
         return (self.crit_exp - 1.0) * (self.n - self.s) * (self.n - 2.0)

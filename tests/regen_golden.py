@@ -2,51 +2,33 @@
 
     PYTHONPATH=src python tests/regen_golden.py NAME...
 
-Each NAME is a key of test_cli.GOLDEN_CASES.  Its command runs as
-test_report_matches_golden runs it: in an empty working directory holding
-test_cli.INPUT_FILES, through cli.main.  The report and every side file it
-writes replace tests/golden/NAME.*, and each number whose text changed is
-printed as old -> new with its relative change, for the change log.
+Each NAME is a key of test_cli.GOLDEN_CASES.  Its command runs through
+test_cli.run_golden, the call test_report_matches_golden checks: cli.main
+in an empty working directory holding test_cli.INPUT_FILES.  The report
+and every side file it writes replace tests/golden/NAME.*, and each number
+whose text changed is printed as old -> new with its relative change, for
+the change log.
 Unknown names are refused before anything runs.
 """
 
-import contextlib
-import io
-import json
-import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from hsbubble import cli  # noqa: E402
-from test_cli import GOLDEN, GOLDEN_CASES, INPUT_FILES  # noqa: E402
+from test_cli import GOLDEN, GOLDEN_CASES, run_golden  # noqa: E402
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def run(name: str) -> dict:
     """{golden file name: bytes} of one case, its stdout included."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            for fname, data in INPUT_FILES.items():
-                Path(fname).write_text(json.dumps(data), encoding="utf-8")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                rc = cli.main(GOLDEN_CASES[name])
-            if rc != 0:
-                raise SystemExit(f"{name}: exit {rc}: {err.getvalue()}")
-            files = {f"{name}.stdout": out.getvalue().encode("utf-8")}
-            for fname in sorted(set(os.listdir(tmp)) - set(INPUT_FILES)):
-                files[f"{name}.{fname}"] = Path(fname).read_bytes()
-        finally:
-            os.chdir(cwd)
-    return files
+    rc, out, err, side = run_golden(name)
+    if rc != 0:
+        raise SystemExit(f"{name}: exit {rc}: {err}")
+    return {f"{name}.stdout": out.encode("utf-8"),
+            **{f"{name}.{fname}": data for fname, data in side.items()}}
 
 
 def moved_numbers(old: str, new: str):

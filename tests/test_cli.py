@@ -2,8 +2,10 @@
 byte-identical re-runs, and the emitted CSV side files."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -605,6 +608,11 @@ def test_exit_2_ill_conditioned_fit(capsys):
      "rule in x = log r did not converge in 12 halvings"),
     (["integrals", "--n", "18", "--s", "1.9"],
      "; the cause is kappa**2, which overflows a float (kappa = 7.51e+192)"),
+    # the integral is finite, its product with |S^6| is not
+    (["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
+      "--h0", "1e194"],
+     "numerical failure: the remainder density with h0 = 1e+194 at "
+     "delta = 1.0 leaves the float range\n"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -801,7 +809,8 @@ _CLI = "cli errors params"
 _MOMENTS = "moments bubble quadrature"
 
 # run -> (its hsbubble submodules, numpy loaded, scipy loaded); a run is an
-# import statement or a README example, run as the console script runs it
+# import statement or a golden case (every README example and the
+# trace-free remainder), run as the console script runs it
 RUN_LOADS = {
     "import hsbubble": ("", False, False),
     "import hsbubble.cli": (_CLI, False, False),
@@ -813,6 +822,8 @@ RUN_LOADS = {
     "lg": (f"{_CLI} geometry linearized {_MOMENTS}", True, True),
     "energy": (f"{_CLI} energy geometry {_MOMENTS}", True, False),
     "remainder": (f"{_CLI} energy geometry {_MOMENTS}", True, False),
+    "remainder-tracefree": (f"{_CLI} energy geometry {_MOMENTS}", True,
+                            False),
     "reduce": (f"{_CLI} reduction", False, False),
     "family": (f"{_CLI} reduction geometry {_MOMENTS}", True, False),
     "verdict": (f"{_CLI} reduction geometry", False, False),
@@ -847,17 +858,15 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
     # scipy loads only where its routines run, numpy.ma only with scipy,
     # and nothing loads scipy.linalg (the solver loads its LAPACK extension
     # alone) or scipy.sparse
-    runs = {run: f"{run}\n" for run in RUN_LOADS if run.startswith("import ")}
-    for argv in readme_examples():
-        runs[argv[0]] = (
+    assert {argv[0] for argv in readme_examples()} <= set(RUN_LOADS)
+    write_inputs(tmp_path)
+    for run, (modules, numpy, scipy) in RUN_LOADS.items():
+        code = f"{run}\n" if run.startswith("import ") else (
             "import contextlib, io\n"
             "from hsbubble.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0\n")
-    assert sorted(runs) == sorted(RUN_LOADS)
-    for run, code in runs.items():
+            f"    assert main({GOLDEN_CASES[run]!r}) == 0\n")
         got = _loaded(code, cwd=tmp_path)
-        modules, numpy, scipy = RUN_LOADS[run]
         assert got["hsbubble"] == sorted(
             ["hsbubble"] + [f"hsbubble.{m}" for m in modules.split()]), run
         assert (got["numpy"], got["scipy"]) == (numpy, scipy), run
@@ -888,8 +897,7 @@ def test_decision_runs_load_no_numpy(tmp_path, argv, rc):
     # the reduced functional and the verdict on a given obstruction are
     # pure arithmetic: no path through them, error exits included, loads
     # numpy or the solver
-    (tmp_path / "pot.json").write_text(json.dumps(INPUT_FILES["pot.json"]),
-                                       encoding="utf-8")
+    write_inputs(tmp_path)
     got = _loaded("import contextlib, io\n"
                   "from hsbubble.cli import main\n"
                   "with contextlib.redirect_stdout(io.StringIO()), \\\n"
@@ -899,39 +907,6 @@ def test_decision_runs_load_no_numpy(tmp_path, argv, rc):
     assert set(got["hsbubble"]) <= {"hsbubble", "hsbubble.cli",
                                     "hsbubble.errors", "hsbubble.params",
                                     "hsbubble.reduction", "hsbubble.geometry"}
-
-
-def test_scipy_free_subcommands_load_no_scipy(tmp_path):
-    # nor numpy.ma, which only scipy's imports need
-    (tmp_path / "curv.json").write_text(json.dumps(INPUT_FILES["curv.json"]),
-                                        encoding="utf-8")
-    runs = [
-        ["constants", "--n", "7", "--s", "1"],
-        ["integrals", "--n", "7", "--s", "1"],
-        ["bubble", "--n", "7", "--s", "1", "--delta", "0.1"],
-        ["reduce", "--quad", "2", "--quartic", "1"],
-        ["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
-         "--h0", "2"],
-        ["remainder", "--n", "7", "--s", "1", "--curvature", "curv.json",
-         "--h0", "7.5"],
-        ["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
-         "--h0", "7.954545454545454", "--base-lg", "5"],
-        ["energy", "--n", "7", "--s", "1", "--curvature", "sphere:1",
-         "--h0", "7.954545454545454", "--deltas", "0.005:0.05:12"],
-        ["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1",
-         "--k-max", "10"],
-    ]
-    code = ("import contextlib, io, sys\n"
-            "from hsbubble.cli import main\n"
-            f"for argv in {runs!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')\n"
-            "             or m.split('.')[:2] == ['numpy', 'ma']))")
-    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                         cwd=tmp_path, check=True, capture_output=True,
-                         text=True).stdout
-    assert out.strip() == "[]"
 
 
 def test_lazy_exports_resolve_to_their_home_objects():
@@ -1185,6 +1160,34 @@ def golden_cases() -> dict:
 GOLDEN_CASES = golden_cases()
 
 
+def write_inputs(directory) -> None:
+    """Write INPUT_FILES, the files a golden case may read, into directory."""
+    for fname, data in INPUT_FILES.items():
+        (Path(directory) / fname).write_text(json.dumps(data),
+                                             encoding="utf-8")
+
+
+def run_golden(name: str) -> tuple:
+    """(exit code, stdout, stderr, {side file: bytes}) of GOLDEN_CASES[name]
+    run through cli.main in an empty working directory holding INPUT_FILES:
+    what test_report_matches_golden compares with tests/golden/<name>.* and
+    tests/regen_golden.py writes there."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(GOLDEN_CASES[name])
+        finally:
+            os.chdir(cwd)
+        side = {fname: (Path(tmp) / fname).read_bytes()
+                for fname in sorted(set(os.listdir(tmp)) - set(INPUT_FILES))}
+    return rc, out.getvalue(), err.getvalue(), side
+
+
 def _flags(parser):
     for action in parser._actions:
         yield from action.option_strings
@@ -1209,10 +1212,7 @@ def test_readme_examples_parse():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for fname, data in INPUT_FILES.items():
-        (tmp_path / fname).write_text(json.dumps(data), encoding="utf-8")
+def test_report_matches_golden(name, monkeypatch):
     # every leaf of a report is a plain Python value: a numpy scalar would
     # print as np.float64(...) in a text report, or be refused by json
     leaf_types = set()
@@ -1224,18 +1224,13 @@ def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
         return jsonable(obj, key)
 
     monkeypatch.setattr(cli, "_jsonable", spy)
-    rc, out, err = invoke(capsys, GOLDEN_CASES[name])
+    rc, out, err, side = run_golden(name)
     assert rc == 0, err
     assert leaf_types <= {float, int, bool, str, type(None)}, leaf_types
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
-    written = sorted(set(os.listdir(tmp_path)) - set(INPUT_FILES))
-    expected = sorted(f.name[len(name) + 1:]
-                      for f in GOLDEN.glob(f"{name}.*")
-                      if f.name != f"{name}.stdout")
-    assert written == expected
-    for fname in written:
-        assert (tmp_path / fname).read_bytes() == \
-            (GOLDEN / f"{name}.{fname}").read_bytes(), fname
+    assert side == {f.name[len(name) + 1:]: f.read_bytes()
+                    for f in GOLDEN.glob(f"{name}.*")
+                    if f.name != f"{name}.stdout"}
 
 
 def help_text(capsys, monkeypatch) -> str:

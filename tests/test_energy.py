@@ -18,7 +18,7 @@ import pytest
 from scipy import integrate
 from scipy.special import roots_jacobi
 
-from hsbubble import energy
+from hsbubble import energy, quadrature
 from hsbubble.bubble import du1, u1
 from hsbubble.energy import (
     FitReport,
@@ -359,13 +359,24 @@ def test_remainder_overflow_is_a_numerical_error():
              # product underflowed: sphere:1 read 20579.7 for 34929.3, and
              # flat read 0.0
              (curvature_preset("sphere:1", 7), 7.5, 1e50), (flat, 7.5, 1e100),
-             (flat, 7.5, 1e-100)]
+             (flat, 7.5, 1e-100),
+             # the integral is finite, its product with |S^6| is not
+             (flat, 1e194, 1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c, h0, delta in cases:
             with pytest.raises(NumericalError, match=re.escape(
                     f"h0 = {h0!r} at delta = {delta!r} leaves the float")):
                 remainder_norm_scaled(c, P71, h0, delta)
+
+
+def test_remainder_passes_other_engine_refusals_unchanged(monkeypatch):
+    # only a non-finite summand gets the density's overflow text
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 300)
+    with pytest.raises(NumericalError) as exc:
+        remainder_norm_scaled(curvature_preset("sphere:1", 7), P71, 1.0, 1e-3)
+    assert str(exc.value).startswith(
+        "quadrature budget of 300 evaluations exhausted; error estimate ")
 
 
 @pytest.mark.parametrize("n", [21, 30])
