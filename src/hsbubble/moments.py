@@ -228,9 +228,10 @@ def _moment_runs(p: HSParams, kinds, tol: float) -> list:
     """moment_quadrature of each kind, as one run of the trapezoidal rule.
 
     The kinds share one f per profile (``_profiles``), so the rule calls
-    each once per level for all the kinds that weigh it.  A failure raises
-    the error of the first failing kind in input order; a quadrature
-    failure is raised before a moment that sums to 0.
+    each once per level for all the kinds that weigh it.  The run ends at
+    the first failure it meets, level by level and in input order within a
+    level, and raises it for that kind; a quadrature failure is raised
+    before a moment that sums to 0.
     """
     n, s = p.n, float(p.s)
     profiles = _profiles(p)

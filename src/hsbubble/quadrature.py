@@ -8,7 +8,8 @@ with f smooth on (0, oo) and a the weight power: the geometric power
 (something like n-1) plus any endpoint exponent at r = 0 (something like
 -s).  a must exceed -1 or the integral diverges at the origin.
 
-Two rules serve them.
+Two rules serve them.  Each takes a list of integrands and ends it at the
+first failure it meets.
 
 Trapezoidal rule in x = log r (integrate_log_trapezoid)
 -------------------------------------------------------
@@ -453,10 +454,10 @@ def integrate_log_trapezoid(integrands: Sequence[RadialIntegrand],
     Raises DomainError for any other integrand and for the engine's
     divergence screens, checked in input order before any f call.  A
     member fails when a level sum is not finite or _TRAP_HALVINGS halvings
-    do not converge; the members before it run on, and then the first
-    failed member in input order raises its NumericalError, with that
-    member's index as the error's `member` attribute.  An exception raised
-    by f leaves at once.
+    do not converge.  As in integrate_radial_batch, the list ends at the
+    first failure it meets, level by level and in input order within a
+    level: that NumericalError is raised, with the member's index as its
+    `member` attribute.  An exception raised by f leaves at once.
     """
     _check_tol(tol)
     spans = []
@@ -494,7 +495,7 @@ def integrate_log_trapezoid(integrands: Sequence[RadialIntegrand],
                 "leaves the float range")
         return total
 
-    out, totals, values = {}, {}, {}  # out: a result or a NumericalError
+    out, totals, values = {}, {}, {}
     with np.errstate(all="ignore"):
         live = range(len(integrands))
         first = sample(lo + 0.5 * h * np.arange(2.0 * count + 1.0), live)
@@ -515,8 +516,8 @@ def integrate_log_trapezoid(integrands: Sequence[RadialIntegrand],
                 try:
                     totals[i] = add(totals.get(i, 0.0), ys[i])
                 except NumericalError as exc:
-                    out[i] = exc
-                    continue
+                    exc.member = i
+                    raise
                 coarse, values[i] = values.get(i), h * totals[i]
                 if not level:
                     continue
@@ -526,21 +527,13 @@ def integrate_log_trapezoid(integrands: Sequence[RadialIntegrand],
                     out[i] = {"value": values[i], "error_estimate": err,
                               "evaluations": evals}
                 elif level == _TRAP_HALVINGS:
-                    out[i] = NumericalError(
+                    exc = NumericalError(
                         "the trapezoidal rule in x = log r did not converge "
                         f"in {_TRAP_HALVINGS} halvings: |T_h - T_2h| = "
                         f"{err:.3e} against {bound:.3e}")
-            # a member after a failed one cannot change the error raised
-            cut = min((i for i, res in out.items()
-                       if isinstance(res, NumericalError)),
-                      default=len(integrands))
-            live = [i for i in live if i < cut and i not in out]
+                    exc.member = i
+                    raise exc
+            live = [i for i in live if i not in out]
             if not live:
                 break
-    results = []
-    for i in range(len(integrands)):
-        if isinstance(out[i], NumericalError):
-            out[i].member = i
-            raise out[i]
-        results.append(out[i])
-    return results
+    return [out[i] for i in range(len(integrands))]

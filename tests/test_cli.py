@@ -535,10 +535,12 @@ def test_exit_2_ill_conditioned_fit(capsys):
     # a moment integrand beyond the float range everywhere it has mass (was
     # an overflow RuntimeWarning from the tail screen, and without it a
     # ZeroDivisionError traceback on the quadrature value 0); kappa**2 is
-    # 1e458 at (13, 1.95), so the mass2 moment overflows in a level sum
+    # 1e458 at (13, 1.95), and the r2mass moment's level sum is the first
+    # to overflow
     (["integrals", "--n", "13", "--s", "1.95"],
-     "the mass2 moment by quadrature at n = 13, s = 1.95: a trapezoidal "
-     "sum on"),
+     "the r2mass moment by quadrature at n = 13, s = 1.95: a trapezoidal "
+     "sum on [-110.645, 113.022] in x = log r leaves the float range; the "
+     "cause is kappa**2, which overflows a float (kappa = 2.1e+229)"),
     (["integrals", "--n", "40", "--s", "1.8"],
      "the mass2 moment by quadrature at n = 40, s = 1.8 is 0.0"),
     # was exit 0 with "t0": Infinity and "second_derivative": -Infinity,

@@ -3,8 +3,8 @@
 Layered so every closed-form claim is cross-examined by an independent
 route: predicted coefficients come from the moment registry, J from adaptive
 quadrature with no expansion, the remainder norm from Kronrod x graded
-Gauss-Legendre against mpmath and scipy dblquad oracles and a Monte-Carlo
-angular check.
+Gauss-Legendre against an mpmath oracle, a nested scipy quad oracle and a
+Monte-Carlo angular check.
 """
 
 import hashlib
@@ -15,7 +15,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.special import roots_jacobi
 
 from hsbubble import energy, quadrature
@@ -35,7 +34,7 @@ from hsbubble.geometry import (CurvatureData, PotentialJet, assemble_w,
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants, sphere_area
 
-from closed_forms import flat_alpha_inv_closed_form
+from closed_forms import flat_alpha_inv_closed_form, remainder_oracle
 
 P71 = HSParams(7, 1.0)
 SPHERE7 = curvature_preset("sphere:1", 7)
@@ -393,25 +392,17 @@ def test_remainder_answers_where_only_the_radial_weight_overflows(n):
     assert not sphere["degenerate"] and math.isfinite(sphere["alpha_inv"])
 
 
-def test_remainder_generic_against_dblquad_oracle():
-    h0 = 2.0
-    n, q = 7, 14.0 / 9.0
-    mu = axial_mu(GENERIC_C)
-    scal_amp = GENERIC_C.scal / (3.0 * n)
-
-    def integrand(u, r):
-        A = h0 * u1(P71, r) + scal_amp * r * du1(P71, r)
-        B = mu * r * du1(P71, r) / 3.0
-        return (abs(A + B * (u * u - 1.0 / n)) ** q
-                * (1.0 - u * u) ** ((n - 3) / 2) * r ** (n - 1))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, _ = integrate.dblquad(integrand, 0, np.inf, -1, 1,
-                                   epsabs=1e-6, epsrel=1e-10)
-    oracle = (val * sphere_area(n - 1)) ** (1.0 / q)
-    got = remainder_alpha(GENERIC_C, P71, h0)["alpha_inv"]
-    assert got == pytest.approx(oracle, rel=1e-8)
+@pytest.mark.parametrize("curvature,p,h0", [
+    pytest.param(GENERIC_C, P71, 2.0, id="generic-7-1"),
+    pytest.param(curvature_preset({"scal": 42.0, "ric_norm2": 257.0,
+                                   "rm_norm2": 84.0, "lap_scal": 0.0}, 7),
+                 HSParams(7, 1.5), 1.0, id="non-einstein-slow-tail")])
+def test_remainder_against_nested_quad_oracle(curvature, p, h0):
+    # the kinked trace-free density against scipy quad nested in log r and
+    # the angle, split at the kink (measured agreement 2.3e-14 and 3.2e-15)
+    got = remainder_norm_scaled(curvature, p, h0)
+    assert got == pytest.approx(remainder_oracle(curvature, p, h0),
+                                rel=1e-12, abs=0.0)
 
 
 def test_remainder_angular_reduction_against_monte_carlo():
@@ -445,25 +436,21 @@ def test_remainder_tracefree_branch_continuity():
     assert a == pytest.approx(b, rel=1e-9)
 
 
-def test_remainder_delta_squared_scaling():
-    base = remainder_alpha(GENERIC_C, P71, 2.0)["alpha_inv"]
-    for d in (0.1, 0.01, 1e30):
-        scaled = remainder_norm_scaled(GENERIC_C, P71, 2.0, d)
-        assert scaled / d**2 == pytest.approx(base, rel=1e-10)
-
-
-@pytest.mark.parametrize("curvature,h0", [
-    pytest.param({"scal": 42.0, "ric_norm2": 300.0, "rm_norm2": 100.0,
-                  "lap_scal": 0.0}, 7.5, id="tracefree"),
-    pytest.param("sphere:1", 1.0, id="sphere-radial")])
-def test_remainder_delta_squared_scaling_at_tiny_delta(curvature, h0):
-    # the span in x = log r comes from the declared breaks delta 5**-+1
-    # alone: clipped where the weight r**7 leaves the float range
-    # (x = -101.4), it lost the core below delta ~ 7.6e-42 and read 16.4%
-    # (tracefree) and 21.0% (sphere) low at 1e-45, 99.6% and 99.7% at 1e-50
-    c = curvature_preset(curvature, 7)
+@pytest.mark.parametrize("c,h0", [
+    pytest.param(curvature_preset({"scal": 42.0, "ric_norm2": 300.0,
+                                   "rm_norm2": 100.0, "lap_scal": 0.0}, 7),
+                 7.5, id="tracefree"),
+    pytest.param(curvature_preset("sphere:1", 7), 1.0, id="sphere-radial"),
+    pytest.param(GENERIC_C, 2.0, id="generic")])
+def test_remainder_delta_squared_scaling_at_tiny_delta(c, h0):
+    # the norm scales as delta**2 from delta = 1e30 down to 1e-50 (worst
+    # 2.7e-14); the span in x = log r comes from the declared breaks
+    # delta 5**-+1 alone: clipped where the weight r**7 leaves the float
+    # range (x = -101.4), it lost the core below delta ~ 7.6e-42 and read
+    # 16.4% (tracefree) and 21.0% (sphere) low at 1e-45, 99.6% and 99.7%
+    # at 1e-50
     base = remainder_norm_scaled(c, P71, h0)
-    for d in (1e-45, 1e-50):
+    for d in (1e30, 1e-45, 1e-50):
         scaled = remainder_norm_scaled(c, P71, h0, d)
         assert scaled / d**2 == pytest.approx(base, rel=1e-12, abs=0.0), d
 

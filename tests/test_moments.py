@@ -341,7 +341,8 @@ def test_identity_moments_in_one_run_agree_with_runs_alone():
     # one run sums every moment on the union of their spans, so each moment
     # sees other nodes than alone: they differ by the integrand's roundoff,
     # at most 5.0e-14 (r4grad at (7, 1.95), itself 1.5e-12 from its closed
-    # form), and a batch refuses where the runs alone do
+    # form); a batch refuses where a run alone does, naming the kind whose
+    # failure it meets first, which refuses alone too
     index = [MOMENT_KINDS.index(kind) for kind in IDENTITY_KINDS]
     answered = 0
     for (n, s), row in _one_kind_runs().items():
@@ -350,8 +351,9 @@ def test_identity_moments_in_one_run_agree_with_runs_alone():
             batch = moments._moment_runs(HSParams(n, s), IDENTITY_KINDS,
                                          DEFAULT_TOL)
         except NumericalError as exc:
-            first = next(v for v in alone if not isinstance(v, float))
-            assert str(exc).split(":")[0] == first[1].split(":")[0], (n, s)
+            refused = {v[1].split(":")[0] for v in alone
+                       if not isinstance(v, float)}
+            assert str(exc).split(":")[0] in refused, (n, s)
             continue
         answered += 1
         for kind, got, want in zip(IDENTITY_KINDS, batch, alone):

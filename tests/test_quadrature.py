@@ -5,11 +5,11 @@ from heapq import heappop, heappush
 import numpy as np
 import pytest
 
-from hsbubble import bubble, energy, linearized, moments, quadrature
+from hsbubble import energy, linearized, moments, quadrature
 from hsbubble.bubble import default_grid
 from hsbubble.errors import DomainError, NumericalError
 from hsbubble.geometry import PotentialJet, curvature_preset
-from hsbubble.params import HSParams, derive_constants, sphere_area
+from hsbubble.params import HSParams, derive_constants
 from hsbubble.quadrature import RadialIntegrand, integrate_radial
 
 from closed_forms import flat_alpha_inv_closed_form
@@ -374,7 +374,7 @@ _NON_EINSTEIN = {"scal": 42.0, "ric_norm2": 257.0, "rm_norm2": 84.0,
         id="remainder-radial-infinite"),
     pytest.param(energy, lambda: energy.remainder_alpha(
         curvature_preset(_NON_EINSTEIN, 7), HSParams(7, 1.0), 1.0),
-        id="remainder-gauss-jacobi-infinite"),
+        id="remainder-tracefree-infinite"),
     pytest.param(energy, lambda: energy.fit_expansion(
         _model(HSParams(7, 1.0)), HSParams(7, 1.0),
         np.geomspace(0.005, 0.05, 12)), id="fit_expansion-sweep"),
@@ -654,45 +654,16 @@ def test_infinite_domain_evaluation_counts(monkeypatch):
         curvature_preset("sphere:1", 7), p, 1.0)) <= 1000
 
 
-def _remainder_oracle(c, p, h0):
-    """remainder_norm_scaled(c, p, h0) by nested scipy quad: log r outside,
-    the angle theta (u = cos theta, Jacobi weight sin**(n-2)) inside, split
-    at the kink of |A + B (u^2 - 1/n)/3|**q."""
-    from scipy.integrate import quad
-
-    n = p.n
-    q = 2.0 * n / (n + 2.0)
-    amp = c.scal / (3.0 * n)
-    mu = math.sqrt(c.tfree_ric_norm2 * n / (n - 1.0))  # |T|^2 = mu^2 (n-1)/n
-
-    def angular(r):
-        A = h0 * bubble.u1(p, r) + amp * r * bubble.du1(p, r)
-        B = mu * r * bubble.du1(p, r)
-        c2 = 1.0 / n - 3.0 * A / B
-        kink = [math.acos(math.sqrt(c2))] if 0.0 < c2 < 1.0 else None
-        return 2.0 * quad(
-            lambda th: abs(A + B * (math.cos(th) ** 2 - 1.0 / n) / 3.0) ** q
-            * math.sin(th) ** (n - 2), 0.0, math.pi / 2, points=kink,
-            epsabs=0.0, epsrel=1e-13, limit=200)[0]
-
-    beta = (n - 2.0) / (2.0 - p.s)
-    xb = math.log(beta) / (2.0 - p.s)
-    cuts = [-xb - 8.0, -xb, xb, xb + 60.0 / (q * (n - 2) - n)]
-    total = sum(quad(lambda x: angular(math.exp(x)) * math.exp(n * x), x0, x1,
-                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
-                for x0, x1 in zip(cuts, cuts[1:]))
-    return (sphere_area(n - 1) * total) ** (1.0 / q)
-
-
 def test_slow_tail_remainder_answers_within_a_small_budget(monkeypatch):
     # at (7, 1.5) the density decays like r**-7.78 against the weight r**6,
     # so the integrand in x = log r falls only like e**(-0.78 x) and its
-    # tail spans 46 e-folds past the bubble scale
+    # tail spans 46 e-folds past the bubble scale; the value is checked
+    # against the nested-quad oracle in tests/test_energy.py
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 20_000)
     p = HSParams(7, 1.5)
-    c = curvature_preset(_NON_EINSTEIN, 7)
-    got = energy.remainder_norm_scaled(c, p, 1.0)
-    assert got == pytest.approx(_remainder_oracle(c, p, 1.0), rel=1e-9)
+    got = energy.remainder_norm_scaled(curvature_preset(_NON_EINSTEIN, 7),
+                                       p, 1.0)
+    assert math.isfinite(got) and got > 0.0
     flat = energy.remainder_norm_scaled(curvature_preset("flat", 7), p, 2.0)
     assert flat == pytest.approx(flat_alpha_inv_closed_form(p, 2.0),
                                  rel=1e-12)
@@ -833,8 +804,9 @@ def test_log_trapezoid_members_share_f_and_keep_their_own_runs():
 
 def test_log_trapezoid_raises_the_first_failing_member_in_input_order():
     # the kinked member fails only after 12 halvings, the overflowing one
-    # at level 0; the error raised is the earlier member's, with its index,
-    # and no member after a failed one runs on
+    # with a = 4 after level 0 and the two with a >= 5 at level 0: the list
+    # ends there, at the first of those two in input order, with its index,
+    # and the kinked member is summed no further
     calls = []
 
     def kinked(r):
@@ -844,13 +816,11 @@ def test_log_trapezoid_raises_the_first_failing_member_in_input_order():
     def huge(r):
         return 2e307 * np.minimum(1.0, r**-6.0)
 
-    members = [_declared(), _declared(f=kinked), _declared(f=huge)]
-    with pytest.raises(NumericalError, match="did not converge") as got:
-        quadrature.integrate_log_trapezoid(members, tol=1e-13)
-    assert got.value.member == 1
-    assert len(calls) == quadrature._TRAP_HALVINGS
-    calls.clear()
-    with pytest.raises(NumericalError, match="leaves the float") as got:
-        quadrature.integrate_log_trapezoid(members[::-1], tol=1e-13)
-    assert got.value.member == 0
-    assert len(calls) == 1
+    members = [_declared(), _declared(f=kinked)] + [
+        _declared(f=huge, a=a) for a in (4.0, 5.0, 5.5)]
+    for order, first in ((members, 3), (members[::-1], 0)):
+        calls.clear()
+        with pytest.raises(NumericalError, match="leaves the float") as got:
+            quadrature.integrate_log_trapezoid(order, tol=1e-13)
+        assert got.value.member == first
+        assert len(calls) == 1
