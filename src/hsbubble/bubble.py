@@ -23,13 +23,12 @@ enters every downstream formula stays finite and -> 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .params import DEFAULT_GRID, HSParams
+from .params import DEFAULT_GRID, HSParams, Record
 
 
 def u1(p: HSParams, r):
@@ -143,8 +142,7 @@ def eval_profiles(p: HSParams, delta: float, r) -> dict:
             f"n = {n} (their amplitudes carry delta**(-n/2))") from None
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(Record):
     """Graded radial mesh r_i = R_max (i/N)**gamma, i = 0..N (so N+1 nodes,
     r_0 = 0 included, r_N = R_max)."""
 
@@ -174,12 +172,11 @@ def default_grid(p: HSParams, N: int = DEFAULT_GRID[0],
     return RadialGrid(R_max=R_max, N=N, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(Record):
     """A radial function: a callable, or its samples on a grid's nodes."""
 
     fn: Optional[Callable] = None
-    values: Optional[np.ndarray] = field(default=None, repr=False)
+    values: Optional[np.ndarray] = None
 
     @classmethod
     def from_callable(cls, fn: Callable) -> "RadialProfile":
@@ -203,8 +200,7 @@ class RadialProfile:
         return np.asarray(self.fn(grid.nodes), dtype=float)
 
 
-@dataclass(frozen=True)
-class WDecomposition:
+class WDecomposition(Record):
     """Mode decomposition of the geometric source W.
 
     W(x) = a U1(r) + (1/3) T_ij sigma^i sigma^j (r U1'(r)) + mode0_extra

@@ -13,24 +13,22 @@ run quietly, with its exit code.
 
 The subcommands are rows of one table (_SUBCOMMANDS): name, help, the flags
 (the shared tuples _PARAMS, _CURVATURE, _POTENTIAL and _GRID, then the
-subcommand's own), the handler and an optional text renderer.  Handlers take
-an _Inputs, which parses (n, s), the curvature, the potential and the grid
-from the flags on first use.  Only errors and params are imported here; each
-handler imports the library functions it calls, so a run loads only the
-modules (and numpy or scipy) its subcommand uses: `reduce` and
-`verdict --base-lg` are arithmetic and load no numpy.
+subcommand's own), the handler and an optional text renderer.  The parser
+holds only the subcommand named first (all of them for --help, an unknown
+name or none).  Handlers take an _Inputs, which parses (n, s), the
+curvature, the potential and the grid from the flags on first use.  Only
+errors and params are imported here; each handler imports what it calls,
+so a run loads only the modules (and numpy or scipy's LAPACK) its
+subcommand uses: `reduce` and `verdict --base-lg` load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -152,9 +150,9 @@ class _Inputs:
                 out[name] = {k: getattr(self.c, k)
                              for k in CURVATURE_SCHEMA_KEYS}
             elif name == "potential":
-                out[name] = asdict(self.jet)
+                out[name] = self.jet
             elif name == "grid":
-                out[name] = asdict(self.grid)
+                out[name] = self.grid
             else:
                 out[name] = getattr(self.args, name)
         return out
@@ -174,6 +172,8 @@ def _obstruction(inp: _Inputs):
 def _csv(header, rows, path: Optional[str] = None) -> str:
     """CSV text with every number written as repr(float(x)), so it reads
     back bit for bit; also written to path when one is given."""
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -246,7 +246,7 @@ def _cmd_chat(inp):
     det = nonlocal_term(inp.p, w, grid, detail=True)
     mode0, mode2 = det["mode0"], det["mode2"]
     outputs = {
-        "w": asdict(w),
+        "w": w,
         "nonlocal_term": det["total"],
         "mode0_part": det["mode0_part"],
         "mode2_part": det["mode2_part"],
@@ -269,7 +269,7 @@ def _cmd_chat(inp):
 def _cmd_lg(inp):
     from .geometry import density_coeffs, kns, lg_total
     out = lg_total(inp.c, inp.jet, inp.p, inp.grid)
-    outputs = {**asdict(out), "kns": kns(inp.c, inp.p),
+    outputs = {**vars(out), "kns": kns(inp.c, inp.p),
                "density_coeffs": density_coeffs(inp.c)}
     return inp.echo("curvature", "potential", "grid"), outputs
 
@@ -281,7 +281,7 @@ def _cmd_energy(inp):
     rep = fit_expansion(model, inp.p, _parse_deltas(a.deltas))
     inputs = inp.echo("curvature", "potential", "deltas", "r0")
     inputs["nuisance"] = True  # the fit always carries its nuisance columns
-    return inputs, asdict(rep)
+    return inputs, rep
 
 
 def _cmd_remainder(inp):
@@ -309,7 +309,7 @@ def _cmd_reduce(inp):
         message = "no critical point: degenerate quartic coefficient"
     else:
         message = "no critical point: sign condition fails"
-    outputs = {**asdict(out), "message": message}
+    outputs = {**vars(out), "message": message}
     inputs = inp.echo("quad", "quartic")
     if a.eps is not None:
         # checked even without a critical point: the report echoes it
@@ -326,7 +326,7 @@ def _cmd_family(inp):
     f0 = inp.jet.f0
     base, used = _obstruction(inp)
     ladder = family_theorem2(base, inp.p, f0, inp.args.k_max)
-    return {**inp.echo("potential", "k_max"), **used}, asdict(ladder)
+    return {**inp.echo("potential", "k_max"), **used}, ladder
 
 
 def _family_table(outputs: dict) -> str:
@@ -346,7 +346,7 @@ def _cmd_verdict(inp):
     c, jet = inp.c, inp.jet
     lg, used = _obstruction(inp)
     v = verdict(jet, c, inp.p, lg, lg_tol=inp.args.lg_tol)
-    return {**inp.echo("curvature", "potential", "lg_tol"), **used}, asdict(v)
+    return {**inp.echo("curvature", "potential", "lg_tol"), **used}, v
 
 
 def _cmd_kernel(inp):
@@ -434,13 +434,20 @@ _SUBCOMMANDS = (
 
 
 def build_parser() -> _Parser:
+    return _parser(_SUBCOMMANDS)
+
+
+def _parser(rows) -> _Parser:
+    """The parser over these _SUBCOMMANDS rows; its usage names them all."""
     parser = _Parser(prog="hsbubble",
                      description="bubble profiles, moment identities, the "
                                  "projected linear solver, energy "
                                  "expansions, and blow-up family "
                                  "predictions")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for cmd in _SUBCOMMANDS:
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=(
+        None if rows is _SUBCOMMANDS else
+        "{%s}" % ",".join(cmd.name for cmd in _SUBCOMMANDS)))
+    for cmd in rows:
         sp = sub.add_parser(cmd.name, help=cmd.help)
         for flag, kwargs in cmd.flags:
             sp.add_argument(flag, **kwargs)
@@ -451,8 +458,10 @@ def build_parser() -> _Parser:
 
 
 def _jsonable(obj, key):
-    """obj with lists for tuples; a non-finite float, which JSON cannot
-    hold, is refused by its key."""
+    """obj with dicts for records and lists for tuples; a non-finite float,
+    which JSON cannot hold, is refused by its key."""
+    if hasattr(obj, "__dict__"):  # a Record, or energy's FitReport
+        obj = vars(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v, f"{key}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -477,7 +486,9 @@ def _human_lines(outputs, prefix=""):
 
 def main(argv=None) -> int:
     """Parse argv, run one subcommand, print its report; the exit code."""
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    rows = [cmd for cmd in _SUBCOMMANDS if argv[:1] == [cmd.name]]
+    args = _parser(rows or _SUBCOMMANDS).parse_args(argv)
     cmd = args.command
     try:
         inputs, outputs = cmd.handler(_Inputs(args))

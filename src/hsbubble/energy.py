@@ -50,7 +50,7 @@ from .bubble import du1, power_law_breaks, rdru1, u1
 from .errors import DomainError, NumericalError
 from .geometry import CurvatureData, PotentialJet, assemble_w, density_coeffs
 from .moments import bubble_moment
-from .params import HSParams, derive_constants, sphere_area
+from .params import HSParams, Record, derive_constants, sphere_area
 from .quadrature import (RadialIntegrand, integrate_radial,
                          integrate_radial_batch)
 
@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadialModel:
+class RadialModel(Record):
     """A radial stand-in for the ambient space near the concentration point.
 
     Holds the curvature data (which fixes the truncated density

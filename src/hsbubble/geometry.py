@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, NumericalError
-from .params import HSParams
+from .params import HSParams, Record
 
 if TYPE_CHECKING:  # annotations only: the curvature data needs no numpy
     from .bubble import RadialGrid, WDecomposition
@@ -79,8 +78,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(Record):
     """Pointwise curvature invariants at the concentration point.
 
     The dimension rides along because the derived trace-free magnitude
@@ -126,8 +124,7 @@ class CurvatureData:
         return max(0.0, self.ric_norm2 - self.scal**2 / self.n)
 
 
-@dataclass(frozen=True)
-class PotentialJet:
+class PotentialJet(Record):
     """The 2-jet data of the potential at the concentration point.
 
     h0 = h(x0); lap_h = Delta h(x0) in the minus-divergence convention;
@@ -148,8 +145,7 @@ class PotentialJet:
                     f"potential jet field {name!r} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class LgBreakdown:
+class LgBreakdown(Record):
     """The obstruction functional, split into its two mechanisms."""
 
     local_term: float

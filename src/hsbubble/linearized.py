@@ -64,16 +64,14 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from .bubble import (RadialGrid, RadialProfile, WDecomposition, rdru1,
                      u1, z0)
 from .errors import DomainError, NumericalError
-from .params import HSParams, sphere_area
+from .params import HSParams, Record, sphere_area
 from .quadrature import RadialIntegrand, integrate_radial
 
 
@@ -81,23 +79,30 @@ def _load_lapack():
     """scipy's LAPACK wrappers, without the import tree of scipy.linalg.
 
     scipy.linalg.lapack re-exports the routines of one extension module,
-    scipy/linalg/_flapack<suffix>.  Loading that file alone spares the
-    about 0.3 s that `import scipy.linalg` spends on its other modules.  It
-    is loaded under its real name and registered in sys.modules, so a later
-    scipy.linalg import reuses it, and a copy already loaded is reused
-    here.  This relies on scipy's private file layout: where no such file
-    exists, scipy.linalg.lapack is used.
+    scipy/linalg/_flapack<suffix>.  Loading that file alone, found by
+    find_spec, spares the about 0.3 s that `import scipy.linalg` spends on
+    its other modules and scipy's package init.  It is loaded under its
+    real name and registered in sys.modules, so a later scipy.linalg import
+    reuses it, and a copy already loaded is reused here.  This relies on
+    scipy's private file layout: where no such file exists, or it needs the
+    package init (the BLAS set-up of some wheels), scipy.linalg.lapack serves.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the grid solver needs scipy, which is not installed")
+    folder = os.path.join(os.path.dirname(scipy.origin), "linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_flapack" + suffix)
         if os.path.isfile(path):
             spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:
+                break
             sys.modules[name] = module
             return module
     from scipy.linalg import lapack
@@ -134,8 +139,7 @@ EIG_TOL = 1e-14
 # domain types
 
 
-@dataclass(frozen=True)
-class ModeSolution:
+class ModeSolution(Record):
     """Solution of one radial mode problem.
 
     defect is an a-posteriori consistency residual: an independent
@@ -162,8 +166,7 @@ class ModeSolution:
     gradient_orthogonality: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ModeMatrices:
+class ModeMatrices(Record):
     """Assembled tridiagonal operators for one mode on one grid.
 
     Arrays cover the active nodes only (ell = 2 drops the Dirichlet node at

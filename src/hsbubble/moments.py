@@ -40,13 +40,12 @@ rule evaluates each function once per level for all the moments using it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bubble
 from .errors import DomainError, NumericalError
-from .params import DEFAULT_TOL, HSParams, derive_constants, sphere_area
+from .params import DEFAULT_TOL, HSParams, Record, derive_constants, sphere_area
 from .quadrature import RadialIntegrand, integrate_log_trapezoid
 # the adaptive engine's name stays bound here only because the benchmark's
 # span tracer wraps it at this site; ROADMAP item 11 drops the site and this
@@ -269,8 +268,7 @@ def _moment_runs(p: HSParams, kinds, tol: float) -> list:
     return values
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(Record):
     n: int
     s: float
     ratios: dict

@@ -25,7 +25,6 @@ refuse n < N_MIN through HSParams.require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 
@@ -42,8 +41,54 @@ DEFAULT_GRID = (8000, 200.0)
 N_MIN = 7
 
 
-@dataclass(frozen=True)
-class HSParams:
+class Record:
+    """An immutable record: its fields are the subclass's annotations, in
+    order, with the class-level values as defaults.  They bind by position
+    or keyword, then __post_init__ validates them; equality and hash go by
+    type and fields.  functools.cached_property writes __dict__, and works."""
+
+    _fields, _template, _required = (), {}, ()
+    _MISSING = object()  # the default of a field that has none
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._template = {k: vars(cls).get(k, cls._MISSING) for k in cls._fields}
+        cls._required = frozenset(cls._fields).difference(vars(cls))
+
+    def __init__(self, *args, **kwargs):
+        names, given = self._fields, kwargs.keys()
+        values = self._template | kwargs  # field order; unknown names last
+        if args:  # positions past the fields, or named again, shrink given
+            values.update(zip(names, args))
+            given = given | names[:len(args)]
+        if (len(values) > len(names) or len(given) < len(args) + len(kwargs)
+                or not given >= self._required):
+            raise TypeError(f"{type(self).__name__} binds each field {names} "
+                            f"once: got {len(args)} by position and {[*kwargs]}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Refuse bad field values (the subclass's validation)."""
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"{type(self).__name__}.{field} cannot be assigned")
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[k] for k in self._fields])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{k}={v!r}" for k, v in zip(self._fields, self._values())))
+
+
+class HSParams(Record):
     """The pair (n, s): dimension and singularity exponent."""
 
     n: int

@@ -54,7 +54,6 @@ the heap and the running sums are Python floats; numpy evaluates the
 integrand and the panel sums, under one error-state scope per batch.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappush, heappop
 from math import ceil, inf, isfinite, log
 from typing import Callable, Optional, Sequence
@@ -62,7 +61,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .params import DEFAULT_TOL
+from .params import DEFAULT_TOL, Record
 
 # 15-point Kronrod extension of 7-point Gauss (positive half; the rule is
 # symmetric).  Classic tabulated values.
@@ -116,8 +115,7 @@ _AHEAD = 3                # most look-ahead panels a run holds; calls per
                           # (7, 1) fit: 23 without, 11, 9, 9 with 2, 3, 4
 
 
-@dataclass
-class RadialIntegrand:
+class RadialIntegrand(Record):
     """Integrand f(r) * r**a on [0, R] (R = None means infinity).
 
     `a` is the whole weight power, endpoint exponent included.  `f` must be

@@ -22,11 +22,10 @@ stays a free input to the delta = t0 sqrt(eps) bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from .errors import DomainError, NumericalError
-from .params import HSParams
+from .params import HSParams, Record
 
 if TYPE_CHECKING:  # annotations only: the verdict needs no geometry solve
     from .geometry import CurvatureData, LgBreakdown, PotentialJet
@@ -57,8 +56,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class ReducedFunctional:
+class ReducedFunctional(Record):
     """Coefficients of the reduced quartic f(t) = quad t^2 + quartic t^4."""
 
     quad_coef: float
@@ -70,8 +68,7 @@ class ReducedFunctional:
             raise DomainError("reduced-functional coefficients must be finite")
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(Record):
     """Outcome of the positive-critical-point search.
 
     t0 is None when no positive critical point exists: either the quartic
@@ -126,8 +123,7 @@ def predicted_delta(t0: float, eps: float) -> float:
     return delta
 
 
-@dataclass(frozen=True)
-class LadderEntry:
+class LadderEntry(Record):
     """One rung: potential perturbed by (1/k) squared-distance."""
 
     k: int
@@ -136,8 +132,7 @@ class LadderEntry:
     predicted_t0: Optional[float]   # None when lg_k <= 0 (no prediction)
 
 
-@dataclass(frozen=True)
-class FamilyLadder:
+class FamilyLadder(Record):
     """The k-indexed blow-up family data over a base obstruction value."""
 
     base_lg: float
@@ -181,8 +176,7 @@ def family_theorem2(base: LgBreakdown, p: HSParams, f0: float,
                         entries=entries)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Where (h0, x0) sits relative to the threshold, and what that buys.
 
     classification is one of:

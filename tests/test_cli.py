@@ -4,7 +4,6 @@ byte-identical re-runs, and the emitted CSV side files."""
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -372,8 +371,7 @@ def test_verdict_f_sign(capsys):
     assert doc["outputs"]["required_f_sign"] == -1
     assert doc["outputs"]["f_sign_ok"] is True
     # the report is the Verdict, field for field
-    assert list(doc["outputs"]) == sorted(
-        f.name for f in dataclasses.fields(Verdict))
+    assert list(doc["outputs"]) == sorted(Verdict._fields)
 
 
 # -------------------------------------------------------------------- kernel
@@ -810,26 +808,29 @@ def child_env() -> dict:
 _CLI = "cli errors params"
 _MOMENTS = "moments bubble quadrature"
 
-# run -> (its hsbubble submodules, numpy loaded, scipy loaded); a run is an
-# import statement or a golden case (every README example and the
-# trace-free remainder), run as the console script runs it
+# run -> (its hsbubble submodules, numpy loaded, scipy's LAPACK extension
+# loaded, dataclasses loaded); a run is an import statement or a golden case
+# (every README example and the trace-free remainder), run as the console
+# script runs it
 RUN_LOADS = {
-    "import hsbubble": ("", False, False),
-    "import hsbubble.cli": (_CLI, False, False),
-    "import hsbubble.geometry": ("errors params geometry", False, False),
-    "import hsbubble.reduction": ("errors params reduction", False, False),
-    "constants": (_CLI, False, False),
-    "integrals": (f"{_CLI} {_MOMENTS}", True, False),
-    "bubble": (f"{_CLI} bubble", True, False),
-    "lg": (f"{_CLI} geometry linearized {_MOMENTS}", True, True),
-    "energy": (f"{_CLI} energy geometry {_MOMENTS}", True, False),
-    "remainder": (f"{_CLI} energy geometry {_MOMENTS}", True, False),
+    "import hsbubble": ("", False, False, False),
+    "import hsbubble.cli": (_CLI, False, False, False),
+    "import hsbubble.geometry": ("errors params geometry", False, False,
+                                 False),
+    "import hsbubble.reduction": ("errors params reduction", False, False,
+                                  False),
+    "constants": (_CLI, False, False, False),
+    "integrals": (f"{_CLI} {_MOMENTS}", True, False, False),
+    "bubble": (f"{_CLI} bubble", True, False, False),
+    "lg": (f"{_CLI} geometry linearized {_MOMENTS}", True, True, False),
+    "energy": (f"{_CLI} energy geometry {_MOMENTS}", True, False, True),
+    "remainder": (f"{_CLI} energy geometry {_MOMENTS}", True, False, True),
     "remainder-tracefree": (f"{_CLI} energy geometry {_MOMENTS}", True,
-                            False),
-    "reduce": (f"{_CLI} reduction", False, False),
-    "family": (f"{_CLI} reduction geometry {_MOMENTS}", True, False),
-    "verdict": (f"{_CLI} reduction geometry", False, False),
-    "kernel": (f"{_CLI} linearized bubble quadrature", True, True),
+                            False, True),
+    "reduce": (f"{_CLI} reduction", False, False, False),
+    "family": (f"{_CLI} reduction geometry {_MOMENTS}", True, False, False),
+    "verdict": (f"{_CLI} reduction geometry", False, False, False),
+    "kernel": (f"{_CLI} linearized bubble quadrature", True, True, False),
 }
 
 _REPORT_LOADED = (
@@ -837,10 +838,11 @@ _REPORT_LOADED = (
     "print(json.dumps({\n"
     "    'hsbubble': sorted(m for m in sys.modules\n"
     "                       if m.split('.')[0] == 'hsbubble'),\n"
-    "    'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
+    "    'scipy': sorted(m for m in sys.modules\n"
+    "                    if m.split('.')[0] == 'scipy'),\n"
+    "    'numpy': 'numpy' in sys.modules,\n"
     "    'numpy.ma': 'numpy.ma' in sys.modules,\n"
-    "    'scipy.linalg': 'scipy.linalg' in sys.modules,\n"
-    "    'scipy.sparse': 'scipy.sparse' in sys.modules,\n"
+    "    'dataclasses': 'dataclasses' in sys.modules,\n"
     "    'fractions': 'fractions' in sys.modules}))\n")
 
 
@@ -857,12 +859,12 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
     # `verdict --base-lg` and the geometry and reduction modules load no
     # numpy and no fractions, `kernel` none of the energy, geometry,
     # moments or reduction modules, and only `lg` and `kernel` the solver;
-    # scipy loads only where its routines run, numpy.ma only with scipy,
-    # and nothing loads scipy.linalg (the solver loads its LAPACK extension
-    # alone) or scipy.sparse
+    # the solver loads scipy's LAPACK extension alone, so no run imports
+    # the scipy package (its init, scipy.linalg, scipy.sparse) or numpy.ma;
+    # only the energy fit's FitReport loads dataclasses
     assert {argv[0] for argv in readme_examples()} <= set(RUN_LOADS)
     write_inputs(tmp_path)
-    for run, (modules, numpy, scipy) in RUN_LOADS.items():
+    for run, (modules, numpy, lapack, dataclasses) in RUN_LOADS.items():
         code = f"{run}\n" if run.startswith("import ") else (
             "import contextlib, io\n"
             "from hsbubble.cli import main\n"
@@ -871,11 +873,11 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
         got = _loaded(code, cwd=tmp_path)
         assert got["hsbubble"] == sorted(
             ["hsbubble"] + [f"hsbubble.{m}" for m in modules.split()]), run
-        assert (got["numpy"], got["scipy"]) == (numpy, scipy), run
-        assert not got["scipy.linalg"], run
-        assert not got["scipy.sparse"], run
-        if not scipy:
-            assert not got["numpy.ma"], run
+        assert got["numpy"] == numpy, run
+        assert got["scipy"] == (["scipy.linalg._flapack"] if lapack else []), \
+            run
+        assert got["dataclasses"] == dataclasses, run
+        assert not got["numpy.ma"], run
         if not numpy:
             assert not got["fractions"], run
 
@@ -1217,11 +1219,13 @@ def test_readme_examples_parse():
 def test_report_matches_golden(name, monkeypatch):
     # every leaf of a report is a plain Python value: a numpy scalar would
     # print as np.float64(...) in a text report, or be refused by json
+    # (a record is no leaf: its fields are)
     leaf_types = set()
     jsonable = cli._jsonable
 
     def spy(obj, key):
-        if not isinstance(obj, (dict, list, tuple)):
+        if not isinstance(obj, (dict, list, tuple)) and \
+                not hasattr(obj, "__dict__"):
             leaf_types.add(type(obj))
         return jsonable(obj, key)
 
@@ -1255,3 +1259,25 @@ def help_text(capsys, monkeypatch) -> str:
 def test_help_matches_golden(capsys, monkeypatch):
     assert help_text(capsys, monkeypatch) == \
         (GOLDEN / "help.stdout").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nosuch"], [], ["--json"], ["kernel", "--bogus", "1"], ["kernel"],
+    ["kernel", "--n", "seven", "--s", "1"],
+    ["kernel", "--n", "7", "--s", "1", "--bogus", "1"],
+], ids=["unknown-name", "no-name", "json-alone", "bad-flag", "missing-flags",
+        "bad-value", "extra-flag"])
+def test_parse_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the subparser argv[0] names (all of them for --help,
+    # an unknown name or none); each refusal still reads as the full
+    # parser's, usage line included: an extra flag after complete ones is
+    # refused by the top-level parser, whose usage lists every subcommand
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    assert exc.value.code == full.value.code == 1
+    assert err == capsys.readouterr().err
+    assert err.startswith("usage: hsbubble ")

@@ -15,6 +15,7 @@ from hsbubble.bubble import RadialGrid, RadialProfile, default_grid, rdru1, u1, 
 from hsbubble.errors import DomainError, NumericalError
 from hsbubble.geometry import PotentialJet, curvature_preset, lg_total
 from hsbubble.linearized import (
+    ModeMatrices,
     ModeSolution,
     WDecomposition,
     _bisect,
@@ -848,23 +849,26 @@ def test_lapack_info_is_a_numerical_error(monkeypatch, routine):
 
 def test_solver_guards_name_their_cause(monkeypatch):
     # the three refusals of the kept ell = 0 factors, each reached from an
-    # assembled mode with one field replaced
-    import dataclasses
-
+    # assembled mode rebuilt with one field replaced
     mats = assemble_mode(P71, 0, grid71(500))
+
+    def replace(mats, **fields):
+        return ModeMatrices(**{k: fields.get(k, getattr(mats, k))
+                               for k in ModeMatrices._fields})
+
     d = mats.d.copy()
     d[3] = np.inf
     with pytest.raises(NumericalError, match="ell = 0 banded solve failed: "
                        "the scaled operator is not finite"):
-        dataclasses.replace(mats, d=d).lu
+        replace(mats, d=d).lu
     with pytest.raises(NumericalError, match="degenerate projection "
                        "direction in ell = 0 solve"):
-        dataclasses.replace(mats, g=np.zeros_like(mats.g)).border
+        replace(mats, g=np.zeros_like(mats.g)).border
     monkeypatch.setattr(linearized, "_gttrs",
                         lambda mats, rhs: np.zeros_like(rhs))
     with pytest.raises(NumericalError, match="bordered ell = 0 system is "
                        "singular"):
-        dataclasses.replace(mats).border
+        replace(mats).border
 
 
 def test_lapack_is_scipys(monkeypatch):
@@ -872,6 +876,7 @@ def test_lapack_is_scipys(monkeypatch):
     # scipy's own LAPACK extension, so each routine is the very function
     # scipy.linalg.lapack exports
     import importlib.machinery
+    import importlib.util
 
     import scipy.linalg
 
@@ -879,10 +884,23 @@ def test_lapack_is_scipys(monkeypatch):
         assert getattr(linearized.lapack, name) is \
             getattr(scipy.linalg.lapack, name), name
     assert linearized._load_lapack() is sys.modules["scipy.linalg._flapack"]
-    # where scipy's files are laid out otherwise, scipy.linalg.lapack serves
+    # where scipy's files are laid out otherwise, or the file does not load
+    # without scipy's package init, scipy.linalg.lapack serves
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
-    assert linearized._load_lapack() is scipy.linalg.lapack
+    with monkeypatch.context() as m:
+        m.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+        assert linearized._load_lapack() is scipy.linalg.lapack
+
+    def unloadable(spec):
+        raise ImportError(f"{spec.name}: its bundled BLAS is not set up")
+
+    with monkeypatch.context() as m:
+        m.setattr(importlib.util, "module_from_spec", unloadable)
+        assert linearized._load_lapack() is scipy.linalg.lapack
+    # and without scipy the refusal names it
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="needs scipy, which is not installed"):
+        linearized._load_lapack()
 
 
 @pytest.mark.parametrize("p,ell", [(HSParams(9, 0.5), 0), (P71, 2)])

@@ -371,7 +371,7 @@ def test_identity_report_calls_each_profile_function_once_per_level(
     rule = quadrature.integrate_log_trapezoid
 
     def spy(integrands, tol):
-        counted = {}
+        counted, spied = {}, []
         for integrand in integrands:
             f = integrand.f
             if id(f) not in counted:
@@ -379,11 +379,12 @@ def test_identity_report_calls_each_profile_function_once_per_level(
                     calls.append(r.size)
                     return f(r)
                 counted[id(f)] = counting
-            integrand.f = counted[id(f)]
-        res = rule(integrands, tol=tol)
+            spied.append(RadialIntegrand(**{**vars(integrand),
+                                            "f": counted[id(f)]}))
+        res = rule(spied, tol=tol)
         for key, wrapped in counted.items():
             longest = max(run["evaluations"]
-                          for integrand, run in zip(integrands, res)
+                          for integrand, run in zip(spied, res)
                           if integrand.f is wrapped)
             calls = sizes[key]
             steps = calls[0] // 2  # level 0 has steps + 1 nodes

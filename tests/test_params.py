@@ -1,11 +1,14 @@
+import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hsbubble.errors import DomainError, NumericalError
-from hsbubble.params import HSParams, derive_constants, yamabe_consistency
+from hsbubble.params import (HSParams, Record, derive_constants,
+                             yamabe_consistency)
 
 
 def test_constants_n7_s1():
@@ -94,3 +97,62 @@ def test_kappa_overflow_is_a_numerical_error():
         HSParams(7, 1.99).kappa
     with pytest.raises(NumericalError, match="kappa"):
         derive_constants(HSParams(30, 1.9))
+
+
+class Jet(Record):
+    h0: float
+    lap_h: float
+    f0: float = 0.0
+
+    @functools.cached_property
+    def total(self):
+        return self.h0 + self.lap_h + self.f0
+
+
+def test_record_binds_by_position_keyword_and_default():
+    assert Jet._fields == ("h0", "lap_h", "f0")
+    assert vars(Jet(1.0, 2.0)) == {"h0": 1.0, "lap_h": 2.0, "f0": 0.0}
+    assert Jet(1.0, f0=3.0, lap_h=2.0) == Jet(1.0, 2.0, 3.0)
+    # the fields keep their order whatever the call's, as a report echoes
+    assert list(vars(Jet(f0=3.0, lap_h=2.0, h0=1.0))) == ["h0", "lap_h", "f0"]
+    assert repr(Jet(1.0, 2.0)) == "Jet(h0=1.0, lap_h=2.0, f0=0.0)"
+    # the validation hook runs on the bound fields, however they came
+    with pytest.raises(DomainError, match="dimension"):
+        HSParams(s=1.0, n=2)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((1.0,), {}), ((), {"lap_h": 2.0}), ((1.0, 2.0, 3.0, 4.0), {}),
+    ((1.0, 2.0), {"h0": 1.0}), ((1.0, 2.0), {"f1": 0.0}),
+], ids=["missing", "missing-first", "too-many", "repeated", "unknown"])
+def test_record_refuses_a_bad_binding(args, kwargs):
+    with pytest.raises(TypeError, match=re.escape(
+            f"Jet binds each field ('h0', 'lap_h', 'f0') once: got "
+            f"{len(args)} by position and {list(kwargs)}")):
+        Jet(*args, **kwargs)
+
+
+def test_record_refuses_assignment_and_still_caches():
+    jet = Jet(1.0, 2.0)
+    with pytest.raises(AttributeError, match="Jet.h0 cannot be assigned"):
+        jet.h0 = 5.0
+    with pytest.raises(AttributeError):
+        jet.total = 5.0  # before it is cached, the property's name too
+    assert (jet.total, jet.h0) == (3.0, 1.0)
+    assert vars(jet)["total"] == 3.0
+
+
+def test_equal_records_share_one_memo_entry():
+    from hsbubble.bubble import default_grid
+    from hsbubble.geometry import PotentialJet
+    from hsbubble.linearized import assemble_mode
+
+    p, q = HSParams(7, 1), HSParams(7, 1.0)
+    assert p == q and hash(p) == hash(q) and p != HSParams(7, 1.5)
+    # equal fields of another record type are not equal
+    assert Jet(1.0, 2.0) != PotentialJet(1.0, 2.0)
+    assemble_mode.cache_clear()
+    grid = default_grid(q, N=500)
+    assert assemble_mode(p, 2, grid) is assemble_mode(q, 2, grid)
+    info = assemble_mode.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
