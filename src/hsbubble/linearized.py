@@ -169,12 +169,14 @@ class ModeSolution(Record):
 class ModeMatrices(Record):
     """Assembled tridiagonal operators for one mode on one grid.
 
-    Arrays cover the active nodes only (ell = 2 drops the Dirichlet node at
-    r = 0; ell = 0 keeps it).  d/e: diagonal and subdiagonal of the full
-    operator K = S + centrifugal - potential (Robin corner included in S);
+    Arrays cover the active nodes only: the ell = 2 operator is the ell = 0
+    grid past r = 0, the Dirichlet node, and shares its r, mass, e and v.
+    d/e: diagonal and subdiagonal of the full operator
+    K = S + centrifugal - potential (Robin corner included in S);
     sd: diagonal of the pure-stiffness S alone, whose subdiagonal is e too
     (the centrifugal and potential terms are diagonal);
     mass: lumped (exact) cell masses integral of r**(n-1) over the cell;
+    v: V on the nodes, the grid's one V array (inf at r = 0 where s > 0);
     z0, g: ell = 0 only (None for ell = 2), Z0 sampled on the nodes and the
     projection direction g = S z0 (see z0_laplacian_load).  One per mode
     and grid (assemble_mode) and the one home of what no load changes,
@@ -202,6 +204,7 @@ class ModeMatrices(Record):
     e: np.ndarray
     mass: np.ndarray
     sd: np.ndarray
+    v: np.ndarray
     z0: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
 
@@ -243,7 +246,7 @@ class ModeMatrices(Record):
         p, r = self.p, self.r
         # pointwise Delta Z0 = V Z0 for the defect; integrably singular at
         # r = 0, a node the defect skips
-        dz = potential_values(p, r) * self.z0
+        dz = self.v * self.z0
         dz[0] = 0.0
         return _frozen(u1(p, r), rdru1(p, r), dz)
 
@@ -256,11 +259,14 @@ class ModeMatrices(Record):
 
     @functools.cached_property
     def unit2(self) -> tuple:
-        p = self.p
-        sol = solve_mode(p, 2, RadialProfile.from_callable(
-            lambda rr: -rdru1(p, rr) / 3.0), self.grid)
+        # phi = r U1' / 3 from the ell = 0 samples, past r = 0
+        phi = assemble_mode(self.p, 0, self.grid).samples[1][1:] / 3.0
+        with np.errstate(over="ignore"):
+            load = self.mass * -phi
+        sol = solve_mode(self.p, 2, None, self.grid, rhs_load=load,
+                         rhs_values=-phi)
         c2 = _frozen(sol.profile.values)[0]
-        return sol, float(np.sum(self.mass * (rdru1(p, self.r) / 3.0) * c2[1:]))
+        return sol, float(np.sum(self.mass * phi * c2[1:]))
 
     @functools.cached_property
     def spectral(self) -> tuple:
@@ -282,7 +288,7 @@ class ModeMatrices(Record):
         cent = float(ell * (ell + n - 2)) / ri**2 if ell else None
         return _frozen(i0, hm, hp, hm / (hp * (hp + hm)), (hp - hm) / (hp * hm),
                        hp / (hm * (hp + hm)), (n - 1.0) / ri,
-                       potential_values(self.p, ri), cent)
+                       self.v[i0 + 1:-1], cent)
 
 
 def _frozen(*values) -> tuple:
@@ -327,7 +333,9 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     The one place a mode operator is built.  Memoized on (p, ell, grid):
     the two entries hold both modes of the latest grid, so every solve and
     diagnostic on that grid shares one assembly and what it builds on first
-    use (ModeMatrices).  A strong grading can put the first edges so close
+    use (ModeMatrices).  The ell = 2 operator is the memoized ell = 0 grid
+    past r = 0, so each grid, and the refusals below, are built once, on
+    the ell = 0 path.  A strong grading can put the first edges so close
     to 0 that edge**n underflows, and a huge R_max makes it overflow; every
     solve and spectral diagnostic divides by the cell masses, so a zero or
     non-finite mass or flux is refused here, and so are nodes that are not
@@ -337,9 +345,23 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
-    n = p.n
+    n, R = p.n, grid.R_max
+    if ell == 2:
+        # the ell = 0 grid past r = 0, whose flux into node 0 stays in the
+        # node-1 diagonal (Dirichlet); the Robin corner and the centrifugal
+        # cell integrals of r**(n-3) are its own
+        m0 = assemble_mode(p, 0, grid)
+        r, mass, v = m0.r[1:], m0.mass[1:], m0.v[1:]
+        sd = m0.sd[1:].copy()
+        sd[-1] = -m0.e[-1] + float(n) * R ** (n - 2)
+        edges = np.append(0.5 * (m0.r[1:] + m0.r[:-1]), R)
+        cent = float(2 * n) * (np.diff(edges ** (n - 2)) / (n - 2))
+        mats = ModeMatrices(p=p, grid=grid, ell=2, r=r, d=sd + cent - v * mass,
+                            e=m0.e[1:], mass=mass, sd=sd, v=v)
+        _frozen(*vars(mats).values())
+        return mats
+
     r = grid.nodes
-    R = grid.R_max
     gaps = np.diff(r)
     zero_gaps = int(np.sum(gaps <= 0.0))
     if zero_gaps:
@@ -372,24 +394,14 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     sd = np.zeros(r.size)
     sd[:-1] += flux
     sd[1:] += flux
-    sd[-1] += (n - 2.0 + ell) * R ** (n - 2)  # Robin closure, decaying branch
+    sd[-1] += (n - 2.0) * R ** (n - 2)  # Robin closure, decaying branch
     e = -flux
-    pot = potential_values(p, r[1:]) * mass[1:]
-
-    if ell == 2:
-        # Dirichlet at r = 0: drop node 0 (its flux coupling folds into the
-        # node-1 diagonal, which the stiffness already contains).  The
-        # centrifugal term uses the exact cell integrals of r**(n-3).
-        cent_cell = np.diff(edges[1:] ** (n - 2)) / (n - 2)
-        cent = float(ell * (ell + n - 2)) * cent_cell
-        mats = ModeMatrices(p=p, grid=grid, ell=2, r=r[1:],
-                            d=sd[1:] + cent - pot, e=e[1:], mass=mass[1:],
-                            sd=sd[1:])
-    else:
-        pot = np.concatenate([[_first_cell_potential_mass(p, edges[1])], pot])
-        zs = z0(p, r)
-        mats = ModeMatrices(p=p, grid=grid, ell=0, r=r, d=sd - pot, e=e,
-                            mass=mass, sd=sd, z0=zs, g=_apply_tridiag(sd, e, zs))
+    v = potential_values(p, r)
+    pot = np.concatenate([[_first_cell_potential_mass(p, edges[1])],
+                          v[1:] * mass[1:]])
+    zs = z0(p, r)
+    mats = ModeMatrices(p=p, grid=grid, ell=0, r=r, d=sd - pot, e=e, mass=mass,
+                        sd=sd, v=v, z0=zs, g=_apply_tridiag(sd, e, zs))
     _frozen(*vars(mats).values())
     return mats
 

@@ -423,6 +423,31 @@ def test_one_cache_clear_resets_all_per_grid_state(monkeypatch):
     assert again["total"] == first["total"]
 
 
+def test_each_grid_and_its_samples_are_built_once(monkeypatch):
+    # the ell = 2 operator is the ell = 0 grid past r = 0, V lives on the
+    # ModeMatrices, and the ell = 2 source reads r U1' from the ell = 0
+    # samples: a pairing and both diagnostics build each of them once
+    calls = {"potential_values": 0, "rdru1": 0, "nodes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("potential_values", "rdru1"):
+        monkeypatch.setattr(linearized, name,
+                            counted(name, getattr(linearized, name)))
+    monkeypatch.setattr(RadialGrid, "nodes",
+                        property(counted("nodes", RadialGrid.nodes.fget)))
+    assemble_mode.cache_clear()
+    grid = grid71(700)
+    lg_total(curvature_preset("sphere:1", 7), PotentialJet(1.0, 0.0),
+             P71, grid)
+    kernel_diagnostics(P71, grid)
+    assert calls == {"potential_values": 1, "rdru1": 1, "nodes": 1}
+
+
 def test_cli_import_leaves_scipy_sparse_out():
     # only hsbubble.linearized imports scipy, and the CLI imports it only in
     # the subcommands that solve, so importing the CLI loads no scipy module

@@ -22,6 +22,8 @@ from hsbubble.params import (DEFAULT_TOL, HSParams, derive_constants,
                              sphere_area)
 from hsbubble.quadrature import RadialIntegrand, integrate_radial
 
+from test_domain_contract import DIMS, EXPONENTS
+
 P71 = HSParams(7, 1.0)
 OMEGA6 = 16.0 * math.pi**3 / 15.0
 
@@ -308,9 +310,7 @@ def test_bubble_moment_is_pinned_bit_for_bit():
         "8d50569ab7357682eb9cd8597430dfdf3471187cd56ba1392b86c01122612fac")
 
 
-# the domain contract's (n, s) grid (test_domain_contract.py)
-CONTRACT = [(n, s) for n in (*range(7, 21), 24, 30, 40, 60)
-            for s in (0.0, 0.01, 0.5, 1.0, 1.5, 1.7, 1.8, 1.9, 1.95, 1.99)]
+CONTRACT = [(n, s) for n in DIMS for s in EXPONENTS]
 IDENTITY_KINDS = ("mass2", "r2mass", "r2grad", "r4grad", "r2crit", "r4crit")
 
 
