@@ -444,6 +444,8 @@ def _parser(rows) -> _Parser:
                                  "projected linear solver, energy "
                                  "expansions, and blow-up family "
                                  "predictions")
+    # the full table keeps argparse's default metavar, the same brace list
+    # in usage, because its errors then name the argument "subcommand"
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=(
         None if rows is _SUBCOMMANDS else
         "{%s}" % ",".join(cmd.name for cmd in _SUBCOMMANDS)))

@@ -172,7 +172,6 @@ def _j_sweep(model: RadialModel, p: HSParams, deltas) -> list:
     """
     n, s, two_star = p.n, p.s, p.crit_exp
     h0, lap_h = model.jet.h0, model.jet.lap_h
-    omega = sphere_area(n)
 
     def grad_f(rho, delta):
         return du1(p, rho) ** 2 * model.density(delta * rho)
@@ -189,6 +188,7 @@ def _j_sweep(model: RadialModel, p: HSParams, deltas) -> list:
         [RadialIntegrand(f=f, a=n - 1.0 + sing, R=model.r0 / delta,
                          arg=delta)
          for delta in deltas for f, sing in parts], tol=TOL)]
+    omega = sphere_area(n)  # after the batch, which names a kappa overflow
     return [omega * (0.5 * (grad + delta**2 * pot) - crit / two_star)
             for delta, grad, pot, crit in zip(deltas, v[0::3], v[1::3],
                                               v[2::3])]
@@ -393,6 +393,7 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     mu = math.sqrt(w.t_free_norm2 * n / (n - 1.0))
     if w.a == 0.0 and w.mode0_extra == 0.0 and mu == 0.0:
         return 0.0
+    derive_constants(p)  # a kappa overflow is named before the scale's
     omega_inner = sphere_area(n - 1)
     overflow = (f"the remainder density with h0 = {h0!r} at delta = "
                 f"{delta!r} leaves the float range")
@@ -423,26 +424,14 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
             # once per distinct kink
             kinks, first, at = np.unique(ts[on], return_index=True,
                                          return_inverse=True)
-            t = L[on[first], None] * x
-            t += kinks[:, None]
-            cos2 = np.cos(t)
-            cos2 **= 2
-            cos2 -= 1.0 / n
-            np.sin(t, out=t)
-            t **= n - 2.0
-            # |A + B (cos^2 t - 1/n)/3|**q sin(t)**(n-2), in place
-            vals = cos2[at]
-            vals *= B[on, None]
-            vals /= 3.0
-            vals += A[on, None]
-            np.abs(vals, out=vals)
-            vals **= q
-            vals *= t[at]
+            t = L[on[first], None] * x + kinks[:, None]
+            vals = (np.abs((np.cos(t) ** 2 - 1.0 / n)[at] * B[on, None] / 3.0
+                           + A[on, None]) ** q
+                    * (np.sin(t) ** (n - 2.0))[at])
             # one dot per node, so f stays elementwise bit for bit
             out[on] += np.abs(L[on]) * np.vecdot(vals, wx)
         return 2.0 * omega_inner * out
 
-    derive_constants(p)  # a kappa overflow is named before the scale's
     try:
         total = integrate_radial(RadialIntegrand(
             f=radial_f, a=n - 1.0, b=q * (n - 2.0),

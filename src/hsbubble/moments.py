@@ -204,9 +204,13 @@ def bubble_moment(p: HSParams, kind: str) -> float:
     """Closed Beta-form value of one profile moment."""
     pref, terms = _reduction(p, kind)
     try:
-        return pref * sum(coef * ipq(P, q) for coef, P, q in terms)
+        value = pref * sum(coef * ipq(P, q) for coef, P, q in terms)
     except DomainError as exc:
         raise DomainError(f"moment {kind!r} diverges at (n={p.n}, s={p.s}): {exc}")
+    if not math.isfinite(value):
+        raise NumericalError(f"the {kind} moment overflows a float at n = "
+                             f"{p.n}, s = {float(p.s)} (kappa = {p.kappa:.6g})")
+    return value
 
 
 def moment_quadrature(p: HSParams, kind: str,

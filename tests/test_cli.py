@@ -277,11 +277,14 @@ def test_remainder_flat_scaling(capsys):
 
 
 def test_remainder_degenerate_marker(capsys):
-    doc = invoke_json(capsys,
-                      ["remainder", "--n", "7", "--s", "1",
-                       "--curvature", "flat", "--h0", "0"])
-    out = doc["outputs"]
-    assert out == {"alpha_inv": 0.0, "alpha": None, "degenerate": True}
+    # a zero density answers before kappa is formed, so also at n = 345,
+    # where kappa overflows a float
+    for n in ("7", "345"):
+        doc = invoke_json(capsys,
+                          ["remainder", "--n", n, "--s", "1",
+                           "--curvature", "flat", "--h0", "0"])
+        out = doc["outputs"]
+        assert out == {"alpha_inv": 0.0, "alpha": None, "degenerate": True}
 
 
 # -------------------------------------------------------------------- reduce
@@ -613,6 +616,23 @@ def test_exit_2_ill_conditioned_fit(capsys):
       "--h0", "1e194"],
      "numerical failure: the remainder density with h0 = 1e+194 at "
      "delta = 1.0 leaves the float range\n"),
+    # a Beta sum that overflows where its prefactor kappa**2 does not (were
+    # exit 1, "reduced-functional coefficients must be finite", and exit 2
+    # naming the local term)
+    (["family", "--n", "16", "--s", "1.895", "--base-lg", "0", "--f0", "-1",
+      "--k-max", "2"],
+     "the r4grad moment overflows a float at n = 16, s = 1.895 (kappa = "
+     "1.07996e+153)\n"),
+    (["lg", "--n", "16", "--s", "1.895", "--curvature", "sphere:1", "--grid",
+      "2000,200"],
+     "the r4grad moment overflows a float at n = 16, s = 1.895 (kappa = "
+     "1.07996e+153)\n"),
+    # kappa overflows at every s from n = 345, as does a sphere area (was an
+    # OverflowError traceback from math.gamma)
+    (["remainder", "--n", "345", "--s", "0", "--curvature", "flat",
+      "--h0", "1"],
+     "kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float at "
+     "n = 345, s = 0.0\n"),
 ])
 def test_exit_2_names_the_cause(capsys, argv, cause):
     rc, out, err = invoke(capsys, argv)
@@ -1281,3 +1301,15 @@ def test_parse_errors_match_the_full_parser(capsys, monkeypatch, argv):
     assert exc.value.code == full.value.code == 1
     assert err == capsys.readouterr().err
     assert err.startswith("usage: hsbubble ")
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "the following arguments are required: subcommand\n"),
+    (["nosuch"], "argument subcommand: invalid choice: 'nosuch' "),
+])
+def test_a_missing_or_unknown_subcommand_is_called_subcommand(capsys, argv,
+                                                              named):
+    # the brace list of names is the usage line's, not the argument's name
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert named in capsys.readouterr().err

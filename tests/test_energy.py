@@ -308,6 +308,14 @@ def test_remainder_degenerate_marker():
     assert out == {"alpha_inv": 0.0, "alpha": None, "degenerate": True}
 
 
+def test_j_at_bubble_names_a_kappa_overflow():
+    # kappa overflows at every s from n = 345, as does a sphere area (was an
+    # OverflowError from math.gamma)
+    model = RadialModel(curvature_preset("flat", 345), PotentialJet(0.0, 0.0))
+    with pytest.raises(NumericalError, match="kappa"):
+        j_at_bubble(model, HSParams(345, 1.0), 0.05)
+
+
 def test_remainder_validation():
     with pytest.raises(DomainError):
         remainder_alpha(curvature_preset("flat", 6), HSParams(6, 1.0), 1.0)
