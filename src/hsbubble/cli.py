@@ -35,8 +35,6 @@ from typing import Callable, NamedTuple, Optional
 from .errors import DomainError, NumericalError
 from .params import DEFAULT_GRID, DEFAULT_TOL, HSParams
 
-__all__ = ["main", "build_parser"]
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with validation failures mapped to exit code 1, and every
@@ -431,10 +429,6 @@ _SUBCOMMANDS = (
 
 
 # ------------------------------------------------------------------ driver
-
-
-def build_parser() -> _Parser:
-    return _parser(_SUBCOMMANDS)
 
 
 def _parser(rows) -> _Parser:

@@ -57,16 +57,6 @@ from .quadrature import (RadialIntegrand, integrate_radial,
 # relative quadrature tolerance of every energy integral
 TOL = 1e-12
 
-__all__ = [
-    "RadialModel",
-    "FitReport",
-    "j_at_bubble",
-    "predicted_coeffs",
-    "fit_expansion",
-    "remainder_alpha",
-    "remainder_norm_scaled",
-]
-
 
 class RadialModel(Record):
     """A radial stand-in for the ambient space near the concentration point.
@@ -86,6 +76,10 @@ class RadialModel(Record):
                 and self.r0 > 0.0):
             raise DomainError(f"r0 must be a positive number, got {self.r0}")
         c2, c4 = self.coeffs["c2"], self.coeffs["c4"]
+        if not (math.isfinite(c2) and math.isfinite(c4)):
+            raise NumericalError(
+                f"the volume density coefficients c2 = {c2!r}, c4 = {c4!r} "
+                "of this curvature leave the float range")
         # positivity of g(x) = 1 + c2 x + c4 x^2 on x in [0, X], X = (2 r0)^2:
         # endpoints plus the interior critical point x* = -c2/(2 c4)
         try:
@@ -161,6 +155,10 @@ def _check_regime(model: RadialModel, p: HSParams, delta: float) -> None:
             f"delta = {delta} outside the asymptotic regime "
             f"(0, r0/10] = (0, {model.r0 / 10.0}]"
         )
+    # in Python floats, whose quotient overflows to inf without a warning
+    if not math.isfinite(float(model.r0) / float(delta)):
+        raise DomainError(f"delta = {delta} is too small: r0/delta "
+                          f"(r0 = {model.r0!r}) overflows a float")
 
 
 def _j_sweep(model: RadialModel, p: HSParams, deltas) -> list:
@@ -188,6 +186,17 @@ def _j_sweep(model: RadialModel, p: HSParams, deltas) -> list:
         [RadialIntegrand(f=f, a=n - 1.0 + sing, R=model.r0 / delta,
                          arg=delta)
          for delta in deltas for f, sing in parts], tol=TOL)]
+    # both integrands are positive: a zero sum means the bubble fell inside
+    # the first panel of the grading toward rho = 0 (the potential one is
+    # legitimately 0 when h0 = lap_h = 0)
+    for delta, grad, crit in zip(deltas, v[0::3], v[2::3]):
+        if grad == 0.0 or crit == 0.0:
+            raise NumericalError(
+                f"J at delta = {delta} is out of the quadrature's reach: "
+                f"the bubble lies inside the first panel of [0, r0/delta = "
+                f"{model.r0 / delta:.3g}], where the "
+                f"{'gradient' if grad == 0.0 else 'critical'} integral "
+                "sums to 0")
     omega = sphere_area(n)  # after the batch, which names a kappa overflow
     return [omega * (0.5 * (grad + delta**2 * pot) - crit / two_star)
             for delta, grad, pot, crit in zip(deltas, v[0::3], v[1::3],
@@ -264,11 +273,14 @@ def fit_expansion(model: RadialModel, p: HSParams,
     # a degenerate sweep fails here, before the quadrature sweep
     pred = predicted_coeffs(model, p)
     n = p.n
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = deltas ** (n - 1)
+        # where lead underflows to 0 and 1/delta overflows, the column is
+        # 0, not 0 * inf
         nuisance = {f"delta^{n - 2}": deltas ** (n - 2),
                     f"delta^{n - 1}*log(1/delta)":
-                        deltas ** (n - 1) * np.log(1.0 / deltas),
-                    f"delta^{n - 1}": deltas ** (n - 1),
+                        np.where(lead > 0.0, lead * np.log(1.0 / deltas), 0.0),
+                    f"delta^{n - 1}": lead,
                     f"delta^{n}": deltas ** n}
         X = np.column_stack([np.ones_like(deltas), deltas**2, deltas**4,
                              *nuisance.values()])

@@ -50,18 +50,6 @@ from .params import HSParams, Record
 if TYPE_CHECKING:  # annotations only: the curvature data needs no numpy
     from .bubble import RadialGrid, WDecomposition
 
-__all__ = [
-    "CurvatureData",
-    "PotentialJet",
-    "LgBreakdown",
-    "curvature_preset",
-    "potential_file",
-    "density_coeffs",
-    "kns",
-    "assemble_w",
-    "lg_total",
-]
-
 CURVATURE_SCHEMA_KEYS = ("scal", "ric_norm2", "rm_norm2", "lap_scal")
 
 
@@ -103,9 +91,10 @@ class CurvatureData(Record):
                     f"got {v!r}")
         if self.rm_norm2 < 0.0:
             raise DomainError(f"rm_norm2 must be >= 0, got {self.rm_norm2}")
-        bound = self.scal**2 / self.n
+        bound = self.scal * self.scal / self.n
         # Cauchy-Schwarz |Ric|^2 >= Scal^2/n, with 1-ulp slack so that an
-        # exactly round-trip sphere does not trip the check
+        # exactly round-trip sphere does not trip the check; a Scal whose
+        # square overflows (to inf, where ** would raise) violates it
         if self.ric_norm2 < bound * (1.0 - 1e-12) - 1e-300:
             raise DomainError(
                 f"ric_norm2 = {self.ric_norm2} violates the Cauchy-Schwarz "

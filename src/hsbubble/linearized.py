@@ -111,19 +111,6 @@ def _load_lapack():
 
 lapack = _load_lapack()
 
-__all__ = [
-    "WDecomposition",
-    "ModeSolution",
-    "ModeMatrices",
-    "potential_values",
-    "assemble_mode",
-    "z0_laplacian_load",
-    "solve_mode",
-    "hat_c",
-    "nonlocal_term",
-    "kernel_diagnostics",
-]
-
 # ell = 0 right-hand sides with a larger relative compatibility with Z0
 # are refused (see solve_mode)
 SOLVABILITY_TOL = 1e-8
@@ -341,7 +328,8 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
     non-finite mass or flux is refused here, and so are nodes that are not
     strictly increasing (a subnormal R_max, or a grading whose first nodes
     underflow to 0), whose zero gaps would make the fluxes infinite.  A
-    grid ending inside the profile's core is a DomainError.
+    grid ending inside the profile's core is a DomainError, refused before
+    any of these.
     """
     if ell not in (0, 2):
         raise DomainError(f"ell must be 0 or 2, got {ell}")
@@ -360,6 +348,11 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
                             e=m0.e[1:], mass=mass, sd=sd, v=v)
         _frozen(*vars(mats).values())
         return mats
+
+    log_core = -p.log_scale  # in logs: none overflows
+    if math.log(R) < log_core:  # the inner radius of power_law_breaks
+        raise DomainError(f"the grid ends at R_max = {R!r}, inside the "
+                          f"bubble's core of radius {math.exp(log_core):.3g}")
 
     r = grid.nodes
     gaps = np.diff(r)
@@ -386,10 +379,6 @@ def assemble_mode(p: HSParams, ell: int, grid: RadialGrid) -> ModeMatrices:
         raise NumericalError(
             f"cell masses underflow to 0 on this grid (gamma = {grid.gamma}, "
             f"N = {grid.N}, first edge radius {edges[1]:.3e}); {remedy}")
-    log_core = -p.log_scale  # in logs: none overflows
-    if math.log(R) < log_core:  # the inner radius of power_law_breaks
-        raise DomainError(f"the grid ends at R_max = {R!r}, inside the "
-                          f"bubble's core of radius {math.exp(log_core):.3g}")
 
     sd = np.zeros(r.size)
     sd[:-1] += flux

@@ -30,18 +30,6 @@ from .params import HSParams, Record
 if TYPE_CHECKING:  # annotations only: the verdict needs no geometry solve
     from .geometry import CurvatureData, LgBreakdown, PotentialJet
 
-__all__ = [
-    "ReducedFunctional",
-    "CriticalPoint",
-    "LadderEntry",
-    "FamilyLadder",
-    "Verdict",
-    "critical_t",
-    "family_theorem2",
-    "predicted_delta",
-    "verdict",
-]
-
 # relative tolerance of the criticality test h(x0) = c_ns Scal(x0) in verdict
 CRIT_RTOL = 1e-12
 

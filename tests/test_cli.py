@@ -20,7 +20,7 @@ import pytest
 
 import hsbubble
 from hsbubble import cli
-from hsbubble.cli import build_parser, main
+from hsbubble.cli import main
 from hsbubble.moments import bubble_moment
 from hsbubble.params import HSParams, derive_constants
 from hsbubble.reduction import Verdict
@@ -555,8 +555,9 @@ def test_exit_2_ill_conditioned_fit(capsys):
       "--k-max", "3"],
      "quad_coef = (1/2) f0 int U1^2 at f0 = -1e+308 leaves the float range"),
     # an R_max whose spectral unit (pi/R_max)**2 overflows (was an
-    # OverflowError traceback before the grid was checked)
-    (["kernel", "--n", "7", "--s", "1", "--grid", "8,1e-300"],
+    # OverflowError traceback before the grid was checked); R_max = 1e-200
+    # is outside the core, whose radius is 1e-270 at (7, 1.99)
+    (["kernel", "--n", "7", "--s", "1.99", "--grid", "8,1e-200,2"],
      "cell masses underflow to 0 on this grid (gamma = 2.0, N = 8"),
     # a finite lap_h whose local term overflows (were exit 1, "obstruction
     # total must be finite, got -inf")
@@ -577,14 +578,15 @@ def test_exit_2_ill_conditioned_fit(capsys):
       "--h0", "1e300", "--grid", "100,200"],
      "the pairing W * C(W) at a = 1e+300, mode0_extra = 2.0, "
      "t_free_norm2 = 0.0 leaves the float range"),
-    # a subnormal R_max puts 99 of the 100 nodes at 0 (was "cell masses or
-    # fluxes overflow a float ... reduce R_max", the wrong remedy)
-    (["kernel", "--n", "7", "--s", "1", "--grid", "100,5e-324"],
+    # a grading that puts 99 of the 100 nodes at 0
+    (["kernel", "--n", "7", "--s", "1", "--grid", "100,200,1e300"],
      "grid nodes are not strictly increasing: 99 of the 100 node gaps "
-     "underflow to 0 (R_max = 5e-324, N = 100, gamma = 2.0); increase R_max"),
+     "underflow to 0 (R_max = 200.0, N = 100, gamma = 1e+300); increase "
+     "R_max"),
     # distinct nodes whose R_max**n underflows, so every cell mass is 0 (was
-    # "reduce the grading or N", the wrong remedy)
-    (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-100"],
+    # "reduce the grading or N", the wrong remedy); R_max = 1e-100 is
+    # outside the core, whose radius is 1e-270 at (7, 1.99)
+    (["kernel", "--n", "7", "--s", "1.99", "--grid", "100,1e-100,2"],
      "cell masses underflow to 0 on this grid (gamma = 2.0, N = 100, first "
      "edge radius 5.000e-105); increase R_max (R_max**n underflows)"),
     # cell masses in range whose scaled operator is not (was an overflow
@@ -633,8 +635,25 @@ def test_exit_2_ill_conditioned_fit(capsys):
       "--h0", "1"],
      "kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float at "
      "n = 345, s = 0.0\n"),
+    # a bubble inside the quadrature's first panel, whose critical integral
+    # sums to 0 (was exit 0 with c0_fit 32171.88 against c0_pred 9191.97)
+    (["energy", "--n", "7", "--s", "0", "--curvature", "flat", "--h0", "0",
+      "--deltas", "1e-45:1e-44:8"],
+     "the energy fit with h0 = 0.0: J at delta = 1e-45 is out of the "
+     "quadrature's reach: the bubble lies inside the first panel of [0, "
+     "r0/delta = 1e+45], where the critical integral sums to 0"),
+    # a density coefficient c4 = inf, which passed the positivity test as
+    # min(1, inf) = 1 (was "a quadrature summand f(r) r**(6.0) is not
+    # finite at r = 7.41128e-19, where f(r) = inf")
+    (["energy", "--n", "7", "--s", "1", "--curvature", "c4-inf.json"],
+     "the volume density coefficients c2 = -0.0, c4 = inf of this "
+     "curvature leave the float range"),
 ])
-def test_exit_2_names_the_cause(capsys, argv, cause):
+def test_exit_2_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c4-inf.json").write_text(
+        '{"scal": 0, "ric_norm2": 1e308, "rm_norm2": 0, "lap_scal": 0}',
+        encoding="utf-8")
     rc, out, err = invoke(capsys, argv)
     assert rc == 2
     assert out == ""
@@ -783,6 +802,17 @@ def test_bad_grid_is_reported_before_its_source(capsys):
      "the grid ends at R_max = 1e-40, inside the bubble's core"),
     (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-40"],
      "the grid ends at R_max = 1e-40, inside the bubble's core"),
+    # the core test runs before the grid's float checks (were exit 2, "cell
+    # masses underflow" and "grid nodes are not strictly increasing")
+    *((["kernel", "--n", "7", "--s", "1", "--grid", grid],
+       f"the grid ends at R_max = {r_max}, inside the bubble's core of "
+       "radius 0.2")
+      for grid, r_max in (("100,1e-100", "1e-100"), ("8,1e-300", "1e-300"),
+                          ("100,5e-324", "5e-324"))),
+    # a Scal whose square overflows violates Cauchy-Schwarz for every finite
+    # ric_norm2 (was an OverflowError traceback)
+    (["energy", "--n", "7", "--s", "1", "--curvature", "big-scal.json"],
+     "ric_norm2 = 0.0 violates the Cauchy-Schwarz bound Scal^2/n = inf"),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -790,12 +820,15 @@ def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     (tmp_path / "nan-curv.json").write_text(
         '{"scal": NaN, "ric_norm2": 300.0, "rm_norm2": 100.0, '
         '"lap_scal": 1.5}', encoding="utf-8")
+    (tmp_path / "big-scal.json").write_text(
+        '{"scal": 1e200, "ric_norm2": 0, "rm_norm2": 0, "lap_scal": 0}',
+        encoding="utf-8")
     rc, out, err = invoke(capsys, argv)
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
     assert cause in err
-    assert os.listdir(tmp_path) == ["nan-curv.json"]
+    assert sorted(os.listdir(tmp_path)) == ["big-scal.json", "nan-curv.json"]
 
 
 @pytest.mark.parametrize("radius", ["1e100", "1e200"])
@@ -955,6 +988,12 @@ def test_lazy_exports_resolve_to_their_home_objects():
     star = {}
     exec("from hsbubble import *", star)
     assert set(hsbubble.__all__) <= set(star)
+    # _EXPORTS is the one statement of what is public: a submodule's public
+    # names are those without a leading underscore
+    declaring = [info.name for info in pkgutil.iter_modules(hsbubble.__path__)
+                 if hasattr(importlib.import_module(f"hsbubble.{info.name}"),
+                            "__all__")]
+    assert declaring == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -1222,7 +1261,7 @@ def _flags(parser):
 
 def test_readme_names_every_flag():
     text = README.read_text(encoding="utf-8")
-    flags = set(_flags(build_parser())) - {"-h", "--help"}
+    flags = set(_flags(cli._parser(cli._SUBCOMMANDS))) - {"-h", "--help"}
     assert {"--csv", "--emit-modes", "--r0", "--json"} <= flags
     missing = sorted(f for f in flags
                      if not re.search(re.escape(f) + r"(?![\w-])", text))
@@ -1263,7 +1302,7 @@ def help_text(capsys, monkeypatch) -> str:
     """`hsbubble --help` and each subcommand's `--help`, each under a
     `$ hsbubble ... --help` line, at a fixed 80-column width."""
     monkeypatch.setenv("COLUMNS", "80")
-    sub = next(a for a in build_parser()._actions
+    sub = next(a for a in cli._parser(cli._SUBCOMMANDS)._actions
                if isinstance(a, argparse._SubParsersAction))
     parts = []
     for argv in ([], *([name] for name in sub.choices)):
@@ -1297,7 +1336,7 @@ def test_parse_errors_match_the_full_parser(capsys, monkeypatch, argv):
         main(argv)
     err = capsys.readouterr().err
     with pytest.raises(SystemExit) as full:
-        build_parser().parse_args(argv)
+        cli._parser(cli._SUBCOMMANDS).parse_args(argv)
     assert exc.value.code == full.value.code == 1
     assert err == capsys.readouterr().err
     assert err.startswith("usage: hsbubble ")

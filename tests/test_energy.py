@@ -77,6 +77,17 @@ def test_radial_model_rejects_density_negative_at_endpoint():
     RadialModel(c, PotentialJet(0.0, 0.0), r0=0.4)
 
 
+def test_radial_model_names_an_overflowing_density_coefficient():
+    # min(1, inf) = 1 passed the positivity test (was a non-finite
+    # quadrature summand)
+    c = CurvatureData(n=7, scal=0.0, ric_norm2=1e308, rm_norm2=0.0,
+                      lap_scal=0.0)
+    with pytest.raises(NumericalError, match=re.escape(
+            "the volume density coefficients c2 = -0.0, c4 = inf of this "
+            "curvature leave the float range")):
+        RadialModel(c, PotentialJet(0.0, 0.0))
+
+
 def test_radial_model_rejects_interior_density_dip():
     # c2 = -1, c4 = 0.2: endpoints G(0) = 1, G(2) = 0.2 > 0, but the
     # interior minimum at r^2 = 2.5 gives -0.25 -- the critical-point branch
@@ -143,6 +154,20 @@ def test_j_regime_validation():
         j_at_bubble(
             RadialModel(curvature_preset("flat", 6), PotentialJet(0.0, 0.0)),
             HSParams(6, 1.0), 0.01)
+
+
+@pytest.mark.parametrize("s, delta, integral", [
+    (1.0, 1e-49, "gradient"),  # was J = 0.0
+    (0.0, 1e-46, "critical"),  # was J = 32171.88 = 3.5 c0
+])
+def test_j_refuses_a_bubble_inside_the_first_panel(s, delta, integral):
+    # the grading toward rho = 0 reaches (r0/delta) 2**-60; a bubble below
+    # it leaves an integral that sums to exactly 0, and J is wrong
+    with pytest.raises(NumericalError, match=re.escape(
+            f"J at delta = {delta} is out of the quadrature's reach: the "
+            f"bubble lies inside the first panel of [0, r0/delta = "
+            f"{1 / delta:.3g}], where the {integral} integral sums to 0")):
+        j_at_bubble(flat_model(h0=0.0), HSParams(7, s), delta)
 
 
 def test_j_flat_massless_is_delta_invariant_up_to_truncation():
@@ -268,6 +293,28 @@ def test_fit_validation_errors():
     with pytest.raises(NumericalError, match="condition"):
         # decade span but only two distinct deltas: rank-deficient design
         fit_expansion(m, P71, [0.005] * 4 + [0.05] * 4)
+
+
+def test_fit_refuses_subnormal_deltas_without_a_warning():
+    # were overflow and invalid-value RuntimeWarnings (the span ratio and
+    # the delta^6 log(1/delta) column, 0 * inf), then a design column
+    # blamed for an overflow
+    with pytest.raises(DomainError, match=re.escape(
+            "delta = 1e-310 is too small: r0/delta (r0 = 1.0) overflows a "
+            "float")):
+        fit_expansion(flat_model(), P71, np.geomspace(1e-310, 0.1, 8))
+    tiny = RadialModel(curvature_preset("flat", 7), PotentialJet(1.0, 0.0),
+                       r0=1e-300)
+    with pytest.raises(NumericalError, match="design column delta\\^2 "
+                                             "underflows to 0"):
+        fit_expansion(tiny, P71, np.geomspace(1e-310, 1e-302, 8))
+    # at r0 = 0.5 r0/delta is a float where 1/delta is not; the
+    # delta^6 log(1/delta) column is 0 there, not 0 * inf, and the design
+    # is refused for what it is
+    half = RadialModel(curvature_preset("flat", 7), PotentialJet(1.0, 0.0),
+                       r0=0.5)
+    with pytest.raises(NumericalError, match="condition"):
+        fit_expansion(half, P71, np.geomspace(3e-309, 0.05, 8))
 
 
 def test_fit_report_requires_finite_deviations():
