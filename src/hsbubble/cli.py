@@ -169,21 +169,17 @@ def _obstruction(inp: _Inputs):
 
 def _csv(header, rows, path: Optional[str] = None) -> str:
     """CSV text with every number written as repr(float(x)), so it reads
-    back bit for bit; also written to path when one is given."""
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
-                     for row in rows)
+    back bit for bit, and every other cell a fixed name: none needs quoting.
+    Also written to path when one is given."""
+    text = "".join(",".join(v if isinstance(v, str) else repr(float(v))
+                            for v in row) + "\n" for row in [header, *rows])
     if path is not None:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(buf.getvalue())
+                fh.write(text)
         except OSError as exc:
             raise DomainError(f"cannot write CSV file {path!r}: {exc}") from exc
-    return buf.getvalue()
+    return text
 
 
 # ---------------------------------------------------------------- handlers

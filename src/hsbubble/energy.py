@@ -298,12 +298,26 @@ def fit_expansion(model: RadialModel, p: HSParams,
     U, sv, Vt = np.linalg.svd(Xs, full_matrices=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if not math.isfinite(cond) or cond > 1e9:
+        lo, hi = float(deltas[0]), float(deltas[-1])
         raise NumericalError(
-            f"fit design matrix condition {cond:.3g} too large; the sweep "
-            "is too narrow or contains near-duplicate deltas")
+            f"fit design matrix condition {cond:.3g} too large for the sweep "
+            f"[{lo!r}, {hi!r}] ({math.log10(hi) - math.log10(lo):.1f} "
+            f"decades, {np.unique(deltas).size} distinct deltas): its "
+            "columns are nearly dependent when fewer than 7 deltas are "
+            "distinct, when the span is so wide that the high powers of "
+            "delta vanish over most of it, or when n is so large that the "
+            f"nuisance columns delta^{n - 2} to delta^{n} barely differ")
 
     try:
         y = np.array(_j_sweep(model, p, deltas.tolist()))
+        bad = ~np.isfinite(y)
+        if bad.any():
+            raise NumericalError(f"J at delta = {float(deltas[bad][0])!r} "
+                                 "leaves the float range")
+        # the fit runs on y * 2**-k, k the exponent of max|y|, so its
+        # residual's square stays in range; a power of two moves no bit
+        k = int(np.frexp(np.max(np.abs(y)))[1])
+        y = np.ldexp(y, -k)
         with np.errstate(over="ignore", invalid="ignore"):
             coef_s = Vt.T @ ((U.T @ y) / sv)
             coef = coef_s / scales
@@ -313,7 +327,9 @@ def fit_expansion(model: RadialModel, p: HSParams,
             # cov of scaled coefs = sigma^2 V S^-2 V^T; unscale per column
             cov_s_diag = np.einsum("ij,j,ij->i", Vt.T, sv**-2.0, Vt.T) * sigma2
             se = np.sqrt(np.maximum(cov_s_diag, 0.0)) / scales
-        if not np.all(np.isfinite([*y, *coef, *se, rss])):
+            coef, se = np.ldexp(coef, k), np.ldexp(se, k)
+            rms = float(np.ldexp(math.sqrt(rss / deltas.size), k))
+        if not np.all(np.isfinite([*coef, *se, rms])):
             raise NumericalError("its fitted values leave the float range")
     except NumericalError as exc:
         raise NumericalError(
@@ -345,7 +361,7 @@ def fit_expansion(model: RadialModel, p: HSParams,
         c2_dev=float((coef[1] - pred["c2"]) / denom2),
         c4_dev=float((coef[2] - pred["c4"]) / denom4),
         condition=cond,
-        rms_residual=math.sqrt(rss / deltas.size),
+        rms_residual=rms,
         nuisance=dict(zip(nuisance, coef[3:].tolist())),
     )
 

@@ -648,8 +648,11 @@ def nonlocal_term(p: HSParams, w: WDecomposition, grid: RadialGrid, *,
     border, the node samples and the ell = 2 pairing are kept on the grid's
     ModeMatrices, so a repeat pairing on one grid costs two triangular
     solves (gttrs), the bordered solve and its refinement pass.  A pairing
-    beyond the float range is a NumericalError that names W.
+    beyond the float range is a NumericalError that names W.  Its integrand
+    decays like r**(5 - n), so it needs n >= N_MIN: below that the grid's
+    sum is a truncation artifact that grows with R_max.
     """
+    p.require("the nonlocal pairing")
     sols = hat_c(p, w, grid)
     omega = sphere_area(p.n)
     mass = assemble_mode(p, 0, grid).mass

@@ -19,7 +19,7 @@ At s = 0 both rationals collapse to the classical conformal value
 (n - 2)/(4(n - 1)); ``yamabe_consistency`` checks that in exact rational
 arithmetic.  Every operation takes s = 0 except the kernel diagnostics,
 which refuse it themselves; the operations that need the delta**4 moments
-refuse n < N_MIN through HSParams.require.
+or the nonlocal pairing refuse n < N_MIN through HSParams.require.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ DEFAULT_GRID = (8000, 200.0)
 
 # the smallest n the delta**4 terms take: the moments int |X|**4 |grad U1|**2
 # and int |X|**2 U1**2 have radial integrands ~ r**(5 - n) at infinity, so
-# they converge only for n > 6; HSParams.require refuses smaller n for every
-# operation that uses them
+# they converge only for n > 6, as does the nonlocal pairing; HSParams.require
+# refuses smaller n for every operation that uses them
 N_MIN = 7
 
 
@@ -102,7 +102,8 @@ class HSParams(Record):
 
     def require(self, what: str) -> None:
         """Refuse n < N_MIN for the operation `what`, which needs the
-        delta**4 moments; every s in [0, 2) is accepted."""
+        delta**4 moments or the nonlocal pairing; every s in [0, 2) is
+        accepted."""
         if self.n < N_MIN:
             raise DomainError(f"{what} needs n >= {N_MIN}, got n={self.n}")
 

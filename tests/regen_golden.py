@@ -1,8 +1,10 @@
 """Rewrite golden reports after an intended change of their numbers.
 
-    PYTHONPATH=src python tests/regen_golden.py NAME...
+    PYTHONPATH=src python tests/regen_golden.py [NAME...]
 
-Each NAME is a key of test_cli.GOLDEN_CASES.  Its command runs through
+Each NAME is a key of test_cli.GOLDEN_CASES; with no NAME every case is
+regenerated, so a run that prints nothing shows that no report moved.  A
+case's command runs through
 test_cli.run_golden, the call test_report_matches_golden checks: cli.main
 in an empty working directory holding test_cli.INPUT_FILES.  The report
 and every side file it writes replace tests/golden/NAME.*, and each number
@@ -42,10 +44,10 @@ def moved_numbers(old: str, new: str):
 
 def main(names: list) -> None:
     unknown = sorted(set(names) - set(GOLDEN_CASES))
-    if not names or unknown:
+    if unknown:
         raise SystemExit(f"unknown golden case(s) {unknown}; known: "
                          f"{', '.join(sorted(GOLDEN_CASES))}")
-    for name in names:
+    for name in names or sorted(GOLDEN_CASES):
         files = run(name)
         for stale in GOLDEN.glob(f"{name}.*"):
             if stale.name not in files:

@@ -77,43 +77,7 @@ def test_constants_rerun_from_echoed_inputs(capsys):
     assert json.loads(out) == doc
 
 
-def test_constants_human_format(capsys):
-    rc, out, _ = invoke(capsys, ["constants", "--n", "7", "--s", "1"])
-    assert rc == 0
-    assert "kappa = " in out
-    assert "c_ns = " in out
-
-
-def test_json_keys_sorted(capsys):
-    rc, out, _ = invoke(capsys,
-                        ["constants", "--n", "7", "--s", "1", "--json"])
-    assert rc == 0
-    doc = json.loads(out)
-    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 # ----------------------------------------------------------------- integrals
-
-
-def test_integrals_table_has_140_11_row(capsys):
-    rc, out, _ = invoke(capsys, ["integrals", "--n", "7", "--s", "1"])
-    assert rc == 0
-    rows = list(csv.DictReader(out.splitlines()))
-    assert {"ratio", "quadrature", "closed_form", "rel_residual"} <= set(
-        rows[0].keys())
-    byname = {r["ratio"]: r for r in rows}
-    row = byname["r2grad_over_mass2"]
-    assert float(row["closed_form"]) == 140.0 / 11.0
-    assert abs(float(row["rel_residual"])) < 1e-10
-
-
-def test_integrals_csv_file_matches_stdout(capsys, tmp_path):
-    path = tmp_path / "table.csv"
-    rc, out, _ = invoke(capsys,
-                        ["integrals", "--n", "7", "--s", "1",
-                         "--csv", str(path)])
-    assert rc == 0
-    assert path.read_text() == out
 
 
 def test_integrals_json_ratio_fields(capsys):
@@ -290,12 +254,6 @@ def test_remainder_degenerate_marker(capsys):
 # -------------------------------------------------------------------- reduce
 
 
-def test_reduce_no_critical_point_message(capsys):
-    rc, out, _ = invoke(capsys, ["reduce", "--quad", "2", "--quartic", "1"])
-    assert rc == 0  # a verdict, not an error
-    assert "no critical point: sign condition fails" in out
-
-
 def test_reduce_critical_point_values(capsys):
     doc = invoke_json(capsys, ["reduce", "--quad", "-2", "--quartic", "1",
                                "--eps", "0.01"])
@@ -332,22 +290,6 @@ def test_family_ladder_from_base(capsys):
     assert t0s == sorted(t0s)
 
 
-def test_family_human_table(capsys):
-    rc, out, _ = invoke(capsys,
-                        ["family", "--n", "7", "--s", "1", "--base-lg", "0",
-                         "--f0", "-1", "--k-max", "2"])
-    assert rc == 0
-    assert "k,lap_h_shift,lg_k,predicted_t0" in out
-
-
-def test_family_requires_negative_f0(capsys):
-    rc, _, err = invoke(capsys,
-                        ["family", "--n", "7", "--s", "1", "--base-lg", "0",
-                         "--f0", "1", "--k-max", "2"])
-    assert rc == 1
-    assert "error" in err
-
-
 # ------------------------------------------------------------------- verdict
 
 
@@ -377,109 +319,7 @@ def test_verdict_f_sign(capsys):
     assert list(doc["outputs"]) == sorted(Verdict._fields)
 
 
-# -------------------------------------------------------------------- kernel
-
-
-def test_kernel_diagnostics_keys(capsys):
-    doc = invoke_json(capsys,
-                      ["kernel", "--n", "7", "--s", "1",
-                       "--grid", "1000,100"])
-    out = doc["outputs"]
-    assert {"zero_tol", "grid", "mode0_min_eig", "mode0_kernel_eig",
-            "mode0_eigvec_alignment_with_Z0", "mode0_near_zero_count",
-            "mode0_negative_count", "mode2_min_eig",
-            "mode2_near_zero_count"} <= set(out)
-    assert out["grid"] == {"N": 1000, "R_max": 100.0, "gamma": 2.0}
-    assert out["mode2_min_eig"] > 0
-
-
 # ---------------------------------------------------------------- exit codes
-
-
-def test_exit_1_bad_dimension(capsys):
-    rc, _, err = invoke(capsys, ["constants", "--n", "2", "--s", "1"])
-    assert rc == 1
-    assert "error" in err
-
-
-def test_exit_1_unknown_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["constants", "--n", "7", "--s", "1", "--bogus"])
-    assert exc.value.code == 1
-    assert "usage" in capsys.readouterr().err
-
-
-def test_exit_1_unknown_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["not-a-subcommand"])
-    assert exc.value.code == 1
-    assert "usage" in capsys.readouterr().err
-
-
-def test_exit_1_missing_required_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bubble", "--n", "7", "--s", "1"])  # no --delta
-    assert exc.value.code == 1
-    assert "usage" in capsys.readouterr().err
-
-
-def test_exit_1_bad_grid_string(capsys):
-    rc, _, err = invoke(capsys,
-                        ["kernel", "--n", "7", "--s", "1", "--grid", "zzz"])
-    assert rc == 1
-    assert "grid" in err
-
-
-def test_exit_1_bad_deltas_string(capsys):
-    rc, _, err = invoke(capsys,
-                        ["energy", "--n", "7", "--s", "1", "--deltas", "x:y"])
-    assert rc == 1
-    assert "deltas" in err
-
-
-def test_exit_1_potential_file_and_inline(capsys, tmp_path):
-    path = tmp_path / "pot.json"
-    path.write_text(json.dumps({"h0": 1.0, "lap_h": 0.0}))
-    rc, _, err = invoke(capsys,
-                        ["lg", "--n", "7", "--s", "1",
-                         "--potential", str(path), "--h0", "1"])
-    assert rc == 1
-    assert "exclusive" in err
-
-
-def test_exit_1_potential_schema(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"h0": 1.0}))  # lap_h missing
-    rc, _, err = invoke(capsys,
-                        ["lg", "--n", "7", "--s", "1",
-                         "--potential", str(bad)])
-    assert rc == 1
-    assert "lap_h" in err
-
-    extra = tmp_path / "extra.json"
-    extra.write_text(json.dumps({"h0": 1.0, "lap_h": 0.0, "zz": 1.0}))
-    rc, _, err = invoke(capsys,
-                        ["lg", "--n", "7", "--s", "1",
-                         "--potential", str(extra)])
-    assert rc == 1
-    assert "zz" in err
-
-
-def test_exit_1_bad_curvature_file(capsys, tmp_path):
-    rc, _, err = invoke(capsys,
-                        ["lg", "--n", "7", "--s", "1",
-                         "--curvature", str(tmp_path / "missing.json")])
-    assert rc == 1
-    assert "error" in err
-
-
-def test_exit_2_ill_conditioned_fit(capsys):
-    rc, _, err = invoke(capsys,
-                        ["energy", "--n", "7", "--s", "1",
-                         "--curvature", "flat",
-                         "--deltas", "0.000001:0.05:12"])
-    assert rc == 2
-    assert "numerical failure" in err
 
 
 @pytest.mark.parametrize("argv,cause", [
@@ -529,9 +369,10 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e305"], "the energy fit with h0 = 1e+305: a quadrature "
      "summand f(r) r**(6.0) is not finite at r = "),
-    # a fit whose residual overflows (was exit 0 with Infinity, not JSON)
+    # a fit whose nuisance amplitudes overflow (at h0 = 1e200 its residual
+    # did, and it was exit 0 with Infinity, not JSON; it now answers)
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
-      "--h0", "1e200"], "the energy fit with h0 = 1e+200: its fitted "
+      "--h0", "1e300"], "the energy fit with h0 = 1e+300: its fitted "
      "values leave the float range"),
     # a moment integrand beyond the float range everywhere it has mass (was
     # an overflow RuntimeWarning from the tail screen, and without it a
@@ -648,6 +489,22 @@ def test_exit_2_ill_conditioned_fit(capsys):
     (["energy", "--n", "7", "--s", "1", "--curvature", "c4-inf.json"],
      "the volume density coefficients c2 = -0.0, c4 = inf of this "
      "curvature leave the float range"),
+    # 12 distinct deltas over 4.7 decades (was "the sweep is too narrow or
+    # contains near-duplicate deltas", the wrong remedy)
+    (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
+      "--deltas", "0.000001:0.05:12"],
+     "fit design matrix condition 3.97e+11 too large for the sweep [1e-06, "
+     "0.05] (4.7 decades, 12 distinct deltas): its columns are nearly "
+     "dependent when fewer than 7 deltas are distinct, when the span is so "
+     "wide that the high powers of delta vanish over most of it, or when n "
+     "is so large that the nuisance columns delta^5 to delta^7 barely "
+     "differ\n"),
+    # the cell masses of this grid overflow, so assemble_mode refuses it,
+    # naming R_max, before the source sampled on it is checked
+    (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
+      "--grid", "2000,1e45"],
+     "numerical failure: cell masses or fluxes overflow a float on this "
+     "grid (R_max = 1e+45, N = 2000, n = 7); reduce R_max\n"),
 ])
 def test_exit_2_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -697,18 +554,6 @@ def test_negative_exponent_values_are_values(capsys, argv, key, value):
     # argparse alone reads -1e-3, -1.5e+16 and -5. as unknown flags, yet a
     # report echoes numbers in that form
     assert invoke_json(capsys, argv)["inputs"][key] == value
-
-
-def test_bad_grid_is_reported_before_its_source(capsys):
-    # the cell masses of this grid overflow, so assemble_mode refuses it,
-    # naming R_max, before the source sampled on it is checked
-    rc, out, err = invoke(capsys, [
-        "lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
-        "--grid", "2000,1e45"])
-    assert (rc, out) == (2, "")
-    assert err == ("numerical failure: cell masses or fluxes overflow a float "
-                   "on this grid (R_max = 1e+45, N = 2000, n = 7); "
-                   "reduce R_max\n")
 
 
 @pytest.mark.parametrize("argv,cause", [
@@ -813,6 +658,33 @@ def test_bad_grid_is_reported_before_its_source(capsys):
     # ric_norm2 (was an OverflowError traceback)
     (["energy", "--n", "7", "--s", "1", "--curvature", "big-scal.json"],
      "ric_norm2 = 0.0 violates the Cauchy-Schwarz bound Scal^2/n = inf"),
+    (["constants", "--n", "2", "--s", "1"],
+     "dimension must be an integer >= 3, got n=2\n"),
+    (["kernel", "--n", "7", "--s", "1", "--grid", "zzz"],
+     "--grid expects N,Rmax[,gamma], got 'zzz'\n"),
+    (["energy", "--n", "7", "--s", "1", "--deltas", "x:y"],
+     "--deltas expects lo:hi:count, got 'x:y'\n"),
+    (["lg", "--n", "7", "--s", "1", "--potential", "pot.json", "--h0", "1"],
+     "--potential is exclusive with --h0/--lap-h/--f0\n"),
+    # a potential file must hold exactly the schema's keys
+    *((["lg", "--n", "7", "--s", "1", "--potential", fname],
+       f"potential file {fname!r}: schema requires exactly keys ('h0', "
+       f"'lap_h') plus optional ('f0',); {keys}\n")
+      for fname, keys in (("no-lap-h.json", "missing ['lap_h'], "
+                                            "unexpected []"),
+                          ("extra-key.json", "missing [], unexpected "
+                                             "['zz']"))),
+    (["lg", "--n", "7", "--s", "1", "--curvature", "missing.json"],
+     "cannot read curvature file 'missing.json'"),
+    (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "1",
+      "--k-max", "2"],
+     "the family construction requires f(x0) < 0, got 1.0\n"),
+    # the pairing's integrand decays like r**(5 - n) (were exit 0 with a
+    # truncation artifact that grows with R_max: at n = 3 a factor 8 per
+    # doubling of R_max, at n = 6 like log R_max)
+    *((["chat", "--n", n, "--s", "1", "--h0", "1"],
+       f"the nonlocal pairing needs n >= 7, got n={n}\n")
+      for n in ("6", "3")),
 ])
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -823,12 +695,19 @@ def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     (tmp_path / "big-scal.json").write_text(
         '{"scal": 1e200, "ric_norm2": 0, "rm_norm2": 0, "lap_scal": 0}',
         encoding="utf-8")
+    for fname, doc in (("pot.json", {"h0": 1.0, "lap_h": 0.0}),
+                       ("no-lap-h.json", {"h0": 1.0}),
+                       ("extra-key.json", {"h0": 1.0, "lap_h": 0.0,
+                                           "zz": 1.0})):
+        (tmp_path / fname).write_text(json.dumps(doc), encoding="utf-8")
     rc, out, err = invoke(capsys, argv)
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
     assert cause in err
-    assert sorted(os.listdir(tmp_path)) == ["big-scal.json", "nan-curv.json"]
+    assert sorted(os.listdir(tmp_path)) == [
+        "big-scal.json", "extra-key.json", "nan-curv.json", "no-lap-h.json",
+        "pot.json"]
 
 
 @pytest.mark.parametrize("radius", ["1e100", "1e200"])
@@ -896,6 +775,7 @@ _REPORT_LOADED = (
     "    'numpy': 'numpy' in sys.modules,\n"
     "    'numpy.ma': 'numpy.ma' in sys.modules,\n"
     "    'dataclasses': 'dataclasses' in sys.modules,\n"
+    "    'csv': 'csv' in sys.modules,\n"
     "    'fractions': 'fractions' in sys.modules}))\n")
 
 
@@ -914,7 +794,8 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
     # moments or reduction modules, and only `lg` and `kernel` the solver;
     # the solver loads scipy's LAPACK extension alone, so no run imports
     # the scipy package (its init, scipy.linalg, scipy.sparse) or numpy.ma;
-    # only the energy fit's FitReport loads dataclasses
+    # only the energy fit's FitReport loads dataclasses; the CSV tables
+    # and side files are joined by hand, so no run loads csv
     assert {argv[0] for argv in readme_examples()} <= set(RUN_LOADS)
     write_inputs(tmp_path)
     for run, (modules, numpy, lapack, dataclasses) in RUN_LOADS.items():
@@ -931,6 +812,7 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
             run
         assert got["dataclasses"] == dataclasses, run
         assert not got["numpy.ma"], run
+        assert not got["csv"], run
         if not numpy:
             assert not got["fractions"], run
 

@@ -290,9 +290,30 @@ def test_fit_validation_errors():
         fit_expansion(m, P71, np.geomspace(0.005, 0.05, 7))
     with pytest.raises(DomainError, match="got 0"):
         fit_expansion(m, P71, [])
-    with pytest.raises(NumericalError, match="condition"):
+    with pytest.raises(NumericalError, match=re.escape(
+            "(1.0 decades, 2 distinct deltas)")):
         # decade span but only two distinct deltas: rank-deficient design
         fit_expansion(m, P71, [0.005] * 4 + [0.05] * 4)
+
+
+def test_fit_answers_where_its_residual_square_overflows():
+    # J reaches 4e203 at h0 = 1e200 and its RMS residual 5e193, whose
+    # square overflowed (was "its fitted values leave the float range");
+    # the fit runs on J * 2**-k, and every number it reports is a float
+    rep = fit_expansion(flat_model(1e200), P71, np.geomspace(0.005, 0.05, 12))
+    values = [v for k, v in vars(rep).items() if k != "nuisance"]
+    assert np.all(np.isfinite([*values, *rep.nuisance.values()]))
+    assert abs(rep.c2_dev) < 1e-6
+
+
+def test_fit_names_a_non_finite_j(monkeypatch):
+    deltas = np.geomspace(0.005, 0.05, 12).tolist()
+    monkeypatch.setattr(energy, "_j_sweep", lambda model, p, ds: [
+        math.inf if d == deltas[3] else 1.0 for d in ds])
+    with pytest.raises(NumericalError, match=re.escape(
+            f"the energy fit with h0 = 1.0: J at delta = {deltas[3]!r} "
+            "leaves the float range")):
+        fit_expansion(flat_model(), P71, deltas)
 
 
 def test_fit_refuses_subnormal_deltas_without_a_warning():
