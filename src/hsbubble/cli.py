@@ -19,7 +19,8 @@ name or none).  Handlers take an _Inputs, which parses (n, s), the
 curvature, the potential and the grid from the flags on first use.  Only
 errors and params are imported here; each handler imports what it calls,
 so a run loads only the modules (and numpy or scipy's LAPACK) its
-subcommand uses: `reduce` and `verdict --base-lg` load no numpy.
+subcommand uses: `constants`, `reduce`, `verdict --base-lg` and
+`family --base-lg` load no numpy.
 """
 
 from __future__ import annotations

@@ -333,7 +333,8 @@ def fit_expansion(model: RadialModel, p: HSParams,
             raise NumericalError("its fitted values leave the float range")
     except NumericalError as exc:
         raise NumericalError(
-            f"the energy fit with h0 = {model.jet.h0!r}: {exc}") from None
+            f"the energy fit with h0 = {model.jet.h0!r}, lap_h = "
+            f"{model.jet.lap_h!r}: {exc}") from None
 
     generic2 = 0.5 * max(abs(model.jet.h0),
                          abs(p.c_ns * model.c.scal),

@@ -217,11 +217,20 @@ class ModeMatrices(Record):
 
     @functools.cached_property
     def border(self) -> tuple:
-        gs = self.g * self.ds
-        gscale = float(np.linalg.norm(gs))
-        if gscale == 0.0 or not np.isfinite(gscale):
+        # from g * 2**-k, whose squares stay in range: col is D g / |D g|
+        # to the bit, and gscale = |D g| the scaled norm times 2**k
+        k, _, gk, _, _ = self.z0_scaled
+        gs = gk * self.ds
+        norm = float(np.linalg.norm(gs))
+        if norm == 0.0 or not np.isfinite(norm):
             raise NumericalError("degenerate projection direction in ell = 0 solve")
-        col = gs / gscale
+        try:
+            gscale = math.ldexp(norm, k)
+        except OverflowError:
+            raise NumericalError(
+                f"the ell = 0 projection direction's norm |D g| = {norm:.6g} "
+                f"* 2**{k} overflows a float") from None
+        col = gs / norm
         b = _gttrs(self, col)
         schur = float(col @ b)
         if schur == 0.0:
@@ -253,7 +262,13 @@ class ModeMatrices(Record):
         sol = solve_mode(self.p, 2, None, self.grid, rhs_load=load,
                          rhs_values=-phi)
         c2 = _frozen(sol.profile.values)[0]
-        return sol, float(np.sum(self.mass * phi * c2[1:]))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            pair = float(np.sum(self.mass * phi * c2[1:]))
+        if not math.isfinite(pair):
+            raise NumericalError(
+                "the ell = 2 pairing of phi = r U1' / 3 with its solution c2 "
+                "leaves the float range on this grid")
+        return sol, pair
 
     @functools.cached_property
     def spectral(self) -> tuple:

@@ -16,15 +16,17 @@ substitution t = r**(2-s):
 
 One registry, ``_KINDS``, gives each of the nine moment kinds as a profile
 function and the power of |X| it adds; ``_profiles`` gives each profile's
-kappa power, endpoint exponent, tail exponent and Beta data.  The closed
-form, the quadrature and their refusals read nothing else.  Gamma values
+kappa power, endpoint exponent, tail exponent and Beta data, and
+``_profile_functions`` its integrand factor.  The closed form, the
+quadrature and their refusals read nothing else.  Gamma values
 are handled in log space so large P (s near 2) cannot overflow.
 
 The log-gamma is ``_lgamma``, a port for x > 0 of Cephes ``lgam`` (S. L.
 Moshier, *Methods and Programs for Mathematical Functions*, 1989), the code
 behind SciPy's ``gammaln``: same coefficients, same branches, same
-operation order, so it returns gammaln's double bit for bit and no moment
-moves a digit, while the closed forms load no scipy module.
+operation order, so it returns gammaln's double bit for bit.  ``ipq``
+exponentiates with ``math.exp``, so the closed forms run on ``math`` alone
+and load neither numpy nor scipy.
 
 An independent quadrature route (``moment_quadrature``) evaluates the same
 moments directly in the r variable from the profile closed forms, without the
@@ -35,21 +37,27 @@ no finite end, so the rule converges geometrically and matches the adaptive
 engine's accuracy at a fraction of its cost.  The moments weigh four profile
 functions, and the identity report's six moments run as one list, so the
 rule evaluates each function once per level for all the moments using it.
+Only this route needs numpy: ``bubble`` and ``quadrature`` are imported
+where it runs.  ``integrate_radial`` still resolves here by name, through
+the module ``__getattr__``, because the benchmark's span tracer wraps the
+adaptive engine at this site.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from . import bubble
 from .errors import DomainError, NumericalError
 from .params import DEFAULT_TOL, HSParams, Record, derive_constants, sphere_area
-from .quadrature import RadialIntegrand, integrate_log_trapezoid
-# the adaptive engine's name stays bound here only because the benchmark's
-# span tracer wraps it at this site; ROADMAP item 11 drops the site and this
-from .quadrature import integrate_radial  # noqa: F401
+
+
+def __getattr__(name):
+    # the benchmark's span tracer wraps the adaptive engine at this site by
+    # name; ROADMAP item 11 drops the site and this
+    if name == "integrate_radial":
+        from .quadrature import integrate_radial
+        return integrate_radial
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # kind: (profile, power of |X| it adds), in the order MOMENT_KINDS lists
 _KINDS = {
@@ -127,7 +135,7 @@ def ipq(p: float, q: float) -> float:
     if p - q <= 1.0 or q <= -1.0:
         raise DomainError(
             f"I_p^q diverges for p={p}, q={q} (need p - q > 1 and q > -1)")
-    return float(np.exp(_lgamma(q + 1.0) + _lgamma(p - q - 1.0) - _lgamma(p)))
+    return math.exp(_lgamma(q + 1.0) + _lgamma(p - q - 1.0) - _lgamma(p))
 
 
 def _kind(kind: str) -> tuple:
@@ -139,21 +147,40 @@ def _kind(kind: str) -> tuple:
 
 
 def _profiles(p: HSParams) -> dict:
-    """{profile: (f, (e, name), (j, c), b, (coef, g_pow, terms))} at (n, s).
+    """{profile: ((e, name), (j, c), b, (coef, g_pow, terms))} at (n, s).
 
-    For a kind adding |X|**k the quadrature integrates f r**(n-1+k+j-c s):
-    f is O(1) at r = 0 and O(r**-b) at infinity (U1 decays like r**-(n-2);
-    U1' r**(s-1), Z0' r**(s-1) and U1**2*(s) all give r**-(2(n-s)) once
-    squared), and carries kappa**e, which the closed form's refusal names
-    kappa**name.  The
+    For a kind adding |X|**k the quadrature integrates f r**(n-1+k+j-c s),
+    f from ``_profile_functions``: f is O(1) at r = 0 and O(r**-b) at
+    infinity (U1 decays like r**-(n-2); U1' r**(s-1), Z0' r**(s-1) and
+    U1**2*(s) all give r**-(2(n-s)) once squared), and carries kappa**e,
+    which the closed form's refusal names kappa**name.  The
     Beta form is omega coef kappa**e g**g_pow sum(w I_P^(q+dq)) over the
     terms (w, P, dq), q from the same r power and g = 2 - s: 1/g is the
     Jacobian of t = r**(2-s), and Z0' carries g, so its square g**2.
     """
     n, s, m = p.n, float(p.s), p.m
+    two, b = (2, "2"), 2.0 * (n - s)
+    return {
+        "mass": (two, (0, 0), 2.0 * (n - 2),
+                 (1, -1, ((1.0, 2.0 * p.beta, 0),))),
+        "grad": (two, (2, 2), b, ((n - 2) ** 2, -1, ((1.0, 2.0 * m, 0),))),
+        "crit": ((p.crit_exp, "(2*(s))"), (0, 1), b,
+                 (1, -1, ((1.0, 2.0 * m, 0),))),
+        "z0grad": (two, (2, 2), b, ((0.5 * (n - 2)) ** 2, 1, (
+            ((1.0 + m) ** 2, 2.0 * m + 2.0, 0),
+            (2.0 * (1.0 + m) * (1.0 - m), 2.0 * m + 2.0, 1),
+            ((1.0 - m) ** 2, 2.0 * m + 2.0, 2)))),
+    }
+
+
+def _profile_functions(p: HSParams) -> dict:
+    """{profile: f}, the factor of each quadrature integrand on r arrays."""
+    from .bubble import u1
+
+    n, s, m = p.n, float(p.s), p.m
 
     def mass(r):
-        return bubble.u1(p, r) ** 2
+        return u1(p, r) ** 2
 
     def grad(r):
         # (U1'(r) r^{s-1})**2: smooth at 0
@@ -161,7 +188,7 @@ def _profiles(p: HSParams) -> dict:
         return (-p.kappa * (n - 2) * (1.0 + t) ** (-m)) ** 2
 
     def crit(r):
-        return bubble.u1(p, r) ** p.crit_exp
+        return u1(p, r) ** p.crit_exp
 
     def z0grad(r):
         # Z0' = (n-2)/2 kappa g r^{1-s} (1+t)^{-m-1} [(1+m) + (1-m) t]
@@ -169,24 +196,13 @@ def _profiles(p: HSParams) -> dict:
         return (0.5 * (n - 2) * p.kappa * (2.0 - s) * (1.0 + t) ** (-m - 1.0)
                 * ((1.0 + m) + (1.0 - m) * t)) ** 2
 
-    two, b = (2, "2"), 2.0 * (n - s)
-    return {
-        "mass": (mass, two, (0, 0), 2.0 * (n - 2),
-                 (1, -1, ((1.0, 2.0 * p.beta, 0),))),
-        "grad": (grad, two, (2, 2), b, ((n - 2) ** 2, -1, ((1.0, 2.0 * m, 0),))),
-        "crit": (crit, (p.crit_exp, "(2*(s))"), (0, 1), b,
-                 (1, -1, ((1.0, 2.0 * m, 0),))),
-        "z0grad": (z0grad, two, (2, 2), b, ((0.5 * (n - 2)) ** 2, 1, (
-            ((1.0 + m) ** 2, 2.0 * m + 2.0, 0),
-            (2.0 * (1.0 + m) * (1.0 - m), 2.0 * m + 2.0, 1),
-            ((1.0 - m) ** 2, 2.0 * m + 2.0, 2)))),
-    }
+    return {"mass": mass, "grad": grad, "crit": crit, "z0grad": z0grad}
 
 
 def _reduction(p: HSParams, kind: str):
     """(prefactor, [(coef, P, q), ...]) for one moment tag."""
     name, k = _kind(kind)
-    _, (e, e_name), (j, c), _, (coef, g_pow, terms) = _profiles(p)[name]
+    (e, e_name), (j, c), _, (coef, g_pow, terms) = _profiles(p)[name]
     n, s = p.n, float(p.s)
     g = 2.0 - s
     try:
@@ -230,21 +246,25 @@ def moment_quadrature(p: HSParams, kind: str,
 def _moment_runs(p: HSParams, kinds, tol: float) -> list:
     """moment_quadrature of each kind, as one run of the trapezoidal rule.
 
-    The kinds share one f per profile (``_profiles``), so the rule calls
-    each once per level for all the kinds that weigh it.  The run ends at
-    the first failure it meets, level by level and in input order within a
-    level, and raises it for that kind; a quadrature failure is raised
+    The kinds share one f per profile (``_profile_functions``), so the rule
+    calls each once per level for all the kinds that weigh it.  The run ends
+    at the first failure it meets, level by level and in input order within
+    a level, and raises it for that kind; a quadrature failure is raised
     before a moment that sums to 0.
     """
+    from . import quadrature
+    from .bubble import power_law_breaks
+
     n, s = p.n, float(p.s)
-    profiles = _profiles(p)
-    rows = [(profiles[name], k) for name, k in map(_kind, kinds)]
+    profiles, functions = _profiles(p), _profile_functions(p)
+    rows = [(profiles[name], functions[name], k)
+            for name, k in map(_kind, kinds)]
     derive_constants(p)  # a kappa overflow is its own error, not the moment's
 
     def refusal(i, symptom):
         # the integrand carries its profile's kappa**e; where that power
         # overflows, it is the cause, whatever the symptom
-        (power, _), cause = rows[i][0][1], ""
+        (power, _), cause = rows[i][0][0], ""
         try:
             p.kappa ** power
         except OverflowError:
@@ -253,12 +273,12 @@ def _moment_runs(p: HSParams, kinds, tol: float) -> list:
         return NumericalError(f"the {kinds[i]} moment by quadrature at n = "
                               f"{n}, s = {s}{symptom}{cause}")
 
-    breaks = bubble.power_law_breaks(p)
+    breaks = power_law_breaks(p)
     try:
-        runs = integrate_log_trapezoid(
-            [RadialIntegrand(f=f, a=(float(n - 1) + k) + (j - c * s), b=b,
-                             breaks=breaks)
-             for (f, _, (j, c), b, _), k in rows], tol=tol)
+        runs = quadrature.integrate_log_trapezoid(
+            [quadrature.RadialIntegrand(
+                f=f, a=(float(n - 1) + k) + (j - c * s), b=b, breaks=breaks)
+             for (_, (j, c), b, _), f, k in rows], tol=tol)
     except NumericalError as exc:
         raise refusal(exc.member, f": {exc}") from None
     values = []

@@ -367,13 +367,13 @@ def test_verdict_f_sign(capsys):
     # 3 s spent on the whole budget, then "error estimate nan", then "a
     # quadrature panel sum ... leaves the float range")
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
-      "--h0", "1e305"], "the energy fit with h0 = 1e+305: a quadrature "
-     "summand f(r) r**(6.0) is not finite at r = "),
+      "--h0", "1e305"], "the energy fit with h0 = 1e+305, lap_h = 0.0: a "
+     "quadrature summand f(r) r**(6.0) is not finite at r = "),
     # a fit whose nuisance amplitudes overflow (at h0 = 1e200 its residual
     # did, and it was exit 0 with Infinity, not JSON; it now answers)
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
-      "--h0", "1e300"], "the energy fit with h0 = 1e+300: its fitted "
-     "values leave the float range"),
+      "--h0", "1e300"], "the energy fit with h0 = 1e+300, lap_h = 0.0: its "
+     "fitted values leave the float range"),
     # a moment integrand beyond the float range everywhere it has mass (was
     # an overflow RuntimeWarning from the tail screen, and without it a
     # ZeroDivisionError traceback on the quadrature value 0); kappa**2 is
@@ -480,9 +480,10 @@ def test_verdict_f_sign(capsys):
     # sums to 0 (was exit 0 with c0_fit 32171.88 against c0_pred 9191.97)
     (["energy", "--n", "7", "--s", "0", "--curvature", "flat", "--h0", "0",
       "--deltas", "1e-45:1e-44:8"],
-     "the energy fit with h0 = 0.0: J at delta = 1e-45 is out of the "
-     "quadrature's reach: the bubble lies inside the first panel of [0, "
-     "r0/delta = 1e+45], where the critical integral sums to 0"),
+     "the energy fit with h0 = 0.0, lap_h = 0.0: J at delta = 1e-45 is "
+     "out of the quadrature's reach: the bubble lies inside the first "
+     "panel of [0, r0/delta = 1e+45], where the critical integral sums to "
+     "0"),
     # a density coefficient c4 = inf, which passed the positivity test as
     # min(1, inf) = 1 (was "a quadrature summand f(r) r**(6.0) is not
     # finite at r = 7.41128e-19, where f(r) = inf")
@@ -505,6 +506,20 @@ def test_verdict_f_sign(capsys):
       "--grid", "2000,1e45"],
      "numerical failure: cell masses or fluxes overflow a float on this "
      "grid (R_max = 1e+45, N = 2000, n = 7); reduce R_max\n"),
+    # a potential term hbar U1**2 that overflows through lap_h (was named
+    # as the fit with h0 = 0.0 alone, whatever h0 was)
+    (["energy", "--n", "10", "--s", "1.9", "--curvature", "flat",
+      "--lap-h", "1e200"],
+     "the energy fit with h0 = 0.0, lap_h = 1e+200: a quadrature summand "
+     "f(r) r**(9.0) is not finite at r = "),
+    # an ell = 2 pairing beyond the float range on this grid (its Keller
+    # border's |D g|**2 overflowed first: a numpy RuntimeWarning, then
+    # "degenerate projection direction in ell = 0 solve")
+    (["chat", "--n", "20", "--s", "1.9", "--curvature",
+      "sphere:0.003345348300240055", "--h0", "2.268531129324437", "--grid",
+      "50,715.042574629996,7.796216567305055"],
+     "numerical failure: the ell = 2 pairing of phi = r U1' / 3 with its "
+     "solution c2 leaves the float range on this grid\n"),
 ])
 def test_exit_2_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -760,7 +775,7 @@ RUN_LOADS = {
     "remainder-tracefree": (f"{_CLI} energy geometry {_MOMENTS}", True,
                             False, True),
     "reduce": (f"{_CLI} reduction", False, False, False),
-    "family": (f"{_CLI} reduction geometry {_MOMENTS}", True, False, False),
+    "family": (f"{_CLI} reduction geometry moments", False, False, False),
     "verdict": (f"{_CLI} reduction geometry", False, False, False),
     "kernel": (f"{_CLI} linearized bubble quadrature", True, True, False),
 }
@@ -829,13 +844,22 @@ def test_each_run_loads_only_what_it_uses(tmp_path):
       "--potential", "missing.json", "--base-lg", "5"], 1),
     (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "1", "--base-lg", "5", "--lg-tol", "-1"], 1),
+    (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1",
+      "--k-max", "10", "--json"], 0),
+    (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "1",
+      "--k-max", "2"], 1),
+    (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1e308",
+      "--k-max", "3"], 2),
+    (["family", "--n", "16", "--s", "1.895", "--base-lg", "0", "--f0", "-1",
+      "--k-max", "3"], 2),
 ], ids=["reduce-eps", "reduce-eps-json", "verdict-potential-file",
         "reduce-bad-eps", "reduce-overflow", "verdict-missing-file",
-        "verdict-bad-lg-tol"])
+        "verdict-bad-lg-tol", "family-readme", "family-positive-f0",
+        "family-quad-overflow", "family-moment-overflow"])
 def test_decision_runs_load_no_numpy(tmp_path, argv, rc):
-    # the reduced functional and the verdict on a given obstruction are
-    # pure arithmetic: no path through them, error exits included, loads
-    # numpy or the solver
+    # the reduced functional, the verdict and the family ladder on a given
+    # obstruction are pure arithmetic and Beta values: no path through
+    # them, error exits included, loads numpy or the solver
     write_inputs(tmp_path)
     got = _loaded("import contextlib, io\n"
                   "from hsbubble.cli import main\n"
@@ -845,7 +869,8 @@ def test_decision_runs_load_no_numpy(tmp_path, argv, rc):
     assert not got["numpy"]
     assert set(got["hsbubble"]) <= {"hsbubble", "hsbubble.cli",
                                     "hsbubble.errors", "hsbubble.params",
-                                    "hsbubble.reduction", "hsbubble.geometry"}
+                                    "hsbubble.reduction", "hsbubble.geometry",
+                                    "hsbubble.moments"}
 
 
 def test_lazy_exports_resolve_to_their_home_objects():
@@ -987,7 +1012,13 @@ def test_exit_0_plain_runs(capsys):
                  # s = 0, the Yamabe limit
                  ["lg", "--n", "10", "--s", "0", "--curvature", "sphere:1",
                   "--grid", "2000,200"],
-                 ["integrals", "--n", "7", "--s", "0"]):
+                 ["integrals", "--n", "7", "--s", "0"],
+                 # |D g|**2 of its Keller border overflows, so its norm is
+                 # taken on g * 2**-k (was a numpy RuntimeWarning, then
+                 # "degenerate projection direction in ell = 0 solve")
+                 ["lg", "--n", "60", "--s", "1", "--curvature", "flat",
+                  "--lap-h", "-58.29051587320715", "--grid",
+                  "8,82610.14119156134"]):
         rc, _, _ = invoke(capsys, argv)
         assert rc == 0
 

@@ -311,8 +311,8 @@ def test_fit_names_a_non_finite_j(monkeypatch):
     monkeypatch.setattr(energy, "_j_sweep", lambda model, p, ds: [
         math.inf if d == deltas[3] else 1.0 for d in ds])
     with pytest.raises(NumericalError, match=re.escape(
-            f"the energy fit with h0 = 1.0: J at delta = {deltas[3]!r} "
-            "leaves the float range")):
+            f"the energy fit with h0 = 1.0, lap_h = 0.0: J at delta = "
+            f"{deltas[3]!r} leaves the float range")):
         fit_expansion(flat_model(), P71, deltas)
 
 

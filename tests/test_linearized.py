@@ -1,5 +1,6 @@
 """Tests for the mode-decomposed linearized solver."""
 
+import math
 import os
 import re
 import subprocess
@@ -894,6 +895,29 @@ def test_solver_guards_name_their_cause(monkeypatch):
     with pytest.raises(NumericalError, match="bordered ell = 0 system is "
                        "singular"):
         replace(mats).border
+
+
+def test_border_norm_is_scale_free_where_its_squares_overflow():
+    # Z0 and g scaled by 2**600: |D g|**2 overflows (was a numpy
+    # RuntimeWarning, then "degenerate projection direction"), and the
+    # border, normed on g * 2**-k, keeps its bits with gscale * 2**600;
+    # with D also scaled by 2**100, |D g| itself leaves the float range
+    mats = assemble_mode(P71, 0, grid71(500))
+
+    def scaled(j, i=0):
+        fields = {k: getattr(mats, k) for k in ModeMatrices._fields}
+        return ModeMatrices(**fields | {"z0": np.ldexp(mats.z0, j),
+                                        "g": np.ldexp(mats.g, j),
+                                        "d": np.ldexp(mats.d, -2 * i)})
+
+    col, gscale, b, schur = mats.border
+    got = scaled(600).border
+    assert got[0].tobytes() == col.tobytes()
+    assert got[1] == math.ldexp(gscale, 600)
+    assert got[2].tobytes() == b.tobytes() and got[3] == schur
+    with pytest.raises(NumericalError, match=re.escape(
+            "the ell = 0 projection direction's norm |D g| = ")):
+        scaled(950, 100).border
 
 
 def test_lapack_is_scipys(monkeypatch):

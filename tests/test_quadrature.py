@@ -647,7 +647,7 @@ def test_infinite_domain_evaluation_counts(monkeypatch):
         calls.append((len(integrands), sum(shared.values())))
         return res
 
-    monkeypatch.setattr(moments, "integrate_log_trapezoid", spy)
+    monkeypatch.setattr(quadrature, "integrate_log_trapezoid", spy)
     moments.identity_report(p)
     assert len(calls) == 1 and calls[0][0] == 6 and calls[0][1] <= 1200
     assert _evaluations(monkeypatch, energy, lambda: energy.remainder_alpha(
