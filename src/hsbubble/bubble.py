@@ -18,40 +18,87 @@ Exact identities these satisfy, all verified by pde_residual and the tests:
 Note the profiles have a cusp at the origin for s > 0 (U1 ~ kappa(1 - beta
 r**(2-s))), so U1' diverges at r = 0 when s > 1; the combination r U1' that
 enters every downstream formula stays finite and -> 0.
+
+Each closed form takes a Python number or an array r and is one expression,
+run on Python floats for a number (the result a float, and no numpy loaded)
+and on numpy for an array.  The two agree to a few ulp: Python's ** is
+libm's pow, and numpy's array power may be a SIMD loop of its own.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import DomainError, NumericalError
 from .params import DEFAULT_GRID, HSParams, Record
 
+if TYPE_CHECKING:  # annotations only: a profile at scalar radii needs no numpy
+    import numpy as np
+
+
+def _float_pow(x: float, a: float) -> float:
+    """x**a for x >= 0, inf where Python's ** raises (0.0 to a negative
+    power, or a result past the float range), as numpy gives."""
+    try:
+        return x ** a
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def _array_pow(x, a):
+    """x**a on an array, inf at x = 0 for a < 0 with no warning."""
+    import numpy as np
+    with np.errstate(divide="ignore"):
+        return x ** a
+
+
+def _radius(p: HSParams, r):
+    """(r, t = r**(2-s), pow) for the closed forms: a float r and t and
+    _float_pow for a Python number, a float array and numpy's power for
+    anything else."""
+    if isinstance(r, (int, float)):
+        r = float(r)
+        if r < 0.0:  # Python's ** would answer a complex number
+            raise DomainError(f"a radius must be >= 0, got r={r}")
+        try:
+            return r, r ** (2.0 - p.s), _float_pow
+        except OverflowError:  # numpy's inf
+            return r, math.inf, _float_pow
+    import numpy as np
+    r = np.asarray(r, dtype=float)
+    return r, r ** (2.0 - p.s), _array_pow
+
+
+# U1, U1' and Z0 on the (r, t, pow) of _radius and the constants they read,
+# so that eval_profiles forms all three from one _radius and one read of each
+def _u1(kappa, beta, t):
+    return kappa * (1.0 + t) ** (-beta)
+
+
+def _du1(kappa, n, s, m, r, t, pow_):
+    return -kappa * (n - 2.0) * pow_(r, 1.0 - s) * (1.0 + t) ** (-m)
+
+
+def _z0(kappa, n, m, t):
+    return 0.5 * (n - 2.0) * kappa * (t - 1.0) * (1.0 + t) ** (-m)
+
 
 def u1(p: HSParams, r):
-    t = np.asarray(r, dtype=float) ** (2.0 - p.s)
-    return p.kappa * (1.0 + t) ** (-p.beta)
+    r, t, _ = _radius(p, r)
+    return _u1(p.kappa, p.beta, t)
 
 
 def du1(p: HSParams, r):
-    n, s = p.n, p.s
-    r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore"):
-        rpow = r ** (1.0 - s)
-    t = r ** (2.0 - s)
-    return -p.kappa * (n - 2.0) * rpow * (1.0 + t) ** (-p.m)
+    r, t, pow_ = _radius(p, r)
+    return _du1(p.kappa, p.n, p.s, p.m, r, t, pow_)
 
 
 def d2u1(p: HSParams, r):
     n, s = p.n, p.s
-    r = np.asarray(r, dtype=float)
-    t = r ** (2.0 - s)
-    with np.errstate(divide="ignore"):
-        core = (1.0 - s) * r**-s * (1.0 + t) ** (-p.m) \
-            - (n - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-p.m - 1.0)
+    r, t, pow_ = _radius(p, r)
+    core = (1.0 - s) * pow_(r, -s) * (1.0 + t) ** (-p.m) \
+        - (n - s) * pow_(r, 2.0 - 2.0 * s) * (1.0 + t) ** (-p.m - 1.0)
     return -p.kappa * (n - 2.0) * core
 
 
@@ -60,39 +107,32 @@ def rdru1(p: HSParams, r):
 
     Finite everywhere (-> 0 at the origin) even where U1' itself diverges.
     """
-    n, s = p.n, p.s
-    r = np.asarray(r, dtype=float)
-    t = r ** (2.0 - s)
-    return -p.kappa * (n - 2.0) * t * (1.0 + t) ** (-p.m)
+    r, t, _ = _radius(p, r)
+    return -p.kappa * (p.n - 2.0) * t * (1.0 + t) ** (-p.m)
 
 
 def z0(p: HSParams, r):
-    n, s = p.n, p.s
-    t = np.asarray(r, dtype=float) ** (2.0 - s)
-    return 0.5 * (n - 2.0) * p.kappa * (t - 1.0) * (1.0 + t) ** (-p.m)
+    r, t, _ = _radius(p, r)
+    return _z0(p.kappa, p.n, p.m, t)
 
 
 def dz0(p: HSParams, r):
-    n, s = p.n, p.s
-    r = np.asarray(r, dtype=float)
-    m = p.m
-    t = r ** (2.0 - s)
-    with np.errstate(divide="ignore"):
-        rpow = r ** (1.0 - s)
+    n, s, m = p.n, p.s, p.m
+    r, t, pow_ = _radius(p, r)
     amp = (1.0 + m) + (1.0 - m) * t
-    return 0.5 * (n - 2.0) * p.kappa * (2.0 - s) * rpow * (1.0 + t) ** (-m - 1.0) * amp
+    return 0.5 * (n - 2.0) * p.kappa * (2.0 - s) * pow_(r, 1.0 - s) \
+        * (1.0 + t) ** (-m - 1.0) * amp
 
 
 def d2z0(p: HSParams, r):
-    n, s = p.n, p.s
-    r = np.asarray(r, dtype=float)
-    m = p.m
-    t = r ** (2.0 - s)
+    n, s, m = p.n, p.s, p.m
+    r, t, pow_ = _radius(p, r)
     amp = (1.0 + m) + (1.0 - m) * t
-    with np.errstate(divide="ignore"):
-        core = (1.0 - s) * r**-s * (1.0 + t) ** (-m - 1.0) * amp \
-            - (m + 1.0) * (2.0 - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-m - 2.0) * amp \
-            + (1.0 - m) * (2.0 - s) * r ** (2.0 - 2.0 * s) * (1.0 + t) ** (-m - 1.0)
+    core = (1.0 - s) * pow_(r, -s) * (1.0 + t) ** (-m - 1.0) * amp \
+        - (m + 1.0) * (2.0 - s) * pow_(r, 2.0 - 2.0 * s) \
+        * (1.0 + t) ** (-m - 2.0) * amp \
+        + (1.0 - m) * (2.0 - s) * pow_(r, 2.0 - 2.0 * s) \
+        * (1.0 + t) ** (-m - 1.0)
     return 0.5 * (n - 2.0) * p.kappa * (2.0 - s) * core
 
 
@@ -113,7 +153,8 @@ def power_law_breaks(p: HSParams, delta: float = 1.0) -> tuple:
 
 
 def eval_profiles(p: HSParams, delta: float, r) -> dict:
-    """U_delta, its r-derivative, and Z_delta at radius r (scalar or array).
+    """U_delta, its r-derivative, and Z_delta at radius r: Python floats for
+    a number, arrays for an array.
 
     U_delta(r) = delta**(-(n-2)/2) U1(r/delta); the r-derivative follows by
     the chain rule, and Z_delta = delta * d/d(delta) U_delta.  A scale so
@@ -122,24 +163,42 @@ def eval_profiles(p: HSParams, delta: float, r) -> dict:
     if not (math.isfinite(delta) and delta > 0):
         raise DomainError(
             f"bubble scale must be positive and finite, got delta={delta}")
-    n = p.n
+    delta, n = float(delta), p.n  # Python's ** raises on overflow
+    try:
+        lift, dlift = delta ** (-(n - 2.0) / 2.0), delta ** (-n / 2.0)
+    except OverflowError:
+        raise _overflow(n, delta) from None
+    # U' is -inf at r = 0 when s > 1, and stays so where dlift underflows to
+    # 0 (their product is nan)
+    if isinstance(r, (int, float)):
+        rho, t, pow_ = _radius(p, float(r) / delta)
+        kappa, m = p.kappa, p.m
+        du = _du1(kappa, n, p.s, m, rho, t, pow_)
+        u, z = lift * _u1(kappa, p.beta, t), lift * _z0(kappa, n, m, t)
+        if not math.isinf(du):
+            du *= dlift
+            if math.isinf(du):  # Python's * overflows to inf without raising
+                raise _overflow(n, delta)
+        if math.isinf(u) or math.isinf(z):
+            raise _overflow(n, delta)
+        return {"U_delta": u, "dr_U_delta": du, "Z_delta": z}
+    import numpy as np
     rho = np.asarray(r, dtype=float) / delta
     u, du, z = u1(p, rho), du1(p, rho), z0(p, rho)
     try:
-        # U' is -inf at r = 0 when s > 1, and stays so where delta**(-n/2)
-        # underflows to 0 (their product is nan); [()] keeps a scalar r's
-        # result a numpy scalar
+        # [()] keeps a 0-d array's result a numpy scalar
         with np.errstate(over="raise", invalid="ignore"):
-            return {
-                "U_delta": delta ** (-(n - 2.0) / 2.0) * u,
-                "dr_U_delta": np.where(np.isinf(du), du,
-                                       delta ** (-n / 2.0) * du)[()],
-                "Z_delta": delta ** (-(n - 2.0) / 2.0) * z,
-            }
-    except (OverflowError, FloatingPointError):
-        raise NumericalError(
-            f"the profiles at scale delta = {delta} overflow a float at "
-            f"n = {n} (their amplitudes carry delta**(-n/2))") from None
+            return {"U_delta": lift * u,
+                    "dr_U_delta": np.where(np.isinf(du), du, dlift * du)[()],
+                    "Z_delta": lift * z}
+    except FloatingPointError:
+        raise _overflow(n, delta) from None
+
+
+def _overflow(n: int, delta: float) -> NumericalError:
+    return NumericalError(
+        f"the profiles at scale delta = {delta} overflow a float at n = {n} "
+        f"(their amplitudes carry delta**(-n/2))")
 
 
 class RadialGrid(Record):
@@ -158,6 +217,7 @@ class RadialGrid(Record):
 
     @property
     def nodes(self) -> np.ndarray:
+        import numpy as np
         i = np.arange(self.N + 1, dtype=float)
         return self.R_max * (i / self.N) ** self.gamma
 
@@ -184,6 +244,7 @@ class RadialProfile(Record):
 
     @classmethod
     def from_samples(cls, grid: RadialGrid, values: np.ndarray) -> "RadialProfile":
+        import numpy as np
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.N + 1,):
             raise DomainError("sample array does not match the grid")
@@ -197,6 +258,7 @@ class RadialProfile(Record):
             if self.values.shape != (grid.N + 1,):
                 raise DomainError("sample array does not match the grid")
             return self.values
+        import numpy as np
         return np.asarray(self.fn(grid.nodes), dtype=float)
 
 
@@ -222,7 +284,7 @@ class WDecomposition(Record):
     def __post_init__(self):
         for name in ("a", "mode0_extra", "t_free_norm2"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise DomainError(
                     f"WDecomposition field {name!r} must be finite, got {v!r}")
         if self.t_free_norm2 < 0.0:
@@ -241,6 +303,7 @@ def pde_residual(p: HSParams, grid: RadialGrid,
     is positive); for Z it is normalized by the sup of the right side, which
     crosses zero at r = 1.
     """
+    import numpy as np
     if method != "analytic":
         raise DomainError(f"unknown residual method {method!r}")
     r = grid.nodes

@@ -19,13 +19,14 @@ name or none).  Handlers take an _Inputs, which parses (n, s), the
 curvature, the potential and the grid from the flags on first use.  Only
 errors and params are imported here; each handler imports what it calls,
 so a run loads only the modules (and numpy or scipy's LAPACK) its
-subcommand uses: `constants`, `reduce`, `verdict --base-lg` and
+subcommand uses: `constants`, `bubble`, `reduce`, `verdict --base-lg` and
 `family --base-lg` load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -172,8 +173,9 @@ def _csv(header, rows, path: Optional[str] = None) -> str:
     """CSV text with every number written as repr(float(x)), so it reads
     back bit for bit, and every other cell a fixed name: none needs quoting.
     Also written to path when one is given."""
-    text = "".join(",".join(v if isinstance(v, str) else repr(float(v))
-                            for v in row) + "\n" for row in [header, *rows])
+    text = "".join(",".join([v if isinstance(v, str) else repr(float(v))
+                             for v in row]) + "\n"
+                   for row in itertools.chain([header], rows))
     if path is not None:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -209,27 +211,36 @@ def _cmd_integrals(inp):
 
 
 def _cmd_bubble(inp):
-    import numpy as np
-
     from .bubble import eval_profiles
-    a = inp.args
+    a, p = inp.args, inp.p
     outputs = {
-        "kappa": inp.p.kappa,
-        "center_value": float(eval_profiles(inp.p, a.delta, 0.0)["U_delta"]),
-        "center_identity": inp.p.kappa * a.delta ** (-(a.n - 2.0) / 2.0),
+        "kappa": p.kappa,
+        "center_value": eval_profiles(p, a.delta, 0.0)["U_delta"],
+        "center_identity": p.kappa * a.delta ** (-(a.n - 2.0) / 2.0),
     }
     if a.points < 1:
         raise DomainError(f"--points must be >= 1, got {a.points}")
+    # U' ~ r**(1-s) is unbounded at r = 0 for s > 1: the profile has no row
+    # there, and starts at the second point
+    first = 1 if p.s > 1.0 else 0
+    if first and a.points == 1:
+        raise DomainError("--points must be >= 2 at s > 1, got 1: the profile "
+                          "leaves out r = 0, where U' ~ r**(1-s) is unbounded")
     if a.emit_profile is not None:
-        r = np.linspace(0.0, 20.0 * a.delta, a.points)
-        if inp.p.s > 1.0:  # U' ~ r**(1-s) is unbounded at r = 0: no such row
-            r = r[1:]
-        vals = eval_profiles(inp.p, a.delta, r)
+        stop, last = 20.0 * a.delta, max(a.points - 1, 1)
+        if math.isinf(stop):
+            raise NumericalError(f"the profile's end r = 20 delta leaves the "
+                                 f"float range at delta = {a.delta!r}")
+        # np.linspace(0, stop, points) bit for bit: i * step, the last stop
+        step = stop / last
+        radii = (i * step if i < last else stop
+                 for i in range(first, a.points))
+        # eval_profiles' keys come in the header's order
         _csv(["r", "U_delta", "dr_U_delta", "Z_delta"],
-             zip(r, vals["U_delta"], vals["dr_U_delta"], vals["Z_delta"]),
+             ((r, *eval_profiles(p, a.delta, r).values()) for r in radii),
              a.emit_profile)
         outputs["profile_csv"] = a.emit_profile
-        outputs["profile_rows"] = r.size
+        outputs["profile_rows"] = a.points - first
     return inp.echo("delta", "points"), outputs
 
 

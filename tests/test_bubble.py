@@ -62,7 +62,40 @@ def test_huge_scale_origin_is_quiet():
     out = eval_profiles(HSParams(7, 1.5), 1e200, 0.0)
     assert out["U_delta"] == 0.0
     assert out["dr_U_delta"] == -np.inf
-    assert isinstance(out["dr_U_delta"], np.float64)
+    assert type(out["dr_U_delta"]) is float
+
+
+def test_a_float_radius_runs_the_array_formula():
+    # each closed form on a Python float (Python's **, libm's pow) and on an
+    # array (numpy's power, which may be a SIMD loop of its own) agrees to a
+    # few ulp, times the 1 + m by which (1 + t)**(-m) scales t's rounding;
+    # Z0's factor t - 1 cancels near t = 1, so its scale takes 1 + t there
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        p = HSParams(int(rng.integers(3, 13)), float(rng.uniform(0.0, 1.9)))
+        n, m, delta = p.n, p.m, float(10.0 ** rng.uniform(-1.0, 1.0))
+        r = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 3.0, 30)])
+        lift = delta ** (-(n - 2.0) / 2.0)
+        z_scale = 0.5 * (n - 2.0) * p.kappa \
+            * (1.0 + r ** (2.0 - p.s)) ** (1.0 - m)
+        want = {"u1": u1(p, r), "du1": du1(p, r), "z0": z0(p, r),
+                **eval_profiles(p, delta, r)}
+        scale = {key: np.abs(v) for key, v in want.items()}
+        scale["z0"] = z_scale
+        scale["Z_delta"] = lift * 0.5 * (n - 2.0) * p.kappa \
+            * (1.0 + (r / delta) ** (2.0 - p.s)) ** (1.0 - m)
+        for i, x in enumerate(r.tolist()):
+            got = {"u1": u1(p, x), "du1": du1(p, x), "z0": z0(p, x),
+                   **eval_profiles(p, delta, x)}
+            for key, v in got.items():
+                assert type(v) is float, (key, type(v))
+                w = want[key][i]
+                assert v == w or abs(v - w) <= 4.0 * eps * (1.0 + m) \
+                    * scale[key][i], (p, x, key, v, w)
+        if p.s > 1.0:  # U' at r = 0 is -inf on both
+            assert du1(p, 0.0) == want["du1"][0] == -np.inf
+            assert eval_profiles(p, delta, 0.0)["dr_U_delta"] == -np.inf
 
 
 def test_z_is_delta_derivative_of_u():

@@ -322,58 +322,92 @@ def test_verdict_f_sign(capsys):
 # ---------------------------------------------------------------- exit codes
 
 
-@pytest.mark.parametrize("argv,cause", [
+def _cases(rows):
+    """pytest.param(argv, cause, id=key) for each (argv, cause, key) row.
+
+    A key is a fixed string, so rewording a cause or adding a row renames no
+    test; the keys of the first rows are the ids pytest once formed from
+    their position and cause text."""
+    return [pytest.param(argv, cause, id=key) for argv, cause, key in rows]
+
+
+@pytest.mark.parametrize("argv,cause", _cases([
     # first cell mass underflows (was exit 0 with the solvability check
     # skipped, and "singular matrix" from the banded solve)
     (["lg", "--n", "30", "--s", "1.5", "--grid", "2000,200"],
-     "cell masses underflow to 0 on this grid (gamma = 4.0, N = 2000"),
-    (["lg", "--n", "7", "--s", "1.9"], "cell masses underflow to 0"),
+     "cell masses underflow to 0 on this grid (gamma = 4.0, N = 2000",
+     "argv0-cell masses underflow to 0 on this grid (gamma = 4.0, N = 2000"),
+    (["lg", "--n", "7", "--s", "1.9"], "cell masses underflow to 0",
+     "argv1-cell masses underflow to 0"),
     # kappa beyond the float range (was an OverflowError traceback)
     (["integrals", "--n", "7", "--s", "1.99"],
      "kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float "
+     "at n = 7, s = 1.99",
+     "argv2-kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float "
      "at n = 7, s = 1.99"),
     # kappa finite but a moment prefactor power of it is not (was an
     # OverflowError traceback)
     (["lg", "--n", "16", "--s", "1.9"],
-     "kappa**2 overflows a float at n = 16, s = 1.9"),
+     "kappa**2 overflows a float at n = 16, s = 1.9",
+     "argv3-kappa**2 overflows a float at n = 16, s = 1.9"),
     (["energy", "--n", "16", "--s", "1.9", "--curvature", "sphere:1"],
-     "kappa**(2*(s)) overflows a float at n = 16, s = 1.9"),
+     "kappa**(2*(s)) overflows a float at n = 16, s = 1.9",
+     "argv4-kappa**(2*(s)) overflows a float at n = 16, s = 1.9"),
     # a finite scale whose profile amplitude does not fit a float (was an
     # OverflowError traceback)
     (["bubble", "--n", "7", "--s", "1", "--delta", "1e-300"],
-     "the profiles at scale delta = 1e-300 overflow a float at n = 7"),
+     "the profiles at scale delta = 1e-300 overflow a float at n = 7",
+     "argv5-the profiles at scale delta = 1e-300 overflow a float at n = 7"),
+    # a profile whose last radius 20 delta overflows (was exit 0 with nan
+    # and inf cells in the CSV)
+    (["bubble", "--n", "7", "--s", "1", "--delta", "1e308",
+      "--emit-profile", "p.csv"],
+     "the profile's end r = 20 delta leaves the float range at delta = "
+     "1e+308", "bubble-profile-end-overflow"),
     # an ell = 0 source beyond the float range (was a numpy RuntimeWarning,
     # then "ell = 0 banded solve failed: array must not contain infs or NaNs")
     (["chat", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "1e305", "--grid", "2000,200"],
      "the ell = 0 source with a = 1e+305, mode0_extra = 2.0 and its "
+     "projection leave the float range",
+     "argv6-the ell = 0 source with a = 1e+305, mode0_extra = 2.0 and its "
      "projection leave the float range"),
     # a remainder density beyond the float range (were exit 0 with
     # "degenerate": true, and with a 6% low delta = 0.001 scaling value)
     (["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e200"],
      "the remainder density with h0 = 1e+200 at delta = 1.0 leaves the "
+     "float range",
+     "argv7-the remainder density with h0 = 1e+200 at delta = 1.0 leaves the "
      "float range"),
     (["remainder", "--n", "7", "--s", "1", "--curvature", "sphere:1",
-      "--h0", "1e200"], "with h0 = 1e+200 at delta = 1.0 leaves"),
+      "--h0", "1e200"], "with h0 = 1e+200 at delta = 1.0 leaves",
+     "argv8-with h0 = 1e+200 at delta = 1.0 leaves"),
     (["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
-      "--h0", "1e190"], "with h0 = 1e+190 at delta = 0.01 leaves"),
+      "--h0", "1e190"], "with h0 = 1e+190 at delta = 0.01 leaves",
+     "argv9-with h0 = 1e+190 at delta = 0.01 leaves"),
     # cell masses beyond the float range (were numpy RuntimeWarnings, then
     # "scaled operator overflows for this grid")
     (["kernel", "--n", "7", "--s", "1", "--grid", "2000,1e45"],
      "cell masses or fluxes overflow a float on this grid (R_max = 1e+45, "
-     "N = 2000"),
+     "N = 2000",
+     "argv10-cell masses or fluxes overflow a float on this grid (R_max = "
+     "1e+45, N = 2000"),
     # a potential term that overflows (was a numpy RuntimeWarning and about
     # 3 s spent on the whole budget, then "error estimate nan", then "a
     # quadrature panel sum ... leaves the float range")
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e305"], "the energy fit with h0 = 1e+305, lap_h = 0.0: a "
-     "quadrature summand f(r) r**(6.0) is not finite at r = "),
+     "quadrature summand f(r) r**(6.0) is not finite at r = ",
+     "argv11-the energy fit with h0 = 1e+305, lap_h = 0.0: a quadrature "
+     "summand f(r) r**(6.0) is not finite at r = "),
     # a fit whose nuisance amplitudes overflow (at h0 = 1e200 its residual
     # did, and it was exit 0 with Infinity, not JSON; it now answers)
     (["energy", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e300"], "the energy fit with h0 = 1e+300, lap_h = 0.0: its "
-     "fitted values leave the float range"),
+     "fitted values leave the float range",
+     "argv12-the energy fit with h0 = 1e+300, lap_h = 0.0: its fitted values "
+     "leave the float range"),
     # a moment integrand beyond the float range everywhere it has mass (was
     # an overflow RuntimeWarning from the tail screen, and without it a
     # ZeroDivisionError traceback on the quadrature value 0); kappa**2 is
@@ -382,46 +416,65 @@ def test_verdict_f_sign(capsys):
     (["integrals", "--n", "13", "--s", "1.95"],
      "the r2mass moment by quadrature at n = 13, s = 1.95: a trapezoidal "
      "sum on [-110.645, 113.022] in x = log r leaves the float range; the "
-     "cause is kappa**2, which overflows a float (kappa = 2.1e+229)"),
+     "cause is kappa**2, which overflows a float (kappa = 2.1e+229)",
+     "argv13-the r2mass moment by quadrature at n = 13, s = 1.95: a "
+     "trapezoidal sum on [-110.645, 113.022] in x = log r leaves the float "
+     "range; the cause is kappa**2, which overflows a float (kappa = "
+     "2.1e+229)"),
     (["integrals", "--n", "40", "--s", "1.8"],
-     "the mass2 moment by quadrature at n = 40, s = 1.8 is 0.0"),
+     "the mass2 moment by quadrature at n = 40, s = 1.8 is 0.0",
+     "argv14-the mass2 moment by quadrature at n = 40, s = 1.8 is 0.0"),
     # was exit 0 with "t0": Infinity and "second_derivative": -Infinity,
     # which is not JSON
     (["reduce", "--quad", "1e308", "--quartic=-1e-308", "--json"],
      "the second derivative f''(t0) = -4 quad at quad = 1e+308, "
+     "quartic = -1e-308 leaves the float range",
+     "argv15-the second derivative f''(t0) = -4 quad at quad = 1e+308, "
      "quartic = -1e-308 leaves the float range"),
     # a valid f0 whose (1/2) f0 int U1^2 overflows (was exit 1, "reduced-
     # functional coefficients must be finite")
     (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "-1e308",
       "--k-max", "3"],
-     "quad_coef = (1/2) f0 int U1^2 at f0 = -1e+308 leaves the float range"),
+     "quad_coef = (1/2) f0 int U1^2 at f0 = -1e+308 leaves the float range",
+     "argv16-quad_coef = (1/2) f0 int U1^2 at f0 = -1e+308 leaves the float "
+     "range"),
     # an R_max whose spectral unit (pi/R_max)**2 overflows (was an
     # OverflowError traceback before the grid was checked); R_max = 1e-200
     # is outside the core, whose radius is 1e-270 at (7, 1.99)
     (["kernel", "--n", "7", "--s", "1.99", "--grid", "8,1e-200,2"],
-     "cell masses underflow to 0 on this grid (gamma = 2.0, N = 8"),
+     "cell masses underflow to 0 on this grid (gamma = 2.0, N = 8",
+     "argv17-cell masses underflow to 0 on this grid (gamma = 2.0, N = 8"),
     # a finite lap_h whose local term overflows (were exit 1, "obstruction
     # total must be finite, got -inf")
     (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--lap-h", "1e308", "--grid", "100,200"],
      "the local term -(lap_h - Lambda_ns lap_scal - K) int |X|^4 "
-     "|grad U1|^2 / (4n) at lap_h = 1e+308, lap_scal = 0.0"),
+     "|grad U1|^2 / (4n) at lap_h = 1e+308, lap_scal = 0.0",
+     "argv18-the local term -(lap_h - Lambda_ns lap_scal - K) int |X|^4 |grad "
+     "U1|^2 / (4n) at lap_h = 1e+308, lap_scal = 0.0"),
     (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "7.954545454545454", "--lap-h", "1e308", "--grid", "100,200"],
-     "the local term -(lap_h - Lambda_ns lap_scal - K)"),
+     "the local term -(lap_h - Lambda_ns lap_scal - K)",
+     "argv19-the local term -(lap_h - Lambda_ns lap_scal - K)"),
     (["family", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--lap-h", "-1e308", "--f0", "-1", "--k-max", "2", "--grid", "100,200"],
-     "at lap_h = -1e+308, lap_scal = 0.0"),
+     "at lap_h = -1e+308, lap_scal = 0.0",
+     "argv20-at lap_h = -1e+308, lap_scal = 0.0"),
     # an ell = 0 source whose solve is in range once rescaled but whose
     # pairing is not (were overflow RuntimeWarnings, then "ell = 0 banded
     # solve failed: array must not contain infs or NaNs")
     (["chat", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "1e300", "--grid", "100,200"],
      "the pairing W * C(W) at a = 1e+300, mode0_extra = 2.0, "
+     "t_free_norm2 = 0.0 leaves the float range",
+     "argv21-the pairing W * C(W) at a = 1e+300, mode0_extra = 2.0, "
      "t_free_norm2 = 0.0 leaves the float range"),
     # a grading that puts 99 of the 100 nodes at 0
     (["kernel", "--n", "7", "--s", "1", "--grid", "100,200,1e300"],
      "grid nodes are not strictly increasing: 99 of the 100 node gaps "
+     "underflow to 0 (R_max = 200.0, N = 100, gamma = 1e+300); increase "
+     "R_max",
+     "argv22-grid nodes are not strictly increasing: 99 of the 100 node gaps "
      "underflow to 0 (R_max = 200.0, N = 100, gamma = 1e+300); increase "
      "R_max"),
     # distinct nodes whose R_max**n underflows, so every cell mass is 0 (was
@@ -429,35 +482,50 @@ def test_verdict_f_sign(capsys):
     # outside the core, whose radius is 1e-270 at (7, 1.99)
     (["kernel", "--n", "7", "--s", "1.99", "--grid", "100,1e-100,2"],
      "cell masses underflow to 0 on this grid (gamma = 2.0, N = 100, first "
-     "edge radius 5.000e-105); increase R_max (R_max**n underflows)"),
+     "edge radius 5.000e-105); increase R_max (R_max**n underflows)",
+     "argv23-cell masses underflow to 0 on this grid (gamma = 2.0, N = 100, "
+     "first edge radius 5.000e-105); increase R_max (R_max**n underflows)"),
     # cell masses in range whose scaled operator is not (was an overflow
     # RuntimeWarning before the typed exit); R_max = 1e-11 is outside the
     # core, whose radius is 1e-17 at (7, 1.9)
     (["kernel", "--n", "7", "--s", "1.9", "--grid", "50,1e-11"],
-     "scaled operator overflows for this grid"),
+     "scaled operator overflows for this grid",
+     "argv24-scaled operator overflows for this grid"),
     # a fit column that underflows to 0 or overflows over the whole sweep
     # (were a RuntimeWarning, then a LinAlgError "SVD did not converge")
     (["energy", "--n", "30", "--s", "1", "--deltas", "1e-12:1e-11:8"],
      "the energy fit's design column delta^30 underflows to 0 over the "
+     "sweep [1e-12, 1e-11]",
+     "argv25-the energy fit's design column delta^30 underflows to 0 over the "
      "sweep [1e-12, 1e-11]"),
     (["energy", "--n", "7", "--s", "1", "--deltas", "1e-50:1e-49:12"],
      "the energy fit's design column delta^7 underflows to 0 over the "
+     "sweep [1e-50, 1e-49]",
+     "argv26-the energy fit's design column delta^7 underflows to 0 over the "
      "sweep [1e-50, 1e-49]"),
     (["energy", "--n", "7", "--s", "1", "--r0", "1e60", "--deltas",
       "1e50:1e51:8"],
      "the energy fit's design column delta^7 overflows a float over the "
-     "sweep [1e+50, 1e+51]"),
+     "sweep [1e+50, 1e+51]",
+     "argv27-the energy fit's design column delta^7 overflows a float over "
+     "the sweep [1e+50, 1e+51]"),
     # kappa fits a float but kappa**2 does not: the refusal names that cause
     # after the rule's own symptom (here 12 halvings that do not converge)
     (["integrals", "--n", "18", "--s", "1.9"],
      "the mass2 moment by quadrature at n = 18, s = 1.9: the trapezoidal "
-     "rule in x = log r did not converge in 12 halvings"),
+     "rule in x = log r did not converge in 12 halvings",
+     "argv28-the mass2 moment by quadrature at n = 18, s = 1.9: the "
+     "trapezoidal rule in x = log r did not converge in 12 halvings"),
     (["integrals", "--n", "18", "--s", "1.9"],
-     "; the cause is kappa**2, which overflows a float (kappa = 7.51e+192)"),
+     "; the cause is kappa**2, which overflows a float (kappa = 7.51e+192)",
+     "argv29-; the cause is kappa**2, which overflows a float (kappa = "
+     "7.51e+192)"),
     # the integral is finite, its product with |S^6| is not
     (["remainder", "--n", "7", "--s", "1", "--curvature", "flat",
       "--h0", "1e194"],
      "numerical failure: the remainder density with h0 = 1e+194 at "
+     "delta = 1.0 leaves the float range\n",
+     "argv30-numerical failure: the remainder density with h0 = 1e+194 at "
      "delta = 1.0 leaves the float range\n"),
     # a Beta sum that overflows where its prefactor kappa**2 does not (were
     # exit 1, "reduced-functional coefficients must be finite", and exit 2
@@ -465,17 +533,23 @@ def test_verdict_f_sign(capsys):
     (["family", "--n", "16", "--s", "1.895", "--base-lg", "0", "--f0", "-1",
       "--k-max", "2"],
      "the r4grad moment overflows a float at n = 16, s = 1.895 (kappa = "
-     "1.07996e+153)\n"),
+     "1.07996e+153)\n",
+     "argv31-the r4grad moment overflows a float at n = 16, s = 1.895 (kappa "
+     "= 1.07996e+153)\n"),
     (["lg", "--n", "16", "--s", "1.895", "--curvature", "sphere:1", "--grid",
       "2000,200"],
      "the r4grad moment overflows a float at n = 16, s = 1.895 (kappa = "
-     "1.07996e+153)\n"),
+     "1.07996e+153)\n",
+     "argv32-the r4grad moment overflows a float at n = 16, s = 1.895 (kappa "
+     "= 1.07996e+153)\n"),
     # kappa overflows at every s from n = 345, as does a sphere area (was an
     # OverflowError traceback from math.gamma)
     (["remainder", "--n", "345", "--s", "0", "--curvature", "flat",
       "--h0", "1"],
      "kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float at "
-     "n = 345, s = 0.0\n"),
+     "n = 345, s = 0.0\n",
+     "argv33-kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows a float "
+     "at n = 345, s = 0.0\n"),
     # a bubble inside the quadrature's first panel, whose critical integral
     # sums to 0 (was exit 0 with c0_fit 32171.88 against c0_pred 9191.97)
     (["energy", "--n", "7", "--s", "0", "--curvature", "flat", "--h0", "0",
@@ -483,12 +557,17 @@ def test_verdict_f_sign(capsys):
      "the energy fit with h0 = 0.0, lap_h = 0.0: J at delta = 1e-45 is "
      "out of the quadrature's reach: the bubble lies inside the first "
      "panel of [0, r0/delta = 1e+45], where the critical integral sums to "
-     "0"),
+     "0",
+     "argv34-the energy fit with h0 = 0.0, lap_h = 0.0: J at delta = 1e-45 is "
+     "out of the quadrature's reach: the bubble lies inside the first panel "
+     "of [0, r0/delta = 1e+45], where the critical integral sums to 0"),
     # a density coefficient c4 = inf, which passed the positivity test as
     # min(1, inf) = 1 (was "a quadrature summand f(r) r**(6.0) is not
     # finite at r = 7.41128e-19, where f(r) = inf")
     (["energy", "--n", "7", "--s", "1", "--curvature", "c4-inf.json"],
      "the volume density coefficients c2 = -0.0, c4 = inf of this "
+     "curvature leave the float range",
+     "argv35-the volume density coefficients c2 = -0.0, c4 = inf of this "
      "curvature leave the float range"),
     # 12 distinct deltas over 4.7 decades (was "the sweep is too narrow or
     # contains near-duplicate deltas", the wrong remedy)
@@ -499,19 +578,28 @@ def test_verdict_f_sign(capsys):
      "dependent when fewer than 7 deltas are distinct, when the span is so "
      "wide that the high powers of delta vanish over most of it, or when n "
      "is so large that the nuisance columns delta^5 to delta^7 barely "
-     "differ\n"),
+     "differ\n",
+     "argv36-fit design matrix condition 3.97e+11 too large for the sweep "
+     "[1e-06, 0.05] (4.7 decades, 12 distinct deltas): its columns are nearly "
+     "dependent when fewer than 7 deltas are distinct, when the span is so "
+     "wide that the high powers of delta vanish over most of it, or when n is "
+     "so large that the nuisance columns delta^5 to delta^7 barely differ\n"),
     # the cell masses of this grid overflow, so assemble_mode refuses it,
     # naming R_max, before the source sampled on it is checked
     (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--grid", "2000,1e45"],
      "numerical failure: cell masses or fluxes overflow a float on this "
-     "grid (R_max = 1e+45, N = 2000, n = 7); reduce R_max\n"),
+     "grid (R_max = 1e+45, N = 2000, n = 7); reduce R_max\n",
+     "argv37-numerical failure: cell masses or fluxes overflow a float on "
+     "this grid (R_max = 1e+45, N = 2000, n = 7); reduce R_max\n"),
     # a potential term hbar U1**2 that overflows through lap_h (was named
     # as the fit with h0 = 0.0 alone, whatever h0 was)
     (["energy", "--n", "10", "--s", "1.9", "--curvature", "flat",
       "--lap-h", "1e200"],
      "the energy fit with h0 = 0.0, lap_h = 1e+200: a quadrature summand "
-     "f(r) r**(9.0) is not finite at r = "),
+     "f(r) r**(9.0) is not finite at r = ",
+     "argv38-the energy fit with h0 = 0.0, lap_h = 1e+200: a quadrature "
+     "summand f(r) r**(9.0) is not finite at r = "),
     # an ell = 2 pairing beyond the float range on this grid (its Keller
     # border's |D g|**2 overflowed first: a numpy RuntimeWarning, then
     # "degenerate projection direction in ell = 0 solve")
@@ -519,8 +607,10 @@ def test_verdict_f_sign(capsys):
       "sphere:0.003345348300240055", "--h0", "2.268531129324437", "--grid",
       "50,715.042574629996,7.796216567305055"],
      "numerical failure: the ell = 2 pairing of phi = r U1' / 3 with its "
-     "solution c2 leaves the float range on this grid\n"),
-])
+     "solution c2 leaves the float range on this grid\n",
+     "argv39-numerical failure: the ell = 2 pairing of phi = r U1' / 3 with "
+     "its solution c2 leaves the float range on this grid\n"),
+]))
 def test_exit_2_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c4-inf.json").write_text(
@@ -571,136 +661,191 @@ def test_negative_exponent_values_are_values(capsys, argv, key, value):
     assert invoke_json(capsys, argv)["inputs"][key] == value
 
 
-@pytest.mark.parametrize("argv,cause", [
+@pytest.mark.parametrize("argv,cause", _cases([
     # was exit 0 with "delta_at_eps": NaN, which is not JSON
     (["reduce", "--quad", "2", "--quartic", "-1", "--eps", "-1", "--json"],
-     "eps must be positive and finite, got -1.0"),
+     "eps must be positive and finite, got -1.0",
+     "argv0-eps must be positive and finite, got -1.0"),
     # was exit 0 with "eps": NaN echoed
     (["reduce", "--quad", "2", "--quartic", "1", "--eps", "nan", "--json"],
-     "eps must be positive and finite, got nan"),
+     "eps must be positive and finite, got nan",
+     "argv1-eps must be positive and finite, got nan"),
     # was exit 0, the tolerance ignored
-    (["integrals", "--n", "7", "--s", "1", "--tol", "nan"], "tol=nan"),
+    (["integrals", "--n", "7", "--s", "1", "--tol", "nan"], "tol=nan",
+     "argv2-tol=nan"),
     # were exit 0 with NaN or 0 centre values
-    (["bubble", "--n", "7", "--s", "1", "--delta", "nan"], "delta=nan"),
-    (["bubble", "--n", "7", "--s", "1", "--delta", "inf"], "delta=inf"),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "nan"], "delta=nan",
+     "argv3-delta=nan"),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "inf"], "delta=inf",
+     "argv4-delta=inf"),
     # was a numpy ValueError traceback
     (["bubble", "--n", "7", "--s", "1", "--delta", "0.1", "--points", "-1",
-      "--emit-profile", "f.csv"], "--points must be >= 1, got -1"),
+      "--emit-profile", "f.csv"], "--points must be >= 1, got -1",
+     "argv5---points must be >= 1, got -1"),
+    # the one point, r = 0, has no row at s > 1 (was exit 0 with
+    # profile_rows = 0 and a header-only CSV)
+    (["bubble", "--n", "7", "--s", "1.5", "--delta", "0.1", "--points", "1",
+      "--emit-profile", "p.csv"],
+     "--points must be >= 2 at s > 1, got 1: the profile leaves out r = 0, "
+     "where U' ~ r**(1-s) is unbounded", "bubble-one-point-past-s-1"),
     # were exit 2 with "quadrature budget ... exhausted; error estimate nan"
-    (["kernel", "--n", "7", "--s", "1", "--grid", "500,nan"], "R_max=nan"),
+    (["kernel", "--n", "7", "--s", "1", "--grid", "500,nan"], "R_max=nan",
+     "argv6-R_max=nan"),
     (["kernel", "--n", "7", "--s", "1", "--grid", "500,100,nan"],
-     "gamma=nan"),
-    (["lg", "--n", "7", "--s", "1", "--grid", "500,inf"], "R_max=inf"),
+     "gamma=nan",
+     "argv7-gamma=nan"),
+    (["lg", "--n", "7", "--s", "1", "--grid", "500,inf"], "R_max=inf",
+     "argv8-R_max=inf"),
     # were exit 0 with NaN rungs, and a blow-up candidate
     (["family", "--n", "7", "--s", "1", "--base-lg", "nan", "--f0", "-1",
-      "--k-max", "2"], "obstruction total must be finite, got nan"),
+      "--k-max", "2"], "obstruction total must be finite, got nan",
+     "argv9-obstruction total must be finite, got nan"),
     (["verdict", "--n", "7", "--s", "1", "--base-lg", "nan", "--f0", "1"],
-     "obstruction total must be finite, got nan"),
+     "obstruction total must be finite, got nan",
+     "argv10-obstruction total must be finite, got nan"),
     (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "7.954545454545454", "--base-lg", "1", "--lg-tol", "nan"],
-     "lg_tol must be finite, got nan"),
+     "lg_tol must be finite, got nan",
+     "argv11-lg_tol must be finite, got nan"),
     # was a RuntimeWarning from numpy before the error
     (["energy", "--n", "7", "--s", "1", "--deltas", "0.01:inf:12"],
-     "--deltas needs 0 < lo < hi < inf"),
+     "--deltas needs 0 < lo < hi < inf",
+     "argv12---deltas needs 0 < lo < hi < inf"),
     # non-finite curvature and potential fields are named
     (["lg", "--n", "7", "--s", "1", "--lap-h", "inf"],
-     "potential jet field 'lap_h' must be finite, got inf"),
+     "potential jet field 'lap_h' must be finite, got inf",
+     "argv13-potential jet field 'lap_h' must be finite, got inf"),
     (["lg", "--n", "7", "--s", "1", "--curvature", "nan-curv.json"],
-     "curvature invariant 'scal' must be a finite number, got nan"),
+     "curvature invariant 'scal' must be a finite number, got nan",
+     "argv14-curvature invariant 'scal' must be a finite number, got nan"),
     # an (n, s) outside the operation's domain names both
     (["energy", "--n", "6", "--s", "1"],
-     "the energy expansion needs n >= 7, got n=6"),
+     "the energy expansion needs n >= 7, got n=6",
+     "argv15-the energy expansion needs n >= 7, got n=6"),
     # sphere radii whose invariants leave the float range (were an
     # OverflowError and a ZeroDivisionError traceback, and a message that
     # named ric_norm2 but not the radius)
     (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e-200",
-      "--grid", "2000,200"], "sphere radius 1e-200 puts"),
+      "--grid", "2000,200"], "sphere radius 1e-200 puts",
+     "argv16-sphere radius 1e-200 puts"),
     (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1e-80",
-      "--grid", "2000,200"], "sphere radius 1e-80 puts"),
+      "--grid", "2000,200"], "sphere radius 1e-80 puts",
+     "argv17-sphere radius 1e-80 puts"),
     # were an OverflowError traceback
     (["energy", "--n", "7", "--s", "1", "--r0", "1e300"],
-     "r0 = 1e+300 is too large: (2 r0)**2 overflows a float"),
-    (["energy", "--n", "7", "--s", "1", "--r0", "1e200"], "r0 = 1e+200"),
+     "r0 = 1e+300 is too large: (2 r0)**2 overflows a float",
+     "argv18-r0 = 1e+300 is too large: (2 r0)**2 overflows a float"),
+    (["energy", "--n", "7", "--s", "1", "--r0", "1e200"], "r0 = 1e+200",
+     "argv19-r0 = 1e+200"),
     # was exit 0 with a blow-up candidate for an obstruction of exactly 0
     (["verdict", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--h0", "7.954545454545454", "--base-lg", "0", "--lg-tol", "-1"],
-     "lg_tol must be >= 0, got -1.0"),
+     "lg_tol must be >= 0, got -1.0",
+     "argv20-lg_tol must be >= 0, got -1.0"),
     # a negative infinity is a value, refused as one
     (["reduce", "--quad", "2", "--quartic", "-inf"],
-     "reduced-functional coefficients must be finite"),
+     "reduced-functional coefficients must be finite",
+     "argv21-reduced-functional coefficients must be finite"),
     # unwritable side files (were FileNotFoundError and IsADirectoryError
     # tracebacks)
     (["bubble", "--n", "7", "--s", "1", "--delta", "0.1",
       "--emit-profile", "missing-dir/p.csv"],
-     "cannot write CSV file 'missing-dir/p.csv'"),
+     "cannot write CSV file 'missing-dir/p.csv'",
+     "argv22-cannot write CSV file 'missing-dir/p.csv'"),
     (["chat", "--n", "7", "--s", "1", "--h0", "1", "--grid", "1000,100",
       "--emit-modes", "missing-dir/m.csv"],
-     "cannot write CSV file 'missing-dir/m.csv'"),
+     "cannot write CSV file 'missing-dir/m.csv'",
+     "argv23-cannot write CSV file 'missing-dir/m.csv'"),
     (["integrals", "--n", "7", "--s", "1", "--csv", "."],
-     "cannot write CSV file '.'"),
+     "cannot write CSV file '.'",
+     "argv24-cannot write CSV file '.'"),
     # :6 and :7 passed a "6 deltas" check and failed later on the design
     *((["energy", "--n", "7", "--s", "1", "--deltas", f"0.005:0.05:{k}"],
        f"need at least 8 deltas (7 fit columns and one residual degree of "
-       f"freedom), got {k}") for k in (5, 6, 7)),
+       f"freedom), got {k}",
+       f"argv{i}-need at least 8 deltas (7 fit columns and one residual "
+       f"degree of freedom), got {k}")
+      for i, k in ((25, 5), (26, 6), (27, 7))),
     # every other operation answers at s = 0; the kernel's window misses
     # the kernel pair there
     (["kernel", "--n", "7", "--s", "0"],
-     "the kernel diagnostics need s in (0, 2), got s=0.0"),
+     "the kernel diagnostics need s in (0, 2), got s=0.0",
+     "argv28-the kernel diagnostics need s in (0, 2), got s=0.0"),
     # values that do not parse are named with their flag
     (["kernel", "--n", "7", "--s", "1", "--grid", "8000,abc"],
-     "bad --grid value '8000,abc'"),
+     "bad --grid value '8000,abc'",
+     "argv29-bad --grid value '8000,abc'"),
     (["energy", "--n", "7", "--s", "1", "--deltas", "x:0.05:12"],
-     "bad --deltas value 'x:0.05:12'"),
+     "bad --deltas value 'x:0.05:12'",
+     "argv30-bad --deltas value 'x:0.05:12'"),
     # grids that end inside the profile's core, whose radius is 0.2 at
     # (7, 1) (were exit 0 with nonlocal_term 4.86e-20 and mode0_min_eig
     # 1.94e81, and exit 2 with "scaled operator overflows for this grid")
     (["lg", "--n", "7", "--s", "1", "--curvature", "sphere:1",
       "--grid", "8,1e-3"],
      "the grid ends at R_max = 0.001, inside the bubble's core of radius "
-     "0.2"),
+     "0.2",
+     "argv31-the grid ends at R_max = 0.001, inside the bubble's core of "
+     "radius 0.2"),
     (["kernel", "--n", "7", "--s", "1", "--grid", "8,1e-40"],
-     "the grid ends at R_max = 1e-40, inside the bubble's core"),
+     "the grid ends at R_max = 1e-40, inside the bubble's core",
+     "argv32-the grid ends at R_max = 1e-40, inside the bubble's core"),
     (["kernel", "--n", "7", "--s", "1", "--grid", "100,1e-40"],
-     "the grid ends at R_max = 1e-40, inside the bubble's core"),
+     "the grid ends at R_max = 1e-40, inside the bubble's core",
+     "argv33-the grid ends at R_max = 1e-40, inside the bubble's core"),
     # the core test runs before the grid's float checks (were exit 2, "cell
     # masses underflow" and "grid nodes are not strictly increasing")
     *((["kernel", "--n", "7", "--s", "1", "--grid", grid],
        f"the grid ends at R_max = {r_max}, inside the bubble's core of "
-       "radius 0.2")
-      for grid, r_max in (("100,1e-100", "1e-100"), ("8,1e-300", "1e-300"),
-                          ("100,5e-324", "5e-324"))),
+       "radius 0.2",
+       f"argv{i}-the grid ends at R_max = {r_max}, inside the bubble's core "
+       "of radius 0.2")
+      for i, grid, r_max in ((34, "100,1e-100", "1e-100"),
+                             (35, "8,1e-300", "1e-300"),
+                             (36, "100,5e-324", "5e-324"))),
     # a Scal whose square overflows violates Cauchy-Schwarz for every finite
     # ric_norm2 (was an OverflowError traceback)
     (["energy", "--n", "7", "--s", "1", "--curvature", "big-scal.json"],
-     "ric_norm2 = 0.0 violates the Cauchy-Schwarz bound Scal^2/n = inf"),
+     "ric_norm2 = 0.0 violates the Cauchy-Schwarz bound Scal^2/n = inf",
+     "argv37-ric_norm2 = 0.0 violates the Cauchy-Schwarz bound Scal^2/n = "
+     "inf"),
     (["constants", "--n", "2", "--s", "1"],
-     "dimension must be an integer >= 3, got n=2\n"),
+     "dimension must be an integer >= 3, got n=2\n",
+     "argv38-dimension must be an integer >= 3, got n=2\n"),
     (["kernel", "--n", "7", "--s", "1", "--grid", "zzz"],
-     "--grid expects N,Rmax[,gamma], got 'zzz'\n"),
+     "--grid expects N,Rmax[,gamma], got 'zzz'\n",
+     "argv39---grid expects N,Rmax[,gamma], got 'zzz'\n"),
     (["energy", "--n", "7", "--s", "1", "--deltas", "x:y"],
-     "--deltas expects lo:hi:count, got 'x:y'\n"),
+     "--deltas expects lo:hi:count, got 'x:y'\n",
+     "argv40---deltas expects lo:hi:count, got 'x:y'\n"),
     (["lg", "--n", "7", "--s", "1", "--potential", "pot.json", "--h0", "1"],
-     "--potential is exclusive with --h0/--lap-h/--f0\n"),
+     "--potential is exclusive with --h0/--lap-h/--f0\n",
+     "argv41---potential is exclusive with --h0/--lap-h/--f0\n"),
     # a potential file must hold exactly the schema's keys
     *((["lg", "--n", "7", "--s", "1", "--potential", fname],
        f"potential file {fname!r}: schema requires exactly keys ('h0', "
-       f"'lap_h') plus optional ('f0',); {keys}\n")
-      for fname, keys in (("no-lap-h.json", "missing ['lap_h'], "
-                                            "unexpected []"),
-                          ("extra-key.json", "missing [], unexpected "
-                                             "['zz']"))),
+       f"'lap_h') plus optional ('f0',); {keys}\n",
+       f"argv{i}-potential file {fname!r}: schema requires exactly keys "
+       f"('h0', 'lap_h') plus optional ('f0',); {keys}\n")
+      for i, fname, keys in ((42, "no-lap-h.json", "missing ['lap_h'], "
+                                                   "unexpected []"),
+                             (43, "extra-key.json", "missing [], unexpected "
+                                                    "['zz']"))),
     (["lg", "--n", "7", "--s", "1", "--curvature", "missing.json"],
-     "cannot read curvature file 'missing.json'"),
+     "cannot read curvature file 'missing.json'",
+     "argv44-cannot read curvature file 'missing.json'"),
     (["family", "--n", "7", "--s", "1", "--base-lg", "0", "--f0", "1",
       "--k-max", "2"],
-     "the family construction requires f(x0) < 0, got 1.0\n"),
+     "the family construction requires f(x0) < 0, got 1.0\n",
+     "argv45-the family construction requires f(x0) < 0, got 1.0\n"),
     # the pairing's integrand decays like r**(5 - n) (were exit 0 with a
     # truncation artifact that grows with R_max: at n = 3 a factor 8 per
     # doubling of R_max, at n = 6 like log R_max)
     *((["chat", "--n", n, "--s", "1", "--h0", "1"],
-       f"the nonlocal pairing needs n >= 7, got n={n}\n")
-      for n in ("6", "3")),
-])
+       f"the nonlocal pairing needs n >= 7, got n={n}\n",
+       f"argv{i}-the nonlocal pairing needs n >= 7, got n={n}\n")
+      for i, n in ((46, "6"), (47, "3"))),
+]))
 def test_exit_1_names_the_cause(capsys, tmp_path, monkeypatch, argv, cause):
     monkeypatch.chdir(tmp_path)
     # JSON allows no NaN literal, but Python's reader accepts one
@@ -768,7 +913,7 @@ RUN_LOADS = {
                                   False),
     "constants": (_CLI, False, False, False),
     "integrals": (f"{_CLI} {_MOMENTS}", True, False, False),
-    "bubble": (f"{_CLI} bubble", True, False, False),
+    "bubble": (f"{_CLI} bubble", False, False, False),
     "lg": (f"{_CLI} geometry linearized {_MOMENTS}", True, True, False),
     "energy": (f"{_CLI} energy geometry {_MOMENTS}", True, False, True),
     "remainder": (f"{_CLI} energy geometry {_MOMENTS}", True, False, True),
@@ -802,10 +947,21 @@ def _loaded(code: str, cwd=None) -> dict:
     return json.loads(out)
 
 
+def _main_loaded(tmp_path, argv, rc) -> dict:
+    """What cli.main(argv) loads in a fresh interpreter, output silenced,
+    asserting its exit code rc."""
+    write_inputs(tmp_path)
+    return _loaded("import contextlib, io\n"
+                   "from hsbubble.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                   "        contextlib.redirect_stderr(io.StringIO()):\n"
+                   f"    assert main({argv!r}) == {rc}\n", cwd=tmp_path)
+
+
 def test_each_run_loads_only_what_it_uses(tmp_path):
-    # the package and the CLI import lazily: `constants`, `reduce`,
-    # `verdict --base-lg` and the geometry and reduction modules load no
-    # numpy and no fractions, `kernel` none of the energy, geometry,
+    # the package and the CLI import lazily: `constants`, `bubble`,
+    # `reduce`, `verdict --base-lg` and the geometry and reduction modules
+    # load no numpy and no fractions, `kernel` none of the energy, geometry,
     # moments or reduction modules, and only `lg` and `kernel` the solver;
     # the solver loads scipy's LAPACK extension alone, so no run imports
     # the scipy package (its init, scipy.linalg, scipy.sparse) or numpy.ma;
@@ -860,17 +1016,35 @@ def test_decision_runs_load_no_numpy(tmp_path, argv, rc):
     # the reduced functional, the verdict and the family ladder on a given
     # obstruction are pure arithmetic and Beta values: no path through
     # them, error exits included, loads numpy or the solver
-    write_inputs(tmp_path)
-    got = _loaded("import contextlib, io\n"
-                  "from hsbubble.cli import main\n"
-                  "with contextlib.redirect_stdout(io.StringIO()), \\\n"
-                  "        contextlib.redirect_stderr(io.StringIO()):\n"
-                  f"    assert main({argv!r}) == {rc}\n", cwd=tmp_path)
+    got = _main_loaded(tmp_path, argv, rc)
     assert not got["numpy"]
     assert set(got["hsbubble"]) <= {"hsbubble", "hsbubble.cli",
                                     "hsbubble.errors", "hsbubble.params",
                                     "hsbubble.reduction", "hsbubble.geometry",
                                     "hsbubble.moments"}
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["bubble", "--n", "7", "--s", "1.5", "--delta", "0.1",
+      "--emit-profile", "p.csv"], 0),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "nan"], 1),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "inf"], 1),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "1e-300"], 2),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "0.1", "--points", "-1",
+      "--emit-profile", "p.csv"], 1),
+    (["bubble", "--n", "7", "--s", "1.5", "--delta", "0.1", "--points", "1",
+      "--emit-profile", "p.csv"], 1),
+    (["bubble", "--n", "7", "--s", "1", "--delta", "1e308",
+      "--emit-profile", "p.csv"], 2),
+], ids=["profile-past-s-1", "delta-nan", "delta-inf", "delta-overflow",
+        "negative-points", "one-point-past-s-1", "profile-end-overflow"])
+def test_bubble_runs_load_no_numpy(tmp_path, argv, rc):
+    # the profile closed forms run on Python floats for a scalar radius, so
+    # no bubble run, error exits included, loads numpy
+    got = _main_loaded(tmp_path, argv, rc)
+    assert not got["numpy"]
+    assert got["hsbubble"] == ["hsbubble", "hsbubble.bubble", "hsbubble.cli",
+                               "hsbubble.errors", "hsbubble.params"]
 
 
 def test_lazy_exports_resolve_to_their_home_objects():
