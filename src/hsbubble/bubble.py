@@ -22,7 +22,9 @@ enters every downstream formula stays finite and -> 0.
 Each closed form takes a Python number or an array r and is one expression,
 run on Python floats for a number (the result a float, and no numpy loaded)
 and on numpy for an array.  The two agree to a few ulp: Python's ** is
-libm's pow, and numpy's array power may be a SIMD loop of its own.
+libm's pow, and numpy's array power may be a SIMD loop of its own.  Each
+form reads kappa, beta and m from HSParams, which computes each constant on
+its first read and keeps it.
 """
 
 from __future__ import annotations
@@ -70,28 +72,14 @@ def _radius(p: HSParams, r):
     return r, r ** (2.0 - p.s), _array_pow
 
 
-# U1, U1' and Z0 on the (r, t, pow) of _radius and the constants they read,
-# so that eval_profiles forms all three from one _radius and one read of each
-def _u1(kappa, beta, t):
-    return kappa * (1.0 + t) ** (-beta)
-
-
-def _du1(kappa, n, s, m, r, t, pow_):
-    return -kappa * (n - 2.0) * pow_(r, 1.0 - s) * (1.0 + t) ** (-m)
-
-
-def _z0(kappa, n, m, t):
-    return 0.5 * (n - 2.0) * kappa * (t - 1.0) * (1.0 + t) ** (-m)
-
-
 def u1(p: HSParams, r):
     r, t, _ = _radius(p, r)
-    return _u1(p.kappa, p.beta, t)
+    return p.kappa * (1.0 + t) ** (-p.beta)
 
 
 def du1(p: HSParams, r):
     r, t, pow_ = _radius(p, r)
-    return _du1(p.kappa, p.n, p.s, p.m, r, t, pow_)
+    return -p.kappa * (p.n - 2.0) * pow_(r, 1.0 - p.s) * (1.0 + t) ** (-p.m)
 
 
 def d2u1(p: HSParams, r):
@@ -113,7 +101,7 @@ def rdru1(p: HSParams, r):
 
 def z0(p: HSParams, r):
     r, t, _ = _radius(p, r)
-    return _z0(p.kappa, p.n, p.m, t)
+    return 0.5 * (p.n - 2.0) * p.kappa * (t - 1.0) * (1.0 + t) ** (-p.m)
 
 
 def dz0(p: HSParams, r):
@@ -171,10 +159,8 @@ def eval_profiles(p: HSParams, delta: float, r) -> dict:
     # U' is -inf at r = 0 when s > 1, and stays so where dlift underflows to
     # 0 (their product is nan)
     if isinstance(r, (int, float)):
-        rho, t, pow_ = _radius(p, float(r) / delta)
-        kappa, m = p.kappa, p.m
-        du = _du1(kappa, n, p.s, m, rho, t, pow_)
-        u, z = lift * _u1(kappa, p.beta, t), lift * _z0(kappa, n, m, t)
+        rho = float(r) / delta
+        u, du, z = lift * u1(p, rho), du1(p, rho), lift * z0(p, rho)
         if not math.isinf(du):
             du *= dlift
             if math.isinf(du):  # Python's * overflows to inf without raising

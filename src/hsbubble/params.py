@@ -25,6 +25,7 @@ or the nonlocal pairing refuse n < N_MIN through HSParams.require.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .errors import DomainError, NumericalError
 
@@ -89,7 +90,11 @@ class Record:
 
 
 class HSParams(Record):
-    """The pair (n, s): dimension and singularity exponent."""
+    """The pair (n, s): dimension and singularity exponent.
+
+    Each constant derived from it is computed on first read and kept on the
+    instance (a kappa that overflows is refused on every read and kept
+    nowhere); equality, hash and repr read (n, s) only."""
 
     n: int
     s: float
@@ -107,12 +112,12 @@ class HSParams(Record):
         if self.n < N_MIN:
             raise DomainError(f"{what} needs n >= {N_MIN}, got n={self.n}")
 
-    @property
+    @cached_property
     def crit_exp(self) -> float:
         """2*(s) = 2(n - s)/(n - 2)."""
         return 2.0 * (self.n - self.s) / (self.n - 2.0)
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         """kappa = ((n - s)(n - 2)) ** ((n - 2)/(2(2 - s)))."""
         n, s = self.n, self.s
@@ -123,39 +128,39 @@ class HSParams(Record):
                 f"kappa = ((n - s)(n - 2))**((n - 2)/(2(2 - s))) overflows "
                 f"a float at n = {n}, s = {s}") from None
 
-    @property
+    @cached_property
     def kappa_pow(self) -> float:
         """kappa**(2*(s) - 2) as (n - s)(n - 2): exact where kappa rounds."""
         return float((self.n - self.s) * (self.n - 2))
 
-    @property
+    @cached_property
     def beta(self) -> float:
         """beta = (n - 2)/(2 - s), the decay exponent of (1 + t) in U1."""
         return (self.n - 2.0) / (2.0 - self.s)
 
-    @property
+    @cached_property
     def m(self) -> float:
         """m = (n - s)/(2 - s) = beta + 1, the exponent of (1 + t) in U1'."""
         return (self.n - self.s) / (2.0 - self.s)
 
-    @property
+    @cached_property
     def log_scale(self) -> float:
         """log(beta)/(2 - s): U1's transition runs from r = exp(-log_scale)
         to exp(log_scale), where t = r**(2 - s) passes 1/beta and beta."""
         return math.log(self.beta) / (2.0 - self.s)
 
-    @property
+    @cached_property
     def potential_amp(self) -> float:
         """(2*(s) - 1)(n - s)(n - 2), the amplitude of the potential V."""
         return (self.crit_exp - 1.0) * (self.n - self.s) * (self.n - 2.0)
 
-    @property
+    @cached_property
     def c_ns(self) -> float:
         """c_ns = (n - 2)(6 - s) / (12(2n - 2 - s))."""
         n, s = self.n, self.s
         return (n - 2) * (6.0 - s) / (12.0 * (2.0 * n - 2.0 - s))
 
-    @property
+    @cached_property
     def lambda_ns(self) -> float:
         """lambda_ns = (n - 2)(10 - s) / (20(2n - 2 - s))."""
         n, s = self.n, self.s
@@ -163,7 +168,8 @@ class HSParams(Record):
 
 
 def derive_constants(p: HSParams) -> HSParams:
-    """p, whose properties are the (n, s) constants, once kappa fits a float."""
+    """p, once kappa fits a float; each (n, s) constant is computed on its
+    first read and kept."""
     p.kappa
     return p
 

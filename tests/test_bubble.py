@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,27 @@ def test_a_float_radius_runs_the_array_formula():
             assert eval_profiles(p, delta, 0.0)["dr_U_delta"] == -np.inf
 
 
+def test_an_overflowing_t_on_a_float_radius_reads_its_limit():
+    # t = r**(2-s) overflows Python's ** at r = 1e200, s = 0; t is then inf,
+    # as numpy gives, and U1 and U1' read their limits 0 and -0
+    p = HSParams(7, 0.0)
+    assert u1(p, 1e200) == 0.0
+    got = du1(p, 1e200)
+    assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+
+@pytest.mark.parametrize("p,delta,r", [
+    (HSParams(7, 1.9), 1e-80, 1e-90),  # U' times delta**(-n/2)
+    (HSParams(30, 0.5), 1e-20, 0.0),  # U_delta(0) = 1.7e307, Z_delta -14x
+], ids=["du", "z"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+def test_an_overflowing_profile_is_a_numerical_error(p, delta, r, as_array):
+    with pytest.raises(NumericalError, match=re.escape(
+            f"the profiles at scale delta = {delta} overflow a float at "
+            f"n = {p.n} (their amplitudes carry delta**(-n/2))")):
+        eval_profiles(p, delta, np.array([r]) if as_array else r)
+
+
 def test_z_is_delta_derivative_of_u():
     # centered difference in delta converges at second order to Z/delta
     p = P71
@@ -178,6 +202,10 @@ def test_profile_container():
 def test_domain_rejections():
     with pytest.raises(DomainError):
         eval_profiles(P71, 0.0, 1.0)
+    for f in (u1, du1, z0, lambda p, r: eval_profiles(p, 1.0, r)):
+        with pytest.raises(DomainError, match=re.escape(
+                "a radius must be >= 0, got r=-1.0")):
+            f(P71, -1.0)
     # s = 0 (the Yamabe limit) answers: the identities hold to roundoff
     p0 = HSParams(7, 0.0)
     res = pde_residual(p0, default_grid(p0, N=100))

@@ -364,6 +364,10 @@ def _cases(rows):
       "--emit-profile", "p.csv"],
      "the profile's end r = 20 delta leaves the float range at delta = "
      "1e+308", "bubble-profile-end-overflow"),
+    # Z_delta at r = 0 carries delta**(-(n-2)/2) = 1e280 times kappa
+    (["bubble", "--n", "30", "--s", "0.5", "--delta", "1e-20"],
+     "the profiles at scale delta = 1e-20 overflow a float at n = 30 "
+     "(their amplitudes carry delta**(-n/2))", "bubble-center-overflow"),
     # an ell = 0 source beyond the float range (was a numpy RuntimeWarning,
     # then "ell = 0 banded solve failed: array must not contain infs or NaNs")
     (["chat", "--n", "7", "--s", "1", "--curvature", "sphere:1",

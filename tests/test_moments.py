@@ -288,7 +288,8 @@ def test_moment_refusal_names_an_overflowing_kappa_power(monkeypatch, kind,
     got = moment_quadrature(p, kind)
     log_kappa_power = float(power) * math.log(p.kappa)
     monkeypatch.setattr(HSParams, "kappa", 1.0)
-    pref, terms = _reduction(p, kind)
+    # p keeps the kappa it read; an instance built after the patch reads 1.0
+    pref, terms = _reduction(HSParams(p.n, p.s), kind)
     want = math.exp(math.log(pref * sum(w * ipq(P, q) for w, P, q in terms))
                     + log_kappa_power)
     assert abs(got - want) <= 1e-11 * want

@@ -95,8 +95,23 @@ def test_kappa_overflow_is_a_numerical_error():
     # (7, 1.99): kappa = 25.05**250 is beyond the float range
     with pytest.raises(NumericalError, match=r"kappa .* n = 7, s = 1.99"):
         HSParams(7, 1.99).kappa
-    with pytest.raises(NumericalError, match="kappa"):
-        derive_constants(HSParams(30, 1.9))
+    # refused on every read, and kept nowhere
+    p = HSParams(30, 1.9)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match=r"kappa .* n = 30, s = 1.9"):
+            derive_constants(p)
+    assert vars(p) == {"n": 30, "s": 1.9}
+
+
+def test_each_constant_is_kept_after_its_first_read():
+    p = HSParams(7, 1.5)
+    assert vars(p) == {"n": 7, "s": 1.5}
+    kappa, beta, m = p.kappa, p.beta, p.m
+    assert vars(p) == {"n": 7, "s": 1.5, "kappa": kappa, "beta": beta, "m": m}
+    # equality, hash and repr read (n, s) only
+    q = HSParams(7, 1.5)
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q) == "HSParams(n=7, s=1.5)"
 
 
 class Jet(Record):
@@ -153,7 +168,10 @@ def test_equal_records_share_one_memo_entry():
     assert Jet(1.0, 2.0) != PotentialJet(1.0, 2.0)
     assemble_mode.cache_clear()
     grid = default_grid(q, N=500)
-    assert assemble_mode(p, 2, grid) is assemble_mode(q, 2, grid)
+    mats = assemble_mode(p, 2, grid)
+    # p keeps the constants the build read; q, equal but fresh, still hits
+    assert "kappa" in vars(p) and vars(q) == {"n": 7, "s": 1.0}
+    assert assemble_mode(q, 2, grid) is mats
     info = assemble_mode.cache_info()
     # the first ell = 2 build also misses the ell = 0 entry it is built from;
     # the second lookup, with the equal record, hits
