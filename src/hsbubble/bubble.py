@@ -24,12 +24,16 @@ run on Python floats for a number (the result a float, and no numpy loaded)
 and on numpy for an array.  The two agree to a few ulp: Python's ** is
 libm's pow, and numpy's array power may be a SIMD loop of its own.  Each
 form reads kappa, beta and m from HSParams, which computes each constant on
-its first read and keeps it.
+its first read and keeps it.  Far out, where a constant times a power of r
+overflows while a power of 1 + t underflows, each form reads its limit 0
+(_closed_form).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import DomainError, NumericalError
@@ -55,66 +59,93 @@ def _array_pow(x, a):
         return x ** a
 
 
-def _radius(p: HSParams, r):
-    """(r, t = r**(2-s), pow) for the closed forms: a float r and t and
-    _float_pow for a Python number, a float array and numpy's power for
-    anything else."""
-    if isinstance(r, (int, float)):
-        r = float(r)
-        if r < 0.0:  # Python's ** would answer a complex number
-            raise DomainError(f"a radius must be >= 0, got r={r}")
-        try:
-            return r, r ** (2.0 - p.s), _float_pow
-        except OverflowError:  # numpy's inf
-            return r, math.inf, _float_pow
-    import numpy as np
-    r = np.asarray(r, dtype=float)
-    return r, r ** (2.0 - p.s), _array_pow
+def _overflows(p: HSParams, r: float) -> bool:
+    """Whether a constant times a power of r in the closed forms may
+    overflow at radius r: past r = 1 each such power is at most t, and each
+    constant at most kappa n (m + 2)."""
+    return not _float_pow(r, 2.0 - p.s) * (p.kappa * p.n * (p.m + 2.0)) \
+        < sys.float_info.max
 
 
-def u1(p: HSParams, r):
-    r, t, _ = _radius(p, r)
+def _closed_form(tail: float):
+    """A closed form in r, from its expression expr(p, r, t, pow) with
+    t = r**(2-s): on a Python number it runs on a float r and t and
+    _float_pow, on anything else on a float array and numpy's power.
+
+    Every profile vanishes as r -> oo, but far out a constant times a power
+    of r can overflow to inf while a power of 1 + t underflows to 0.  The
+    nan of their product, past r = 1, is read as the limit: 0, with the
+    sign `tail` of the values just inside.  An array that reaches where
+    _overflows holds runs with numpy's overflow and invalid warnings off.
+    No other value moves.
+    """
+    def wrap(expr):
+        @functools.wraps(expr)
+        def form(p: HSParams, r):
+            if isinstance(r, (int, float)):
+                r = float(r)
+                if r < 0.0:  # Python's ** would answer a complex number
+                    raise DomainError(f"a radius must be >= 0, got r={r}")
+                try:
+                    t = r ** (2.0 - p.s)
+                except OverflowError:  # numpy's inf
+                    t = math.inf
+                v = expr(p, r, t, _float_pow)
+                return tail if v != v and r > 1.0 else v
+            import numpy as np
+            r = np.asarray(r, dtype=float)
+            if not (r.size and _overflows(p, r.item(r.argmax()))):
+                return expr(p, r, r ** (2.0 - p.s), _array_pow)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = expr(p, r, r ** (2.0 - p.s), _array_pow)
+            return np.where(np.isnan(v) & (r > 1.0), tail, v)[()]
+        return form
+    return wrap
+
+
+@_closed_form(0.0)
+def u1(p: HSParams, r, t, pow_):
     return p.kappa * (1.0 + t) ** (-p.beta)
 
 
-def du1(p: HSParams, r):
-    r, t, pow_ = _radius(p, r)
+@_closed_form(-0.0)
+def du1(p: HSParams, r, t, pow_):
     return -p.kappa * (p.n - 2.0) * pow_(r, 1.0 - p.s) * (1.0 + t) ** (-p.m)
 
 
-def d2u1(p: HSParams, r):
+@_closed_form(-0.0)
+def d2u1(p: HSParams, r, t, pow_):
     n, s = p.n, p.s
-    r, t, pow_ = _radius(p, r)
     core = (1.0 - s) * pow_(r, -s) * (1.0 + t) ** (-p.m) \
         - (n - s) * pow_(r, 2.0 - 2.0 * s) * (1.0 + t) ** (-p.m - 1.0)
     return -p.kappa * (n - 2.0) * core
 
 
-def rdru1(p: HSParams, r):
+@_closed_form(-0.0)
+def rdru1(p: HSParams, r, t, pow_):
     """r * U1'(r): the dilation-type profile entering the source terms.
 
     Finite everywhere (-> 0 at the origin) even where U1' itself diverges.
     """
-    r, t, _ = _radius(p, r)
     return -p.kappa * (p.n - 2.0) * t * (1.0 + t) ** (-p.m)
 
 
-def z0(p: HSParams, r):
-    r, t, _ = _radius(p, r)
+@_closed_form(0.0)
+def z0(p: HSParams, r, t, pow_):
     return 0.5 * (p.n - 2.0) * p.kappa * (t - 1.0) * (1.0 + t) ** (-p.m)
 
 
-def dz0(p: HSParams, r):
+@_closed_form(-0.0)
+def dz0(p: HSParams, r, t, pow_):
     n, s, m = p.n, p.s, p.m
-    r, t, pow_ = _radius(p, r)
     amp = (1.0 + m) + (1.0 - m) * t
     return 0.5 * (n - 2.0) * p.kappa * (2.0 - s) * pow_(r, 1.0 - s) \
         * (1.0 + t) ** (-m - 1.0) * amp
 
 
-def d2z0(p: HSParams, r):
+@_closed_form(0.0)
+def d2z0(p: HSParams, r, t, pow_):
     n, s, m = p.n, p.s, p.m
-    r, t, pow_ = _radius(p, r)
     amp = (1.0 + m) + (1.0 - m) * t
     core = (1.0 - s) * pow_(r, -s) * (1.0 + t) ** (-m - 1.0) * amp \
         - (m + 1.0) * (2.0 - s) * pow_(r, 2.0 - 2.0 * s) \

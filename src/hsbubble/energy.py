@@ -404,10 +404,14 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
     an ANGULAR_POINTS-point Gauss-Legendre sum graded toward t*
     (_graded_rule); where t* is clipped to an end, as at most radial nodes,
     one side has length 0, adds exactly 0 and is not evaluated, and the
-    other side's angles, which depend on t* alone, are formed once for all
-    the nodes that share it.  The radial integral is adaptive, in x = log r
-    over the whole half-line.  The density decays like r**(-(n-2)), so the
-    engine gets the declared tail exponent b = q (n-2) and the profile's breaks
+    other is the whole quarter: its angles are one row, broadcast over all
+    the nodes clipped to that end, while a node with an interior kink gets
+    a row of its own.  Each node's values are formed in place in one order,
+    ((cos^2 t - 1/n) B)/3 + A, then |.|^q, then times sin^(n-2) t, and
+    summed by one dot per node, so the integrand stays elementwise bit for
+    bit.  The radial integral is adaptive, in x = log r over the whole
+    half-line.  The density decays like r**(-(n-2)), so the engine gets the
+    declared tail exponent b = q (n-2) and the profile's breaks
     delta beta**(-+1/(2-s)), beta = (n-2)/(2-s), and decides the span from
     them rather than from samples of the integrand.  Integration runs in the
     original radial variable (no delta substitution), so the delta^2
@@ -444,21 +448,27 @@ def remainder_norm_scaled(c: CurvatureData, p: HSParams, h0: float,
             1.0 / n - np.nan_to_num(3.0 * A / B), 0.0, 1.0)))
         x, wx = _graded_rule()
         out = np.zeros_like(ts)
-        for L in (-ts, 0.5 * np.pi - ts):
-            # where the kink is clipped to an end, this side has length
-            # 0 and adds exactly 0: sum only the nodes where it does not
-            on = np.flatnonzero(L)
-            # a side's angles depend on its kink alone, and most kinks
-            # are clipped to the same end: form the angular factors
-            # once per distinct kink
-            kinks, first, at = np.unique(ts[on], return_index=True,
-                                         return_inverse=True)
-            t = L[on[first], None] * x + kinks[:, None]
-            vals = (np.abs((np.cos(t) ** 2 - 1.0 / n)[at] * B[on, None] / 3.0
-                           + A[on, None]) ** q
-                    * (np.sin(t) ** (n - 2.0))[at])
-            # one dot per node, so f stays elementwise bit for bit
-            out[on] += np.abs(L[on]) * np.vecdot(vals, wx)
+        for L, whole in ((-ts, ts == 0.5 * np.pi),
+                         (0.5 * np.pi - ts, ts == 0.0)):
+            # where the kink is clipped to this side's far end, the side is
+            # the whole quarter and its angles are one row that all those
+            # nodes share; a node with an interior kink has a row of its
+            # own.  Where the kink is clipped to the near end, the side has
+            # length 0 and adds exactly 0: it is not summed
+            share = np.flatnonzero(whole)
+            own = np.flatnonzero((L != 0.0) & ~whole)
+            for on, at in ((share, share[:1]), (own, own[:, None])):
+                if not on.size:
+                    continue
+                t = L[at] * x + ts[at]
+                vals = (np.cos(t) ** 2 - 1.0 / n) * B[on, None]
+                vals /= 3.0
+                vals += A[on, None]
+                np.abs(vals, out=vals)
+                vals **= q
+                vals *= np.sin(t) ** (n - 2.0)
+                # one dot per node, so f stays elementwise bit for bit
+                out[on] += np.abs(L[on]) * np.vecdot(vals, wx)
         return 2.0 * omega_inner * out
 
     try:

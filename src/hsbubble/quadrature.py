@@ -50,7 +50,9 @@ initial panel count) go to that function in one call.  f must therefore be
 elementwise over a 1-D numpy array: each output may depend only on the r
 (and the arg, see RadialIntegrand) at the same position.  The K15 rule is
 open (no endpoint nodes), so f is never called at r = 0.  The panel edges,
-the heap and the running sums are Python floats; numpy evaluates the
+the heap and the running sums are Python floats, booked by a Python loop
+(_Run.push) for every round of a lone run; only a group of two or more
+members books its first round on arrays (_start).  numpy evaluates the
 integrand and the panel sums, under one error-state scope per batch.
 """
 
@@ -151,8 +153,10 @@ def _panels(members):
     panel's sums match a panel integrated alone bit for bit (a matrix
     product over all panels may block its sums differently and move the
     last bit).  A non-finite summand where f != 0 raises (its radius is
-    the error's `r`); a sum may overflow.  The caller sets numpy's error
-    state: g's overflows and 0 * inf (f underflowed) are expected here.
+    the error's `r`), and the others count as 0; the screen runs only when
+    some summand is not finite.  A sum may overflow.  The caller sets
+    numpy's error state: g's overflows and 0 * inf (f underflowed) are
+    expected here.
     """
     lo = np.array([e for run in members for e in run.todo[0]])
     hi = np.array([e for run in members for e in run.todo[1]])
@@ -163,13 +167,15 @@ def _panels(members):
         [run.arg for run in members for _ in run.todo[0]], _NODES.size),)
     r, fr, y = members[0].g(x, *extra)
     finite = np.isfinite(y)
-    for i in np.flatnonzero(~finite & (fr != 0.0))[:1]:
-        exc = NumericalError(
-            f"a quadrature summand f(r) r**({members[0].key[1]}) is not "
-            f"finite at r = {r[i]:.6g}, where f(r) = {fr[i]:.6g}")
-        exc.r = float(r[i])
-        raise exc
-    y = np.where(finite, y, 0.0).reshape(-1, _NODES.size)
+    if not finite.all():
+        for i in np.flatnonzero(~finite & (fr != 0.0))[:1]:
+            exc = NumericalError(
+                f"a quadrature summand f(r) r**({members[0].key[1]}) is not "
+                f"finite at r = {r[i]:.6g}, where f(r) = {fr[i]:.6g}")
+            exc.r = float(r[i])
+            raise exc
+        y = np.where(finite, y, 0.0)
+    y = y.reshape(-1, _NODES.size)
     k15 = h * np.vecdot(y, _W15)
     return lo, hi, (k15, np.abs(k15 - h * np.vecdot(y, _W7)),
                     h * np.vecdot(np.abs(y), _W15))
@@ -261,7 +267,8 @@ class _Run:
         self.g = _summand(integrand.f, power, log)
         self.arg = integrand.arg
         self.tol = tol
-        self.evals = 0
+        self.heap, self.serial, self.evals = [], 0, 0
+        self.total = self.err_total = self.abs_total = self.outer = 0.0
         self.ready = {}
         self.todo = (edges[:-1], edges[1:])
 
@@ -337,8 +344,17 @@ class _Run:
 
 def _start(members, lo, hi, sums):
     """Book each member's initial panels as push would, then bisect it, in
-    input order: its sums are a sequential np.cumsum along its row (a
-    leading 0.0 keeps the loop's sign of zero), its live panels heapified."""
+    input order.  A lone member is booked by push itself: on one run's few
+    dozen panels its loop costs less than the dozen array calls below (12
+    against 27 us on 33 panels).  For two or more, each member's sums are a
+    sequential np.cumsum along its row (a leading 0.0 keeps the loop's sign
+    of zero) and its live panels are heapified; the heap pops in push's
+    order, since no two entries share a serial number."""
+    if len(members) == 1:
+        run, = members
+        run.push(*run.todo, list(zip(*(v.tolist() for v in sums))))
+        run.bisect()
+        return
     k15, err, kabs = sums
     m, count = len(members), len(members[0].todo[0])
     rows = np.zeros((3, m, count + 1))
@@ -369,8 +385,10 @@ def integrate_radial_batch(integrands: Sequence[RadialIntegrand],
 
     Each member's result is exactly what integrate_radial gives it alone:
     the sums, heap pops and stopping decisions of a run that bisects one
-    worst panel at a time.  The first round sums every initial panel; in
-    each later round a member sums the halves of its worst panel and,
+    worst panel at a time.  The first round sums every initial panel (a
+    group of one member books it with _Run.push, the loop of every later
+    round; a larger group with _start's arrays, the same bits); in each
+    later round a member sums the halves of its worst panel and,
     looking ahead, of up to _AHEAD more heap panels (_Run.bisect), committed
     in the serial order; `evaluations` and the budget count committed
     panels only.  The divergence screens run in input order before any f

@@ -101,13 +101,22 @@ def test_a_float_radius_runs_the_array_formula():
             assert eval_profiles(p, delta, 0.0)["dr_U_delta"] == -np.inf
 
 
-def test_an_overflowing_t_on_a_float_radius_reads_its_limit():
-    # t = r**(2-s) overflows Python's ** at r = 1e200, s = 0; t is then inf,
-    # as numpy gives, and U1 and U1' read their limits 0 and -0
+@pytest.mark.parametrize("form,tail", [
+    (u1, 0.0), (du1, -0.0), (d2u1, -0.0), (rdru1, -0.0), (z0, 0.0),
+    (dz0, -0.0), (d2z0, 0.0)],
+    ids=["u1", "du1", "d2u1", "rdru1", "z0", "dz0", "d2z0"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+def test_a_profile_past_the_float_range_reads_its_limit(form, tail, as_array):
+    # at s = 0 a constant times t = r**2 overflows to inf from r = 6.5e152
+    # (rdru1) while (1+t)**(-m) underflows to 0; their product read nan.
+    # Each form reads its limit 0 with the sign it has at r = 1e100, and an
+    # array gives no warning.  From r = 1.3e154, t itself overflows (on a
+    # float, Python's ** raises, and t reads inf as numpy gives)
     p = HSParams(7, 0.0)
-    assert u1(p, 1e200) == 0.0
-    got = du1(p, 1e200)
-    assert got == 0.0 and math.copysign(1.0, got) == -1.0
+    for r in (1e100, 1e153, 1e200, 1e300):
+        got = form(p, np.array([r]))[0] if as_array else form(p, r)
+        assert got == 0.0, r
+        assert math.copysign(1.0, got) == math.copysign(1.0, tail), r
 
 
 @pytest.mark.parametrize("p,delta,r", [

@@ -18,7 +18,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from hsbubble import energy, quadrature
-from hsbubble.bubble import du1, u1
+from hsbubble.bubble import du1, rdru1, u1
 from hsbubble.energy import (
     FitReport,
     RadialModel,
@@ -609,3 +609,46 @@ def test_remainder_values_are_pinned_bit_for_bit():
     assert len(got) == 240
     assert hashlib.sha256(repr(got).encode()).hexdigest() == (
         "f223ea7a7407313ed70ab580b30f0a70d630aa8abbc43fc6703ae67057447d84")
+
+
+def test_tracefree_integrand_equals_its_angular_sum_node_by_node(monkeypatch):
+    # the trace-free remainder's radial integrand on the engine's first
+    # round at (7, 1): clipped kinks share one row of angles per side, and
+    # each value must equal the sum of the kink's two sides formed at that
+    # node alone, in the same order of operations, bit for bit
+    n, h0 = 7, 1.0  # with the pin sweep's non-Einstein curvature at n = 7
+    c = curvature_preset({"scal": 42.0, "ric_norm2": 257.0, "rm_norm2": 84.0,
+                          "lap_scal": 0.0}, n)
+    seen = []
+    monkeypatch.setattr(energy, "integrate_radial",
+                        lambda ig, tol: seen.append(ig) or {"value": 1.0})
+    remainder_norm_scaled(c, P71, h0)
+    ig, = seen
+    calls = []
+    quadrature.integrate_radial(quadrature.RadialIntegrand(
+        f=lambda r: calls.append(r) or ig.f(r), a=ig.a, b=ig.b,
+        breaks=ig.breaks), tol=energy.TOL)
+    r = calls[0]
+
+    w = assemble_w(c, P71, h0)  # delta = 1, so the prefactor is 1.0
+    q = 2.0 * n / (n + 2.0)
+    rdu = rdru1(P71, r)
+    A = w.a * u1(P71, r) + w.mode0_extra * rdu
+    B = math.sqrt(w.t_free_norm2 * n / (n - 1.0)) * rdu
+    ts = np.arccos(np.sqrt(np.clip(1.0 / n - np.nan_to_num(3.0 * A / B),
+                                   0.0, 1.0)))
+    assert (ts == 0.0).any() and (ts == 0.5 * np.pi).any()
+    assert ((0.0 < ts) & (ts < 0.5 * np.pi)).any()
+
+    x, wx = energy._graded_rule()
+    want = []
+    for a, b, kink in zip(A, B, ts):
+        total = 0.0
+        for L in (-kink, 0.5 * np.pi - kink):
+            if L:
+                t = L * x + kink
+                vals = np.abs((np.cos(t) ** 2 - 1.0 / n) * b / 3.0 + a) ** q \
+                    * np.sin(t) ** (n - 2.0)
+                total += abs(L) * np.vecdot(vals, wx)
+        want.append(2.0 * sphere_area(n - 1) * total)
+    assert ig.f(r).tolist() == want

@@ -588,6 +588,45 @@ def test_batch_members_sharing_f_are_summed_in_one_call():
         assert res == _reference_integrate(ig, tol=1e-12)
 
 
+@pytest.mark.parametrize("integrand", [
+    RadialIntegrand(f=lambda r: np.sin(50.0 * r) ** 2 + r, R=1.0),
+    RadialIntegrand(f=lambda r: (1.0 + r) ** -12.0, a=5.0, b=12.0,
+                    breaks=(1.0,)),
+    RadialIntegrand(f=lambda r: (1.0 + r**2) ** -7.0, a=6.0),
+    RadialIntegrand(f=lambda r: np.full_like(r, 1e308), R=1.0),
+], ids=["finite", "declared-tail", "undeclared-tail", "non-finite-panel-sum"])
+def test_a_lone_run_books_its_first_round_as_a_batch_does(monkeypatch,
+                                                          integrand):
+    # a lone run books its first round with push, a group of two or more
+    # with _start's arrays (here two copies of one integrand, one key):
+    # each member gives the lone run's value, error estimate and
+    # evaluations exactly, or the same refusal
+    count = len(quadrature._Run(integrand, 1e-12).todo[0])
+    pushed = []
+    push = quadrature._Run.push
+
+    def spy(run, los, his, rows):
+        pushed.append(len(los))
+        return push(run, los, his, rows)
+
+    monkeypatch.setattr(quadrature._Run, "push", spy)
+
+    def outcome(members):
+        pushed.clear()
+        try:
+            return [(res["value"].hex(), res["error_estimate"].hex(),
+                     res["evaluations"]) for res in
+                    quadrature.integrate_radial_batch(members, tol=1e-12)]
+        except NumericalError as exc:
+            return str(exc)
+
+    alone = outcome([integrand])
+    assert pushed[0] == count
+    pair = outcome([integrand, integrand])
+    assert count not in pushed
+    assert pair == (alone if isinstance(alone, str) else 2 * alone)
+
+
 def test_batch_ends_at_the_first_failure_it_meets(monkeypatch):
     # slow runs out of budget after many rounds, huge overflows in the first
     # round and divergent fails its screen.  Every screen runs before any f
